@@ -44,7 +44,6 @@ class RunSettings:
     seed: int = 0
     trials: int = 10000
     history: tuple = ()  # winner schedule addressing a subgame
-    profile: str = "proportional"
     output: str = "json"
     demo: Optional[str] = None
 
@@ -54,11 +53,36 @@ def _require(condition, message):
         raise InputError(message)
 
 
+def _read(entry, key: str, where: str, convert=float, default=None):
+    """`convert(entry[key])`, or `default` when the key is absent and a default is given.
+
+    Raises InputError naming the field `where` when the entry is not a JSON
+    object, the field is missing, or its value does not convert.
+    """
+    if not isinstance(entry, dict):
+        raise InputError(f"config field {where.rpartition('.')[0]} must be an object")
+    if key not in entry:
+        _require(default is not None, f"config field {where} is missing")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise InputError(f"config field {where} must be {kind}, got {entry[key]!r}") from None
+
+
+def _list(raw, key: str) -> list:
+    entries = raw.get(key, [])
+    _require(isinstance(entries, list), f"config field {key} must be a list")
+    return entries
+
+
 def load_config(path: str):
     """Load and validate a contest config; returns (spec, run settings).
 
     Defaults: Tullock success function (alpha=1, beta=1), no shocks,
-    grid_points=200, tolerance=1e-6, budget_step=0.25.
+    grid_points=200, tolerance=1e-6, budget_step=0.25.  Malformed fields
+    raise InputError naming the field.
     """
     with open(path) as handle:
         text = handle.read()
@@ -69,27 +93,49 @@ def load_config(path: str):
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require("players" in raw, "config needs a 'players' list")
     _require("battles" in raw, "config needs a 'battles' list")
-    budgets = [float(entry["budget"]) for entry in raw["players"]]
-    values = [float(entry["value"]) for entry in raw["battles"]]
+    budgets = [
+        _read(entry, "budget", f"players[{i}].budget")
+        for i, entry in enumerate(_list(raw, "players"))
+    ]
+    values = [
+        _read(entry, "value", f"battles[{t}].value")
+        for t, entry in enumerate(_list(raw, "battles"))
+    ]
     csf_raw = raw.get("csf", {})
-    csf = CsfParams(float(csf_raw.get("alpha", 1.0)), float(csf_raw.get("beta", 1.0)))
-    objective = Objective(raw.get("objective", "expected_value"))
-    shocks = {
-        (int(entry["player"]), int(entry["battle"])): float(entry["amount"])
-        for entry in raw.get("shocks", [])
-    }
+    csf = CsfParams(
+        _read(csf_raw, "alpha", "csf.alpha", default=1.0),
+        _read(csf_raw, "beta", "csf.beta", default=1.0),
+    )
+    objective_name = raw.get("objective", "expected_value")
+    try:
+        objective = Objective(objective_name)
+    except (TypeError, ValueError):
+        choices = ", ".join(o.value for o in Objective)
+        raise InputError(
+            f"config field objective must be one of {choices}, got {objective_name!r}"
+        ) from None
+    shocks = {}
+    for k, entry in enumerate(_list(raw, "shocks")):
+        where = f"shocks[{k}]"
+        key = (_read(entry, "player", f"{where}.player", int),
+               _read(entry, "battle", f"{where}.battle", int))
+        shocks[key] = _read(entry, "amount", f"{where}.amount")
     spec = ContestSpec(values, budgets, csf, objective, shocks)
     violations = validate_spec(spec)
     if violations:
         raise InputError("invalid contest: " + "; ".join(violations))
     solver_raw = raw.get("solver", {})
     solver = SolverSettings(
-        grid_points=int(solver_raw.get("grid_points", 200)),
-        tolerance=float(solver_raw.get("tolerance", 1e-6)),
-        budget_step=float(solver_raw.get("budget_step", 0.25)),
-        max_iterations=int(solver_raw.get("max_iterations", 500)),
+        grid_points=_read(solver_raw, "grid_points", "solver.grid_points", int, 200),
+        tolerance=_read(solver_raw, "tolerance", "solver.tolerance", default=1e-6),
+        budget_step=_read(solver_raw, "budget_step", "solver.budget_step", default=0.25),
+        max_iterations=_read(solver_raw, "max_iterations", "solver.max_iterations", int, 500),
     )
-    settings = RunSettings(solver=solver, seed=int(raw.get("seed", 0)))
+    _require(
+        solver.grid_points >= 2,
+        f"config field solver.grid_points must be at least 2, got {solver.grid_points}",
+    )
+    settings = RunSettings(solver=solver, seed=_read(raw, "seed", "seed", int, 0))
     return spec, settings
 
 
@@ -119,13 +165,12 @@ def _history_payload(history: History) -> dict:
 
 
 def _run_evaluate(spec, settings):
-    _require(settings.profile == "proportional", f"unknown profile {settings.profile!r}")
     profile = proportional_profile(spec.n)
     history = history_from_winners(spec, settings.history, profile)
     payoffs = expected_payoffs(profile, spec, history)
     return {
         "command": "evaluate",
-        "profile": settings.profile,
+        "profile": "proportional",
         "objective": spec.objective.value,
         "history": _history_payload(history),
         "payoffs": list(payoffs),
@@ -330,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="winner schedule addressing a subgame, e.g. 'A,B,A' (proportional "
             "on-path spends assumed)",
         )
-        p.add_argument("--profile", default="proportional")
     return parser
 
 
@@ -346,7 +390,6 @@ def main(argv=None) -> int:
             seed=args.seed if args.seed is not None else settings.seed,
             trials=args.trials,
             history=parse_winner_schedule(args.history),
-            profile=args.profile,
             output=args.output,
             demo=getattr(args, "name", None),
         )

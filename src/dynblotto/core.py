@@ -242,13 +242,6 @@ class History:
     def spent(self, player: int) -> float:
         return self._spent[player] if self.records else 0.0
 
-    def won_value(self, spec: ContestSpec, player: int) -> float:
-        return sum(
-            spec.values[t]
-            for t, record in enumerate(self.records)
-            if record.winner == player
-        )
-
     def won_values(self, spec: ContestSpec) -> tuple:
         totals = [0.0] * spec.n
         for t, record in enumerate(self.records):
@@ -296,18 +289,61 @@ def _csf_distribution(allocations, params) -> list:
     return [s / total for s in scores]
 
 
-def _formal_budget(spec: ContestSpec, history: History, player: int) -> float:
+# ---------------------------------------------------------------------------
+# Contest rules on the state (battles played, standings, spends).  The
+# History-based functions below and the exact evaluator's state walk both
+# read the rules from here, so each is written once.
+
+
+def _formal_budget(spec: ContestSpec, played: int, spent: float, player: int) -> float:
     """W_i plus shocks through the upcoming battle minus spending, clamped at 0.
 
     The formal ledger may run negative after a harsh shock; the clamp applies
     on every read, so a later positive shock can restore spending power only
     to the extent the ledger recovers.
     """
-    played = len(history.records)
     through = played + 1 if played < len(spec.values) else len(spec.values)
-    spent = history._spent[player] if history.records else 0.0
-    ledger = spec.budgets[player] + spec._shock_cum[player][through] - spent
-    return max(ledger, 0.0)
+    return max(spec.budgets[player] + spec._shock_cum[player][through] - spent, 0.0)
+
+
+def _rival_best(standings, player: int) -> float:
+    return max(v for j, v in enumerate(standings) if j != player)
+
+
+def _trails_hopelessly(spec: ContestSpec, played: int, standings, player: int) -> bool:
+    """True if the player cannot reach even a tie by winning everything left."""
+    return standings[player] + spec._suffix[played] < _rival_best(standings, player)
+
+
+def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
+    """Terminal status of the state after `played` battles with these standings."""
+    if played == len(spec.values):
+        best = max(standings)
+        return TerminalStatus(True, tuple(i for i, v in enumerate(standings) if v == best))
+    if spec.objective is Objective.EXPECTED_VALUE:
+        return TerminalStatus.ONGOING
+    # win probability: a lead strictly above every rival's total plus all
+    # value left clinches; a lead exactly equal to the remainder does not
+    remaining = spec._suffix[played]
+    for i, total in enumerate(standings):
+        if total > _rival_best(standings, i) + remaining:
+            return TerminalStatus(True, (i,))
+    return TerminalStatus.ONGOING
+
+
+def _payoff(spec: ContestSpec, status: TerminalStatus, standings) -> tuple:
+    """Payoff vector of a terminal state (see `terminal_payoff`)."""
+    if spec.objective is Objective.EXPECTED_VALUE:
+        return tuple(standings)
+    share = 1.0 / len(status.winners)
+    return tuple(share if i in status.winners else 0.0 for i in range(len(standings)))
+
+
+def _standings(spec: ContestSpec, history: History) -> tuple:
+    """Won-value totals at a history, checking it is no longer than the contest."""
+    if len(history) > spec.m:
+        raise InfeasibleHistoryError("history longer than the contest")
+    return history.won_values(spec)
 
 
 def is_guaranteed_loser(spec: ContestSpec, history: History, player: int) -> bool:
@@ -318,13 +354,10 @@ def is_guaranteed_loser(spec: ContestSpec, history: History, player: int) -> boo
     """
     if spec.objective is not Objective.WIN_PROBABILITY:
         raise ContractError("guaranteed-loser rule applies to win-probability contests only")
-    status = terminal_status(spec, history)
-    if status.terminal:
+    played, standings = len(history), _standings(spec, history)
+    if _status(spec, played, standings).terminal:
         raise ContractError("guaranteed-loser rule applies to nonterminal histories only")
-    totals = history.won_values(spec)
-    best_possible = totals[player] + spec.suffix_value(len(history))
-    leader = max(v for j, v in enumerate(totals) if j != player)
-    return best_possible < leader
+    return _trails_hopelessly(spec, played, standings, player)
 
 
 def remaining_budget(spec: ContestSpec, history: History, player: int) -> float:
@@ -337,14 +370,14 @@ def remaining_budget(spec: ContestSpec, history: History, player: int) -> float:
     """
     if not 0 <= player < spec.n:
         raise InputError(f"player index {player} out of range")
-    if (
-        spec.objective is Objective.WIN_PROBABILITY
-        and len(history) < spec.m
-        and not terminal_status(spec, history).terminal
-        and is_guaranteed_loser(spec, history, player)
-    ):
-        return 0.0
-    return _formal_budget(spec, history, player)
+    played = len(history)
+    if spec.objective is Objective.WIN_PROBABILITY and played < spec.m:
+        standings = history.won_values(spec)
+        if not _status(spec, played, standings).terminal and _trails_hopelessly(
+            spec, played, standings, player
+        ):
+            return 0.0
+    return _formal_budget(spec, played, history.spent(player), player)
 
 
 def terminal_status(spec: ContestSpec, history: History) -> TerminalStatus:
@@ -355,23 +388,7 @@ def terminal_status(spec: ContestSpec, history: History) -> TerminalStatus:
     total plus all remaining value (a lead exactly equal to the remainder does
     not end the contest).
     """
-    played = len(history.records)
-    if played == len(spec.values):
-        totals = history.won_values(spec)
-        best = max(totals)
-        winners = tuple(i for i, v in enumerate(totals) if v == best)
-        return TerminalStatus(True, winners)
-    if played > len(spec.values):
-        raise InfeasibleHistoryError("history longer than the contest")
-    if spec.objective is Objective.EXPECTED_VALUE:
-        return TerminalStatus.ONGOING
-    totals = history.won_values(spec)
-    remaining = spec.suffix_value(played)
-    for i, total in enumerate(totals):
-        rival_best = max(v for j, v in enumerate(totals) if j != i)
-        if total > rival_best + remaining:
-            return TerminalStatus(True, (i,))
-    return TerminalStatus.ONGOING
+    return _status(spec, len(history), _standings(spec, history))
 
 
 def terminal_payoff(spec: ContestSpec, history: History) -> tuple:
@@ -380,14 +397,11 @@ def terminal_payoff(spec: ContestSpec, history: History) -> tuple:
     Expected value: each player banks the value of the battles they won.
     Win probability: the leaders split one unit of prize equally.
     """
-    status = terminal_status(spec, history)
+    standings = _standings(spec, history)
+    status = _status(spec, len(history), standings)
     if not status.terminal:
         raise ContractError("terminal_payoff called on a nonterminal history")
-    totals = history.won_values(spec)
-    if spec.objective is Objective.EXPECTED_VALUE:
-        return totals
-    share = 1.0 / len(status.winners)
-    return tuple(share if i in status.winners else 0.0 for i in range(spec.n))
+    return _payoff(spec, status, standings)
 
 
 def check_history(spec: ContestSpec, history: History) -> None:

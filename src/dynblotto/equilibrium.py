@@ -34,6 +34,8 @@ from .core import (
     InputError,
     Objective,
     _csf_distribution,
+    _payoff,
+    _status,
     remaining_budget,
     terminal_status,
 )
@@ -170,19 +172,8 @@ class _UniformSpline:
 
 def _terminal_value_from_totals(spec: ContestSpec, played: int, totals) -> Optional[tuple]:
     """Player payoffs if the class (battle count, totals) is terminal, else None."""
-    v_a, v_b = totals
-    if played == spec.m:
-        if v_a > v_b:
-            return (1.0, 0.0)
-        if v_b > v_a:
-            return (0.0, 1.0)
-        return (0.5, 0.5)
-    remaining = spec.suffix_value(played)
-    if v_a > v_b + remaining:
-        return (1.0, 0.0)
-    if v_b > v_a + remaining:
-        return (0.0, 1.0)
-    return None
+    status = _status(spec, played, totals)
+    return _payoff(spec, status, totals) if status.terminal else None
 
 
 class _BranchValue:
@@ -583,9 +574,6 @@ class _ValueTables:
                 self.bracket_gap = max(self.bracket_gap, gap)
                 values[j] = (low + high) / 2.0
         self.splines[(played, self._key(totals))] = _UniformSpline(values)
-
-    def value_a(self, played, totals, b_a, b_b) -> float:
-        return self.branch(played, totals).payoff(0, b_a, b_b)
 
 
 @lru_cache(maxsize=8)

@@ -1,11 +1,14 @@
 """Exact payoff evaluation and deviation analysis.
 
-Payoffs of a pure strategy profile are computed exactly by depth-first
-enumeration of battle winners: each node branches on who wins the next
-battle, weighted by the contest success function, and terminal branches are
-pruned as soon as the contest is decided.  On top of the evaluator sit the
-one-shot deviation gain, the Tullock closed form for that gain, and the
-per-battle marginal gain used to characterize proportional play.
+Payoffs of a pure strategy profile are computed exactly by one depth-first
+walk over contest states (battles played, standings, spends): each node
+branches on who wins the next battle, weighted by the contest success
+function, and win-probability branches end as soon as someone clinches.
+Under expected value with proportional play below the root, spends do not
+depend on who won, so a node's children share one next state and the walk
+collapses to one node per battle.  On top of the evaluator sit the one-shot
+deviation gain, the Tullock closed form for that gain, and the per-battle
+marginal gain used to characterize proportional play.
 """
 
 from __future__ import annotations
@@ -22,12 +25,17 @@ from .core import (
     InputError,
     Objective,
     _csf_distribution,
+    _status,
     remaining_budget,
     terminal_payoff,
     terminal_status,
 )
 from .strategies import (
+    Deviation,
+    Proportional,
+    Strategy,
     StrategyProfile,
+    _state_allocations,
     allocations_at,
     one_shot_deviation,
     proportional_profile,
@@ -77,7 +85,7 @@ def build_outcome_tree(
     history: Optional[History] = None,
     max_leaves: int = 10**5,
 ) -> OutcomeTree:
-    """Materialize the enumeration tree (for inspection; evaluation streams)."""
+    """Materialize the tree of winner sequences, for inspection."""
     root_history = history if history is not None else History()
     _check_cap(spec, root_history, max_leaves)
     leaf_count = 0
@@ -100,6 +108,16 @@ def build_outcome_tree(
     return OutcomeTree(grow(root_history, 1.0), leaf_count)
 
 
+def _below_root(strategy: Strategy, root_length: int) -> Strategy:
+    """The strategy as it plays below a history of `root_length` battles.
+
+    A deviation at a history no longer than the root never fires below it.
+    """
+    while type(strategy) is Deviation and len(strategy.history) <= root_length:
+        strategy = strategy.base
+    return strategy
+
+
 def expected_payoffs(
     profile: StrategyProfile,
     spec: ContestSpec,
@@ -108,55 +126,64 @@ def expected_payoffs(
 ) -> tuple:
     """Exact per-player expected payoff of the profile from the given history.
 
-    Depth-first enumeration over battle winners; stage probabilities multiply
-    along each branch and terminal payoffs are summed with their reach
-    probabilities.  Zero-probability branches are skipped.
+    One depth-first walk over contest states (battles played, standings,
+    spends), each node branching on who wins the next battle with its
+    contest success probability.  Zero-probability branches are skipped, and
+    under win probability a branch ends as soon as someone clinches.
+
+    Under expected value each battle's value is credited at the node where
+    it is fought.  When every strategy below the root is `Proportional`, the
+    spends never depend on who won, so all children of a node share one next
+    state: the walk follows that single state, one node per battle, and the
+    payoff is the root standings plus the sum over battles of v_t * p_t.
+
+    Strategies that read more than the state (`Tabular`, or a `Deviation`
+    below the root) get the History of each node; it is only built when the
+    profile holds such a strategy.
     """
     root = history if history is not None else History()
     _check_cap(spec, root, max_leaves)
-    n, m, csf = spec.n, spec.m, spec.csf
+    if terminal_status(spec, root).terminal:
+        return terminal_payoff(spec, root)
+    n, m, csf, values = spec.n, spec.m, spec.csf, spec.values
     win_prob = spec.objective is Objective.WIN_PROBABILITY
-    accumulated = [0.0] * n
+    root_standings = root.won_values(spec)
+    below = tuple(_below_root(s, len(root)) for s in profile.strategies)
+    markov = all(type(s) is Proportional for s in below)
+    accumulated = [0.0] * n if win_prob else list(root_standings)
 
-    def settle(standings, q) -> None:
+    def walk(played, standings, spent, h, q, allocations=None) -> None:
         if win_prob:
-            best = max(standings)
-            winners = [i for i, v in enumerate(standings) if v == best]
-            share = q / len(winners)
-            for i in winners:
-                accumulated[i] += share
-        else:
-            for i in range(n):
-                accumulated[i] += q * standings[i]
-
-    def clincher(standings, played):
-        remaining = spec.suffix_value(played)
-        for i, total in enumerate(standings):
-            rival = max(v for j, v in enumerate(standings) if j != i)
-            if total > rival + remaining:
-                return i
-        return None
-
-    def walk(h: History, q: float, standings: tuple) -> None:
-        played = len(h.records)
-        if played == m:
-            settle(standings, q)
-            return
-        if win_prob:
-            leader = clincher(standings, played)
-            if leader is not None:
-                accumulated[leader] += q
+            status = _status(spec, played, standings)
+            if status.terminal:
+                share = q / len(status.winners)
+                for i in status.winners:
+                    accumulated[i] += share
                 return
-        allocations = allocations_at(profile, spec, h)
+        elif played == m:
+            return  # every battle's value was credited where it was fought
+        if allocations is None:
+            allocations = _state_allocations(below, spec, played, standings, spent, h)
         probs = _csf_distribution(allocations, csf)
-        value = spec.values[played]
+        spent = tuple(s + w for s, w in zip(spent, allocations))
+        value = values[played]
+        if not win_prob:
+            for i, p in enumerate(probs):
+                accumulated[i] += q * p * value
+            if markov:
+                walk(played + 1, standings, spent, None, q)
+                return
         for winner, p in enumerate(probs):
             if p > 0.0:
                 branch = list(standings)
                 branch[winner] += value
-                walk(h.extend(allocations, winner), q * p, tuple(branch))
+                child = None if markov else h.extend(allocations, winner)
+                walk(played + 1, tuple(branch), spent, child, q * p)
 
-    walk(root, 1.0, root.won_values(spec))
+    # The root goes through the public per-battle rule, which checks the
+    # profile and plays any deviation at the root; the walk takes over below.
+    spent = tuple(root.spent(i) for i in range(n))
+    walk(len(root), root_standings, spent, root, 1.0, allocations_at(profile, spec, root))
     return tuple(accumulated)
 
 

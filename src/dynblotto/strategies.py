@@ -20,7 +20,8 @@ from .core import (
     InputError,
     Objective,
     _csf_distribution,
-    is_guaranteed_loser,
+    _formal_budget,
+    _trails_hopelessly,
     remaining_budget,
     terminal_status,
 )
@@ -164,15 +165,27 @@ def allocations_at(profile: StrategyProfile, spec: ContestSpec, history: History
         raise InputError(f"profile has {profile.n} strategies for {spec.n} players")
     if terminal_status(spec, history).terminal:
         raise ContractError("allocations_at called at a terminal history")
+    standings = history.won_values(spec)
+    spent = tuple(history.spent(i) for i in range(spec.n))
+    return _state_allocations(profile.strategies, spec, len(history), standings, spent, history)
+
+
+def _state_allocations(strategies, spec, played, standings, spent, history) -> tuple:
+    """Every player's spend at a nonterminal contest state.
+
+    The state is the number of battles played, the won-value standings and
+    each player's total spend.  `history` is the History of that state; it
+    may be None when every strategy is `Proportional`, which reads the state
+    alone.  This is the rule behind `allocations_at`, without its checks.
+    """
     win_prob = spec.objective is Objective.WIN_PROBABILITY
-    played = len(history.records)
     share = spec.values[played] / spec.suffix_value(played)
     out = []
-    for i, strategy in enumerate(profile.strategies):
-        if win_prob and is_guaranteed_loser(spec, history, i):
+    for i, strategy in enumerate(strategies):
+        if win_prob and _trails_hopelessly(spec, played, standings, i):
             out.append(0.0)
             continue
-        bound = remaining_budget(spec, history, i)
+        bound = _formal_budget(spec, played, spent[i], i)
         if type(strategy) is Proportional:
             out.append(bound * share)  # same formula, skips the per-player guards
             continue

@@ -63,6 +63,33 @@ class TestLoadConfig:
         with pytest.raises(InputError, match="dictatorial battle 1"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            pytest.param({"objective": "most_battles"}, "objective", id="unknown-objective"),
+            pytest.param({"players": [{"budget": 100}, {}]}, r"players\[1\]\.budget",
+                         id="missing-budget"),
+            pytest.param({"csf": {"alpha": "steep"}}, r"csf\.alpha", id="alpha"),
+            pytest.param({"csf": {"beta": [1]}}, r"csf\.beta", id="beta"),
+            pytest.param({"battles": [{"value": 2}, {"value": "one"}, {"value": 1}, {"value": 1}]},
+                         r"battles\[1\]\.value", id="value"),
+            pytest.param({"players": [{"budget": "lots"}, {"budget": 100}]},
+                         r"players\[0\]\.budget", id="budget"),
+            pytest.param({"shocks": [{"player": 0, "battle": 2, "amount": "big"}]},
+                         r"shocks\[0\]\.amount", id="shock-amount"),
+            pytest.param({"shocks": [{"player": "A", "battle": 2, "amount": 1.0}]},
+                         r"shocks\[0\]\.player", id="shock-player"),
+            pytest.param({"solver": {"grid_points": 1}}, r"solver\.grid_points",
+                         id="grid-points-below-2"),
+        ],
+    )
+    def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
+        path = example2_config(tmp_path, **overrides)
+        with pytest.raises(InputError, match=field):
+            load_config(path)
+        assert main(["evaluate", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: config field ")
+
     def test_parse_failure_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"players": [,]}')

@@ -1,7 +1,9 @@
 """Exact evaluation, deviation gains, closed form, marginal gains."""
 
+import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -12,6 +14,10 @@ from dynblotto import (
     History,
     InputError,
     Objective,
+    PROPORTIONAL,
+    StrategyProfile,
+    Tabular,
+    allocations_at,
     build_outcome_tree,
     closed_form_gain,
     csf_probability,
@@ -21,12 +27,45 @@ from dynblotto import (
     expected_payoffs,
     history_from_winners,
     marginal_gain,
+    one_shot_deviation,
     proportional_profile,
     remaining_budget,
+    terminal_status,
 )
 from conftest import brute_force_payoffs, random_ev_spec
 
 WP = Objective.WIN_PROBABILITY
+EV = Objective.EXPECTED_VALUE
+
+
+def oracle_spec(rng, objective, n, m, alpha, shocked, integer_values=False):
+    """A contest on the grid of the walk's oracle tests.
+
+    Values are drawn without the no-dictator rule (which one or two battles
+    cannot meet); integer values make ties and exact clinch margins common.
+    """
+    if integer_values:
+        values = [float(rng.randint(1, 2)) for _ in range(m)]
+    else:
+        values = [rng.uniform(0.5, 3.0) for _ in range(m)]
+    budgets = [rng.uniform(0.0, 100.0) for _ in range(n)]
+    shocks = {}
+    if shocked:
+        for _ in range(rng.randint(1, n)):
+            shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-20.0, 20.0)
+    return ContestSpec(values, budgets, CsfParams(alpha, rng.choice([1.0, 5.0])), objective, shocks)
+
+
+def open_history(rng, spec, profile, depth):
+    """A nonterminal history of up to `depth` battles played under `profile`."""
+    h = History()
+    for _ in range(depth):
+        allocations = allocations_at(profile, spec, h)
+        successor = h.extend(allocations, rng.randrange(spec.n))
+        if terminal_status(spec, successor).terminal:
+            break
+        h = successor
+    return h
 
 
 class TestExpectedPayoffs:
@@ -84,6 +123,92 @@ class TestExpectedPayoffs:
         spec = ContestSpec([1.0] * 30, [10, 10])
         with pytest.raises(EnumerationCapError):
             expected_payoffs(proportional_profile(2), spec)
+
+
+class TestStateWalkAgainstOracle:
+    """The state walk against brute-force enumeration over histories."""
+
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    @pytest.mark.parametrize("shocked", [False, True], ids=["no-shocks", "shocks"])
+    def test_proportional_play_over_the_grid(self, objective, shocked):
+        rng = random.Random(f"{objective.value}-{shocked}")
+        for n, m, alpha in itertools.product((2, 3, 4), range(1, 7), (0.5, 1.0, 2.0)):
+            integer_values = objective is WP and rng.random() < 0.5
+            spec = oracle_spec(rng, objective, n, m, alpha, shocked, integer_values)
+            profile = proportional_profile(n)
+            assert expected_payoffs(profile, spec) == pytest.approx(
+                brute_force_payoffs(profile, spec), abs=1e-12
+            ), spec
+
+    def test_deviations_and_tables_from_inner_histories(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            objective = rng.choice([EV, WP])
+            n, m = rng.choice([2, 3]), rng.randint(2, 5)
+            spec = oracle_spec(rng, objective, n, m, rng.choice([0.5, 1.0, 2.0]),
+                               rng.random() < 0.5, rng.random() < 0.5)
+            base = proportional_profile(n)
+            root = open_history(rng, spec, base, rng.randrange(m))
+            player = rng.randrange(n)
+            at_root = one_shot_deviation(base, player, root, rng.uniform(0.0, 50.0))
+            profiles = [at_root]
+            if len(root) + 1 < m:
+                # a deviation one battle below the root, alone and on top of the root one
+                child = root.extend(allocations_at(base, spec, root), rng.randrange(n))
+                if not terminal_status(spec, child).terminal:
+                    deeper = rng.randrange(n)
+                    profiles.append(one_shot_deviation(base, deeper, child, rng.uniform(0.0, 50.0)))
+                    profiles.append(one_shot_deviation(at_root, deeper, child, 0.0))
+            table = Tabular(player=player)
+            for played in range(len(root), m):
+                for tail in itertools.product(range(n), repeat=played - len(root)):
+                    budgets = tuple(rng.uniform(0.0, 100.0) for _ in range(n))
+                    table.record(played + 1, root.winner_schedule() + tail, budgets,
+                                 rng.uniform(0.0, 60.0))
+            strategies = [PROPORTIONAL] * n
+            strategies[player] = table
+            profiles.append(StrategyProfile(tuple(strategies)))
+            for profile in profiles:
+                assert expected_payoffs(profile, spec, root) == pytest.approx(
+                    brute_force_payoffs(profile, spec, root), abs=1e-12
+                ), (spec, root, profile)
+
+    def test_deviation_gains_match_brute_force_differences(self):
+        rng = random.Random(42)
+        for _ in range(25):
+            objective = rng.choice([EV, WP])
+            n, m = rng.choice([2, 3, 4]), rng.randint(2, 4)
+            spec = oracle_spec(rng, objective, n, m, rng.choice([0.5, 1.0, 2.0]),
+                               rng.random() < 0.5)
+            h = open_history(rng, spec, proportional_profile(n), rng.randrange(m))
+            player = rng.randrange(n)
+            deltas = deviation_grid(spec, h, player, points=5)
+            known = spec.truncate_shocks(len(h) + 1)
+            base = proportional_profile(n)
+            baseline = brute_force_payoffs(base, known, h)[player]
+            # the proportional spend rounded as deviation_gains rounds it: at
+            # alpha < 1 the grid's zero-spend end is that sensitive to the last bit
+            k = known.suffix_value(len(h)) / known.values[len(h)]
+            spend = remaining_budget(known, h, player) / k
+            for report in deviation_gains(spec, h, player, deltas):
+                deviated = one_shot_deviation(base, player, h, spend + report.delta)
+                want = brute_force_payoffs(deviated, known, h)[player] - baseline
+                assert report.gain == pytest.approx(want, abs=1e-12)
+
+    def test_expected_value_takes_one_node_per_battle(self):
+        # 2**20 winner sequences; the walk follows one state per battle
+        rng = random.Random(43)
+        values = [rng.uniform(0.5, 3.0) for _ in range(20)]
+        budgets = [37.0, 81.0]
+        for alpha in (0.5, 1.0, 2.0):
+            spec = ContestSpec(values, budgets, CsfParams(alpha))
+            start = time.perf_counter()
+            payoffs = expected_payoffs(proportional_profile(2), spec)
+            elapsed = time.perf_counter() - start
+            scores = [w**alpha for w in budgets]
+            closed = [sum(values) * s / sum(scores) for s in scores]
+            assert payoffs == pytest.approx(closed, abs=1e-12)
+            assert elapsed < 0.5
 
 
 class TestOutcomeTree:
