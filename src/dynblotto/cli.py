@@ -129,7 +129,6 @@ def load_config(path: str):
         grid_points=_read(solver_raw, "grid_points", "solver.grid_points", int, 200),
         tolerance=_read(solver_raw, "tolerance", "solver.tolerance", default=1e-6),
         budget_step=_read(solver_raw, "budget_step", "solver.budget_step", default=0.25),
-        max_iterations=_read(solver_raw, "max_iterations", "solver.max_iterations", int, 500),
     )
     _require(
         solver.grid_points >= 2,
@@ -367,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--config", required=True, help="path to a contest config (JSON)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=10000)
+        if command == "simulate":
+            p.add_argument("--trials", type=int, default=RunSettings.trials)
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument(
             "--history",
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         settings = replace(
             settings,
             seed=args.seed if args.seed is not None else settings.seed,
-            trials=args.trials,
+            trials=getattr(args, "trials", settings.trials),
             history=parse_winner_schedule(args.history),
             output=args.output,
             demo=getattr(args, "name", None),

@@ -47,9 +47,10 @@ class EnumerationCapError(ContestError):
 
 
 class ConvergenceError(ContestError):
-    """An iterative solve did not reach its tolerance.
+    """A stage solve did not meet its tolerance.
 
-    Carries the last iterate and residual so callers can inspect them.
+    Carries the spends and the residual (for a table node, the minimax
+    bracket gap) so callers can inspect them.
     """
 
     def __init__(self, message: str, allocations=None, residual=None):
@@ -304,6 +305,16 @@ def _formal_budget(spec: ContestSpec, played: int, spent: float, player: int) ->
     """
     through = played + 1 if played < len(spec.values) else len(spec.values)
     return max(spec.budgets[player] + spec._shock_cum[player][through] - spent, 0.0)
+
+
+def _proportional_spend(spec: ContestSpec, played: int, budget):
+    """The budget times the upcoming battle's share of all value left.
+
+    Every proportional spend is computed here, so all of them round alike.
+    The share is rounded first: a share of at most one never rounds the
+    spend above the budget.  `budget` may be a numpy array.
+    """
+    return budget * (spec.values[played] / spec._suffix[played])
 
 
 def _rival_best(standings, player: int) -> float:

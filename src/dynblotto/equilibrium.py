@@ -1,14 +1,21 @@
 """Numerical equilibrium analysis.
 
 Two engines live here.  For two-player win-probability contests, a backward
-induction solver computes stage equilibria by iterated best response: each
-best response is located by a coarse grid scan refined with golden-section
-search, and continuation values come from per-stage value tables.  A
-continuation value depends only on the battle index, the standings (won-value
-totals), and the two remaining budgets; since the contest success function is
-homogeneous, it depends on the budgets only through their ratio, so each
-(battle, standings) class stores one cubic spline of the equilibrium value
-over the budget ratio.
+induction solver computes stage equilibria.  Such a stage is zero-sum (the
+two win probabilities add up to one), so its equilibrium is a saddle point
+of player A's payoff over the two spends, and one search finds it: grid
+minimax on shrinking boxes, where A takes the argmax of the row minima and
+B the argmin of the column maxima.  The search runs batched over (node x
+spend_A x spend_B).  Each point it returns carries a best-response
+certificate, the largest payoff gain either player finds by a scan over the
+whole budget refined by the same search with the opponent's spend pinned.
+
+Continuation values come from per-stage value tables.  A continuation value
+depends only on the battle index, the standings (won-value totals), and the
+two remaining budgets; since the contest success function is homogeneous, it
+depends on the budgets only through their ratio, so each (battle, standings)
+class stores one cubic spline of the equilibrium value over the budget
+ratio, and all budget-ratio nodes of a class are solved in one batch.
 
 For arbitrary contests, `check_proportionality` sweeps one-shot deviations
 from proportional play over sampled histories and reports the first
@@ -22,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .core import (
     Objective,
     _csf_distribution,
     _payoff,
+    _proportional_spend,
     _status,
     remaining_budget,
     terminal_status,
@@ -50,13 +58,11 @@ from .strategies import (
 
 @dataclass(frozen=True)
 class SolverSettings:
-    grid_points: int = 200  # coarse scan points per best response
-    tolerance: float = 1e-6  # stop when best-response payoff improvements fall below
+    grid_points: int = 200  # spends per best-response scan over the whole budget
+    tolerance: float = 1e-6  # largest best-response gain accepted on the solved path
     budget_step: float = 0.25  # tabular strategy budget grid
-    max_iterations: int = 500
     value_nodes: int = 321  # budget-ratio nodes per continuation value table
-    refine_tolerance: float = 1e-6  # golden-section window width on the spend
-    move_tolerance: float = 1e-4  # additional stability requirement on iterates
+    refine_tolerance: float = 1e-6  # spend box width at which the saddle search stops
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -73,9 +79,8 @@ class BestResponseResult:
 class StageSolution:
     allocations: tuple
     residual: float  # largest best-response improvement at the returned point
-    iterations: int
-    flat: tuple
-    residual_history: tuple
+    iterations: int  # rounds of the shrinking-box saddle search
+    flat: tuple  # per player: payoff flat in the own spend, so proportional is played
     history: Optional[History] = None
 
 
@@ -149,19 +154,6 @@ class _UniformSpline:
         self.b = (ys[1:] - ys[:-1]) / h - h * (2 * m[:-1] + m[1:]) / 6.0
         self.c = m[:-1] / 2.0
         self.d = (m[1:] - m[:-1]) / (6.0 * h)
-        self._lists = (self.a.tolist(), self.b.tolist(), self.c.tolist(), self.d.tolist())
-
-    def value(self, x: float) -> float:
-        if x <= 0.0:
-            x = 0.0
-        elif x >= 1.0:
-            x = 1.0
-        i = int(x * (self.n - 1))
-        if i > self.n - 2:
-            i = self.n - 2
-        s = x - i * self.h
-        a, b, c, d = self._lists
-        return ((d[i] * s + c[i]) * s + b[i]) * s + a[i]
 
     def value_vec(self, xs: np.ndarray) -> np.ndarray:
         xs = np.clip(xs, 0.0, 1.0)
@@ -177,290 +169,184 @@ def _terminal_value_from_totals(spec: ContestSpec, played: int, totals) -> Optio
 
 
 class _BranchValue:
-    """Player payoffs at one successor class, as a function of the budgets."""
+    """Player A's payoff at one successor class, as a function of the budgets."""
 
     def __init__(self, const=None, spline=None, mirrored=False, coin=0.5, callback=None):
         self.const = const  # (payoff_A, payoff_B) for terminal classes
         self.spline = spline
         self.mirrored = mirrored
         self.coin = coin  # A's value when both players are broke
-        self.callback = callback  # scalar fallback: (b_a, b_b) -> (payoff_A, payoff_B)
+        self.callback = callback  # user continuation: (b_a, b_b) -> (payoff_A, payoff_B)
 
-    @property
-    def vectorized(self) -> bool:
-        return self.callback is None
-
-    def _value_a(self, b_a: float, b_b: float) -> float:
-        total = b_a + b_b
-        if total <= 0.0:
-            return self.coin
-        if self.mirrored:
-            return 1.0 - self.spline.value(b_b / total)
-        return self.spline.value(b_a / total)
-
-    def payoff(self, player: int, b_a: float, b_b: float) -> float:
+    def payoff_vec(self, b_a: np.ndarray, b_b: np.ndarray) -> np.ndarray:
         if self.const is not None:
-            return self.const[player]
+            return np.full(np.shape(b_a), self.const[0], dtype=float)
         if self.callback is not None:
-            return self.callback(b_a, b_b)[player]
-        value_a = self._value_a(b_a, b_b)
-        return value_a if player == 0 else 1.0 - value_a
-
-    def payoff_vec(self, player: int, b_a: np.ndarray, b_b: np.ndarray) -> np.ndarray:
-        if self.const is not None:
-            return np.full(np.broadcast(b_a, b_b).shape, self.const[player], dtype=float)
+            pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
+            return np.reshape([self.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
         total = b_a + b_b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(total > 0.0, (b_b if self.mirrored else b_a) / np.where(total > 0.0, total, 1.0), 0.0)
+        own = b_b if self.mirrored else b_a
+        ratio = np.divide(own, total, out=np.zeros_like(total), where=total > 0.0)
         value = self.spline.value_vec(ratio)
         if self.mirrored:
             value = 1.0 - value
-        value = np.where(total > 0.0, value, self.coin)
-        return value if player == 0 else 1.0 - value
+        return np.where(total > 0.0, value, self.coin)
 
 
 # ---------------------------------------------------------------------------
 # stage solves
 
+# The saddle search's first round scans each player's whole budget on a
+# coarse grid; each later round scans a box of MARGIN grid steps either side
+# of the previous round's spend.  Table nodes are solved in chunks of at most
+# NODE_CHUNK, which bounds the (node x spend_A x spend_B) payoff array.
+FIRST_POINTS = 33
+ZOOM_POINTS = 17
+MARGIN = 2
+NODE_CHUNK = 40
+BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
+FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float):
-    """Golden-section search for the maximum of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    dist = hi - lo
-    if dist <= tol:
-        mid = (lo + hi) / 2.0
-        return mid, f(mid)
-    steps = int(math.ceil(math.log(tol / dist) / math.log(invphi)))
-    c = lo + invphi2 * dist
-    d = lo + invphi * dist
-    yc = f(c)
-    yd = f(d)
-    for _ in range(max(steps - 1, 0)):
-        if yc > yd:
-            hi = d
-            d, yd = c, yc
-            dist *= invphi
-            c = lo + invphi2 * dist
-            yc = f(c)
-        else:
-            lo = c
-            c, yc = d, yd
-            dist *= invphi
-            d = lo + invphi * dist
-            yd = f(d)
-    if yc > yd:
-        mid = (lo + d) / 2.0
-    else:
-        mid = (c + hi) / 2.0
-    return mid, f(mid)
+
+def _grid(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
+    """`points` evenly spaced spends from lo to hi, both exact, one row per node."""
+    t = np.linspace(0.0, 1.0, points)
+    return lo[:, None] * (1.0 - t) + hi[:, None] * t
+
+
+@dataclass(frozen=True)
+class _StagePoints:
+    """Saddle-search results at every node of a stage batch."""
+
+    spends: tuple  # (A's spends, B's spends)
+    value: np.ndarray  # A's payoff at the spends
+    gains: tuple  # each player's best-response improvement at the spends
+    flats: tuple  # each player's scan was flat and the proportional spend is played
+    rounds: int
 
 
 class _StageGame:
-    """One battle with budget-dependent continuation values for both players."""
+    """One battle of one class at a batch of budget pairs (nodes).
 
-    def __init__(self, spec, played, budgets, branches, settings):
-        self.spec = spec
+    A two-player win-probability stage is zero-sum: B's payoff is one minus
+    A's.  So everything is computed on A's payoff over the two spends, with
+    arrays that lead with the node axis.
+    """
+
+    def __init__(self, spec, played, totals, budgets, branches, settings):
         self.played = played
-        self.budgets = budgets
-        self.branches = branches  # (value if A wins, value if B wins)
+        self.totals = totals
+        self.budgets = tuple(np.atleast_1d(np.asarray(b, dtype=float)) for b in budgets)
+        self.branches = branches  # (A's value if A wins, A's value if B wins)
         self.settings = settings
         self.alpha = spec.csf.alpha
-        x = spec.values[played]
-        self.proportional = tuple(b * x / spec.suffix_value(played) for b in budgets)
+        self.proportional = tuple(_proportional_spend(spec, played, b) for b in self.budgets)
+        self._nodes = np.arange(len(self.budgets[0]))
 
-    def _spend_pair(self, player, own, opp):
-        return (own, opp) if player == 0 else (opp, own)
+    def where(self) -> str:
+        a, b = self.totals
+        return f"stage solve at battle {self.played + 1}, standings {a:.6g}-{b:.6g}"
 
-    def value(self, player: int, own: float, opp: float) -> float:
-        """Player's payoff from spending `own` against an opponent spend `opp`."""
-        w_a, w_b = self._spend_pair(player, own, opp)
-        if own == 0.0 and opp == 0.0:
-            p_own = 0.5
-        else:
-            scores = (w_a**self.alpha, w_b**self.alpha)
-            p_own = scores[player] / (scores[0] + scores[1])
-        b_a = max(self.budgets[0] - w_a, 0.0)
-        b_b = max(self.budgets[1] - w_b, 0.0)
-        win = self.branches[player].payoff(player, b_a, b_b)
-        lose = self.branches[1 - player].payoff(player, b_a, b_b)
-        return p_own * win + (1.0 - p_own) * lose
+    def payoff(self, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+        """Player A's payoff; w_a and w_b have equal rank and broadcast together."""
+        shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
+        b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
+        b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
+        b_a, b_b = np.broadcast_arrays(b_a, b_b)
+        win = self.branches[0].payoff_vec(b_a, b_b)
+        lose = self.branches[1].payoff_vec(b_a, b_b)
+        score_a = w_a**self.alpha
+        denom = score_a + w_b**self.alpha
+        p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)
+        return p_a * win + (1.0 - p_a) * lose
 
-    def _value_vec(self, player: int, own: np.ndarray, opp: float) -> np.ndarray:
-        own_scores = own**self.alpha
-        opp_score = opp**self.alpha
-        denom = own_scores + opp_score
-        p_own = np.where(denom > 0.0, own_scores / np.where(denom > 0.0, denom, 1.0), 0.5)
-        if player == 0:
-            b_a = np.maximum(self.budgets[0] - own, 0.0)
-            b_b = max(self.budgets[1] - opp, 0.0)
-        else:
-            b_a = max(self.budgets[0] - opp, 0.0)
-            b_b = np.maximum(self.budgets[1] - own, 0.0)
-        win = self.branches[player].payoff_vec(player, b_a, b_b)
-        lose = self.branches[1 - player].payoff_vec(player, b_a, b_b)
-        return p_own * win + (1.0 - p_own) * lose
+    def _own_payoff(self, player, own, opp):
+        return self.payoff(own, opp) if player == 0 else 1.0 - self.payoff(opp, own)
 
-    def best_response(self, player: int, opp: float) -> BestResponseResult:
+    def _zoom(self, boxes, points):
+        """Grid minimax on shrinking boxes; returns (spends, rounds).
+
+        `boxes` holds a (lo, hi) array pair per player.  Each round A takes the
+        argmax of the row minima of A's payoff and B the argmin of the column
+        maxima, the first one on ties, so ties go to the smallest spend.  The
+        boxes then shrink to MARGIN grid steps around those spends, until they
+        are narrower than refine_tolerance.  A zero-width box pins a spend.
+        """
+        rounds = 0
+        while True:
+            rounds += 1
+            grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
+            values = self.payoff(grids[0][:, :, None], grids[1][:, None, :])
+            picks = (values.min(axis=2).argmax(axis=1), values.max(axis=1).argmin(axis=1))
+            spends = [grid[self._nodes, pick] for grid, pick in zip(grids, picks)]
+            steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
+            widest = 2 * MARGIN * max(float(np.max(step)) for step in steps)
+            if widest <= self.settings.refine_tolerance:
+                return spends, rounds
+            boxes = [
+                (np.maximum(w - MARGIN * step, 0.0), np.minimum(w + MARGIN * step, budget))
+                for w, step, budget in zip(spends, steps, self.budgets)
+            ]
+            points = ZOOM_POINTS
+
+    def best_responses(self, player: int, opp: np.ndarray):
+        """Each node's best spend for `player` against the opponent spends `opp`.
+
+        A scan of grid_points spends over the whole budget, then the saddle
+        search on the grid steps either side of the scan's best, with the
+        opponent's box pinned at `opp`.  A flat scan plays the proportional
+        spend.  Returns (spends, the player's payoffs, flat flags).
+        """
         budget = self.budgets[player]
-        if budget <= 0.0:
-            return BestResponseResult(0.0, self.value(player, 0.0, opp), False)
-        grid = np.linspace(0.0, budget, self.settings.grid_points)
-        if self.branches[0].vectorized and self.branches[1].vectorized:
-            values = self._value_vec(player, grid, opp)
-        else:
-            values = np.array([self.value(player, w, opp) for w in grid])
-        best = int(np.argmax(values))  # first maximum: smallest spend wins ties
-        spread = float(values.max() - values.min())
-        if spread <= 1e-12 * max(1.0, abs(float(values.max()))):
-            prop = self.proportional[player]
-            return BestResponseResult(prop, self.value(player, prop, opp), True)
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        w_star, v_star = _golden_max(
-            lambda w: self.value(player, w, opp), lo, hi, self.settings.refine_tolerance
+        grid = _grid(np.zeros_like(budget), budget, self.settings.grid_points)
+        values = self._own_payoff(player, grid[:, :, None], opp[:, None, None])[:, :, 0]
+        best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
+        top = values[self._nodes, best]
+        flat = (top - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(top))) & (budget > 0.0)
+        last = grid.shape[1] - 1
+        boxes = [(opp, opp), (opp, opp)]
+        boxes[player] = (
+            grid[self._nodes, np.maximum(best - 1, 0)],
+            grid[self._nodes, np.minimum(best + 1, last)],
         )
-        if values[best] >= v_star:
-            w_star, v_star = float(grid[best]), float(values[best])
-        return BestResponseResult(float(w_star), float(v_star), False)
+        spend = self._zoom(boxes, ZOOM_POINTS)[0][player]
+        spend = np.where(flat, self.proportional[player], spend)
+        return spend, self._own_payoff(player, spend, opp), flat
 
-    def _value_submatrix(self, box_a, box_b, points):
-        """Player A's payoff on a spend grid over the given boxes."""
-        grid_a = np.linspace(box_a[0], box_a[1], points)
-        grid_b = np.linspace(box_b[0], box_b[1], points)
-        if self.branches[0].vectorized and self.branches[1].vectorized:
-            w_a = grid_a[:, None]
-            w_b = grid_b[None, :]
-            score_a = w_a**self.alpha
-            score_b = w_b**self.alpha
-            denom = score_a + score_b
-            p_a = np.where(denom > 0.0, score_a / np.where(denom > 0.0, denom, 1.0), 0.5)
-            b_a = np.maximum(self.budgets[0] - w_a, 0.0)
-            b_b = np.maximum(self.budgets[1] - w_b, 0.0)
-            b_a, b_b = np.broadcast_arrays(b_a, b_b)
-            win = self.branches[0].payoff_vec(0, b_a, b_b)
-            lose = self.branches[1].payoff_vec(0, b_a, b_b)
-            values = p_a * win + (1.0 - p_a) * lose
-        else:
-            values = np.array(
-                [[self.value(0, float(wa), float(wb)) for wb in grid_b] for wa in grid_a]
-            )
-        return grid_a, grid_b, values
+    def _certificate(self, spends):
+        return self.best_responses(0, spends[1]), self.best_responses(1, spends[0])
 
-    def saddle_bracket(self):
-        """Grid minimax bounds on the zero-sum stage value (player A)."""
-        points = self.settings.grid_points
-        if not (self.branches[0].vectorized and self.branches[1].vectorized):
-            points = min(points, 61)
-        _, _, values = self._value_submatrix((0.0, self.budgets[0]), (0.0, self.budgets[1]), points)
-        return float(values.min(axis=1).max()), float(values.max(axis=0).min())
+    def solve(self) -> _StagePoints:
+        """Saddle points of every node, with their best-response certificates."""
+        spends, rounds = self._zoom([(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS)
+        responses = self._certificate(spends)
+        flats = tuple(response[2] for response in responses)
+        if any(flat.any() for flat in flats):
+            # a player whose payoff is flat in the own spend plays proportional
+            spends = [np.where(f, p, w) for f, p, w in zip(flats, self.proportional, spends)]
+            responses = self._certificate(spends)
+        value = self.payoff(*spends)
+        gains = (
+            np.maximum(responses[0][1] - value, 0.0),
+            np.maximum(responses[1][1] - (1.0 - value), 0.0),
+        )
+        return _StagePoints(tuple(spends), value, gains, flats, rounds)
 
-    def _zoom_saddle(self):
-        """Locate the zero-sum saddle by grid minimax on shrinking boxes.
 
-        The best-response map can rotate around the saddle without
-        contracting, so fixed-point iteration alone is not reliable; minimax
-        over a full spend grid is, and zooming the box recovers precision.
-        """
-        vectorized = self.branches[0].vectorized and self.branches[1].vectorized
-        points = 65 if vectorized else 17
-        margin = 2
-        box_a = (0.0, self.budgets[0])
-        box_b = (0.0, self.budgets[1])
-        w_a = w_b = 0.0
-        for _ in range(16):
-            grid_a, grid_b, values = self._value_submatrix(box_a, box_b, points)
-            i = int(np.argmax(values.min(axis=1)))
-            j = int(np.argmin(values.max(axis=0)))
-            w_a, w_b = float(grid_a[i]), float(grid_b[j])
-            step_a = (box_a[1] - box_a[0]) / (points - 1)
-            step_b = (box_b[1] - box_b[0]) / (points - 1)
-            box_a = (max(0.0, w_a - margin * step_a), min(self.budgets[0], w_a + margin * step_a))
-            box_b = (max(0.0, w_b - margin * step_b), min(self.budgets[1], w_b + margin * step_b))
-            if max(box_a[1] - box_a[0], box_b[1] - box_b[0]) <= self.settings.refine_tolerance:
-                break
-        return [w_a, w_b]
-
-    def solve(self) -> StageSolution:
-        """Stage equilibrium by iterated simultaneous best responses.
-
-        Starts from the proportional point.  If that iteration stalls (the
-        best-response map can rotate or jump between near-equal optima), the
-        solve restarts from a zoomed grid-minimax saddle of the zero-sum stage
-        and polishes from there; the returned residual is still the
-        best-response improvement certificate.
-        """
-        try:
-            return self._iterate([float(v) for v in self.proportional])
-        except ConvergenceError:
-            return self._iterate(self._zoom_saddle())
-
-    def _iterate(self, start) -> StageSolution:
-        """Damped best-response iteration from `start`.
-
-        A step is accepted only if it meaningfully reduces the residual (the
-        largest best-response payoff improvement); candidate steps try a
-        ladder of step lengths and keep the best, which breaks best-response
-        cycles.  Stops once the residual is inside tolerance and either the
-        iterate has settled or no step helps any further.
-        """
-        settings = self.settings
-        w = list(start)
-        current = [self.value(0, w[0], w[1]), self.value(1, w[1], w[0])]
-        br0 = self.best_response(0, w[1])
-        br1 = self.best_response(1, w[0])
-        residuals = []
-        inside = 0  # consecutive iterations with the residual inside tolerance
-        for iteration in range(1, settings.max_iterations + 1):
-            flats = (br0.flat, br1.flat)
-            residual = max(br0.value - current[0], br1.value - current[1], 0.0)
-            residuals.append(residual)
-            movement = max(abs(br0.allocation - w[0]), abs(br1.allocation - w[1]))
-            inside = inside + 1 if residual <= settings.tolerance else 0
-            # Prefer a settled iterate, but a persistent in-tolerance residual is
-            # enough: stages where a best response jumps between two near-equal
-            # optima never stop moving, yet any such point is an
-            # epsilon-equilibrium with epsilon below tolerance.
-            if inside and (movement <= settings.move_tolerance or inside >= 10):
-                return StageSolution(tuple(w), residual, iteration, flats, tuple(residuals))
-            # Damped steps toward the best responses.  Keep the step length that
-            # shrinks the residual the most: the full step can rotate around the
-            # fixed point with almost no contraction when the best-response
-            # slopes multiply to about -1, while the half step contracts fast.
-            best = None
-            eta = 1.0
-            for _ in range(8):
-                cand = [
-                    w[0] + eta * (br0.allocation - w[0]),
-                    w[1] + eta * (br1.allocation - w[1]),
-                ]
-                cand_vals = [self.value(0, cand[0], cand[1]), self.value(1, cand[1], cand[0])]
-                cand_br0 = self.best_response(0, cand[1])
-                cand_br1 = self.best_response(1, cand[0])
-                cand_res = max(cand_br0.value - cand_vals[0], cand_br1.value - cand_vals[1], 0.0)
-                if best is None or cand_res < best[0]:
-                    best = (cand_res, cand, cand_vals, cand_br0, cand_br1)
-                if cand_res < residual * 0.7:
-                    break
-                eta /= 2.0
-            # demand a meaningful decrease; jitter-sized gains count as a stall
-            if best[0] < residual * (1.0 - 1e-6) - 1e-18:
-                _, w, current, br0, br1 = best
-            else:
-                # numerical floor: no step reduces the residual any further
-                if residual <= settings.tolerance:
-                    return StageSolution(tuple(w), residual, iteration, flats, tuple(residuals))
-                raise ConvergenceError(
-                    f"stage solve stalled at residual {residual:.3e}",
-                    allocations=tuple(w),
-                    residual=residual,
-                )
+def _path_solution(game: _StageGame, history: Optional[History] = None) -> StageSolution:
+    """The stage equilibrium of a one-node game; its residual must meet the tolerance."""
+    points = game.solve()
+    allocations = tuple(float(w[0]) for w in points.spends)
+    residual = float(max(gain[0] for gain in points.gains))
+    if residual > game.settings.tolerance:
         raise ConvergenceError(
-            f"stage solve did not converge in {settings.max_iterations} iterations "
-            f"(residual {residuals[-1]:.3e})",
-            allocations=tuple(w),
-            residual=residuals[-1],
+            f"{game.where()}: best-response residual {residual:.3e} "
+            f"above the tolerance {game.settings.tolerance:.1e}",
+            allocations=allocations,
+            residual=residual,
         )
+    flats = tuple(bool(flat[0]) for flat in points.flats)
+    return StageSolution(allocations, residual, points.rounds, flats, history)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +369,6 @@ class _ValueTables:
         self.spec = spec
         self.settings = settings
         self.splines = {}  # (played, totals) -> _UniformSpline for player A's value
-        self.bracket_gap = 0.0  # worst minimax gap accepted at a degenerate node
         self._coin = {}
         self._levels = self._reachable_classes()
         for played in range(spec.m - 1, 0, -1):
@@ -553,27 +438,27 @@ class _ValueTables:
             self.branch(played + 1, (totals[0] + x, totals[1])),
             self.branch(played + 1, (totals[0], totals[1] + x)),
         )
-        return _StageGame(self.spec, played, budgets, branches, self.settings)
+        return _StageGame(self.spec, played, totals, budgets, branches, self.settings)
 
     def _build_class(self, played, totals) -> None:
         nodes = np.linspace(0.0, 1.0, self.settings.value_nodes)
-        values = np.empty(len(nodes))
-        for j, r in enumerate(nodes):
-            game = self.stage_game(played, totals, (float(r), float(1.0 - r)))
-            try:
-                solution = game.solve()
-                values[j] = game.value(0, solution.allocations[0], solution.allocations[1])
-            except ConvergenceError:
-                # No settled pure stage point at this budget ratio; the
-                # zero-sum stage value is still bracketed by grid minimax,
-                # and the bracket midpoint is accurate enough for the table.
-                low, high = game.saddle_bracket()
-                gap = high - low
-                if gap > 1e-3:
-                    raise
-                self.bracket_gap = max(self.bracket_gap, gap)
-                values[j] = (low + high) / 2.0
-        self.splines[(played, self._key(totals))] = _UniformSpline(values)
+        values = []
+        for shares in np.array_split(nodes, -(-len(nodes) // NODE_CHUNK)):
+            game = self.stage_game(played, totals, (shares, 1.0 - shares))
+            points = game.solve()
+            # The stage value lies in [value - B's gain, value + A's gain]: a
+            # wide bracket means the stage has no pure saddle at that node.
+            gap = points.gains[0] + points.gains[1]
+            worst = int(np.argmax(gap))
+            if gap[worst] > BRACKET_BOUND:
+                raise ConvergenceError(
+                    f"{game.where()}: minimax bracket gap {gap[worst]:.3e} above "
+                    f"{BRACKET_BOUND:.0e} at A's budget share {shares[worst]:.4g}",
+                    allocations=tuple(float(w[worst]) for w in points.spends),
+                    residual=float(gap[worst]),
+                )
+            values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
+        self.splines[(played, self._key(totals))] = _UniformSpline(np.concatenate(values))
 
 
 @lru_cache(maxsize=8)
@@ -585,18 +470,13 @@ def _tables_for(spec: ContestSpec, settings: SolverSettings) -> _ValueTables:
 # public solver operations
 
 
-def _continuation_branches(spec, history, continuation):
+def _continuation_branches(spec, history, budgets, continuation):
     """Wrap a user continuation (successor History -> payoff vector) as branches."""
 
     def make(winner):
         def callback(b_a, b_b):
-            budgets = (
-                remaining_budget(spec, history, 0),
-                remaining_budget(spec, history, 1),
-            )
             allocations = (budgets[0] - b_a, budgets[1] - b_b)
-            successor = history.extend(allocations, winner)
-            return tuple(continuation(successor))
+            return tuple(continuation(history.extend(allocations, winner)))
 
         return _BranchValue(callback=callback)
 
@@ -612,14 +492,13 @@ def _stage_game_at(spec, history, continuation, settings) -> _StageGame:
         raise ContractError("stage solve requested at a terminal history")
     played = len(history)
     budgets = (remaining_budget(spec, history, 0), remaining_budget(spec, history, 1))
+    totals = history.won_values(spec)
     if continuation is None:
         if spec.m > 5:
             raise InputError("built-in continuation tables are limited to five battles")
-        tables = _tables_for(spec, settings)
-        totals = history.won_values(spec)
-        return tables.stage_game(played, totals, budgets)
-    branches = _continuation_branches(spec, history, continuation)
-    return _StageGame(spec, played, budgets, branches, settings)
+        return _tables_for(spec, settings).stage_game(played, totals, budgets)
+    branches = _continuation_branches(spec, history, budgets, continuation)
+    return _StageGame(spec, played, totals, budgets, branches, settings)
 
 
 def best_response(
@@ -632,8 +511,11 @@ def best_response(
 ) -> BestResponseResult:
     """Best spend for one player against a fixed opponent spend at this history.
 
-    Located by a coarse grid scan plus golden-section refinement; a flat
-    objective returns the proportional point, flagged.
+    A scan of `grid_points` spends over the player's budget, refined by the
+    stage's saddle search with the opponent's spend pinned; ties go to the
+    smallest spend.  A flat objective returns the proportional point, flagged.
+    A `continuation` maps a successor History to the payoff vector; the
+    stage reads player A's entry, since the two payoffs add up to one.
     """
     game = _stage_game_at(spec, history, continuation, settings)
     if isinstance(opponents_allocation, (int, float)):
@@ -645,7 +527,8 @@ def best_response(
         opp = values[0]
     if not 0 <= player < 2:
         raise InputError(f"player index {player} out of range")
-    return game.best_response(player, opp)
+    spend, value, flat = game.best_responses(player, np.array([opp]))
+    return BestResponseResult(float(spend[0]), float(value[0]), bool(flat[0]))
 
 
 def stage_equilibrium(
@@ -654,17 +537,15 @@ def stage_equilibrium(
     continuation=None,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> StageSolution:
-    """Mutual best responses for one battle, from the proportional starting point."""
-    game = _stage_game_at(spec, history, continuation, settings)
-    solution = game.solve()
-    return StageSolution(
-        solution.allocations,
-        solution.residual,
-        solution.iterations,
-        solution.flat,
-        solution.residual_history,
-        history=history,
-    )
+    """Equilibrium spends for one battle: the saddle point of the zero-sum stage.
+
+    Found by grid minimax on shrinking boxes over both spends.  A player
+    whose payoff is flat in the own spend plays proportional.  The residual
+    is the largest best-response gain at the returned point; a residual above
+    `settings.tolerance` raises ConvergenceError naming the battle and the
+    standings.  `continuation` is read as in `best_response`.
+    """
+    return _path_solution(_stage_game_at(spec, history, continuation, settings), history)
 
 
 def solve_backward(
@@ -687,8 +568,7 @@ def solve_backward(
     def descend(played, winners, totals, budgets):
         if _terminal_value_from_totals(spec, played, totals) is not None or played == spec.m:
             return
-        game = tables.stage_game(played, totals, budgets)
-        solution = game.solve()
+        solution = _path_solution(tables.stage_game(played, totals, budgets))
         solutions[winners] = solution
         for i in range(2):
             tabulars[i].record(played + 1, winners, budgets, solution.allocations[i])

@@ -25,6 +25,7 @@ from .core import (
     InputError,
     Objective,
     _csf_distribution,
+    _proportional_spend,
     _status,
     remaining_budget,
     terminal_payoff,
@@ -139,40 +140,45 @@ def expected_payoffs(
 
     Strategies that read more than the state (`Tabular`, or a `Deviation`
     below the root) get the History of each node; it is only built when the
-    profile holds such a strategy.
+    profile holds such a strategy.  `max_leaves` caps the winner sequences
+    of a branching walk, so it never refuses the one-node-per-battle walk.
     """
     root = history if history is not None else History()
-    _check_cap(spec, root, max_leaves)
+    win_prob = spec.objective is Objective.WIN_PROBABILITY
+    below = tuple(_below_root(s, len(root)) for s in profile.strategies)
+    markov = all(type(s) is Proportional for s in below)
+    if win_prob or not markov:  # only a branching walk can outgrow the cap
+        _check_cap(spec, root, max_leaves)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
     n, m, csf, values = spec.n, spec.m, spec.csf, spec.values
-    win_prob = spec.objective is Objective.WIN_PROBABILITY
     root_standings = root.won_values(spec)
-    below = tuple(_below_root(s, len(root)) for s in profile.strategies)
-    markov = all(type(s) is Proportional for s in below)
     accumulated = [0.0] * n if win_prob else list(root_standings)
 
     def walk(played, standings, spent, h, q, allocations=None) -> None:
-        if win_prob:
-            status = _status(spec, played, standings)
-            if status.terminal:
-                share = q / len(status.winners)
-                for i in status.winners:
-                    accumulated[i] += share
-                return
-        elif played == m:
-            return  # every battle's value was credited where it was fought
-        if allocations is None:
-            allocations = _state_allocations(below, spec, played, standings, spent, h)
-        probs = _csf_distribution(allocations, csf)
-        spent = tuple(s + w for s, w in zip(spent, allocations))
-        value = values[played]
-        if not win_prob:
-            for i, p in enumerate(probs):
-                accumulated[i] += q * p * value
-            if markov:
-                walk(played + 1, standings, spent, None, q)
-                return
+        # A stretch of single next states is a loop, not a recursion, so the
+        # one-node-per-battle walk takes contests of any length.
+        while True:
+            if win_prob:
+                status = _status(spec, played, standings)
+                if status.terminal:
+                    share = q / len(status.winners)
+                    for i in status.winners:
+                        accumulated[i] += share
+                    return
+            elif played == m:
+                return  # every battle's value was credited where it was fought
+            if allocations is None:
+                allocations = _state_allocations(below, spec, played, standings, spent, h)
+            probs = _csf_distribution(allocations, csf)
+            spent = tuple(s + w for s, w in zip(spent, allocations))
+            value = values[played]
+            if not win_prob:
+                for i, p in enumerate(probs):
+                    accumulated[i] += q * p * value
+            if win_prob or not markov:
+                break
+            played, allocations = played + 1, None
         for winner, p in enumerate(probs):
             if p > 0.0:
                 branch = list(standings)
@@ -210,8 +216,7 @@ def deviation_grid(spec: ContestSpec, history: History, player: int, points: int
     budget = remaining_budget(spec, history, player)
     if budget <= 0.0:
         return (0.0,)
-    played = len(history)
-    spend = budget * spec.values[played] / spec.suffix_value(played)
+    spend = _proportional_spend(spec, len(history), budget)
     lo, hi = -spend, budget - spend
     if points < 2:
         return (0.0,)
@@ -239,7 +244,7 @@ def deviation_gains(
     played = len(history)
     x_next = known.values[played]
     k = known.suffix_value(played) / x_next
-    spend = budget / k
+    spend = _proportional_spend(known, played, budget)
     baseline = expected_payoffs(base, known, history, max_leaves)[player]
 
     tullock = known.csf.alpha == 1.0

@@ -21,6 +21,7 @@ from .core import (
     Objective,
     _csf_distribution,
     _formal_budget,
+    _proportional_spend,
     _trails_hopelessly,
     remaining_budget,
     terminal_status,
@@ -39,8 +40,7 @@ def proportional_allocation(spec: ContestSpec, history: History, player: int) ->
     played = len(history)
     if played >= spec.m or terminal_status(spec, history).terminal:
         raise ContractError("proportional allocation is undefined at terminal histories")
-    budget = remaining_budget(spec, history, player)
-    return budget * spec.values[played] / spec.suffix_value(played)
+    return _proportional_spend(spec, played, remaining_budget(spec, history, player))
 
 
 class Proportional(Strategy):
@@ -179,7 +179,6 @@ def _state_allocations(strategies, spec, played, standings, spent, history) -> t
     alone.  This is the rule behind `allocations_at`, without its checks.
     """
     win_prob = spec.objective is Objective.WIN_PROBABILITY
-    share = spec.values[played] / spec.suffix_value(played)
     out = []
     for i, strategy in enumerate(strategies):
         if win_prob and _trails_hopelessly(spec, played, standings, i):
@@ -187,7 +186,7 @@ def _state_allocations(strategies, spec, played, standings, spent, history) -> t
             continue
         bound = _formal_budget(spec, played, spent[i], i)
         if type(strategy) is Proportional:
-            out.append(bound * share)  # same formula, skips the per-player guards
+            out.append(_proportional_spend(spec, played, bound))  # skips the per-player guards
             continue
         raw = strategy.allocation(spec, history, i)
         out.append(min(max(raw, 0.0), bound))

@@ -131,6 +131,11 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_trials_belongs_to_simulate_only(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--config", example2_config(tmp_path), "--trials", "5"])
+        assert exit_info.value.code == 2
+
     def test_check_exit_code_flags_failure(self, tmp_path, capsys):
         assert main(["check", "--config", example2_config(tmp_path)]) == 2
         report = json.loads(capsys.readouterr().out)

@@ -1,11 +1,14 @@
 """Backward induction, stage equilibria, and proportionality verdicts."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from dynblotto import (
     ContestSpec,
+    ConvergenceError,
     History,
     InputError,
     Objective,
@@ -20,6 +23,8 @@ from dynblotto import (
     solve_backward,
     stage_equilibrium,
 )
+from dynblotto import equilibrium
+from dynblotto.cli import main
 from conftest import random_ev_spec
 
 WP = Objective.WIN_PROBABILITY
@@ -46,6 +51,18 @@ class TestBestResponse:
         result = best_response(spec, History(), 0, 0.0)
         assert 0.0 < result.allocation < 1.0
         assert result.value == pytest.approx(1.0)
+
+    def test_flat_objective_plays_proportional(self):
+        # B spent everything on a lost battle 1: A wins whatever it spends
+        spec = three_battle_contest()
+        h = History().extend((40.0, 100.0), 0)
+        result = best_response(spec, h, 0, 0.0)
+        assert result.flat
+        assert result.allocation == pytest.approx(30.0, abs=1e-12)
+        assert result.value == pytest.approx(1.0, abs=1e-12)
+        solution = stage_equilibrium(spec, h)
+        assert solution.flat == (True, False)
+        assert solution.allocations == pytest.approx((30.0, 0.0), abs=1e-12)
 
     def test_bad_player_index(self):
         spec = three_battle_contest()
@@ -81,13 +98,6 @@ class TestStageEquilibrium:
         assert solution.allocations[0] == pytest.approx(45.0, abs=1e-3)
         assert solution.allocations[1] == pytest.approx(20.0, abs=1e-3)
 
-    def test_residuals_never_increase(self):
-        spec = ContestSpec([2, 1, 1, 1], [100, 100], objective=WP)
-        solution = stage_equilibrium(spec, History())
-        history = solution.residual_history
-        for before, after in zip(history, history[1:]):
-            assert after <= before + 1e-12
-
     def test_custom_continuation_matches_tables(self):
         spec = three_battle_contest()
         h = History().extend((30.0, 30.0), 0)
@@ -100,6 +110,19 @@ class TestStageEquilibrium:
         via_tables = stage_equilibrium(spec, h)
         via_callback = stage_equilibrium(spec, h, continuation=exact_continuation)
         assert via_callback.allocations == pytest.approx(via_tables.allocations, abs=1e-3)
+
+    def test_a_stage_without_a_pure_saddle_names_battle_and_standings(self):
+        spec = three_battle_contest()
+        h = History().extend((30.0, 20.0), 0)
+
+        def matching(successor):
+            # A wants to keep as much budget as B does, B wants the opposite
+            gap = (successor.spent(0) - successor.spent(1)) / 100.0
+            return (1.0 - gap**2, gap**2)
+
+        with pytest.raises(ConvergenceError,
+                           match=r"battle 2, standings 1-0: best-response residual .* above"):
+            stage_equilibrium(spec, h, continuation=matching)
 
     def test_rejects_unsupported_contests(self):
         with pytest.raises(InputError):
@@ -147,11 +170,73 @@ class TestSolveBackward:
             assert allocations == pytest.approx(result.trace[step], abs=1e-9)
             h = h.extend(allocations, winner)
 
+    def test_a_class_without_a_pure_saddle_names_battle_and_standings(self, tmp_path, capsys):
+        # one class of this contest has a minimax bracket gap of about 1.6e-2
+        values = [1.0907, 1.8096, 1.6934, 1.0419]
+        with pytest.raises(ConvergenceError,
+                           match=r"battle \d, standings [\d.]+-[\d.]+: minimax bracket gap"):
+            solve_backward(ContestSpec(values, [60, 80], objective=WP))
+        config = tmp_path / "contest.json"
+        config.write_text(json.dumps({
+            "players": [{"budget": 60}, {"budget": 80}],
+            "battles": [{"value": v} for v in values],
+            "objective": "win_probability",
+        }))
+        assert main(["solve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stage solve at battle ")
+        assert "standings" in err[0] and "gap" in err[0]
+
     def test_guards(self):
         with pytest.raises(InputError):
             solve_backward(ContestSpec([1] * 6, [10, 10], objective=WP))
         with pytest.raises(InputError):
             solve_backward(ContestSpec([1, 1], [10, 10]))
+
+
+def _one_battle_left_value(spec, totals, b_a, b_b):
+    """A's win probability with one battle left, both players all-in (alpha = 1)."""
+
+    def outcome(a, b):
+        return np.where(a > b, 1.0, np.where(a == b, 0.5, 0.0))
+
+    last = spec.values[-1]
+    a, b = totals
+    total = b_a + b_b
+    q = np.where(total > 0.0, b_a / np.where(total > 0.0, total, 1.0), 0.5)
+    return q * outcome(a + last, b) + (1.0 - q) * outcome(a, b + last)
+
+
+class TestValueTablesAgainstAnIndependentBracket:
+    """Table nodes of the second-to-last battle against grid minimax computed here.
+
+    After that battle one battle is left, where both players go all in, so
+    the stage payoff has a closed form and the bracket needs no solver code.
+    """
+
+    @pytest.mark.parametrize("values, standings", [
+        ([2, 1, 1, 1], (1.0, 2.0)),  # A must win both battles left
+        ([1, 1, 1, 2], (1.0, 1.0)),  # the last battle decides, so both save
+    ])
+    def test_node_values_lie_in_the_minimax_bracket(self, values, standings):
+        spec = ContestSpec(values, [100, 100], objective=WP)
+        tables = equilibrium._tables_for(spec, equilibrium.DEFAULT_SETTINGS)
+        played = spec.m - 2
+        spline = tables.splines[(played, standings)]
+        a, b = standings
+        x = spec.values[played]
+        grid = np.linspace(0.0, 1.0, 401)
+        nodes = np.linspace(0.0, 1.0, spline.n)
+        for share, value in zip(nodes, spline.value_vec(nodes)):
+            w_a = share * grid[:, None]
+            w_b = (1.0 - share) * grid[None, :]
+            spend = w_a + w_b
+            p = np.where(spend > 0.0, w_a / np.where(spend > 0.0, spend, 1.0), 0.5)
+            left_a, left_b = share - w_a, (1.0 - share) - w_b
+            stage = (p * _one_battle_left_value(spec, (a + x, b), left_a, left_b)
+                     + (1.0 - p) * _one_battle_left_value(spec, (a, b + x), left_a, left_b))
+            low, high = stage.min(axis=1).max(), stage.max(axis=0).min()
+            assert low - 1e-6 <= value <= high + 1e-6, (share, low, value, high)
 
 
 class TestCheckProportionality:

@@ -120,9 +120,18 @@ class TestExpectedPayoffs:
             assert after == pytest.approx(base, rel=1e-10, abs=1e-12)
 
     def test_enumeration_cap(self):
-        spec = ContestSpec([1.0] * 30, [10, 10])
+        spec = ContestSpec([1.0] * 30, [10, 10], objective=WP)
         with pytest.raises(EnumerationCapError):
             expected_payoffs(proportional_profile(2), spec)
+
+    @pytest.mark.parametrize("m", [30, 2000])
+    def test_cap_spares_the_one_node_per_battle_walk(self, m):
+        # 2**m winner sequences, but proportional expected value follows one
+        # state per battle (a loop, so also past the recursion limit): each
+        # battle pays its value times the budget share
+        spec = ContestSpec([1.0] * m, [10, 30])
+        payoffs = expected_payoffs(proportional_profile(2), spec)
+        assert payoffs == pytest.approx((m / 4, 3 * m / 4), abs=1e-12)
 
 
 class TestStateWalkAgainstOracle:
@@ -186,10 +195,10 @@ class TestStateWalkAgainstOracle:
             known = spec.truncate_shocks(len(h) + 1)
             base = proportional_profile(n)
             baseline = brute_force_payoffs(base, known, h)[player]
-            # the proportional spend rounded as deviation_gains rounds it: at
+            # the proportional spend rounded as the library rounds it: at
             # alpha < 1 the grid's zero-spend end is that sensitive to the last bit
-            k = known.suffix_value(len(h)) / known.values[len(h)]
-            spend = remaining_budget(known, h, player) / k
+            played = len(h)
+            spend = remaining_budget(known, h, player) * (known.values[played] / known.suffix_value(played))
             for report in deviation_gains(spec, h, player, deltas):
                 deviated = one_shot_deviation(base, player, h, spend + report.delta)
                 want = brute_force_payoffs(deviated, known, h)[player] - baseline
@@ -249,6 +258,23 @@ class TestDeviationGain:
         spec = ContestSpec([1, 2, 1], [60, 40])
         report = deviation_gain(spec, History(), 0, 0.0)
         assert report.gain == 0.0
+
+    def test_proportional_spend_rounds_alike_everywhere(self):
+        # the grid, the gain and the strategies compute the proportional spend
+        # alike, to the last bit: a zero offset changes nothing, and the
+        # grid's lowest offset spends exactly nothing (at alpha < 1 a spend
+        # of 1e-15 instead of 0 moves the gain by about 1e-8)
+        rng = random.Random(2026)
+        for _ in range(300):
+            spec = random_ev_spec(rng, alphas=(0.5, 1.0), ns=(2, 3))
+            base = proportional_profile(spec.n)
+            h = open_history(rng, spec, base, rng.randrange(spec.m))
+            player = rng.randrange(spec.n)
+            assert deviation_gain(spec, h, player, 0.0).gain == 0.0
+            lowest = deviation_grid(spec, h, player)[0]
+            nothing = one_shot_deviation(base, player, h, 0.0)
+            want = expected_payoffs(nothing, spec, h)[player] - expected_payoffs(base, spec, h)[player]
+            assert deviation_gain(spec, h, player, lowest).gain == want
 
     def test_two_battle_hand_computed_value(self):
         # budgets 60 vs 40, equal battles: proportional yields 1.2; spending
