@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -41,9 +42,9 @@ DEMOS = ("example1", "example2", "example3", "prop1")
 @dataclass(frozen=True)
 class RunSettings:
     solver: SolverSettings = SolverSettings()
-    seed: int = 0
-    trials: int = 10000
-    history: tuple = ()  # winner schedule addressing a subgame
+    seed: int = 0  # simulate only
+    trials: int = 10000  # simulate only
+    history: tuple = ()  # evaluate and check: winner schedule addressing a subgame
     output: str = "json"
     demo: Optional[str] = None
 
@@ -81,8 +82,8 @@ def load_config(path: str):
     """Load and validate a contest config; returns (spec, run settings).
 
     Defaults: Tullock success function (alpha=1, beta=1), no shocks,
-    grid_points=200, tolerance=1e-6, budget_step=0.25.  Malformed fields
-    raise InputError naming the field.
+    grid_points=200, tolerance=1e-6, budget_step=0.25, seed=0 (read by
+    simulate).  Malformed fields raise InputError naming the field.
     """
     with open(path) as handle:
         text = handle.read()
@@ -134,8 +135,15 @@ def load_config(path: str):
         solver.grid_points >= 2,
         f"config field solver.grid_points must be at least 2, got {solver.grid_points}",
     )
-    settings = RunSettings(solver=solver, seed=_read(raw, "seed", "seed", int, 0))
-    return spec, settings
+    for field in ("tolerance", "budget_step"):
+        value = getattr(solver, field)
+        _require(
+            value > 0 and math.isfinite(value),
+            f"config field solver.{field} must be a positive finite number, got {value!r}",
+        )
+    seed = _read(raw, "seed", "seed", int, 0)
+    _require(seed >= 0, f"config field seed must be a nonnegative integer, got {seed}")
+    return spec, RunSettings(solver=solver, seed=seed)
 
 
 def parse_winner_schedule(text: str) -> tuple:
@@ -165,7 +173,7 @@ def _history_payload(history: History) -> dict:
 
 def _run_evaluate(spec, settings):
     profile = proportional_profile(spec.n)
-    history = history_from_winners(spec, settings.history, profile)
+    history = history_from_winners(spec, settings.history)
     payoffs = expected_payoffs(profile, spec, history)
     return {
         "command": "evaluate",
@@ -219,7 +227,7 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _run_check(spec, settings):
-    plan = SamplingPlan(tolerance=settings.solver.tolerance, seed=settings.seed)
+    plan = SamplingPlan(tolerance=settings.solver.tolerance)
     if settings.history:
         plan = replace(plan, histories=(history_from_winners(spec, settings.history),))
     verdict = check_proportionality(spec, plan)
@@ -365,16 +373,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("name", choices=DEMOS)
         else:
             p.add_argument("--config", required=True, help="path to a contest config (JSON)")
-        p.add_argument("--seed", type=int, default=None)
         if command == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
             p.add_argument("--trials", type=int, default=RunSettings.trials)
+        if command in ("evaluate", "check"):
+            p.add_argument(
+                "--history",
+                default="",
+                help="winner schedule addressing a subgame, e.g. 'A,B,A' (proportional "
+                "on-path spends assumed)",
+            )
         p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--history",
-            default="",
-            help="winner schedule addressing a subgame, e.g. 'A,B,A' (proportional "
-            "on-path spends assumed)",
-        )
     return parser
 
 
@@ -385,11 +394,12 @@ def main(argv=None) -> int:
         settings = RunSettings()
         if args.command != "demo":
             spec, settings = load_config(args.config)
+        seed = getattr(args, "seed", None)
         settings = replace(
             settings,
-            seed=args.seed if args.seed is not None else settings.seed,
+            seed=seed if seed is not None else settings.seed,
             trials=getattr(args, "trials", settings.trials),
-            history=parse_winner_schedule(args.history),
+            history=parse_winner_schedule(getattr(args, "history", "")),
             output=args.output,
             demo=getattr(args, "name", None),
         )

@@ -43,7 +43,7 @@ class InfeasibleHistoryError(InputError):
 
 
 class EnumerationCapError(ContestError):
-    """Exact enumeration would exceed the configured leaf cap."""
+    """Exact enumeration would exceed the leaf cap."""
 
 
 class ConvergenceError(ContestError):
@@ -164,10 +164,6 @@ class ContestSpec:
 
     def shock_map(self) -> dict:
         return dict(self.shocks)
-
-    def cumulative_shock(self, player: int, through_battle: int) -> float:
-        """Sum of player's shocks for battles 1..through_battle."""
-        return self._shock_cum[player][through_battle]
 
     def truncate_shocks(self, through_battle: int) -> "ContestSpec":
         """Copy of the spec keeping only shocks announced up to `through_battle`.

@@ -61,8 +61,6 @@ class SolverSettings:
     grid_points: int = 200  # spends per best-response scan over the whole budget
     tolerance: float = 1e-6  # largest best-response gain accepted on the solved path
     budget_step: float = 0.25  # tabular strategy budget grid
-    value_nodes: int = 321  # budget-ratio nodes per continuation value table
-    refine_tolerance: float = 1e-6  # spend box width at which the saddle search stops
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -81,7 +79,6 @@ class StageSolution:
     residual: float  # largest best-response improvement at the returned point
     iterations: int  # rounds of the shrinking-box saddle search
     flat: tuple  # per player: payoff flat in the own spend, so proportional is played
-    history: Optional[History] = None
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,10 @@ class SamplingPlan:
 
     User-supplied histories are checked first (so a known counterexample is
     the one reported), then all winner sequences reachable under proportional
-    play, breadth-first up to depth_cap, subsampled per depth when a level
-    exceeds max_per_depth.
+    play, breadth-first through battle m - 1, subsampled per depth when a
+    level exceeds max_per_depth.
     """
 
-    depth_cap: Optional[int] = None
     max_per_depth: Optional[int] = None
     histories: tuple = ()
     delta_points: int = 21
@@ -198,11 +194,15 @@ class _BranchValue:
 
 # The saddle search's first round scans each player's whole budget on a
 # coarse grid; each later round scans a box of MARGIN grid steps either side
-# of the previous round's spend.  Table nodes are solved in chunks of at most
-# NODE_CHUNK, which bounds the (node x spend_A x spend_B) payoff array.
+# of the previous round's spend, until the boxes are narrower than
+# REFINE_TOLERANCE.  A value table holds VALUE_NODES budget-ratio nodes, solved
+# in chunks of at most NODE_CHUNK, which bounds the (node x spend_A x spend_B)
+# payoff array.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
+REFINE_TOLERANCE = 1e-6
+VALUE_NODES = 321
 NODE_CHUNK = 40
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
@@ -270,7 +270,7 @@ class _StageGame:
         argmax of the row minima of A's payoff and B the argmin of the column
         maxima, the first one on ties, so ties go to the smallest spend.  The
         boxes then shrink to MARGIN grid steps around those spends, until they
-        are narrower than refine_tolerance.  A zero-width box pins a spend.
+        are narrower than REFINE_TOLERANCE.  A zero-width box pins a spend.
         """
         rounds = 0
         while True:
@@ -281,7 +281,7 @@ class _StageGame:
             spends = [grid[self._nodes, pick] for grid, pick in zip(grids, picks)]
             steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
             widest = 2 * MARGIN * max(float(np.max(step)) for step in steps)
-            if widest <= self.settings.refine_tolerance:
+            if widest <= REFINE_TOLERANCE:
                 return spends, rounds
             boxes = [
                 (np.maximum(w - MARGIN * step, 0.0), np.minimum(w + MARGIN * step, budget))
@@ -333,7 +333,7 @@ class _StageGame:
         return _StagePoints(tuple(spends), value, gains, flats, rounds)
 
 
-def _path_solution(game: _StageGame, history: Optional[History] = None) -> StageSolution:
+def _path_solution(game: _StageGame) -> StageSolution:
     """The stage equilibrium of a one-node game; its residual must meet the tolerance."""
     points = game.solve()
     allocations = tuple(float(w[0]) for w in points.spends)
@@ -346,7 +346,7 @@ def _path_solution(game: _StageGame, history: Optional[History] = None) -> Stage
             residual=residual,
         )
     flats = tuple(bool(flat[0]) for flat in points.flats)
-    return StageSolution(allocations, residual, points.rounds, flats, history)
+    return StageSolution(allocations, residual, points.rounds, flats)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,11 @@ def _path_solution(game: _StageGame, history: Optional[History] = None) -> Stage
 
 
 class _ValueTables:
-    """Equilibrium continuation values for a two-player win-probability contest."""
+    """Equilibrium continuation values for a two-player win-probability contest.
+
+    Every precondition of the built-in tables is checked here, so the backward
+    solver and table-backed stage solves share them.
+    """
 
     def __init__(self, spec: ContestSpec, settings: SolverSettings):
         if spec.objective is not Objective.WIN_PROBABILITY:
@@ -366,6 +370,8 @@ class _ValueTables:
                 "the backward solver requires a fixed-budget contest; "
                 "budget shocks break the budget-ratio reduction"
             )
+        if spec.m > 5:
+            raise InputError("the backward solver is limited to five battles")
         self.spec = spec
         self.settings = settings
         self.splines = {}  # (played, totals) -> _UniformSpline for player A's value
@@ -441,7 +447,7 @@ class _ValueTables:
         return _StageGame(self.spec, played, totals, budgets, branches, self.settings)
 
     def _build_class(self, played, totals) -> None:
-        nodes = np.linspace(0.0, 1.0, self.settings.value_nodes)
+        nodes = np.linspace(0.0, 1.0, VALUE_NODES)
         values = []
         for shares in np.array_split(nodes, -(-len(nodes) // NODE_CHUNK)):
             game = self.stage_game(played, totals, (shares, 1.0 - shares))
@@ -494,8 +500,6 @@ def _stage_game_at(spec, history, continuation, settings) -> _StageGame:
     budgets = (remaining_budget(spec, history, 0), remaining_budget(spec, history, 1))
     totals = history.won_values(spec)
     if continuation is None:
-        if spec.m > 5:
-            raise InputError("built-in continuation tables are limited to five battles")
         return _tables_for(spec, settings).stage_game(played, totals, budgets)
     branches = _continuation_branches(spec, history, budgets, continuation)
     return _StageGame(spec, played, totals, budgets, branches, settings)
@@ -517,7 +521,8 @@ def best_response(
     A `continuation` maps a successor History to the payoff vector; the
     stage reads player A's entry, since the two payoffs add up to one.
     """
-    game = _stage_game_at(spec, history, continuation, settings)
+    if not 0 <= player < 2:
+        raise InputError(f"player index {player} out of range")
     if isinstance(opponents_allocation, (int, float)):
         opp = float(opponents_allocation)
     else:
@@ -525,8 +530,7 @@ def best_response(
         if len(values) != 1:
             raise InputError("two-player contests take a single opponent allocation")
         opp = values[0]
-    if not 0 <= player < 2:
-        raise InputError(f"player index {player} out of range")
+    game = _stage_game_at(spec, history, continuation, settings)
     spend, value, flat = game.best_responses(player, np.array([opp]))
     return BestResponseResult(float(spend[0]), float(value[0]), bool(flat[0]))
 
@@ -545,7 +549,7 @@ def stage_equilibrium(
     `settings.tolerance` raises ConvergenceError naming the battle and the
     standings.  `continuation` is read as in `best_response`.
     """
-    return _path_solution(_stage_game_at(spec, history, continuation, settings), history)
+    return _path_solution(_stage_game_at(spec, history, continuation, settings))
 
 
 def solve_backward(
@@ -559,8 +563,6 @@ def solve_backward(
     player wins each battle, which keeps the contest alive as long as
     possible.
     """
-    if spec.m > 5:
-        raise InputError("solve_backward is limited to five battles")
     tables = _tables_for(spec, settings)
     tabulars = tuple(Tabular(player=i, budget_step=settings.budget_step) for i in range(2))
     solutions = {}
@@ -602,18 +604,12 @@ def solve_backward(
 
 
 def _sampled_histories(spec: ContestSpec, plan: SamplingPlan):
-    for history in plan.histories:
-        yield history
-    depth_cap = plan.depth_cap if plan.depth_cap is not None else spec.m - 1
+    yield from plan.histories
     profile = proportional_profile(spec.n)
     rng = random.Random(plan.seed)
     level = [History()]
-    depth = 0
-    while level and depth <= depth_cap:
-        for history in level:
-            yield history
-        if depth == depth_cap:
-            break
+    yield from level
+    for _ in range(spec.m - 1):
         nxt = []
         for history in level:
             if terminal_status(spec, history).terminal:
@@ -628,7 +624,7 @@ def _sampled_histories(spec: ContestSpec, plan: SamplingPlan):
         if plan.max_per_depth is not None and len(nxt) > plan.max_per_depth:
             nxt = [nxt[i] for i in sorted(rng.sample(range(len(nxt)), plan.max_per_depth))]
         level = nxt
-        depth += 1
+        yield from level
 
 
 def check_proportionality(

@@ -42,7 +42,9 @@ from .strategies import (
     proportional_profile,
 )
 
-DEFAULT_LEAF_CAP = 10**7
+# Most winner sequences an exact walk, or a materialized tree, may branch into.
+LEAF_CAP = 10**7
+TREE_LEAF_CAP = 10**5
 
 
 @dataclass
@@ -84,11 +86,10 @@ def build_outcome_tree(
     profile: StrategyProfile,
     spec: ContestSpec,
     history: Optional[History] = None,
-    max_leaves: int = 10**5,
 ) -> OutcomeTree:
     """Materialize the tree of winner sequences, for inspection."""
     root_history = history if history is not None else History()
-    _check_cap(spec, root_history, max_leaves)
+    _check_cap(spec, root_history, TREE_LEAF_CAP)
     leaf_count = 0
 
     def grow(h: History, q: float) -> OutcomeNode:
@@ -123,7 +124,6 @@ def expected_payoffs(
     profile: StrategyProfile,
     spec: ContestSpec,
     history: Optional[History] = None,
-    max_leaves: int = DEFAULT_LEAF_CAP,
 ) -> tuple:
     """Exact per-player expected payoff of the profile from the given history.
 
@@ -140,15 +140,15 @@ def expected_payoffs(
 
     Strategies that read more than the state (`Tabular`, or a `Deviation`
     below the root) get the History of each node; it is only built when the
-    profile holds such a strategy.  `max_leaves` caps the winner sequences
-    of a branching walk, so it never refuses the one-node-per-battle walk.
+    profile holds such a strategy.  LEAF_CAP caps the winner sequences of a
+    branching walk, so it never refuses the one-node-per-battle walk.
     """
     root = history if history is not None else History()
     win_prob = spec.objective is Objective.WIN_PROBABILITY
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
     markov = all(type(s) is Proportional for s in below)
     if win_prob or not markov:  # only a branching walk can outgrow the cap
-        _check_cap(spec, root, max_leaves)
+        _check_cap(spec, root, LEAF_CAP)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
     n, m, csf, values = spec.n, spec.m, spec.csf, spec.values
@@ -228,7 +228,6 @@ def deviation_gains(
     history: History,
     player: int,
     deltas: Sequence[float],
-    max_leaves: int = DEFAULT_LEAF_CAP,
 ) -> list:
     """Deviation reports for several offsets, sharing one baseline evaluation.
 
@@ -245,7 +244,7 @@ def deviation_gains(
     x_next = known.values[played]
     k = known.suffix_value(played) / x_next
     spend = _proportional_spend(known, played, budget)
-    baseline = expected_payoffs(base, known, history, max_leaves)[player]
+    baseline = expected_payoffs(base, known, history)[player]
 
     tullock = known.csf.alpha == 1.0
     expected_value = known.objective is Objective.EXPECTED_VALUE
@@ -260,7 +259,7 @@ def deviation_gains(
                 f"deviation {delta} puts the spend {deviated_spend} outside [0, {budget}]"
             )
         profile = one_shot_deviation(base, player, history, deviated_spend)
-        value = expected_payoffs(profile, known, history, max_leaves)[player]
+        value = expected_payoffs(profile, known, history)[player]
         closed = None
         if tullock and expected_value:
             closed = closed_form_gain(budget, opponents, k, delta, x_next)
@@ -268,15 +267,9 @@ def deviation_gains(
     return reports
 
 
-def deviation_gain(
-    spec: ContestSpec,
-    history: History,
-    player: int,
-    delta: float,
-    max_leaves: int = DEFAULT_LEAF_CAP,
-) -> DeviationReport:
+def deviation_gain(spec: ContestSpec, history: History, player: int, delta: float) -> DeviationReport:
     """Payoff change from a single one-shot deviation off proportional play."""
-    return deviation_gains(spec, history, player, (delta,), max_leaves)[0]
+    return deviation_gains(spec, history, player, (delta,))[0]
 
 
 def closed_form_gain(a: float, b: float, k: float, delta: float, x_next: float) -> float:

@@ -43,31 +43,33 @@ def simulate(
     Deterministic given (seed, profile, spec).  Trials sharing a winner
     sequence also share allocations (strategies are pure), so the simulation
     walks the history tree once, splitting the trial population at each battle
-    instead of replaying trials one by one.
+    instead of replaying trials one by one.  The walk keeps an explicit stack
+    of (history, trial rows), so contests of any length are simulated.
     """
     if trials < 1:
         raise InputError("trials must be a positive integer")
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     uniforms = rng.random((trials, spec.m))
     payoffs = np.zeros((trials, spec.n))
 
-    def walk(history: History, trial_rows: np.ndarray) -> None:
-        status = terminal_status(spec, history)
-        if status.terminal:
+    stack = [(History(), np.arange(trials))]
+    while stack:
+        history, trial_rows = stack.pop()
+        if terminal_status(spec, history).terminal:
             payoffs[trial_rows] = terminal_payoff(spec, history)
-            return
+            continue
         allocations = allocations_at(profile, spec, history)
         probs = _csf_distribution(allocations, spec.csf)
         thresholds = np.cumsum(probs)
         draws = uniforms[trial_rows, len(history)]
         winners = np.searchsorted(thresholds, draws, side="right")
         np.clip(winners, 0, spec.n - 1, out=winners)
-        for w in range(spec.n):
+        for w in reversed(range(spec.n)):  # player 0's branch is walked first
             rows = trial_rows[winners == w]
             if rows.size:
-                walk(history.extend(allocations, w), rows)
-
-    walk(History(), np.arange(trials))
+                stack.append((history.extend(allocations, w), rows))
     means = payoffs.mean(axis=0)  # numpy pairwise summation: order independent
     if trials > 1:
         std_errors = payoffs.std(axis=0, ddof=1) / np.sqrt(trials)

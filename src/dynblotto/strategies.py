@@ -11,7 +11,7 @@ single history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     ContestSpec,
@@ -78,13 +78,12 @@ class Tabular(Strategy):
     Entries are keyed by (battle index, winner schedule); within a key the
     entry whose recorded remaining-budget vector is closest (Euclidean) to the
     queried one wins.  Budgets are recorded on a grid of `budget_step` to keep
-    keys stable across float noise.  Histories with no entry at all fall back
-    to the `fallback` strategy, so the map stays total.
+    keys stable across float noise.  Histories with no entry at all are
+    played proportionally, so the map stays total.
     """
 
     player: int
     budget_step: float = 0.25
-    fallback: Strategy = PROPORTIONAL
     entries: dict = field(default_factory=dict)
 
     def _grid(self, budgets):
@@ -100,7 +99,7 @@ class Tabular(Strategy):
         key = (len(history) + 1, history.winner_schedule())
         bucket = self.entries.get(key)
         if not bucket:
-            return self.fallback.allocation(spec, history, player)
+            return proportional_allocation(spec, history, player)
         probe = self._grid(budgets)
         best = min(bucket, key=lambda item: sum((a - b) ** 2 for a, b in zip(item[0], probe)))
         return best[1]
@@ -204,18 +203,13 @@ def one_shot_deviation(
     return StrategyProfile(tuple(strategies))
 
 
-def history_from_winners(
-    spec: ContestSpec,
-    winners: Sequence[int],
-    profile: Optional[StrategyProfile] = None,
-) -> History:
+def history_from_winners(spec: ContestSpec, winners: Sequence[int]) -> History:
     """Build the history reached when `winners` win the first battles in turn.
 
-    Spends along the way come from `profile` (proportional by default), which
-    is how subgames are addressed by winner schedule alone.
+    Spends along the way are proportional, which is how subgames are
+    addressed by winner schedule alone.
     """
-    if profile is None:
-        profile = proportional_profile(spec.n)
+    profile = proportional_profile(spec.n)
     history = History()
     for winner in winners:
         if terminal_status(spec, history).terminal:

@@ -81,6 +81,15 @@ class TestLoadConfig:
                          r"shocks\[0\]\.player", id="shock-player"),
             pytest.param({"solver": {"grid_points": 1}}, r"solver\.grid_points",
                          id="grid-points-below-2"),
+            pytest.param({"solver": {"budget_step": 0}}, r"solver\.budget_step",
+                         id="budget-step-zero"),
+            pytest.param({"solver": {"budget_step": -0.5}}, r"solver\.budget_step",
+                         id="budget-step-negative"),
+            pytest.param({"solver": {"tolerance": -1}}, r"solver\.tolerance",
+                         id="tolerance-negative"),
+            pytest.param({"solver": {"tolerance": float("nan")}}, r"solver\.tolerance",
+                         id="tolerance-nan"),
+            pytest.param({"seed": -1}, r"config field seed", id="seed-negative"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
@@ -132,9 +141,33 @@ class TestCommands:
         assert first == second
 
     def test_trials_belongs_to_simulate_only(self, tmp_path):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["solve", "--config", example2_config(tmp_path), "--trials", "5"])
-        assert exit_info.value.code == 2
+        # --trials and --seed are simulate's flags, --history is evaluate's and check's
+        config = ["--config", example2_config(tmp_path)]
+        for head, flag in [
+            (["solve", *config], ["--trials", "5"]),
+            (["evaluate", *config], ["--seed", "5"]),
+            (["solve", *config], ["--seed", "5"]),
+            (["check", *config], ["--seed", "5"]),
+            (["demo", "example1"], ["--seed", "5"]),
+            (["simulate", *config], ["--history", "A,B"]),
+            (["solve", *config], ["--history", "A,B"]),
+            (["demo", "example1"], ["--history", "A,B"]),
+        ]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(head + flag)
+            assert exit_info.value.code == 2, head + flag
+
+    def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
+        assert main(["simulate", "--config", example2_config(tmp_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be")
+
+    def test_check_at_a_subgame(self, tmp_path, capsys):
+        # the subgame after A, B holds, so the root is the second history checked
+        args = ["check", "--config", example2_config(tmp_path), "--history", "A,B"]
+        assert main(args) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["histories_checked"] == 2
+        assert report["counterexample"]["history"]["winners"] == []
 
     def test_check_exit_code_flags_failure(self, tmp_path, capsys):
         assert main(["check", "--config", example2_config(tmp_path)]) == 2

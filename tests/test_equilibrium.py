@@ -68,6 +68,14 @@ class TestBestResponse:
         spec = three_battle_contest()
         with pytest.raises(InputError):
             best_response(spec, History(), 3, 10.0)
+        # bad arguments are rejected before a fresh contest's tables are built
+        spec = ContestSpec([1, 2, 1, 1, 2], [100, 90], objective=WP)
+        misses = equilibrium._tables_for.cache_info().misses
+        with pytest.raises(InputError, match="player index"):
+            best_response(spec, History(), 2, 10.0)
+        with pytest.raises(InputError, match="single opponent allocation"):
+            best_response(spec, History(), 0, (10.0, 20.0))
+        assert equilibrium._tables_for.cache_info().misses == misses
 
 
 class TestStageEquilibrium:

@@ -73,3 +73,16 @@ def test_trials_must_be_positive():
     spec = ContestSpec([1, 1], [10, 10])
     with pytest.raises(InputError):
         simulate(proportional_profile(2), spec, seed=5, trials=0)
+
+
+def test_seed_must_be_nonnegative():
+    spec = ContestSpec([1, 1], [10, 10])
+    with pytest.raises(InputError, match="seed"):
+        simulate(proportional_profile(2), spec, seed=-1, trials=5)
+
+
+def test_contests_longer_than_the_recursion_limit():
+    # expected value: every trial plays all 1100 battles and banks each value once
+    spec = ContestSpec([1.0] * 1100, [10, 10])
+    result = simulate(proportional_profile(2), spec, seed=4, trials=3)
+    assert sum(result.means) == pytest.approx(1100.0, abs=1e-9)
