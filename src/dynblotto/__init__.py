@@ -29,9 +29,6 @@ from .core import (
 )
 from .evaluation import (
     DeviationReport,
-    OutcomeNode,
-    OutcomeTree,
-    build_outcome_tree,
     closed_form_gain,
     deviation_gain,
     deviation_gains,

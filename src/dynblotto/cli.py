@@ -54,6 +54,13 @@ def _require(condition, message):
         raise InputError(message)
 
 
+def _integer(raw) -> int:
+    """An integral JSON number as an int; booleans and fractions are refused."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _read(entry, key: str, where: str, convert=float, default=None):
     """`convert(entry[key])`, or `default` when the key is absent and a default is given.
 
@@ -68,7 +75,7 @@ def _read(entry, key: str, where: str, convert=float, default=None):
     try:
         return convert(entry[key])
     except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
+        kind = "an integer" if convert is _integer else "a number"
         raise InputError(f"config field {where} must be {kind}, got {entry[key]!r}") from None
 
 
@@ -118,8 +125,8 @@ def load_config(path: str):
     shocks = {}
     for k, entry in enumerate(_list(raw, "shocks")):
         where = f"shocks[{k}]"
-        key = (_read(entry, "player", f"{where}.player", int),
-               _read(entry, "battle", f"{where}.battle", int))
+        key = (_read(entry, "player", f"{where}.player", _integer),
+               _read(entry, "battle", f"{where}.battle", _integer))
         shocks[key] = _read(entry, "amount", f"{where}.amount")
     spec = ContestSpec(values, budgets, csf, objective, shocks)
     violations = validate_spec(spec)
@@ -127,7 +134,7 @@ def load_config(path: str):
         raise InputError("invalid contest: " + "; ".join(violations))
     solver_raw = raw.get("solver", {})
     solver = SolverSettings(
-        grid_points=_read(solver_raw, "grid_points", "solver.grid_points", int, 200),
+        grid_points=_read(solver_raw, "grid_points", "solver.grid_points", _integer, 200),
         tolerance=_read(solver_raw, "tolerance", "solver.tolerance", default=1e-6),
         budget_step=_read(solver_raw, "budget_step", "solver.budget_step", default=0.25),
     )
@@ -141,7 +148,7 @@ def load_config(path: str):
             value > 0 and math.isfinite(value),
             f"config field solver.{field} must be a positive finite number, got {value!r}",
         )
-    seed = _read(raw, "seed", "seed", int, 0)
+    seed = _read(raw, "seed", "seed", _integer, 0)
     _require(seed >= 0, f"config field seed must be a nonnegative integer, got {seed}")
     return spec, RunSettings(solver=solver, seed=seed)
 

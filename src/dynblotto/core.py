@@ -338,6 +338,23 @@ def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
     return TerminalStatus.ONGOING
 
 
+def _undecided(spec: ContestSpec, played: int, standings):
+    """Which states' standings cannot sway proportional play yet.
+
+    `standings` is a numpy array with one state per row.  Such a state goes
+    on, and under win probability nobody trails hopelessly: the last player
+    plus all value left reaches the leader.  Then nobody has clinched either,
+    since every rival of a leader is at least the last player.  Float
+    addition is monotone, so this holds in floats too.  Returns one bool
+    when it is the same for every state, else a boolean array.
+    """
+    if played == len(spec.values):
+        return False
+    if spec.objective is Objective.EXPECTED_VALUE:
+        return True
+    return standings.min(axis=1) + spec._suffix[played] >= standings.max(axis=1)
+
+
 def _payoff(spec: ContestSpec, status: TerminalStatus, standings) -> tuple:
     """Payoff vector of a terminal state (see `terminal_payoff`)."""
     if spec.objective is Objective.EXPECTED_VALUE:

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    BUDGET_TOLERANCE,
     ContestSpec,
     ContractError,
     ConvergenceError,
@@ -518,6 +519,7 @@ def best_response(
     A scan of `grid_points` spends over the player's budget, refined by the
     stage's saddle search with the opponent's spend pinned; ties go to the
     smallest spend.  A flat objective returns the proportional point, flagged.
+    The opponent's spend must lie in [0, the opponent's remaining budget].
     A `continuation` maps a successor History to the payoff vector; the
     stage reads player A's entry, since the two payoffs add up to one.
     """
@@ -530,6 +532,9 @@ def best_response(
         if len(values) != 1:
             raise InputError("two-player contests take a single opponent allocation")
         opp = values[0]
+    bound = remaining_budget(spec, history, 1 - player)
+    if not 0.0 <= opp <= bound + BUDGET_TOLERANCE:
+        raise InputError(f"opponents_allocation {opp} lies outside [0, {bound}]")
     game = _stage_game_at(spec, history, continuation, settings)
     spend, value, flat = game.best_responses(player, np.array([opp]))
     return BestResponseResult(float(spend[0]), float(value[0]), bool(flat[0]))

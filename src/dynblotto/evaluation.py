@@ -32,45 +32,17 @@ from .core import (
     terminal_status,
 )
 from .strategies import (
-    Deviation,
     Proportional,
-    Strategy,
     StrategyProfile,
+    _below_root,
     _state_allocations,
     allocations_at,
     one_shot_deviation,
     proportional_profile,
 )
 
-# Most winner sequences an exact walk, or a materialized tree, may branch into.
+# Most winner sequences a branching exact walk may enumerate.
 LEAF_CAP = 10**7
-TREE_LEAF_CAP = 10**5
-
-
-@dataclass
-class OutcomeNode:
-    """One node of the winner-enumeration tree."""
-
-    history: History
-    probability: float  # probability of reaching this node from the root
-    status: object
-    payoff: Optional[tuple] = None  # set on terminal nodes
-    children: tuple = ()  # tuple of (winner, branch probability, OutcomeNode)
-
-
-@dataclass(frozen=True)
-class OutcomeTree:
-    root: OutcomeNode
-    leaf_count: int
-
-    def leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.status.terminal:
-                yield node
-            else:
-                stack.extend(child for _, _, child in node.children)
 
 
 def _check_cap(spec: ContestSpec, history: History, cap: int) -> None:
@@ -80,44 +52,6 @@ def _check_cap(spec: ContestSpec, history: History, cap: int) -> None:
             f"{spec.n}**{depth} winner sequences exceed the cap of {cap} leaves; "
             "use montecarlo.simulate for an estimate"
         )
-
-
-def build_outcome_tree(
-    profile: StrategyProfile,
-    spec: ContestSpec,
-    history: Optional[History] = None,
-) -> OutcomeTree:
-    """Materialize the tree of winner sequences, for inspection."""
-    root_history = history if history is not None else History()
-    _check_cap(spec, root_history, TREE_LEAF_CAP)
-    leaf_count = 0
-
-    def grow(h: History, q: float) -> OutcomeNode:
-        nonlocal leaf_count
-        status = terminal_status(spec, h)
-        if status.terminal:
-            leaf_count += 1
-            return OutcomeNode(h, q, status, payoff=terminal_payoff(spec, h))
-        allocations = allocations_at(profile, spec, h)
-        probs = _csf_distribution(allocations, spec.csf)
-        children = tuple(
-            (winner, p, grow(h.extend(allocations, winner), q * p))
-            for winner, p in enumerate(probs)
-            if p > 0.0
-        )
-        return OutcomeNode(h, q, status, children=children)
-
-    return OutcomeTree(grow(root_history, 1.0), leaf_count)
-
-
-def _below_root(strategy: Strategy, root_length: int) -> Strategy:
-    """The strategy as it plays below a history of `root_length` battles.
-
-    A deviation at a history no longer than the root never fires below it.
-    """
-    while type(strategy) is Deviation and len(strategy.history) <= root_length:
-        strategy = strategy.base
-    return strategy
 
 
 def expected_payoffs(

@@ -153,6 +153,16 @@ def proportional_profile(n: int) -> StrategyProfile:
     return StrategyProfile((PROPORTIONAL,) * n)
 
 
+def _below_root(strategy: Strategy, root_length: int) -> Strategy:
+    """The strategy as it plays below a history of `root_length` battles.
+
+    A deviation at a history no longer than the root never fires below it.
+    """
+    while type(strategy) is Deviation and len(strategy.history) <= root_length:
+        strategy = strategy.base
+    return strategy
+
+
 def allocations_at(profile: StrategyProfile, spec: ContestSpec, history: History) -> tuple:
     """Evaluate every player's strategy at a nonterminal history.
 

@@ -1,10 +1,14 @@
 """Shared test helpers: independent oracles and random contest generators."""
 
+import numpy as np
+
 from dynblotto import (
     ContestSpec,
     CsfParams,
     History,
+    InputError,
     Objective,
+    SimulationResult,
     allocations_at,
     csf_probability,
     terminal_payoff,
@@ -32,6 +36,42 @@ def brute_force_payoffs(profile, spec, history=None):
         for i in range(spec.n):
             out[i] += p * sub[i]
     return out
+
+
+def history_tree_simulate(profile, spec, seed, trials):
+    """Reference simulation: walk the tree of Histories, splitting the trials.
+
+    The History walk that `montecarlo.simulate` replaced, built from the
+    public per-battle operations only.  It draws the same uniforms and picks
+    winners by the same inverse-CDF rule, so its result must equal
+    `simulate`'s bit for bit.
+    """
+    if trials < 1 or seed < 0:
+        raise InputError("trials must be positive and seed nonnegative")
+    uniforms = np.random.default_rng(seed).random((trials, spec.m))
+    payoffs = np.zeros((trials, spec.n))
+    stack = [(History(), np.arange(trials))]
+    while stack:
+        history, trial_rows = stack.pop()
+        if terminal_status(spec, history).terminal:
+            payoffs[trial_rows] = terminal_payoff(spec, history)
+            continue
+        allocations = allocations_at(profile, spec, history)
+        probs = [csf_probability(allocations, spec.csf, i) for i in range(spec.n)]
+        thresholds = np.cumsum(probs)
+        draws = uniforms[trial_rows, len(history)]
+        winners = np.searchsorted(thresholds, draws, side="right")
+        np.clip(winners, 0, spec.n - 1, out=winners)
+        for w in reversed(range(spec.n)):
+            rows = trial_rows[winners == w]
+            if rows.size:
+                stack.append((history.extend(allocations, w), rows))
+    means = payoffs.mean(axis=0)
+    if trials > 1:
+        std_errors = payoffs.std(axis=0, ddof=1) / np.sqrt(trials)
+    else:
+        std_errors = np.zeros(spec.n)
+    return SimulationResult(trials, tuple(means.tolist()), tuple(std_errors.tolist()), seed)
 
 
 def random_battle_values(rng, m, lo=0.5, hi=3.0):

@@ -90,6 +90,11 @@ class TestLoadConfig:
             pytest.param({"solver": {"tolerance": float("nan")}}, r"solver\.tolerance",
                          id="tolerance-nan"),
             pytest.param({"seed": -1}, r"config field seed", id="seed-negative"),
+            pytest.param({"seed": 1.7}, r"config field seed", id="seed-fraction"),
+            pytest.param({"seed": True}, r"config field seed", id="seed-boolean"),
+            pytest.param({"seed": float("inf")}, r"config field seed", id="seed-infinite"),
+            pytest.param({"solver": {"grid_points": 2.9}}, r"solver\.grid_points",
+                         id="grid-points-fraction"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):

@@ -77,6 +77,21 @@ class TestBestResponse:
             best_response(spec, History(), 0, (10.0, 20.0))
         assert equilibrium._tables_for.cache_info().misses == misses
 
+    @pytest.mark.parametrize("opp", [-5.0, float("nan"), 500.0, 100.0 + 1e-6])
+    def test_opponent_spend_outside_the_budget_is_rejected(self, opp):
+        spec = ContestSpec([2, 1, 2, 1], [100, 100], objective=WP)
+        misses = equilibrium._tables_for.cache_info().misses
+        with pytest.raises(InputError, match="opponents_allocation"):
+            best_response(spec, History(), 0, opp)
+        assert equilibrium._tables_for.cache_info().misses == misses
+
+    def test_opponent_spend_of_the_whole_budget_is_accepted(self):
+        spec = three_battle_contest()
+        h = history_from_winners(spec, (0, 1))
+        bound = remaining_budget(spec, h, 1)
+        result = best_response(spec, h, 0, bound + 1e-10)  # within BUDGET_TOLERANCE
+        assert result.allocation == pytest.approx(remaining_budget(spec, h, 0), abs=1e-4)
+
 
 class TestStageEquilibrium:
     def test_three_battle_root(self):

@@ -18,7 +18,6 @@ from dynblotto import (
     StrategyProfile,
     Tabular,
     allocations_at,
-    build_outcome_tree,
     closed_form_gain,
     csf_probability,
     deviation_gain,
@@ -220,8 +219,13 @@ class TestStateWalkAgainstOracle:
             assert elapsed < 0.5
 
 
-class TestOutcomeTree:
-    def test_tree_invariants_on_random_specs(self):
+class TestWinnerTreeThroughTheOracle:
+    """Properties of the tree of winner sequences, read through the evaluators."""
+
+    def test_payoffs_add_up_on_random_specs(self):
+        # every branch's probabilities add up to one and every leaf pays out:
+        # win-probability payoffs add up to the one prize, expected values to
+        # the total value of the battles
         rng = random.Random(33)
         for _ in range(20):
             n = rng.choice([2, 3])
@@ -229,28 +233,20 @@ class TestOutcomeTree:
             objective = rng.choice([Objective.EXPECTED_VALUE, WP])
             values = [rng.uniform(0.5, 3.0) for _ in range(m)]
             spec = ContestSpec(values, [rng.uniform(1, 50) for _ in range(n)], objective=objective)
-            tree = build_outcome_tree(proportional_profile(n), spec)
-            reach = 0.0
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                assert len(node.history) <= m
-                if node.status.terminal:
-                    reach += node.probability
-                    assert node.payoff is not None
-                    continue
-                branch_total = sum(p for _, p, _ in node.children)
-                assert branch_total == pytest.approx(1.0, abs=1e-10)
-                assert len(node.children) <= n
-                stack.extend(child for _, _, child in node.children)
-            assert reach == pytest.approx(1.0, abs=1e-10)
+            total = 1.0 if objective is WP else sum(values)
+            oracle = brute_force_payoffs(proportional_profile(n), spec)
+            assert sum(oracle) == pytest.approx(total, abs=1e-10)
+            assert expected_payoffs(proportional_profile(n), spec) == pytest.approx(oracle, abs=1e-12)
 
-    def test_clinched_branches_are_pruned(self):
+    def test_clinched_branches_end_early(self):
         spec = ContestSpec([2, 1, 1, 1], [100, 100], objective=WP)
-        tree = build_outcome_tree(proportional_profile(2), spec)
-        depths = {len(leaf.history) for leaf in tree.leaves()}
-        assert 2 in depths  # double win ends the contest early
-        assert 4 in depths
+        profile = proportional_profile(2)
+        double_win = history_from_winners(spec, (0, 0))  # 3 up with 2 left to play
+        assert terminal_status(spec, double_win).terminal
+        assert brute_force_payoffs(profile, spec, double_win) == [1.0, 0.0]
+        level = history_from_winners(spec, (0, 1, 1))  # 2-2 after three battles
+        assert not terminal_status(spec, level).terminal
+        assert brute_force_payoffs(profile, spec, level) == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 class TestDeviationGain:

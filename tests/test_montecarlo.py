@@ -1,18 +1,27 @@
 """Seeded simulation: determinism and agreement with exact evaluation."""
 
+import random
+import time
+
 import pytest
 
 from dynblotto import (
     ContestSpec,
     CsfParams,
+    History,
     InputError,
     Objective,
     expected_payoffs,
+    history_from_winners,
+    one_shot_deviation,
     proportional_profile,
     simulate,
+    solve_backward,
 )
+from conftest import history_tree_simulate
 
 WP = Objective.WIN_PROBABILITY
+EV = Objective.EXPECTED_VALUE
 
 
 def test_same_seed_same_result():
@@ -86,3 +95,76 @@ def test_contests_longer_than_the_recursion_limit():
     spec = ContestSpec([1.0] * 1100, [10, 10])
     result = simulate(proportional_profile(2), spec, seed=4, trials=3)
     assert sum(result.means) == pytest.approx(1100.0, abs=1e-9)
+
+
+class TestAgainstTheHistoryTree:
+    """`simulate` equals the History-tree walk it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
+    def test_proportional_play_over_a_seeded_family(self, objective, with_shocks):
+        # integer values, so win-probability ties and clinches occur
+        rng = random.Random(f"simulate-family:{objective.value}:{with_shocks}")
+        alphas, trial_counts = (0.5, 1.0, 2.0), (1, 2, 37, 150)
+        for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
+            values = [float(rng.randint(1, 3)) for _ in range(m)]
+            budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
+            shocks = {}
+            if with_shocks:
+                for _ in range(rng.randint(1, n)):
+                    shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
+            spec = ContestSpec(values, budgets, CsfParams(alphas[k % 3], rng.choice([1.0, 2.0])),
+                               objective, shocks)
+            profile = proportional_profile(n)
+            seed, trials = rng.randrange(2**31), trial_counts[k % 4]
+            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
+                profile, spec, seed, trials
+            ), spec
+
+    def test_tabular_profile(self):
+        spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=WP)
+        profile = solve_backward(spec).profile
+        for seed, trials in ((3, 1), (4, 2000)):
+            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
+                profile, spec, seed, trials
+            )
+
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    def test_deviation_profiles(self, objective):
+        spec = ContestSpec([1, 2, 1, 2, 1], [40, 55, 30], objective=objective)
+        base = proportional_profile(3)
+        at_root = one_shot_deviation(base, 1, History(), 3.0)
+        below_root = one_shot_deviation(base, 2, history_from_winners(spec, [0]), 0.5)
+        for profile in (at_root, below_root):
+            assert simulate(profile, spec, 9, 3000) == history_tree_simulate(
+                profile, spec, 9, 3000
+            )
+
+
+@pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+def test_proportional_play_builds_no_history(monkeypatch, objective):
+    def refuse(*args):
+        raise AssertionError("History.extend called")
+
+    spec = ContestSpec([1, 2, 1, 1, 3], [50, 40, 30], objective=objective)
+    expected = history_tree_simulate(proportional_profile(3), spec, 2, 5000)
+    monkeypatch.setattr(History, "extend", refuse)
+    assert simulate(proportional_profile(3), spec, 2, 5000) == expected
+
+
+def test_profile_for_another_player_count_is_rejected():
+    spec = ContestSpec([1, 1, 1], [10, 10, 10])
+    with pytest.raises(InputError, match="profile has 2 strategies for 3 players"):
+        simulate(proportional_profile(2), spec, seed=1, trials=10)
+
+
+@pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+def test_long_contests_take_linear_time(objective):
+    # 1,000 trials of 1,200 battles; a walk over Histories costs O(m^2) per path
+    spec = ContestSpec([1.0] * 1200, [10, 10], objective=objective)
+    start = time.process_time()  # CPU time: other processes on the machine do not count
+    result = simulate(proportional_profile(2), spec, seed=4, trials=1000)
+    elapsed = time.process_time() - start
+    total = 1200.0 if objective is EV else 1.0
+    assert sum(result.means) == pytest.approx(total, abs=1e-9)
+    assert elapsed < 0.5
