@@ -21,6 +21,8 @@ from typing import Mapping, Sequence
 
 import math
 
+import numpy as np
+
 # Feasibility slack for floating-point allocations: spends up to this much
 # above the remaining budget are accepted and clamped.
 BUDGET_TOLERANCE = 1e-9
@@ -286,10 +288,43 @@ def _csf_distribution(allocations, params) -> list:
     return [s / total for s in scores]
 
 
+def _csf_distributions(spends, params):
+    """The array form of `_csf_distribution`: `spends` has one state per row.
+
+    The scores are summed in player order, as Python's `sum` does, and a
+    state where no score is positive (nobody spends) splits evenly.  numpy's
+    power may differ from Python's in the last bit.
+    """
+    scores = spends if params.alpha == 1.0 else spends**params.alpha
+    total = scores[:, 0] + scores[:, 1]
+    for j in range(2, scores.shape[1]):
+        total += scores[:, j]
+    nobody = total == 0.0
+    if not nobody.any():
+        return scores / total[:, None]
+    total[nobody] = 1.0
+    probs = scores / total[:, None]
+    probs[nobody] = 1.0 / scores.shape[1]
+    return probs
+
+
+def _distinct_rows(array):
+    """The first occurrence of each distinct row, and each row's distinct row.
+
+    Rows compare by their bytes, so 0.0 and -0.0 differ; that can only keep
+    two equal states apart.
+    """
+    rows = np.ascontiguousarray(array)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 # ---------------------------------------------------------------------------
 # Contest rules on the state (battles played, standings, spends).  The
-# History-based functions below and the exact evaluator's state walk both
-# read the rules from here, so each is written once.
+# History-based functions below and the strategies read each rule from
+# here; beside a rule stands its array form over many states at once, which
+# the exact evaluator reads.
 
 
 def _formal_budget(spec: ContestSpec, played: int, spent: float, player: int) -> float:
@@ -301,6 +336,12 @@ def _formal_budget(spec: ContestSpec, played: int, spent: float, player: int) ->
     """
     through = played + 1 if played < len(spec.values) else len(spec.values)
     return max(spec.budgets[player] + spec._shock_cum[player][through] - spent, 0.0)
+
+
+def _formal_budgets(spec: ContestSpec, played: int, spent):
+    """The array form of `_formal_budget` before a battle: one state per row."""
+    ceilings = [b + cum[played + 1] for b, cum in zip(spec.budgets, spec._shock_cum)]
+    return np.maximum(np.array(ceilings) - spent, 0.0)
 
 
 def _proportional_spend(spec: ContestSpec, played: int, budget):
@@ -317,9 +358,21 @@ def _rival_best(standings, player: int) -> float:
     return max(v for j, v in enumerate(standings) if j != player)
 
 
+def _rival_bests(standings):
+    """Every player's best rival total; `standings` has one state per row."""
+    ordered = np.sort(standings, axis=1)
+    top, second = ordered[:, -1:], ordered[:, -2:-1]
+    return np.where(standings == top, second, top)
+
+
 def _trails_hopelessly(spec: ContestSpec, played: int, standings, player: int) -> bool:
     """True if the player cannot reach even a tie by winning everything left."""
     return standings[player] + spec._suffix[played] < _rival_best(standings, player)
+
+
+def _hopeless(spec: ContestSpec, played: int, standings):
+    """The array form of `_trails_hopelessly`, for every player of every state."""
+    return standings + spec._suffix[played] < _rival_bests(standings)
 
 
 def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
@@ -336,6 +389,18 @@ def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
         if total > _rival_best(standings, i) + remaining:
             return TerminalStatus(True, (i,))
     return TerminalStatus.ONGOING
+
+
+def _statuses(spec: ContestSpec, played: int, standings):
+    """The array form of `_status` under win probability: one state per row.
+
+    Returns which states have ended, and a boolean per state and player
+    marking the winners of those that have.
+    """
+    if played == len(spec.values):
+        return np.ones(len(standings), bool), standings == standings.max(axis=1, keepdims=True)
+    clinched = standings > _rival_bests(standings) + spec._suffix[played]
+    return clinched.any(axis=1), clinched
 
 
 def _undecided(spec: ContestSpec, played: int, standings):

@@ -1,20 +1,25 @@
 """Exact payoff evaluation and deviation analysis.
 
-Payoffs of a pure strategy profile are computed exactly by one depth-first
-walk over contest states (battles played, standings, spends): each node
-branches on who wins the next battle, weighted by the contest success
-function, and win-probability branches end as soon as someone clinches.
-Under expected value with proportional play below the root, spends do not
-depend on who won, so a node's children share one next state and the walk
-collapses to one node per battle.  On top of the evaluator sit the one-shot
-deviation gain, the Tullock closed form for that gain, and the per-battle
+Payoffs are computed exactly by one level-by-level kernel over contest
+states (row, standings, spent, mass).  A row is one way to play the root
+battle; each later battle is one set of array operations over the live
+states of every row, which branch on who wins it, weighted by the contest
+success function.  Win-probability states end as soon as someone clinches.
+Under proportional play children with equal (row, standings, spent) merge,
+so under expected value, where each battle's value is credited where it is
+fought, a row keeps one state per battle.  A one-shot deviation sweep is
+one kernel call: the proportional baseline and each offset are rows.  On
+top sit the Tullock closed form for the deviation gain and the per-battle
 marginal gain used to characterize proportional play.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     BUDGET_TOLERANCE,
@@ -24,9 +29,10 @@ from .core import (
     History,
     InputError,
     Objective,
-    _csf_distribution,
+    _csf_distributions,
+    _distinct_rows,
     _proportional_spend,
-    _status,
+    _statuses,
     remaining_budget,
     terminal_payoff,
     terminal_status,
@@ -35,14 +41,21 @@ from .strategies import (
     Proportional,
     StrategyProfile,
     _below_root,
+    _proportional_allocations,
     _state_allocations,
     allocations_at,
-    one_shot_deviation,
     proportional_profile,
 )
 
-# Most winner sequences a branching exact walk may enumerate.
+# Most winner sequences an exact evaluation may enumerate, unless it merges
+# to one state per battle (expected value under proportional play).
 LEAF_CAP = 10**7
+
+# Most states of one battle played at once.  A larger level is finished in
+# parts of this size, one after another, so memory stays bounded.
+PART = 2**16
+
+_log = logging.getLogger("dynblotto")
 
 
 def _check_cap(spec: ContestSpec, history: History, cap: int) -> None:
@@ -61,70 +74,124 @@ def expected_payoffs(
 ) -> tuple:
     """Exact per-player expected payoff of the profile from the given history.
 
-    One depth-first walk over contest states (battles played, standings,
-    spends), each node branching on who wins the next battle with its
-    contest success probability.  Zero-probability branches are skipped, and
-    under win probability a branch ends as soon as someone clinches.
-
-    Under expected value each battle's value is credited at the node where
-    it is fought.  When every strategy below the root is `Proportional`, the
-    spends never depend on who won, so all children of a node share one next
-    state: the walk follows that single state, one node per battle, and the
-    payoff is the root standings plus the sum over battles of v_t * p_t.
+    The root goes through `allocations_at`, which checks the profile and
+    plays any deviation at the root; `_level_walk` plays the battles below.
+    Each battle branches on who wins it with its contest success
+    probability; zero-probability branches are skipped, and under win
+    probability a state ends as soon as someone clinches.  Under expected
+    value with proportional play below the root, spends never depend on who
+    won, so the walk keeps one state per battle and the payoff is the root
+    standings plus the sum over battles of v_t * p_t.
 
     Strategies that read more than the state (`Tabular`, or a `Deviation`
-    below the root) get the History of each node; it is only built when the
-    profile holds such a strategy.  LEAF_CAP caps the winner sequences of a
-    branching walk, so it never refuses the one-node-per-battle walk.
+    below the root) get the History of each state, which merges with no
+    other.  LEAF_CAP caps the winner sequences of every walk but the
+    one-state-per-battle one.
     """
     root = history if history is not None else History()
-    win_prob = spec.objective is Objective.WIN_PROBABILITY
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
     markov = all(type(s) is Proportional for s in below)
-    if win_prob or not markov:  # only a branching walk can outgrow the cap
+    if spec.objective is Objective.WIN_PROBABILITY or not markov:  # only these branch
         _check_cap(spec, root, LEAF_CAP)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
-    n, m, csf, values = spec.n, spec.m, spec.csf, spec.values
-    root_standings = root.won_values(spec)
-    accumulated = [0.0] * n if win_prob else list(root_standings)
+    spends = np.array([allocations_at(profile, spec, root)])
+    return tuple(_level_walk(spec, root, spends, below)[0].tolist())
 
-    def walk(played, standings, spent, h, q, allocations=None) -> None:
-        # A stretch of single next states is a loop, not a recursion, so the
-        # one-node-per-battle walk takes contests of any length.
-        while True:
+
+def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndarray:
+    """Exact payoffs of R ways to play the root battle: an R x n array.
+
+    Row r spends `root_spends[r]` at the nonterminal root and plays the
+    strategies `below` after it.  The live states of a battle are arrays of
+    (row, standings, spent, mass), played in one set of array operations:
+    ended states bank their payoffs, the others get their spends and their
+    contest success probabilities, and each branches on the winner.  Under
+    expected value each battle's value is credited where it is fought, so
+    the standings stay the root's.  When every strategy below is
+    `Proportional`, children with equal (row, standings, spent) merge and
+    their masses add up; under expected value all children of a state are
+    one state, which keeps its mass.  Otherwise each state carries its
+    History, which the strategies read, and nothing merges.  A level of
+    more than PART states is finished in parts, one after another.
+    """
+    n, m, values = spec.n, spec.m, spec.values
+    win_prob = spec.objective is Objective.WIN_PROBABILITY
+    markov = all(type(s) is Proportional for s in below)
+    count = len(root_spends)
+    standings, spent = np.empty((count, n)), np.empty((count, n))
+    standings[:] = root.won_values(spec)
+    spent[:] = [root.spent(i) for i in range(n)]
+    out = np.zeros((count, n)) if win_prob else standings.copy()
+    histories = None
+    if not markov:
+        histories = np.empty(count, object)
+        histories.fill(root)
+    state = (np.arange(count), standings, spent, np.ones(count), histories, root_spends)
+    stack = [(len(root), state)]
+    states, merged, parts = [0] * (m + 1), 0, 0
+    while stack:
+        played, state = stack.pop()
+        size = len(state[0])
+        if size > PART:
+            cuts = range(0, size, PART)
+            parts += len(cuts)
+            stack.extend((played, _take(state, slice(c, c + PART))) for c in reversed(cuts))
+            continue
+        states[played] += size
+        rows, standings, spent, mass, histories, spends = state
+        if spends is None:
             if win_prob:
-                status = _status(spec, played, standings)
-                if status.terminal:
-                    share = q / len(status.winners)
-                    for i in status.winners:
-                        accumulated[i] += share
-                    return
+                ended, winners = _statuses(spec, played, standings)
+                if ended.any():
+                    won = winners[ended]
+                    np.add.at(out, rows[ended], won * (mass[ended] / won.sum(axis=1))[:, None])
+                    rows, standings, spent, mass, histories = _take(state[:5], ~ended)
+                    if not rows.size:
+                        continue
             elif played == m:
-                return  # every battle's value was credited where it was fought
-            if allocations is None:
-                allocations = _state_allocations(below, spec, played, standings, spent, h)
-            probs = _csf_distribution(allocations, csf)
-            spent = tuple(s + w for s, w in zip(spent, allocations))
-            value = values[played]
-            if not win_prob:
-                for i, p in enumerate(probs):
-                    accumulated[i] += q * p * value
-            if win_prob or not markov:
-                break
-            played, allocations = played + 1, None
-        for winner, p in enumerate(probs):
-            if p > 0.0:
-                branch = list(standings)
-                branch[winner] += value
-                child = None if markov else h.extend(allocations, winner)
-                walk(played + 1, tuple(branch), spent, child, q * p)
+                continue  # every battle's value was credited where it was fought
+            if markov:
+                spends = _proportional_allocations(spec, played, standings, spent)
+            else:
+                spends = np.array([
+                    _state_allocations(below, spec, played, s, p, h)
+                    for s, p, h in zip(standings.tolist(), spent.tolist(), histories)
+                ])
+        probs = _csf_distributions(spends, spec.csf)
+        if not win_prob:
+            np.add.at(out, rows, mass[:, None] * probs * values[played])
+            if markov:  # spends never depend on who won: every child is one state
+                stack.append((played + 1, (rows, standings, spent + spends, mass, None, None)))
+                continue
+        parent, winner = np.nonzero(probs > 0.0)
+        rows, standings = rows[parent], standings[parent]
+        spent = spent[parent] + spends[parent]
+        mass = mass[parent] * probs[parent, winner]
+        if win_prob:
+            standings[np.arange(parent.size), winner] += values[played]
+        if markov:
+            first, group = _distinct_rows(np.column_stack((rows, standings, spent)))
+            merged += parent.size - first.size
+            rows, standings, spent = rows[first], standings[first], spent[first]
+            mass = np.bincount(group, weights=mass)
+        else:
+            children = zip(histories[parent], spends[parent].tolist(), winner.tolist())
+            histories = np.empty(parent.size, object)
+            histories[:] = [h.extend(a, w) for h, a, w in children]
+        stack.append((played + 1, (rows, standings, spent, mass, histories, None)))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "exact walk: %d rows, states per battle %s, %d states merged, "
+            "%d parts of split battles",
+            count, states[len(root):], merged, parts,
+        )
+    return out
 
-    # The root goes through the public per-battle rule, which checks the
-    # profile and plays any deviation at the root; the walk takes over below.
-    spent = tuple(root.spent(i) for i in range(n))
-    walk(len(root), root_standings, spent, root, 1.0, allocations_at(profile, spec, root))
-    return tuple(accumulated)
+
+def _take(arrays, index) -> tuple:
+    """Index every array of a state tuple alike, passing over missing ones."""
+    return tuple(None if a is None else a[index] for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -163,7 +230,12 @@ def deviation_gains(
     player: int,
     deltas: Sequence[float],
 ) -> list:
-    """Deviation reports for several offsets, sharing one baseline evaluation.
+    """Deviation reports for several offsets, from one walk.
+
+    Row 0 of the walk plays proportionally at the history; each offset adds
+    a row in which the player's spend there is the proportional one plus
+    the offset, clamped into [0, budget].  Every row plays proportionally
+    below the history, so each gain is the row's payoff minus row 0's.
 
     Payoffs are evaluated in the contest as known at the history: shocks
     announced for later battles are not visible when the deviation is chosen,
@@ -173,31 +245,39 @@ def deviation_gains(
         raise ContractError("deviations are undefined at terminal histories")
     known = spec.truncate_shocks(len(history) + 1)
     base = proportional_profile(known.n)
+    if known.objective is Objective.WIN_PROBABILITY:
+        _check_cap(known, history, LEAF_CAP)
+    baseline = allocations_at(base, known, history)
     budget = remaining_budget(known, history, player)
     played = len(history)
     x_next = known.values[played]
     k = known.suffix_value(played) / x_next
     spend = _proportional_spend(known, played, budget)
-    baseline = expected_payoffs(base, known, history)[player]
 
     tullock = known.csf.alpha == 1.0
     expected_value = known.objective is Objective.EXPECTED_VALUE
     opponents = sum(remaining_budget(known, history, j) for j in range(known.n) if j != player)
 
+    deltas = [float(delta) for delta in deltas]
+    deviated = spend + np.array(deltas)
+    outside = ~((deviated >= -BUDGET_TOLERANCE) & (deviated <= budget + BUDGET_TOLERANCE))
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise InputError(
+            f"deviation {deltas[j]} puts the spend {float(deviated[j])} outside [0, {budget}]"
+        )
+    rows = np.empty((len(deltas) + 1, known.n))
+    rows[:] = baseline
+    rows[1:, player] = np.minimum(np.maximum(deviated, 0.0), budget)
+    payoffs = _level_walk(known, history, rows, base.strategies)[:, player]
+    gains = (payoffs[1:] - payoffs[0]).tolist()
+
     reports = []
-    for delta in deltas:
-        delta = float(delta)
-        deviated_spend = spend + delta
-        if not -BUDGET_TOLERANCE <= deviated_spend <= budget + BUDGET_TOLERANCE:
-            raise InputError(
-                f"deviation {delta} puts the spend {deviated_spend} outside [0, {budget}]"
-            )
-        profile = one_shot_deviation(base, player, history, deviated_spend)
-        value = expected_payoffs(profile, known, history)[player]
+    for delta, gain in zip(deltas, gains):
         closed = None
         if tullock and expected_value:
             closed = closed_form_gain(budget, opponents, k, delta, x_next)
-        reports.append(DeviationReport(history, player, delta, value - baseline, closed))
+        reports.append(DeviationReport(history, player, delta, gain, closed))
     return reports
 
 

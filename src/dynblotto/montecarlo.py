@@ -27,6 +27,7 @@ from .core import (
     History,
     InputError,
     _csf_distribution,
+    _distinct_rows,
     _payoff,
     _status,
     _undecided,
@@ -191,14 +192,3 @@ def _evaluate(spec, below, markov, played, standings, spent, histories, outcomes
         probs[sid] = _csf_distribution(allocations, spec.csf)
     return spends, probs, ended
 
-
-def _distinct_rows(array):
-    """The first occurrence of each distinct row, and each row's distinct row.
-
-    Rows compare by their bytes, so 0.0 and -0.0 differ; that can only keep
-    two equal states apart.
-    """
-    rows = np.ascontiguousarray(array)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse

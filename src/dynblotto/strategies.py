@@ -21,6 +21,8 @@ from .core import (
     Objective,
     _csf_distribution,
     _formal_budget,
+    _formal_budgets,
+    _hopeless,
     _proportional_spend,
     _trails_hopelessly,
     remaining_budget,
@@ -200,6 +202,17 @@ def _state_allocations(strategies, spec, played, standings, spent, history) -> t
         raw = strategy.allocation(spec, history, i)
         out.append(min(max(raw, 0.0), bound))
     return tuple(out)
+
+
+def _proportional_allocations(spec, played, standings, spent):
+    """The array form of `_state_allocations` for a profile of `Proportional`.
+
+    `standings` and `spent` are numpy arrays with one nonterminal state per row.
+    """
+    spends = _proportional_spend(spec, played, _formal_budgets(spec, played, spent))
+    if spec.objective is Objective.WIN_PROBABILITY:
+        spends[_hopeless(spec, played, standings)] = 0.0
+    return spends
 
 
 def one_shot_deviation(

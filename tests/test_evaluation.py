@@ -1,10 +1,13 @@
 """Exact evaluation, deviation gains, closed form, marginal gains."""
 
 import itertools
+import logging
 import math
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dynblotto import (
@@ -31,6 +34,8 @@ from dynblotto import (
     remaining_budget,
     terminal_status,
 )
+from dynblotto import evaluation
+from dynblotto.evaluation import _level_walk
 from conftest import brute_force_payoffs, random_ev_spec
 
 WP = Objective.WIN_PROBABILITY
@@ -217,6 +222,135 @@ class TestStateWalkAgainstOracle:
             closed = [sum(values) * s / sum(scores) for s in scores]
             assert payoffs == pytest.approx(closed, abs=1e-12)
             assert elapsed < 0.5
+
+
+def walk_records(caplog):
+    """(rows, states per battle, states merged, parts split) of each logged walk."""
+    return [r.args for r in caplog.records if r.msg.startswith("exact walk")]
+
+
+class TestLevelWalk:
+    """The level-by-level kernel: merging, rows, sweeps, parts and its log."""
+
+    def test_merged_win_probability_states_match_the_oracle(self, caplog):
+        # integer values make equal standings common, so states merge
+        caplog.set_level(logging.DEBUG, logger="dynblotto")
+        rng = random.Random(44)
+        for n, m in ((2, 9), (3, 6), (4, 5)):
+            for _ in range(4):
+                spec = oracle_spec(rng, WP, n, m, rng.choice([0.5, 1.0, 2.0]),
+                                   rng.random() < 0.5, integer_values=True)
+                profile = proportional_profile(n)
+                assert expected_payoffs(profile, spec) == pytest.approx(
+                    brute_force_payoffs(profile, spec), abs=1e-12
+                ), spec
+        merged = [record[2] for record in walk_records(caplog)]
+        assert len(merged) == 12 and min(merged) > 0
+
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    def test_rows_do_not_touch_each_other(self, objective):
+        # each row of a batch, repeated rows included, pays bit for bit what
+        # it pays alone
+        rng = random.Random(f"rows-{objective.value}")
+        for _ in range(20):
+            n = rng.choice([2, 3, 4])
+            spec = oracle_spec(rng, objective, n, rng.randint(2, 5), rng.choice([0.5, 1.0, 2.0]),
+                               rng.random() < 0.5, rng.random() < 0.5)
+            base = proportional_profile(n)
+            root = open_history(rng, spec, base, rng.randrange(spec.m))
+            strategies = [PROPORTIONAL] * n
+            if rng.random() < 0.3:
+                strategies[0] = Tabular(player=0)  # plays proportionally, through a History
+            below = tuple(strategies)
+            budgets = [remaining_budget(spec, root, i) for i in range(n)]
+            batch = np.array([[rng.uniform(0.0, b) for b in budgets] for _ in range(4)])
+            batch = np.concatenate((batch, batch[:2]))
+            together = _level_walk(spec, root, batch, below)
+            for row, payoffs in zip(batch, together):
+                alone = _level_walk(spec, root, row[None, :], below)[0]
+                assert np.array_equal(payoffs, alone), (spec, root, row)
+
+    @pytest.mark.parametrize(
+        "objective, alpha, shocked",
+        [(EV, 1.0, False), (WP, 1.0, False), (EV, 2.0, False), (WP, 2.0, True), (EV, 0.5, True)],
+        ids=["ev", "wp", "ev-alpha2", "wp-alpha2-shocks", "ev-alpha0.5-shocks"],
+    )
+    def test_sweep_equals_single_evaluations(self, objective, alpha, shocked):
+        rng = random.Random(f"sweep-{objective.value}-{alpha}-{shocked}")
+        for _ in range(15):
+            n = rng.choice([2, 3, 4])
+            spec = oracle_spec(rng, objective, n, rng.randint(2, 5), alpha, shocked,
+                               objective is WP and rng.random() < 0.5)
+            base = proportional_profile(n)
+            h = open_history(rng, spec, base, rng.randrange(spec.m))
+            player = rng.randrange(n)
+            known = spec.truncate_shocks(len(h) + 1)
+            budget = remaining_budget(known, h, player)
+            spend = budget * (known.values[len(h)] / known.suffix_value(len(h)))
+            baseline = expected_payoffs(base, known, h)[player]
+            for report in deviation_gains(spec, h, player, deviation_grid(spec, h, player, 7)):
+                single = one_shot_deviation(base, player, h, spend + report.delta)
+                assert report.gain == expected_payoffs(single, known, h)[player] - baseline
+
+    def test_large_levels_are_finished_in_parts(self, monkeypatch, caplog):
+        # 2**20 winner sequences with generic values: nothing merges, and the
+        # last four battles hold over 100,000 states each
+        caplog.set_level(logging.DEBUG, logger="dynblotto")
+        rng = random.Random(45)
+        values = [rng.uniform(0.5, 3.0) for _ in range(20)]
+        spec = ContestSpec(values, [37.0, 81.0], objective=WP)
+        tracemalloc.start()
+        try:
+            split = expected_payoffs(proportional_profile(2), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(evaluation, "PART", 2**30)
+        whole = expected_payoffs(proportional_profile(2), spec)
+        assert split == pytest.approx(whole, abs=1e-12)
+        assert peak < 40 * 2**20
+        parts = [record[3] for record in walk_records(caplog)]
+        assert parts[0] > 0 and parts[1] == 0
+
+    def test_proportional_play_builds_no_history(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("History.extend called")
+
+        roots = {}
+        for objective in (EV, WP):
+            spec = ContestSpec([1, 2, 1, 1, 3], [50, 40, 30], objective=objective)
+            roots[objective] = (spec, history_from_winners(spec, [0]))
+        monkeypatch.setattr(History, "extend", refuse)
+        for spec, root in roots.values():
+            expected_payoffs(proportional_profile(3), spec)
+            expected_payoffs(proportional_profile(3), spec, root)
+            deviation_gains(spec, root, 1, deviation_grid(spec, root, 1))
+            expected_payoffs(one_shot_deviation(proportional_profile(3), 2, root, 1.0), spec, root)
+
+    def test_generic_win_probability_is_fast(self):
+        # 2**16 winner sequences with generic values: about 49,000 states,
+        # none merged
+        rng = random.Random(46)
+        spec = ContestSpec([rng.uniform(0.5, 3.0) for _ in range(16)], [37.0, 81.0], objective=WP)
+        start = time.process_time()  # CPU time: other processes on the machine do not count
+        payoffs = expected_payoffs(proportional_profile(2), spec)
+        elapsed = time.process_time() - start
+        assert sum(payoffs) == pytest.approx(1.0, abs=1e-12)
+        assert elapsed < 0.15
+
+    def test_one_debug_record_per_evaluation(self, caplog):
+        spec = ContestSpec([1, 1, 2], [30, 20, 10], objective=WP)
+        with caplog.at_level(logging.INFO, logger="dynblotto"):
+            expected_payoffs(proportional_profile(3), spec)
+        assert walk_records(caplog) == []
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            expected_payoffs(proportional_profile(3), spec)
+            deviation_gains(spec, History(), 0, (0.0, 1.0))
+        (one, sweep) = walk_records(caplog)
+        rows, states, merged, parts = one
+        assert (rows, states[:2], parts) == (1, [1, 3], 0)  # the root, then one state per winner
+        assert len(states) == 4 and merged >= 0
+        assert sweep[0] == 3  # the baseline and two offsets
 
 
 class TestWinnerTreeThroughTheOracle:
