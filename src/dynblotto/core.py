@@ -152,6 +152,20 @@ class ContestSpec:
                 row[t] += row[t - 1]
         object.__setattr__(self, "_shock_cum", tuple(tuple(row) for row in cum))
 
+        # Success-function scores of the largest spends the budgets and
+        # shocks allow must add up to a finite number, or the win
+        # probabilities of a battle come out NaN.
+        alpha = self.csf.alpha
+        try:
+            peak = sum(max(b + max(row), 0.0) ** alpha for b, row in zip(self.budgets, cum))
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise InputError(
+                f"budgets and shocks too large for csf alpha {alpha}: "
+                "success-function scores overflow; scale them down"
+            )
+
     @property
     def n(self) -> int:
         return len(self.budgets)
@@ -263,7 +277,7 @@ def csf_probability(allocations: Sequence[float], params: CsfParams, i: int) -> 
     """Probability that player i wins a battle fought with these allocations.
 
     Ratio of f(w_i) to the sum of f over all players; a uniform 1/n draw when
-    nobody spends anything.
+    that sum is 0 (nobody spends anything, or every f(w) underflows).
     """
     allocations = tuple(float(w) for w in allocations)
     if not 0 <= i < len(allocations):
@@ -275,16 +289,19 @@ def csf_probability(allocations: Sequence[float], params: CsfParams, i: int) -> 
 
 
 def _csf_distribution(allocations, params) -> list:
-    """Win probability of every player, in player order.  No input checks."""
-    if not any(allocations):
-        n = len(allocations)
-        return [1.0 / n] * n
+    """Win probability of every player, in player order.  No input checks.
+
+    A battle where no score is positive (nobody spends, or every score
+    underflows) splits evenly.
+    """
     alpha = params.alpha
     if alpha == 1.0:
         scores = list(allocations)
     else:
         scores = [w**alpha for w in allocations]
     total = sum(scores)
+    if total == 0.0:
+        return [1.0 / len(scores)] * len(scores)
     return [s / total for s in scores]
 
 
@@ -292,8 +309,9 @@ def _csf_distributions(spends, params):
     """The array form of `_csf_distribution`: `spends` has one state per row.
 
     The scores are summed in player order, as Python's `sum` does, and a
-    state where no score is positive (nobody spends) splits evenly.  numpy's
-    power may differ from Python's in the last bit.
+    state where no score is positive (nobody spends, or every score
+    underflows) splits evenly.  numpy's power may differ from Python's in
+    the last bit.
     """
     scores = spends if params.alpha == 1.0 else spends**params.alpha
     total = scores[:, 0] + scores[:, 1]
@@ -324,7 +342,7 @@ def _distinct_rows(array):
 # Contest rules on the state (battles played, standings, spends).  The
 # History-based functions below and the strategies read each rule from
 # here; beside a rule stands its array form over many states at once, which
-# the exact evaluator reads.
+# the per-battle step of `strategies` reads.
 
 
 def _formal_budget(spec: ContestSpec, played: int, spent: float, player: int) -> float:
@@ -392,32 +410,18 @@ def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
 
 
 def _statuses(spec: ContestSpec, played: int, standings):
-    """The array form of `_status` under win probability: one state per row.
+    """The array form of `_status`: one state per row.
 
     Returns which states have ended, and a boolean per state and player
-    marking the winners of those that have.
+    marking the winners of those that have.  Under expected value nothing
+    ends before the last battle.
     """
     if played == len(spec.values):
         return np.ones(len(standings), bool), standings == standings.max(axis=1, keepdims=True)
+    if spec.objective is Objective.EXPECTED_VALUE:
+        return np.zeros(len(standings), bool), np.zeros(standings.shape, bool)
     clinched = standings > _rival_bests(standings) + spec._suffix[played]
     return clinched.any(axis=1), clinched
-
-
-def _undecided(spec: ContestSpec, played: int, standings):
-    """Which states' standings cannot sway proportional play yet.
-
-    `standings` is a numpy array with one state per row.  Such a state goes
-    on, and under win probability nobody trails hopelessly: the last player
-    plus all value left reaches the leader.  Then nobody has clinched either,
-    since every rival of a leader is at least the last player.  Float
-    addition is monotone, so this holds in floats too.  Returns one bool
-    when it is the same for every state, else a boolean array.
-    """
-    if played == len(spec.values):
-        return False
-    if spec.objective is Objective.EXPECTED_VALUE:
-        return True
-    return standings.min(axis=1) + spec._suffix[played] >= standings.max(axis=1)
 
 
 def _payoff(spec: ContestSpec, status: TerminalStatus, standings) -> tuple:

@@ -41,10 +41,10 @@ from .core import (
     History,
     InputError,
     Objective,
-    _csf_distribution,
     _payoff,
     _proportional_spend,
     _status,
+    _statuses,
     remaining_budget,
     terminal_status,
 )
@@ -52,7 +52,8 @@ from .evaluation import DeviationReport, deviation_gains, deviation_grid
 from .strategies import (
     StrategyProfile,
     Tabular,
-    allocations_at,
+    _children,
+    _level_spends,
     proportional_profile,
 )
 
@@ -610,26 +611,25 @@ def solve_backward(
 
 def _sampled_histories(spec: ContestSpec, plan: SamplingPlan):
     yield from plan.histories
-    profile = proportional_profile(spec.n)
+    below = proportional_profile(spec.n).strategies
     rng = random.Random(plan.seed)
-    level = [History()]
-    yield from level
-    for _ in range(spec.m - 1):
-        nxt = []
-        for history in level:
-            if terminal_status(spec, history).terminal:
-                continue
-            allocations = allocations_at(profile, spec, history)
-            probs = _csf_distribution(allocations, spec.csf)
-            for winner, p in enumerate(probs):
-                if p > 0.0:
-                    successor = history.extend(allocations, winner)
-                    if not terminal_status(spec, successor).terminal:
-                        nxt.append(successor)
-        if plan.max_per_depth is not None and len(nxt) > plan.max_per_depth:
-            nxt = [nxt[i] for i in sorted(rng.sample(range(len(nxt)), plan.max_per_depth))]
-        level = nxt
-        yield from level
+    standings, spent = np.zeros((1, spec.n)), np.zeros((1, spec.n))
+    histories = np.empty(1, object)
+    histories[0] = History()
+    yield from histories
+    for played in range(spec.m - 1):
+        spends, probs = _level_spends(below, spec, played, standings, spent, histories)
+        parent, winner = np.nonzero(probs > 0.0)
+        standings, spent, histories, _, _ = _children(
+            spec, played, parent, winner, standings, spent, spends, histories
+        )
+        live = np.flatnonzero(~_statuses(spec, played + 1, standings)[0])
+        if not live.size:
+            return
+        if plan.max_per_depth is not None and live.size > plan.max_per_depth:
+            live = live[sorted(rng.sample(range(live.size), plan.max_per_depth))]
+        standings, spent, histories = standings[live], spent[live], histories[live]
+        yield from histories
 
 
 def check_proportionality(

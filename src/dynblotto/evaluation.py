@@ -30,7 +30,6 @@ from .core import (
     InputError,
     Objective,
     _csf_distributions,
-    _distinct_rows,
     _proportional_spend,
     _statuses,
     remaining_budget,
@@ -41,8 +40,8 @@ from .strategies import (
     Proportional,
     StrategyProfile,
     _below_root,
-    _proportional_allocations,
-    _state_allocations,
+    _children,
+    _level_spends,
     allocations_at,
     proportional_profile,
 )
@@ -106,14 +105,15 @@ def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndar
     strategies `below` after it.  The live states of a battle are arrays of
     (row, standings, spent, mass), played in one set of array operations:
     ended states bank their payoffs, the others get their spends and their
-    contest success probabilities, and each branches on the winner.  Under
-    expected value each battle's value is credited where it is fought, so
-    the standings stay the root's.  When every strategy below is
+    contest success probabilities from `_level_spends`, and each branches
+    on the winner through `_children`.  Under expected value each battle's
+    value is credited where it is fought.  When every strategy below is
     `Proportional`, children with equal (row, standings, spent) merge and
     their masses add up; under expected value all children of a state are
-    one state, which keeps its mass.  Otherwise each state carries its
-    History, which the strategies read, and nothing merges.  A level of
-    more than PART states is finished in parts, one after another.
+    one state, which keeps its mass and the standings it has.  Otherwise
+    each state carries its History, which the strategies read, and nothing
+    merges.  A level of more than PART states is finished in parts, one
+    after another.
     """
     n, m, values = spec.n, spec.m, spec.values
     win_prob = spec.objective is Objective.WIN_PROBABILITY
@@ -141,44 +141,29 @@ def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndar
         states[played] += size
         rows, standings, spent, mass, histories, spends = state
         if spends is None:
-            if win_prob:
-                ended, winners = _statuses(spec, played, standings)
-                if ended.any():
+            ended, winners = _statuses(spec, played, standings)
+            if ended.any():
+                if win_prob:  # under expected value every value was credited where fought
                     won = winners[ended]
                     np.add.at(out, rows[ended], won * (mass[ended] / won.sum(axis=1))[:, None])
-                    rows, standings, spent, mass, histories = _take(state[:5], ~ended)
-                    if not rows.size:
-                        continue
-            elif played == m:
-                continue  # every battle's value was credited where it was fought
-            if markov:
-                spends = _proportional_allocations(spec, played, standings, spent)
-            else:
-                spends = np.array([
-                    _state_allocations(below, spec, played, s, p, h)
-                    for s, p, h in zip(standings.tolist(), spent.tolist(), histories)
-                ])
-        probs = _csf_distributions(spends, spec.csf)
+                if ended.all():
+                    continue
+                rows, standings, spent, mass, histories = _take(state[:5], ~ended)
+            spends, probs = _level_spends(below, spec, played, standings, spent, histories)
+        else:
+            probs = _csf_distributions(spends, spec.csf)
         if not win_prob:
             np.add.at(out, rows, mass[:, None] * probs * values[played])
-            if markov:  # spends never depend on who won: every child is one state
+            if histories is None:  # spends never depend on who won: every child is one state
                 stack.append((played + 1, (rows, standings, spent + spends, mass, None, None)))
                 continue
         parent, winner = np.nonzero(probs > 0.0)
-        rows, standings = rows[parent], standings[parent]
-        spent = spent[parent] + spends[parent]
         mass = mass[parent] * probs[parent, winner]
-        if win_prob:
-            standings[np.arange(parent.size), winner] += values[played]
-        if markov:
-            first, group = _distinct_rows(np.column_stack((rows, standings, spent)))
-            merged += parent.size - first.size
-            rows, standings, spent = rows[first], standings[first], spent[first]
-            mass = np.bincount(group, weights=mass)
-        else:
-            children = zip(histories[parent], spends[parent].tolist(), winner.tolist())
-            histories = np.empty(parent.size, object)
-            histories[:] = [h.extend(a, w) for h, a, w in children]
+        standings, spent, histories, first, group = _children(
+            spec, played, parent, winner, standings, spent, spends, histories, key=rows
+        )
+        merged += parent.size - first.size
+        rows, mass = rows[parent[first]], np.bincount(group, weights=mass)
         stack.append((played + 1, (rows, standings, spent, mass, histories, None)))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(

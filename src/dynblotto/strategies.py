@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     ContestSpec,
     ContractError,
@@ -20,6 +22,8 @@ from .core import (
     InputError,
     Objective,
     _csf_distribution,
+    _csf_distributions,
+    _distinct_rows,
     _formal_budget,
     _formal_budgets,
     _hopeless,
@@ -204,15 +208,52 @@ def _state_allocations(strategies, spec, played, standings, spent, history) -> t
     return tuple(out)
 
 
-def _proportional_allocations(spec, played, standings, spent):
-    """The array form of `_state_allocations` for a profile of `Proportional`.
+def _level_spends(below, spec, played, standings, spent, histories):
+    """Spends and contest success probabilities of live states, one per row.
 
-    `standings` and `spent` are numpy arrays with one nonterminal state per row.
+    The states have played `played` battles; `standings` and `spent` are
+    numpy arrays with one state per row.  When `histories` is None every
+    strategy in `below` is `Proportional` and all spends come from one set
+    of array operations; otherwise each state's History goes to
+    `_state_allocations`.
     """
-    spends = _proportional_spend(spec, played, _formal_budgets(spec, played, spent))
-    if spec.objective is Objective.WIN_PROBABILITY:
-        spends[_hopeless(spec, played, standings)] = 0.0
-    return spends
+    if histories is None:
+        spends = _proportional_spend(spec, played, _formal_budgets(spec, played, spent))
+        if spec.objective is Objective.WIN_PROBABILITY:
+            spends[_hopeless(spec, played, standings)] = 0.0
+    else:
+        spends = np.array([
+            _state_allocations(below, spec, played, s, p, h)
+            for s, p, h in zip(standings.tolist(), spent.tolist(), histories)
+        ])
+    return spends, _csf_distributions(spends, spec.csf)
+
+
+def _children(spec, played, parent, winner, standings, spent, spends, histories, key=None):
+    """The states reached when `winner` wins battle `played` + 1 from state `parent`.
+
+    `parent` and `winner` hold one child each; `standings`, `spent`,
+    `spends` and `key` have one parent state per row.  Without Histories,
+    children equal in (key, standings, spent) merge into one state.  With
+    them, each child extends its parent's History and none merge.  Returns
+    the states' standings, spent and Histories, the first child of each
+    state, and each child's state.
+    """
+    standings = standings[parent]
+    standings[np.arange(parent.size), winner] += spec.values[played]
+    spent = spent[parent] + spends[parent]
+    if histories is not None:
+        allocations = spends.tolist()
+        extended = np.empty(parent.size, object)
+        extended[:] = [
+            histories[p].extend(allocations[p], w)
+            for p, w in zip(parent.tolist(), winner.tolist())
+        ]
+        every = np.arange(parent.size)
+        return standings, spent, extended, every, every
+    columns = (standings, spent) if key is None else (key[parent], standings, spent)
+    first, group = _distinct_rows(np.column_stack(columns))
+    return standings[first], spent[first], None, first, group
 
 
 def one_shot_deviation(

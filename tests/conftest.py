@@ -1,5 +1,7 @@
 """Shared test helpers: independent oracles and random contest generators."""
 
+import random
+
 import numpy as np
 
 from dynblotto import (
@@ -11,6 +13,7 @@ from dynblotto import (
     SimulationResult,
     allocations_at,
     csf_probability,
+    proportional_profile,
     terminal_payoff,
     terminal_status,
 )
@@ -72,6 +75,38 @@ def history_tree_simulate(profile, spec, seed, trials):
     else:
         std_errors = np.zeros(spec.n)
     return SimulationResult(trials, tuple(means.tolist()), tuple(std_errors.tolist()), seed)
+
+
+def history_bfs_histories(spec, plan):
+    """Reference for the histories `check_proportionality` sweeps: a History BFS.
+
+    The breadth-first walk over Histories that `equilibrium._sampled_histories`
+    replaced, built from the public per-battle operations only: the plan's
+    own histories, then the root and every nonterminal history reachable
+    under proportional play through battle m - 1, depth by depth.  A depth
+    of more than `plan.max_per_depth` histories is cut to a sorted sample
+    drawn by one `random.Random(plan.seed)`.  Returns a list.
+    """
+    out = list(plan.histories)
+    profile = proportional_profile(spec.n)
+    rng = random.Random(plan.seed)
+    level = [History()]
+    out.extend(level)
+    for _ in range(spec.m - 1):
+        deeper = []
+        for history in level:
+            allocations = allocations_at(profile, spec, history)
+            for winner in range(spec.n):
+                if csf_probability(allocations, spec.csf, winner) > 0.0:
+                    successor = history.extend(allocations, winner)
+                    if not terminal_status(spec, successor).terminal:
+                        deeper.append(successor)
+        if plan.max_per_depth is not None and len(deeper) > plan.max_per_depth:
+            picked = sorted(rng.sample(range(len(deeper)), plan.max_per_depth))
+            deeper = [deeper[i] for i in picked]
+        level = deeper
+        out.extend(level)
+    return out
 
 
 def random_battle_values(rng, m, lo=0.5, hi=3.0):

@@ -166,6 +166,36 @@ class TestCommands:
         assert main(["simulate", "--config", example2_config(tmp_path), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: seed must be")
 
+    @pytest.mark.parametrize("command", ["evaluate", "simulate", "check"])
+    def test_scores_that_underflow_split_every_battle(self, tmp_path, capsys, command):
+        # budgets of 1e-200 at alpha = 2 give scores of 0, as if nobody spent
+        path = write_config(tmp_path, {
+            "players": [{"budget": 1e-200}, {"budget": 1e-200}],
+            "battles": [{"value": 1}, {"value": 1}, {"value": 1}],
+            "csf": {"alpha": 2},
+        })
+        assert main([command, "--config", path, "--output", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        if command == "evaluate":
+            assert report["payoffs"] == [1.5, 1.5]
+        elif command == "simulate":
+            assert sum(report["means"]) == pytest.approx(3.0, abs=1e-12)
+            for mean, error in zip(report["means"], report["std_errors"]):
+                assert abs(mean - 1.5) <= 4.0 * error
+        else:
+            assert report["holds"] is True and report["max_gain"] == 0.0
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate", "check"])
+    def test_scores_that_overflow_are_an_error(self, tmp_path, capsys, command):
+        # 1e300 ** 2 overflows, which made every win probability NaN
+        path = write_config(tmp_path, {
+            "players": [{"budget": 1e300}, {"budget": 1e299}],
+            "battles": [{"value": 1}, {"value": 1}, {"value": 1}],
+            "csf": {"alpha": 2},
+        })
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: budgets and shocks too large")
+
     def test_check_at_a_subgame(self, tmp_path, capsys):
         # the subgame after A, B holds, so the root is the second history checked
         args = ["check", "--config", example2_config(tmp_path), "--history", "A,B"]

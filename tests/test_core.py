@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dynblotto import (
@@ -21,6 +22,7 @@ from dynblotto import (
     terminal_status,
     validate_spec,
 )
+from dynblotto.core import _status, _statuses
 
 WP = Objective.WIN_PROBABILITY
 
@@ -56,6 +58,16 @@ class TestValidateSpec:
         with pytest.raises(InputError):
             ContestSpec([1, 1], [100, 100], shocks={(5, 1): 1.0})
 
+    def test_budgets_whose_scores_overflow_raise(self):
+        # the largest spends' success-function scores must add up to a float
+        ContestSpec([1, 1], [1e150, 1e150], CsfParams(2.0))
+        with pytest.raises(InputError, match="scores overflow"):
+            ContestSpec([1, 1], [1e200, 1.0], CsfParams(2.0))
+        with pytest.raises(InputError, match="scores overflow"):
+            ContestSpec([1, 1], [1.0, 1.0], CsfParams(2.0), shocks={(1, 2): 1e200})
+        with pytest.raises(InputError, match="scores overflow"):
+            ContestSpec([1, 1], [1e308, 1e308])
+
 
 class TestCsfProbability:
     def test_nobody_spends_splits_uniformly(self):
@@ -87,6 +99,14 @@ class TestCsfProbability:
             base = csf_probability(w, CsfParams(alpha, 1.0), 0)
             rescaled = csf_probability([c * x for x in w], CsfParams(alpha, 7.5), 0)
             assert rescaled == pytest.approx(base, abs=1e-12)
+
+    def test_scores_that_underflow_count_as_zero(self):
+        # 1e-200 ** 2 underflows to 0: an even split when every score does,
+        # and no chance beside a score that does not
+        assert csf_probability((1e-200, 1e-200), CsfParams(2.0), 0) == 0.5
+        assert [csf_probability((1e-200, 0.0, 1e-300), CsfParams(3.0), i)
+                for i in range(3)] == [1 / 3] * 3
+        assert csf_probability((1e-200, 1e-100), CsfParams(2.0), 1) == 1.0
 
     def test_bad_inputs_raise(self):
         with pytest.raises(InputError):
@@ -178,6 +198,27 @@ class TestTerminalStatus:
         spec = ContestSpec([2, 1, 1, 1], [100, 100])
         h = history_from_winners(spec, (0, 0))
         assert not terminal_status(spec, h).terminal
+
+
+class TestStatusesArrayForm:
+    @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
+    def test_every_row_matches_the_scalar_rule(self, objective):
+        # integer standings up to the total value, so ties and leads equal
+        # to the value left occur
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 4):
+            spec = ContestSpec([1, 2, 1, 3, 1], [100.0] * n, objective=objective)
+            for played in range(spec.m + 1):
+                standings = rng.integers(0, 9, size=(300, n)).astype(float)
+                ended, winners = _statuses(spec, played, standings)
+                assert ended.shape == (300,) and winners.shape == (300, n)
+                for row, done, won in zip(standings.tolist(), ended, winners):
+                    status = _status(spec, played, row)
+                    assert done == status.terminal, (played, row)
+                    if status.terminal:
+                        assert won.tolist() == [i in status.winners for i in range(n)]
+                    else:
+                        assert not won.any()
 
 
 class TestTerminalPayoff:

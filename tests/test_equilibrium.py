@@ -9,6 +9,7 @@ import pytest
 from dynblotto import (
     ContestSpec,
     ConvergenceError,
+    CsfParams,
     History,
     InputError,
     Objective,
@@ -25,9 +26,9 @@ from dynblotto import (
 )
 from dynblotto import equilibrium
 from dynblotto.cli import main
-from conftest import random_ev_spec
+from conftest import history_bfs_histories, random_ev_spec
 
-WP = Objective.WIN_PROBABILITY
+EV, WP = Objective.EXPECTED_VALUE, Objective.WIN_PROBABILITY
 
 
 def three_battle_contest():
@@ -295,6 +296,37 @@ class TestCheckProportionality:
         alternating = history_from_winners(spec, (0, 1))
         verdict = check_proportionality(spec, SamplingPlan(histories=(alternating,)))
         assert not verdict.holds
+
+
+class TestSampledHistories:
+    """The swept histories equal those of the History BFS they replaced, in order."""
+
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
+    def test_against_the_breadth_first_walk(self, objective, with_shocks):
+        # integer values, so win-probability ties and clinches occur; zero
+        # budgets give winners of probability 0
+        rng = random.Random(f"sampled-histories:{objective.value}:{with_shocks}")
+        subsampled = 0
+        for k in range(18):
+            n, m = rng.choice((2, 3, 4)), rng.randint(1, 6)
+            values = [float(rng.randint(1, 3)) for _ in range(m)]
+            budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
+            shocks = {}
+            if with_shocks:
+                for _ in range(rng.randint(1, n)):
+                    shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
+            spec = ContestSpec(values, budgets, CsfParams((0.5, 1.0, 2.0)[k % 3]),
+                               objective, shocks)
+            given = (history_from_winners(spec, [rng.randrange(n)]),) if m > 1 else ()
+            lengths = []
+            for max_per_depth in (None, 3):
+                plan = SamplingPlan(max_per_depth=max_per_depth, histories=given, seed=k)
+                expected = history_bfs_histories(spec, plan)
+                assert list(equilibrium._sampled_histories(spec, plan)) == expected, spec
+                lengths.append(len(expected))
+            subsampled += lengths[1] < lengths[0]
+        assert subsampled >= 3  # the seeded subsample was drawn
 
 
 class TestLargerBattleThatCannotBePivotal:
