@@ -141,14 +141,16 @@ def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndar
         states[played] += size
         rows, standings, spent, mass, histories, spends = state
         if spends is None:
-            ended, winners = _statuses(spec, played, standings)
-            if ended.any():
-                if win_prob:  # under expected value every value was credited where fought
+            if win_prob:
+                ended, winners = _statuses(spec, played, standings)
+                if ended.any():
                     won = winners[ended]
                     np.add.at(out, rows[ended], won * (mass[ended] / won.sum(axis=1))[:, None])
-                if ended.all():
-                    continue
-                rows, standings, spent, mass, histories = _take(state[:5], ~ended)
+                    if ended.all():
+                        continue
+                    rows, standings, spent, mass, histories = _take(state[:5], ~ended)
+            elif played == m:  # under expected value nothing ends before battle m
+                continue  # every battle's value was credited where it was fought
             spends, probs = _level_spends(below, spec, played, standings, spent, histories)
         else:
             probs = _csf_distributions(spends, spec.csf)
