@@ -2,18 +2,19 @@
 
 Used to cross-validate the exact evaluator and to estimate payoffs when
 enumeration would be too large.  Reproducibility contract: all randomness
-comes from one PCG64 generator seeded with the caller's seed, which draws a
-(trials x battles) matrix of uniforms up front.  Trial t consumes row t, one
-uniform per battle in order, and the battle winner is the inverse-CDF draw
-over the contest success function in fixed player order.  Because each trial
-owns its row, trials are independent of execution order and could be
-partitioned across workers without changing the result.
+comes from one PCG64 generator seeded with the caller's seed.  Trial t
+consumes row t of the (trials x battles) uniforms that one
+`rng.random((trials, battles))` call would draw, one uniform per battle in
+order, and the battle winner is the inverse-CDF draw over the contest
+success function in fixed player order.  The rows are drawn a block of
+trials at a time, in trial order; they are the same rows.  Because each
+trial owns its row, trials are independent of execution order.
 
-The trials are played battle by battle over contest states (standings,
-spends).  Each trial still playing holds the id of its state; each distinct
-state is played once per battle, through the per-battle step of
-`strategies` that the exact evaluator plays too, and trials whose states
-become equal share one state from then on.
+Each block is played battle by battle over contest states (standings,
+spends).  Every battle keeps the states that trials reached, and each state
+and winner is played once per simulation, through the per-battle step of
+`strategies` that the exact evaluator plays too; trials whose states become
+equal share one state from then on.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     InputError,
     Objective,
     _csf_distributions,
+    _distinct_rows,
     _statuses,
 )
 from .strategies import (
@@ -40,8 +42,10 @@ from .strategies import (
 )
 
 
-# Trials per block of the per-trial array work.
-BLOCK = 2**16
+# Trials per block: a block plays all its battles before the next one starts.
+BLOCK = 2**14
+# Where a (state, winner) code leads before any trial has reached it.
+NEW = np.iinfo(np.int32).min
 
 
 @dataclass(frozen=True)
@@ -58,95 +62,131 @@ def simulate(
     """Play the contest `trials` times and return sample means and standard errors.
 
     Deterministic given (seed, profile, spec).  Strategies are pure, so
-    trials in the same contest state play the same spends.  Before each
-    battle, every distinct state of the trials still playing gets its
-    spends and its success-probability thresholds.  A trial's winner is the
-    number of its state's first n-1 thresholds that its uniform for the
-    battle reaches.  Its next state is numbered (state, winner) through a
-    table of states x players entries, and children with equal standings and
-    spends are merged.  A child that has ended banks its payoff for its
-    trials.  So the Python work grows with the distinct states per battle,
-    not with the trials or the length of a path.
+    trials in the same contest state play the same spends.  A trial's
+    winner is the number of its state's first n-1 success thresholds that
+    its uniform reaches, and each code (state, winner) is played once for
+    all trials, so the Python work grows with the distinct states per
+    battle, not with the trials or the length of a path.  The means and
+    standard errors are numpy's `mean` and `std(ddof=1)` of the (trials x
+    players) payoffs, to the bit, without that matrix.
 
     A profile holding a strategy that reads more than the state
     (`Tabular`, or a `Deviation` below the root) gets the History of each
     state and merges none.
     """
-    if trials < 1:
-        raise InputError("trials must be a positive integer")
+    if not 1 <= trials <= 2**31 - 1:  # per-trial indices are int32
+        raise InputError(f"trials must be an integer from 1 to {2**31 - 1}, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
     n, m = spec.n, spec.m
-    expected_value = spec.objective is Objective.EXPECTED_VALUE
     # The root goes through the public per-battle rule, which checks the
     # profile and plays any deviation at the root; the kernel takes over below.
     spends = np.array([allocations_at(profile, spec, History())])
-    probs = _csf_distributions(spends, spec.csf)
     below = tuple(_below_root(s, 0) for s in profile.strategies)
     histories = None
     if not all(type(s) is Proportional for s in below):
-        histories = np.empty(1, object)
-        histories[0] = History()
+        histories = np.full(1, History(), object)
+    levels = [None] * m  # per battle, the table of the states that reach it
+    outcomes, root = [], np.zeros((1, n))  # blocks of terminal payoffs; the root state
+    _targets(levels, outcomes, below, spec, 0, root, root, histories, spends)
+    ends = np.empty(trials, np.int32)  # each trial's row among the terminal payoffs
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((trials, m))
-
-    standings = np.zeros((1, n))  # one row per state
-    spent = np.zeros((1, n))
-    rows = np.arange(trials, dtype=np.int32)  # the trials still playing, in trial order
-    ids = np.zeros(trials, np.int32)  # their states
-    ends = np.empty(trials, np.int32)  # each trial's row among the banked payoffs
-    outcomes, banked = [], 0  # blocks of terminal payoffs, and their rows in all
-    for played in range(m):
-        # Each trial's code (state, winner), written over its state id.  The
-        # winner is searchsorted(thresholds, draw, side="right") clipped to
-        # n-1.  Blocks of trials keep the temporary arrays small.
-        thresholds = np.cumsum(probs, axis=1).T.copy()
-        seen = np.zeros(len(spends) * n, bool)
-        blocks = [slice(start, start + BLOCK) for start in range(0, ids.size, BLOCK)]
-        for block in blocks:
-            state = ids[block]
-            draws = uniforms[rows[block], played]
-            codes = state * n
+    for start in range(0, trials, BLOCK):
+        uniforms = rng.random((min(BLOCK, trials - start), m)).T.copy()  # a row per battle
+        rows = np.arange(uniforms.shape[1])  # the block's trials still playing
+        ids = np.zeros(rows.size, np.intp)  # their states
+        for played in range(m):
+            standings, spent, spends, thresholds, histories, to, _ = levels[played]
+            draws = uniforms[played].take(rows)
+            codes = ids * n  # + the winner: searchsorted(thresholds, draw, "right") <= n-1
             for j in range(n - 1):
-                codes += draws >= thresholds[j].take(state)
-            seen[codes] = True
-            ids[block] = codes
+                codes += draws >= thresholds[:, j].take(ids)
+            ids = to.take(codes)
+            if ids.min() == NEW:
+                seen = np.zeros(to.size, bool)
+                seen[codes[ids == NEW]] = True
+                born = np.flatnonzero(seen)
+                parent, winner = np.divmod(born, n)
+                standings, spent, histories, _, group = _children(
+                    spec, played, parent, winner, standings, spent, spends, histories
+                )
+                to[born] = _targets(
+                    levels, outcomes, below, spec, played + 1, standings, spent, histories
+                )[group]
+                ids = to.take(codes)
+            if ids.min() < 0:  # indices, not masks: ended trials lie scattered
+                done, keep = np.flatnonzero(ids < 0), np.flatnonzero(ids >= 0)
+                ends[start + rows.take(done)] = -1 - ids.take(done)
+                rows, ids = rows.take(keep), ids.take(keep)
+                if not rows.size:
+                    break
 
-        born = np.flatnonzero(seen)
-        parent, winner = np.divmod(born, n)
-        standings, spent, histories, _, group = _children(
-            spec, played, parent, winner, standings, spent, spends, histories
-        )
-        # A live child's next id is its place among the live ones; an ended
-        # child's is -1 - the row of its payoff among all banked payoffs.
-        ended, winners = _statuses(spec, played + 1, standings)
-        target = np.cumsum(~ended, dtype=np.int32) - 1
-        if ended.any():
-            won = winners[ended]
-            paid = standings[ended] if expected_value else won / won.sum(axis=1, keepdims=True)
-            target[ended] = -1 - np.arange(banked, banked + len(paid), dtype=np.int32)
-            outcomes.append(paid)
-            banked += len(paid)
-            live = ~ended
-            standings, spent = standings[live], spent[live]
-            histories = None if histories is None else histories[live]
-        lookup = np.empty(seen.size, np.int32)
-        lookup[born] = target[group]
-        for block in blocks:
-            ids[block] = lookup.take(ids[block])
-        if ended.any():
-            over = ids < 0
-            ends[rows[over]] = -1 - ids[over]
-            rows, ids = rows[~over], ids[~over]
-            if not rows.size:
-                break
-        spends, probs = _level_spends(below, spec, played + 1, standings, spent, histories)
-
-    del uniforms, rows, ids
-    payoffs = np.concatenate(outcomes).take(ends, axis=0)  # one row per trial, in trial order
-    means = payoffs.mean(axis=0)
+    payoffs = np.concatenate(outcomes)
+    means = _trial_order_sums(payoffs, ends) / trials
     if trials > 1:
-        std_errors = payoffs.std(axis=0, ddof=1) / np.sqrt(trials)
+        deviations = payoffs - means  # a trial's squared deviation is its payoff's
+        squares = _trial_order_sums(deviations * deviations, ends)
+        std_errors = np.sqrt(squares / (trials - 1)) / np.sqrt(trials)
     else:
         std_errors = np.zeros(spec.n)
     return SimulationResult(trials, tuple(means.tolist()), tuple(std_errors.tolist()), seed)
+
+
+def _targets(levels, outcomes, below, spec, played, standings, spent, histories, spends=None):
+    """Where each of these distinct states, which have played `played` battles, leads.
+
+    An ended state banks its payoff and leads to -1 - its row in `outcomes`.
+    A live one leads to its id in the battle's table (standings, spent, spends,
+    thresholds, Histories, code targets, merging): that of the state with its
+    bytes, or a new one.  A merge sorts the table, so one that finds nothing
+    equal is the last.  `spends` are the root's.
+    """
+    ended, winners = _statuses(spec, played, standings)
+    target = np.empty(len(standings), np.intp)
+    if ended.any():
+        won = winners[ended]
+        expected_value = spec.objective is Objective.EXPECTED_VALUE
+        paid = standings[ended] if expected_value else won / won.sum(axis=1, keepdims=True)
+        banked = sum(map(len, outcomes))
+        target[ended] = -1 - np.arange(banked, banked + len(paid))
+        outcomes.append(paid)
+        if ended.all():
+            return target
+        standings, spent = standings[~ended], spent[~ended]
+        histories = None if histories is None else histories[~ended]
+    table = levels[played]
+    old = 0 if table is None else len(table[0])
+    ids = np.arange(old, old + len(standings))
+    merging = histories is None and (table is None or table[6])
+    if old and merging:
+        first, group = _distinct_rows(np.column_stack((
+            np.concatenate((table[0], standings)), np.concatenate((table[1], spent))
+        )))
+        ids = first[group[old:]]  # the table's rows come first
+        fresh = ids >= old
+        ids[fresh] = np.arange(old, old + fresh.sum())
+        standings, spent = standings[fresh], spent[fresh]
+        merging = not fresh.all()
+    if spends is None:
+        spends, probs = _level_spends(below, spec, played, standings, spent, histories)
+    else:
+        probs = _csf_distributions(spends, spec.csf)
+    added = [standings, spent, spends, probs.cumsum(axis=1), histories, np.full(spends.size, NEW)]
+    levels[played] = (added if table is None else [
+        a if a is None else np.concatenate((a, b)) for a, b in zip(table, added)
+    ]) + [merging]
+    target[~ended] = ids
+    return target
+
+
+def _trial_order_sums(table, ends):
+    """Per column, the sum of table.take(ends, axis=0) in trial order, as numpy's
+    axis-0 sum adds it; the first trial of a block carries the sum so far."""
+    columns, totals = table.T.copy(), np.zeros(table.shape[1])
+    for start in range(0, ends.size, BLOCK):
+        block = ends[start : start + BLOCK].astype(np.intp)  # take would cast per call
+        for j, column in enumerate(columns):
+            terms = column.take(block)
+            terms[0] += totals[j]
+            totals[j] = np.add.accumulate(terms)[-1]
+    return totals

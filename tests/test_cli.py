@@ -1,6 +1,7 @@
 """Command line front end: configs, reports, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -165,6 +166,22 @@ class TestCommands:
     def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
         assert main(["simulate", "--config", example2_config(tmp_path), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: seed must be")
+
+    @pytest.mark.parametrize("trials", ["2147483648", "3000000000", "10000000000000"])
+    def test_simulate_refuses_more_trials_than_it_can_index(self, tmp_path, capsys, trials):
+        # per-trial indices are int32; refused before anything is allocated
+        # (3e9 trials used to ask numpy for 67 GiB)
+        config = example2_config(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", config, "--trials", trials])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: trials must be an integer from 1 to 2147483647, got {trials}\n"
+        assert peak < 2**20
 
     @pytest.mark.parametrize("command", ["evaluate", "simulate", "check"])
     def test_scores_that_underflow_split_every_battle(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from dynblotto import (
     simulate,
     solve_backward,
 )
+from dynblotto import montecarlo
 from conftest import history_tree_simulate
 
 WP = Objective.WIN_PROBABILITY
@@ -97,26 +99,34 @@ def test_contests_longer_than_the_recursion_limit():
     assert sum(result.means) == pytest.approx(1100.0, abs=1e-9)
 
 
+def seeded_family(objective, with_shocks, trial_counts, name="family"):
+    """(spec, seed, trials) of 24 seeded contests, n = 2..4 and m = 1..8.
+
+    Integer values, so win-probability ties and clinches occur, and states
+    reached along different paths merge; alpha cycles through 0.5, 1 and 2.
+    """
+    rng = random.Random(f"simulate-{name}:{objective.value}:{with_shocks}")
+    alphas = (0.5, 1.0, 2.0)
+    for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
+        values = [float(rng.randint(1, 3)) for _ in range(m)]
+        budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
+        shocks = {}
+        if with_shocks:
+            for _ in range(rng.randint(1, n)):
+                shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
+        spec = ContestSpec(values, budgets, CsfParams(alphas[k % 3], rng.choice([1.0, 2.0])),
+                           objective, shocks)
+        yield spec, rng.randrange(2**31), trial_counts[k % len(trial_counts)]
+
+
 class TestAgainstTheHistoryTree:
     """`simulate` equals the History-tree walk it replaced, bit for bit."""
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
     def test_proportional_play_over_a_seeded_family(self, objective, with_shocks):
-        # integer values, so win-probability ties and clinches occur
-        rng = random.Random(f"simulate-family:{objective.value}:{with_shocks}")
-        alphas, trial_counts = (0.5, 1.0, 2.0), (1, 2, 37, 150)
-        for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
-            values = [float(rng.randint(1, 3)) for _ in range(m)]
-            budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
-            shocks = {}
-            if with_shocks:
-                for _ in range(rng.randint(1, n)):
-                    shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
-            spec = ContestSpec(values, budgets, CsfParams(alphas[k % 3], rng.choice([1.0, 2.0])),
-                               objective, shocks)
-            profile = proportional_profile(n)
-            seed, trials = rng.randrange(2**31), trial_counts[k % 4]
+        for spec, seed, trials in seeded_family(objective, with_shocks, (1, 2, 37, 150)):
+            profile = proportional_profile(spec.n)
             assert simulate(profile, spec, seed, trials) == history_tree_simulate(
                 profile, spec, seed, trials
             ), spec
@@ -138,6 +148,35 @@ class TestAgainstTheHistoryTree:
         for profile in (at_root, below_root):
             assert simulate(profile, spec, 9, 3000) == history_tree_simulate(
                 profile, spec, 9, 3000
+            )
+
+    # Blocks of 7 trials: later blocks reach codes and states that earlier
+    # ones did not, and 150 trials leave a partial last block.
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
+    def test_proportional_play_in_blocks_of_seven(self, monkeypatch, objective, with_shocks):
+        monkeypatch.setattr(montecarlo, "BLOCK", 7)
+        family = seeded_family(objective, with_shocks, (1, 2, 37, 150), name="blocks")
+        for spec, seed, trials in family:
+            profile = proportional_profile(spec.n)
+            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
+                profile, spec, seed, trials
+            ), spec
+
+    @pytest.mark.parametrize("kind", ["tabular", "below-root-ev", "below-root-wp"])
+    def test_history_profiles_in_blocks_of_seven(self, monkeypatch, kind):
+        monkeypatch.setattr(montecarlo, "BLOCK", 7)
+        if kind == "tabular":
+            spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=WP)
+            profile = solve_backward(spec).profile
+        else:
+            objective = EV if kind == "below-root-ev" else WP
+            spec = ContestSpec([1, 2, 1, 2, 1], [40, 55, 30], objective=objective)
+            below_root = history_from_winners(spec, [0])
+            profile = one_shot_deviation(proportional_profile(3), 2, below_root, 0.5)
+        for seed, trials in ((3, 1), (4, 2), (5, 37), (6, 150)):
+            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
+                profile, spec, seed, trials
             )
 
 
@@ -168,3 +207,16 @@ def test_long_contests_take_linear_time(objective):
     total = 1200.0 if objective is EV else 1.0
     assert sum(result.means) == pytest.approx(total, abs=1e-9)
     assert elapsed < 0.5
+
+
+def test_a_million_trials_take_little_memory():
+    # no (trials x battles) uniforms and no (trials x players) payoffs: one
+    # int32 per trial and a block's arrays (82 MB with the whole matrices)
+    spec = ContestSpec([1, 2, 1, 3, 1, 2, 1, 1], [60, 40])
+    tracemalloc.start()
+    try:
+        simulate(proportional_profile(2), spec, seed=1, trials=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
