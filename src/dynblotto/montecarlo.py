@@ -19,6 +19,7 @@ equal share one state from then on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from .core import (
     InputError,
     Objective,
     _csf_distributions,
-    _distinct_rows,
     _statuses,
 )
 from .strategies import (
@@ -45,7 +45,7 @@ from .strategies import (
 # Trials per block: a block plays all its battles before the next one starts.
 BLOCK = 2**14
 # Where a (state, winner) code leads before any trial has reached it.
-NEW = np.iinfo(np.int32).min
+NEW = np.iinfo(np.intp).min
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ def simulate(
     (`Tabular`, or a `Deviation` below the root) gets the History of each
     state and merges none.
     """
-    if not 1 <= trials <= 2**31 - 1:  # per-trial indices are int32
+    # per-trial indices are int32
+    if not isinstance(trials, numbers.Integral) or not 1 <= trials <= 2**31 - 1:
         raise InputError(f"trials must be an integer from 1 to {2**31 - 1}, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
@@ -86,34 +87,34 @@ def simulate(
     histories = None
     if not all(type(s) is Proportional for s in below):
         histories = np.full(1, History(), object)
-    levels = [None] * m  # per battle, the table of the states that reach it
-    outcomes, root = [], np.zeros((1, n))  # blocks of terminal payoffs; the root state
-    _targets(levels, outcomes, below, spec, 0, root, root, histories, spends)
+    levels = [_Level(spec, played, below, histories is not None) for played in range(m)]
+    levels[0].file(np.zeros((1, n)), np.zeros((1, n)), histories, spends)
+    outcomes = []  # (payoff rows banked through the block, block of terminal payoffs)
     ends = np.empty(trials, np.int32)  # each trial's row among the terminal payoffs
     rng = np.random.default_rng(seed)
     for start in range(0, trials, BLOCK):
         uniforms = rng.random((min(BLOCK, trials - start), m)).T.copy()  # a row per battle
         rows = np.arange(uniforms.shape[1])  # the block's trials still playing
         ids = np.zeros(rows.size, np.intp)  # their states
-        for played in range(m):
-            standings, spent, spends, thresholds, histories, to, _ = levels[played]
+        for played, level in enumerate(levels):
             draws = uniforms[played].take(rows)
             codes = ids * n  # + the winner: searchsorted(thresholds, draw, "right") <= n-1
             for j in range(n - 1):
-                codes += draws >= thresholds[:, j].take(ids)
-            ids = to.take(codes)
+                codes += draws >= level.thresholds[:, j].take(ids)
+            ids = level.to.take(codes)
             if ids.min() == NEW:
-                seen = np.zeros(to.size, bool)
+                seen = np.zeros(level.size * n, bool)
                 seen[codes[ids == NEW]] = True
                 born = np.flatnonzero(seen)
                 parent, winner = np.divmod(born, n)
                 standings, spent, histories, _, group = _children(
-                    spec, played, parent, winner, standings, spent, spends, histories
+                    spec, played, parent, winner,
+                    level.keys[:, :n], level.keys[:, n:], level.spends, level.histories,
                 )
-                to[born] = _targets(
-                    levels, outcomes, below, spec, played + 1, standings, spent, histories
+                level.to.reshape(-1)[born] = _targets(
+                    levels, outcomes, spec, played + 1, standings, spent, histories
                 )[group]
-                ids = to.take(codes)
+                ids = level.to.take(codes)
             if ids.min() < 0:  # indices, not masks: ended trials lie scattered
                 done, keep = np.flatnonzero(ids < 0), np.flatnonzero(ids >= 0)
                 ends[start + rows.take(done)] = -1 - ids.take(done)
@@ -121,7 +122,7 @@ def simulate(
                 if not rows.size:
                     break
 
-    payoffs = np.concatenate(outcomes)
+    payoffs = np.concatenate([paid for _, paid in outcomes])
     means = _trial_order_sums(payoffs, ends) / trials
     if trials > 1:
         deviations = payoffs - means  # a trial's squared deviation is its payoff's
@@ -132,14 +133,89 @@ def simulate(
     return SimulationResult(trials, tuple(means.tolist()), tuple(std_errors.tolist()), seed)
 
 
-def _targets(levels, outcomes, below, spec, played, standings, spent, histories, spends=None):
+class _Level:
+    """The states that reach battle `played` + 1, numbered as trials first reach them.
+
+    Row i of `keys` holds state i's standings and spent side by side, of
+    `spends` and `thresholds` its spends and cumulative success thresholds,
+    of `to` where each winner leads (NEW until a trial gets there), and of
+    `histories` its History if strategies read one; the arrays double when
+    full.  Without Histories, `hashes` are the sorted hashes of the first
+    `indexed` keys and `order` their states.
+    """
+
+    def __init__(self, spec, played, below, with_histories):
+        self.spec, self.played, self.below, n = spec, played, below, spec.n
+        self.size = self.indexed = 0
+        self.hashes, self.order = np.empty(0, np.uint64), np.empty(0, np.intp)
+        self.keys, self.to = np.empty((0, 2 * n)), np.empty((0, n), np.intp)
+        self.spends, self.thresholds = np.empty((0, n)), np.empty((0, n))
+        self.histories = np.empty(0, object) if with_histories else None
+
+    def file(self, standings, spent, histories, spends=None):
+        """The state of each of these distinct live states; `spends` are the root's.
+
+        Without Histories that is the state whose key has the same bytes, as
+        `core._distinct_rows` compares them, if there is one: a binary search
+        of the keys' hashes finds it.  Otherwise it is a new state.  (Were two
+        keys' hashes equal, an equal state could be missed; that keeps two
+        equal states apart, as `_distinct_rows` may, and changes no result.)
+        """
+        keys = np.column_stack((standings, spent))
+        ids = np.full(len(keys), -1)
+        if histories is None and self.size:
+            if self.indexed < self.size:  # index the states filed since the last search
+                hashes = _hashes(self.keys[self.indexed : self.size])
+                sort = hashes.argsort()
+                at = self.hashes.searchsorted(hashes[sort])
+                self.hashes = np.insert(self.hashes, at, hashes[sort])
+                self.order = np.insert(self.order, at, self.indexed + sort)
+                self.indexed = self.size
+            hashes = _hashes(keys)
+            rows = hashes.argsort()  # searched in order, for locality
+            at = self.hashes.searchsorted(hashes[rows])
+            rows, at = rows[at < self.indexed], at[at < self.indexed]
+            same = self.hashes[at] == hashes[rows]  # equal bytes but for a collision
+            rows, state = rows[same], self.order[at[same]]
+            equal = (self.keys[state].view(np.uint64) == keys[rows].view(np.uint64)).all(axis=1)
+            ids[rows[equal]] = state[equal]
+        new = ids < 0
+        if spends is None:
+            spends, probs = _level_spends(
+                self.below, self.spec, self.played, standings[new], spent[new], histories
+            )
+        else:
+            probs = _csf_distributions(spends, self.spec.csf)
+        start, self.size = self.size, self.size + len(spends)
+        if self.size > len(self.to):
+            capacity = max(2 * len(self.to), self.size)
+            for name in ("keys", "spends", "thresholds", "to", "histories"):
+                old = getattr(self, name)
+                if old is not None:
+                    setattr(self, name, np.empty((capacity,) + old.shape[1:], old.dtype))
+                    getattr(self, name)[:start] = old[:start]
+        ids[new], added = np.arange(start, self.size), slice(start, self.size)
+        self.keys[added], self.spends[added], self.to[added] = keys[new], spends, NEW
+        self.thresholds[added] = probs.cumsum(axis=1)
+        if histories is not None:
+            self.histories[added] = histories
+        return ids
+
+
+def _hashes(keys):
+    """A 64-bit hash of the bytes of each row of `keys`, a word at a time."""
+    hashes = np.zeros(len(keys), np.uint64)
+    for column in np.ascontiguousarray(keys).view(np.uint64).T:
+        hashes = (hashes ^ column) * 0x9E3779B97F4A7C15
+        hashes ^= hashes >> 32
+    return hashes
+
+
+def _targets(levels, outcomes, spec, played, standings, spent, histories):
     """Where each of these distinct states, which have played `played` battles, leads.
 
-    An ended state banks its payoff and leads to -1 - its row in `outcomes`.
-    A live one leads to its id in the battle's table (standings, spent, spends,
-    thresholds, Histories, code targets, merging): that of the state with its
-    bytes, or a new one.  A merge sorts the table, so one that finds nothing
-    equal is the last.  `spends` are the root's.
+    An ended state banks its payoff and leads to -1 - its row among all
+    `outcomes`; a live one leads to its state in `levels[played]`.
     """
     ended, winners = _statuses(spec, played, standings)
     target = np.empty(len(standings), np.intp)
@@ -147,35 +223,15 @@ def _targets(levels, outcomes, below, spec, played, standings, spent, histories,
         won = winners[ended]
         expected_value = spec.objective is Objective.EXPECTED_VALUE
         paid = standings[ended] if expected_value else won / won.sum(axis=1, keepdims=True)
-        banked = sum(map(len, outcomes))
+        banked = outcomes[-1][0] if outcomes else 0
         target[ended] = -1 - np.arange(banked, banked + len(paid))
-        outcomes.append(paid)
-        if ended.all():
+        outcomes.append((banked + len(paid), paid))
+        live = ~ended
+        if not live.any():
             return target
-        standings, spent = standings[~ended], spent[~ended]
-        histories = None if histories is None else histories[~ended]
-    table = levels[played]
-    old = 0 if table is None else len(table[0])
-    ids = np.arange(old, old + len(standings))
-    merging = histories is None and (table is None or table[6])
-    if old and merging:
-        first, group = _distinct_rows(np.column_stack((
-            np.concatenate((table[0], standings)), np.concatenate((table[1], spent))
-        )))
-        ids = first[group[old:]]  # the table's rows come first
-        fresh = ids >= old
-        ids[fresh] = np.arange(old, old + fresh.sum())
-        standings, spent = standings[fresh], spent[fresh]
-        merging = not fresh.all()
-    if spends is None:
-        spends, probs = _level_spends(below, spec, played, standings, spent, histories)
-    else:
-        probs = _csf_distributions(spends, spec.csf)
-    added = [standings, spent, spends, probs.cumsum(axis=1), histories, np.full(spends.size, NEW)]
-    levels[played] = (added if table is None else [
-        a if a is None else np.concatenate((a, b)) for a, b in zip(table, added)
-    ]) + [merging]
-    target[~ended] = ids
+        standings, spent = standings[live], spent[live]
+        histories = None if histories is None else histories[live]
+    target[~ended] = levels[played].file(standings, spent, histories)
     return target
 
 

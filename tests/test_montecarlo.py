@@ -86,6 +86,13 @@ def test_trials_must_be_positive():
         simulate(proportional_profile(2), spec, seed=5, trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, "10"])
+def test_trials_must_be_an_integer(trials):
+    spec = ContestSpec([1, 1], [10, 10])
+    with pytest.raises(InputError, match="trials must be an integer"):
+        simulate(proportional_profile(2), spec, seed=5, trials=trials)
+
+
 def test_seed_must_be_nonnegative():
     spec = ContestSpec([1, 1], [10, 10])
     with pytest.raises(InputError, match="seed"):
@@ -99,24 +106,15 @@ def test_contests_longer_than_the_recursion_limit():
     assert sum(result.means) == pytest.approx(1100.0, abs=1e-9)
 
 
-def seeded_family(objective, with_shocks, trial_counts, name="family"):
-    """(spec, seed, trials) of 24 seeded contests, n = 2..4 and m = 1..8.
-
-    Integer values, so win-probability ties and clinches occur, and states
-    reached along different paths merge; alpha cycles through 0.5, 1 and 2.
-    """
-    rng = random.Random(f"simulate-{name}:{objective.value}:{with_shocks}")
-    alphas = (0.5, 1.0, 2.0)
-    for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
-        values = [float(rng.randint(1, 3)) for _ in range(m)]
-        budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
-        shocks = {}
-        if with_shocks:
-            for _ in range(rng.randint(1, n)):
-                shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
-        spec = ContestSpec(values, budgets, CsfParams(alphas[k % 3], rng.choice([1.0, 2.0])),
-                           objective, shocks)
-        yield spec, rng.randrange(2**31), trial_counts[k % len(trial_counts)]
+def assert_simulate_matches(monkeypatch, profile, spec, seed, trials):
+    """`simulate` equals the History-tree walk in blocks of the default size
+    and in blocks of 7 trials, where later blocks reach codes and states that
+    earlier ones did not and most trial counts leave a partial last block."""
+    expected = history_tree_simulate(profile, spec, seed, trials)
+    for block in (montecarlo.BLOCK, 7):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "BLOCK", block)
+            assert simulate(profile, spec, seed, trials) == expected, (spec, block)
 
 
 class TestAgainstTheHistoryTree:
@@ -124,60 +122,37 @@ class TestAgainstTheHistoryTree:
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
-    def test_proportional_play_over_a_seeded_family(self, objective, with_shocks):
-        for spec, seed, trials in seeded_family(objective, with_shocks, (1, 2, 37, 150)):
-            profile = proportional_profile(spec.n)
-            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
-                profile, spec, seed, trials
-            ), spec
+    def test_proportional_play_over_a_seeded_family(self, monkeypatch, objective, with_shocks):
+        # integer values, so win-probability ties and clinches occur
+        rng = random.Random(f"simulate-family:{objective.value}:{with_shocks}")
+        alphas, trial_counts = (0.5, 1.0, 2.0), (1, 2, 37, 150)
+        for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
+            values = [float(rng.randint(1, 3)) for _ in range(m)]
+            budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
+            shocks = {}
+            if with_shocks:
+                for _ in range(rng.randint(1, n)):
+                    shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
+            spec = ContestSpec(values, budgets, CsfParams(alphas[k % 3], rng.choice([1.0, 2.0])),
+                               objective, shocks)
+            profile = proportional_profile(n)
+            seed, trials = rng.randrange(2**31), trial_counts[k % 4]
+            assert_simulate_matches(monkeypatch, profile, spec, seed, trials)
 
-    def test_tabular_profile(self):
+    def test_tabular_profile(self, monkeypatch):
         spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=WP)
         profile = solve_backward(spec).profile
-        for seed, trials in ((3, 1), (4, 2000)):
-            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
-                profile, spec, seed, trials
-            )
+        for seed, trials in ((3, 1), (4, 2000), (5, 2), (6, 37)):
+            assert_simulate_matches(monkeypatch, profile, spec, seed, trials)
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
-    def test_deviation_profiles(self, objective):
+    def test_deviation_profiles(self, monkeypatch, objective):
         spec = ContestSpec([1, 2, 1, 2, 1], [40, 55, 30], objective=objective)
         base = proportional_profile(3)
         at_root = one_shot_deviation(base, 1, History(), 3.0)
         below_root = one_shot_deviation(base, 2, history_from_winners(spec, [0]), 0.5)
         for profile in (at_root, below_root):
-            assert simulate(profile, spec, 9, 3000) == history_tree_simulate(
-                profile, spec, 9, 3000
-            )
-
-    # Blocks of 7 trials: later blocks reach codes and states that earlier
-    # ones did not, and 150 trials leave a partial last block.
-    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
-    @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
-    def test_proportional_play_in_blocks_of_seven(self, monkeypatch, objective, with_shocks):
-        monkeypatch.setattr(montecarlo, "BLOCK", 7)
-        family = seeded_family(objective, with_shocks, (1, 2, 37, 150), name="blocks")
-        for spec, seed, trials in family:
-            profile = proportional_profile(spec.n)
-            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
-                profile, spec, seed, trials
-            ), spec
-
-    @pytest.mark.parametrize("kind", ["tabular", "below-root-ev", "below-root-wp"])
-    def test_history_profiles_in_blocks_of_seven(self, monkeypatch, kind):
-        monkeypatch.setattr(montecarlo, "BLOCK", 7)
-        if kind == "tabular":
-            spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=WP)
-            profile = solve_backward(spec).profile
-        else:
-            objective = EV if kind == "below-root-ev" else WP
-            spec = ContestSpec([1, 2, 1, 2, 1], [40, 55, 30], objective=objective)
-            below_root = history_from_winners(spec, [0])
-            profile = one_shot_deviation(proportional_profile(3), 2, below_root, 0.5)
-        for seed, trials in ((3, 1), (4, 2), (5, 37), (6, 150)):
-            assert simulate(profile, spec, seed, trials) == history_tree_simulate(
-                profile, spec, seed, trials
-            )
+            assert_simulate_matches(monkeypatch, profile, spec, 9, 3000)
 
 
 @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
