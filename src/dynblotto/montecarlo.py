@@ -226,11 +226,10 @@ def _targets(levels, outcomes, spec, played, standings, spent, histories):
         banked = outcomes[-1][0] if outcomes else 0
         target[ended] = -1 - np.arange(banked, banked + len(paid))
         outcomes.append((banked + len(paid), paid))
-        live = ~ended
-        if not live.any():
+        if ended.all():
             return target
-        standings, spent = standings[live], spent[live]
-        histories = None if histories is None else histories[live]
+        standings, spent = standings[~ended], spent[~ended]
+        histories = None if histories is None else histories[~ended]
     target[~ended] = levels[played].file(standings, spent, histories)
     return target
 
