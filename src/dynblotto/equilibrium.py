@@ -15,7 +15,9 @@ depends only on the battle index, the standings (won-value totals), and the
 two remaining budgets; since the contest success function is homogeneous, it
 depends on the budgets only through their ratio, so each (battle, standings)
 class stores one cubic spline of the equilibrium value over the budget
-ratio, and all budget-ratio nodes of a class are solved in one batch.
+ratio, and all budget-ratio nodes of a class are solved in one batch.  So
+the tables are cached per battle values, CSF, objective and settings, never
+per budgets: a mirrored budget pair or a budget sweep builds them once.
 
 For arbitrary contests, `check_proportionality` sweeps one-shot deviations
 from proportional play over sampled histories and reports the first
@@ -25,9 +27,12 @@ so the two engines stay independent checks of each other.
 
 from __future__ import annotations
 
+import logging
 import math
+import numbers
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -56,6 +61,8 @@ from .strategies import (
     _level_spends,
     proportional_profile,
 )
+
+_log = logging.getLogger("dynblotto")
 
 
 @dataclass(frozen=True)
@@ -157,13 +164,28 @@ class _UniformSpline:
         xs = np.clip(xs, 0.0, 1.0)
         idx = np.minimum((xs * (self.n - 1)).astype(int), self.n - 2)
         s = xs - idx * self.h
-        return ((self.d[idx] * s + self.c[idx]) * s + self.b[idx]) * s + self.a[idx]
+        # Horner's rule in place: ((d * s + c) * s + b) * s + a
+        value = np.take(self.d, idx)
+        for coefficient in (self.c, self.b, self.a):
+            value *= s
+            value += np.take(coefficient, idx)
+        return value
 
 
 def _terminal_value_from_totals(spec: ContestSpec, played: int, totals) -> Optional[tuple]:
     """Player payoffs if the class (battle count, totals) is terminal, else None."""
     status = _status(spec, played, totals)
     return _payoff(spec, status, totals) if status.terminal else None
+
+
+def _safe_sum(x: np.ndarray, y: np.ndarray) -> tuple:
+    """x + y >= 0 as a denominator, 1 where it is 0, and a mask of those cells or None."""
+    total = x + y
+    zero = total <= 0.0
+    if not zero.any():
+        return total, None
+    total[zero] = 1.0
+    return total, zero
 
 
 class _BranchValue:
@@ -176,19 +198,21 @@ class _BranchValue:
         self.coin = coin  # A's value when both players are broke
         self.callback = callback  # user continuation: (b_a, b_b) -> (payoff_A, payoff_B)
 
-    def payoff_vec(self, b_a: np.ndarray, b_b: np.ndarray) -> np.ndarray:
+    def payoff_vec(self, b_a: np.ndarray, b_b: np.ndarray, split: tuple):
+        """A's payoff at the budgets left, a scalar if terminal; split = _safe_sum(b_a, b_b)."""
         if self.const is not None:
-            return np.full(np.shape(b_a), self.const[0], dtype=float)
+            return self.const[0]
         if self.callback is not None:
+            b_a, b_b = np.broadcast_arrays(b_a, b_b)
             pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
             return np.reshape([self.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
-        total = b_a + b_b
-        own = b_b if self.mirrored else b_a
-        ratio = np.divide(own, total, out=np.zeros_like(total), where=total > 0.0)
-        value = self.spline.value_vec(ratio)
+        total, broke = split
+        value = self.spline.value_vec((b_b if self.mirrored else b_a) / total)
         if self.mirrored:
-            value = 1.0 - value
-        return np.where(total > 0.0, value, self.coin)
+            np.subtract(1.0, value, out=value)
+        if broke is not None:
+            value[broke] = self.coin
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +234,16 @@ BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 
 
+@lru_cache(maxsize=8)
+def _fractions(points: int) -> tuple:
+    t = np.linspace(0.0, 1.0, points)
+    return 1.0 - t, t
+
+
 def _grid(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
     """`points` evenly spaced spends from lo to hi, both exact, one row per node."""
-    t = np.linspace(0.0, 1.0, points)
-    return lo[:, None] * (1.0 - t) + hi[:, None] * t
+    rest, t = _fractions(points)
+    return lo[:, None] * rest + hi[:, None] * t
 
 
 @dataclass(frozen=True)
@@ -240,6 +270,7 @@ class _StageGame:
         self.totals = totals
         self.budgets = tuple(np.atleast_1d(np.asarray(b, dtype=float)) for b in budgets)
         self.branches = branches  # (A's value if A wins, A's value if B wins)
+        self.terminal = all(branch.const is not None for branch in branches)
         self.settings = settings
         self.alpha = spec.csf.alpha
         self.proportional = tuple(_proportional_spend(spec, played, b) for b in self.budgets)
@@ -251,15 +282,19 @@ class _StageGame:
 
     def payoff(self, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
         """Player A's payoff; w_a and w_b have equal rank and broadcast together."""
-        shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
-        b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
-        b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
-        b_a, b_b = np.broadcast_arrays(b_a, b_b)
-        win = self.branches[0].payoff_vec(b_a, b_b)
-        lose = self.branches[1].payoff_vec(b_a, b_b)
+        if self.terminal:
+            win, lose = (branch.const[0] for branch in self.branches)
+        else:
+            shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
+            b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
+            b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
+            split = _safe_sum(b_a, b_b)
+            win, lose = (branch.payoff_vec(b_a, b_b, split) for branch in self.branches)
         score_a = w_a**self.alpha
-        denom = score_a + w_b**self.alpha
-        p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)
+        denom, idle = _safe_sum(score_a, w_b**self.alpha)
+        p_a = score_a / denom
+        if idle is not None:
+            p_a[idle] = 0.5  # neither player spends: a coin flip
         return p_a * win + (1.0 - p_a) * lose
 
     def _own_payoff(self, player, own, opp):
@@ -378,11 +413,20 @@ class _ValueTables:
         self.settings = settings
         self.splines = {}  # (played, totals) -> _UniformSpline for player A's value
         self._coin = {}
+        self._worst_gap = 0.0
+        start = time.perf_counter()
         self._levels = self._reachable_classes()
         for played in range(spec.m - 1, 0, -1):
             for totals in self._levels.get(played, ()):
                 if self._lookup(played, totals) is None:
                     self._build_class(played, totals)
+        if _log.isEnabledFor(logging.DEBUG):
+            built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
+            _log.debug(
+                "value tables: %d classes built, %d served by a mirror, %d stage batches, "
+                "worst bracket gap %.3e, %.3f s", built, classes - built,
+                built * -(-VALUE_NODES // NODE_CHUNK), self._worst_gap, time.perf_counter() - start,
+            )
 
     @staticmethod
     def _key(totals) -> tuple:
@@ -465,6 +509,7 @@ class _ValueTables:
                     allocations=tuple(float(w[worst]) for w in points.spends),
                     residual=float(gap[worst]),
                 )
+            self._worst_gap = max(self._worst_gap, float(gap[worst]))
             values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
         self.splines[(played, self._key(totals))] = _UniformSpline(np.concatenate(values))
 
@@ -472,6 +517,11 @@ class _ValueTables:
 @lru_cache(maxsize=8)
 def _tables_for(spec: ContestSpec, settings: SolverSettings) -> _ValueTables:
     return _ValueTables(spec, settings)
+
+
+def _budget_free_tables(spec: ContestSpec, settings: SolverSettings) -> _ValueTables:
+    """The contest's value tables, cached under unit budgets: they never read the budgets."""
+    return _tables_for(replace(spec, budgets=(1.0,) * spec.n), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +552,7 @@ def _stage_game_at(spec, history, continuation, settings) -> _StageGame:
     budgets = (remaining_budget(spec, history, 0), remaining_budget(spec, history, 1))
     totals = history.won_values(spec)
     if continuation is None:
-        return _tables_for(spec, settings).stage_game(played, totals, budgets)
+        return _budget_free_tables(spec, settings).stage_game(played, totals, budgets)
     branches = _continuation_branches(spec, history, budgets, continuation)
     return _StageGame(spec, played, totals, budgets, branches, settings)
 
@@ -520,19 +570,21 @@ def best_response(
     A scan of `grid_points` spends over the player's budget, refined by the
     stage's saddle search with the opponent's spend pinned; ties go to the
     smallest spend.  A flat objective returns the proportional point, flagged.
-    The opponent's spend must lie in [0, the opponent's remaining budget].
+    The opponent's spend, a real number or a sequence of one, must lie in
+    [0, the opponent's remaining budget].
     A `continuation` maps a successor History to the payoff vector; the
     stage reads player A's entry, since the two payoffs add up to one.
     """
     if not 0 <= player < 2:
         raise InputError(f"player index {player} out of range")
-    if isinstance(opponents_allocation, (int, float)):
-        opp = float(opponents_allocation)
-    else:
-        values = [float(v) for v in opponents_allocation]
-        if len(values) != 1:
+    spend = opponents_allocation
+    if isinstance(spend, (Sequence, np.ndarray)) and not isinstance(spend, (str, bytes)):
+        if getattr(spend, "ndim", 1) != 1 or len(spend) != 1:
             raise InputError("two-player contests take a single opponent allocation")
-        opp = values[0]
+        spend = spend[0]
+    if not isinstance(spend, numbers.Real) or isinstance(spend, bool):
+        raise InputError(f"opponents_allocation must be a real number, got {spend!r}")
+    opp = float(spend)
     bound = remaining_budget(spec, history, 1 - player)
     if not 0.0 <= opp <= bound + BUDGET_TOLERANCE:
         raise InputError(f"opponents_allocation {opp} lies outside [0, {bound}]")
@@ -569,7 +621,8 @@ def solve_backward(
     player wins each battle, which keeps the contest alive as long as
     possible.
     """
-    tables = _tables_for(spec, settings)
+    misses = _tables_for.cache_info().misses
+    tables = _budget_free_tables(spec, settings)
     tabulars = tuple(Tabular(player=i, budget_step=settings.budget_step) for i in range(2))
     solutions = {}
 
@@ -601,6 +654,12 @@ def solve_backward(
         trace_winners.append(trailing)
         winners = winners + (trailing,)
 
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "backward solve: %d on-path stage solves, worst residual %.3e, value tables %s",
+            len(solutions), max(s.residual for s in solutions.values()),
+            "built" if _tables_for.cache_info().misses > misses else "reused",
+        )
     profile = StrategyProfile(tabulars)
     return BackwardSolveResult(profile, tuple(trace), solutions, tuple(trace_winners))
 

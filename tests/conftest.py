@@ -131,3 +131,47 @@ def random_ev_spec(rng, alphas=(1.0,), betas=(1.0,), with_shocks=False,
             shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-20.0, 20.0)
     csf = CsfParams(rng.choice(alphas), rng.choice(betas))
     return ContestSpec(values, budgets, csf, Objective.EXPECTED_VALUE, shocks)
+
+
+def reference_payoff_vec(branch, b_a, b_b):
+    """Reference for `equilibrium._BranchValue.payoff_vec`: its earlier formula.
+
+    The stage kernel now shares the budget total between branches, writes
+    the coin value only into both-broke cells and evaluates the spline in
+    place; this is the arithmetic it replaced, operation for operation, so
+    the two must agree bit for bit.  Returns a full array for every branch.
+    """
+    if branch.const is not None:
+        return np.full(np.shape(b_a), branch.const[0], dtype=float)
+    if branch.callback is not None:
+        pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
+        return np.reshape([branch.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
+    total = b_a + b_b
+    own = b_b if branch.mirrored else b_a
+    ratio = np.divide(own, total, out=np.zeros_like(total), where=total > 0.0)
+    spline = branch.spline
+    xs = np.clip(ratio, 0.0, 1.0)
+    idx = np.minimum((xs * (spline.n - 1)).astype(int), spline.n - 2)
+    s = xs - idx * spline.h
+    value = ((spline.d[idx] * s + spline.c[idx]) * s + spline.b[idx]) * s + spline.a[idx]
+    if branch.mirrored:
+        value = 1.0 - value
+    return np.where(total > 0.0, value, branch.coin)
+
+
+def reference_stage_payoff(game, w_a, w_b):
+    """Reference for `equilibrium._StageGame.payoff`: its earlier formula.
+
+    Player A's payoff at spends w_a, w_b (equal rank, node axis first), with
+    each branch valued by `reference_payoff_vec`.
+    """
+    shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
+    b_a = np.maximum(game.budgets[0].reshape(shape) - w_a, 0.0)
+    b_b = np.maximum(game.budgets[1].reshape(shape) - w_b, 0.0)
+    b_a, b_b = np.broadcast_arrays(b_a, b_b)
+    win = reference_payoff_vec(game.branches[0], b_a, b_b)
+    lose = reference_payoff_vec(game.branches[1], b_a, b_b)
+    score_a = w_a**game.alpha
+    denom = score_a + w_b**game.alpha
+    p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)
+    return p_a * win + (1.0 - p_a) * lose

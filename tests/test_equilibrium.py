@@ -1,7 +1,9 @@
 """Backward induction, stage equilibria, and proportionality verdicts."""
 
 import json
+import logging
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,12 @@ from dynblotto import (
 )
 from dynblotto import equilibrium
 from dynblotto.cli import main
-from conftest import history_bfs_histories, random_ev_spec
+from conftest import (
+    history_bfs_histories,
+    random_ev_spec,
+    reference_payoff_vec,
+    reference_stage_payoff,
+)
 
 EV, WP = Objective.EXPECTED_VALUE, Objective.WIN_PROBABILITY
 
@@ -83,6 +90,25 @@ class TestBestResponse:
         spec = ContestSpec([2, 1, 2, 1], [100, 100], objective=WP)
         misses = equilibrium._tables_for.cache_info().misses
         with pytest.raises(InputError, match="opponents_allocation"):
+            best_response(spec, History(), 0, opp)
+        assert equilibrium._tables_for.cache_info().misses == misses
+
+    @pytest.mark.parametrize("opp", [
+        3, 3.0, np.int64(3), np.float32(3.0), np.float64(3.0), Fraction(3),
+        [3.0], (np.int64(3),), np.array([3.0]),
+    ], ids=repr)
+    def test_real_opponent_spends_are_accepted(self, opp):
+        spec = three_battle_contest()
+        assert best_response(spec, History(), 0, opp) == best_response(spec, History(), 0, 3.0)
+
+    @pytest.mark.parametrize("opp", [
+        "3", b"3", True, np.True_, None, 3 + 0j, {3.0},
+        ["3"], [True], [[3.0]], [], np.array(3.0), np.array([[3.0]]),
+    ], ids=repr)
+    def test_other_opponent_spends_are_rejected(self, opp):
+        spec = ContestSpec([1, 2, 1, 2], [100, 90], objective=WP)
+        misses = equilibrium._tables_for.cache_info().misses
+        with pytest.raises(InputError, match="opponents_allocation|single opponent"):
             best_response(spec, History(), 0, opp)
         assert equilibrium._tables_for.cache_info().misses == misses
 
@@ -216,6 +242,135 @@ class TestSolveBackward:
             solve_backward(ContestSpec([1] * 6, [10, 10], objective=WP))
         with pytest.raises(InputError):
             solve_backward(ContestSpec([1, 1], [10, 10]))
+
+
+class TestTablesSharedAcrossBudgets:
+    """Value tables never read the budgets, so one set serves every budget pair."""
+
+    VALUES = [1.25, 1.0, 1.5]  # solved by no other test
+
+    def test_a_budget_sweep_builds_the_tables_once(self):
+        pairs = ([60, 80], [80, 60], [45, 95])
+        misses = equilibrium._tables_for.cache_info().misses
+        results = [solve_backward(ContestSpec(self.VALUES, pair, objective=WP)) for pair in pairs]
+        spec = ContestSpec(self.VALUES, [30, 20], objective=WP)
+        stage = stage_equilibrium(spec, History())
+        response = best_response(spec, History(), 1, 10.0)
+        assert equilibrium._tables_for.cache_info().misses == misses + 1
+        for pair, result in zip(pairs, results):
+            equilibrium._tables_for.cache_clear()
+            fresh = solve_backward(ContestSpec(self.VALUES, pair, objective=WP))
+            assert result.trace == fresh.trace
+            assert result.trace_winners == fresh.trace_winners
+            assert result.solutions == fresh.solutions
+        equilibrium._tables_for.cache_clear()
+        assert stage_equilibrium(spec, History()) == stage
+        equilibrium._tables_for.cache_clear()
+        assert best_response(spec, History(), 1, 10.0) == response
+
+    def test_unsupported_contests_are_still_rejected(self):
+        shocked = ContestSpec(self.VALUES, [60, 80], objective=WP, shocks={(0, 2): 5.0})
+        with pytest.raises(InputError, match="fixed-budget"):
+            solve_backward(shocked)
+        with pytest.raises(InputError, match="fixed-budget"):
+            stage_equilibrium(shocked, History())
+        with pytest.raises(InputError, match="five battles"):
+            solve_backward(ContestSpec([1.0] * 6, [60, 80], objective=WP))
+
+
+def _kernel_spline(seed):
+    rng = np.random.default_rng(seed)
+    return equilibrium._UniformSpline(rng.uniform(0.1, 0.9, equilibrium.VALUE_NODES))
+
+
+class TestLeanStageKernel:
+    """The stage payoff against its earlier formula (`reference_stage_payoff`), by `==`."""
+
+    BRANCHES = {
+        "unmirrored-mirrored": lambda: (
+            equilibrium._BranchValue(spline=_kernel_spline(1), coin=0.3),
+            equilibrium._BranchValue(spline=_kernel_spline(2), mirrored=True, coin=0.6),
+        ),
+        "mirrored-terminal": lambda: (
+            equilibrium._BranchValue(spline=_kernel_spline(3), mirrored=True, coin=0.7),
+            equilibrium._BranchValue(const=(0.0, 1.0)),
+        ),
+        "terminal-terminal": lambda: (
+            equilibrium._BranchValue(const=(1.0, 0.0)),
+            equilibrium._BranchValue(const=(0.5, 0.5)),
+        ),
+        "continuation": lambda: tuple(
+            equilibrium._BranchValue(callback=lambda b_a, b_b, k=k: (
+                (b_a + k) / (b_a + b_b + 1.0), 0.0))
+            for k in (1.0, 0.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", list(BRANCHES))
+    def test_payoffs_equal_the_earlier_formula(self, kind, alpha):
+        spec = ContestSpec([1, 1, 1], [1, 1], CsfParams(alpha), objective=WP)
+        shares = np.linspace(0.0, 1.0, 9)
+        batches = [
+            (shares, 1.0 - shares),  # table nodes, with one player broke at each end
+            (np.array([60.0]), np.array([80.0])),  # an on-path stage
+            (np.array([0.0, 0.0]), np.array([0.0, 25.0])),  # no budget left at all
+        ]
+        branches = self.BRANCHES[kind]()
+        for budgets in batches:
+            game = equilibrium._StageGame(spec, 1, (1.0, 0.0), budgets, branches,
+                                          equilibrium.DEFAULT_SETTINGS)
+            zeros = np.zeros_like(game.budgets[0])
+            grids = [equilibrium._grid(zeros, b, 17) for b in game.budgets]
+            t = np.linspace(0.0, 1.0, 17)  # the grid's earlier formula
+            for grid, budget in zip(grids, game.budgets):
+                assert np.array_equal(grid, zeros[:, None] * (1.0 - t) + budget[:, None] * t)
+            spends = [
+                # the zoom's (node x spend_A x spend_B) boxes, over whole budgets,
+                # so both the both-broke and the both-idle corners occur
+                (grids[0][:, :, None], grids[1][:, None, :]),
+                # a best-response scan against a pinned spend
+                (grids[0][:, :, None], game.budgets[1][:, None, None] / 3.0),
+                # one spend pair per node
+                (game.budgets[0] / 2.0, game.budgets[1]),
+            ]
+            for w_a, w_b in spends:
+                value = game.payoff(w_a, w_b)
+                expected = reference_stage_payoff(game, w_a, w_b)
+                assert value.shape == expected.shape
+                assert np.array_equal(value, expected), (kind, alpha, budgets)
+            b_a, b_b = np.broadcast_arrays(grids[0][:, :, None], grids[1][:, None, :])
+            for branch in branches:
+                value = branch.payoff_vec(b_a, b_b, equilibrium._safe_sum(b_a, b_b))
+                assert np.array_equal(np.broadcast_to(value, b_a.shape),
+                                      reference_payoff_vec(branch, b_a, b_b))
+
+
+class TestSolverLogging:
+    def test_builds_and_solves_log_at_debug(self, caplog):
+        equilibrium._tables_for.cache_clear()
+        specs = [ContestSpec([1, 1, 1, 1], pair, objective=WP) for pair in ([60, 80], [80, 60])]
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            results = [solve_backward(spec) for spec in specs]
+        records = [r.getMessage() for r in caplog.records if r.name == "dynblotto"]
+        assert len(records) == 3
+        tables = equilibrium._tables_for(
+            ContestSpec(specs[0].values, [1, 1], objective=WP), equilibrium.DEFAULT_SETTINGS)
+        # standings 0-1, 0-2, 1-1 and 1-2 are built; 1-0, 2-0 and 2-1 mirror them
+        assert len(tables.splines) == 4
+        batches = 4 * -(-equilibrium.VALUE_NODES // equilibrium.NODE_CHUNK)
+        assert records[0].startswith(
+            f"value tables: 4 classes built, 3 served by a mirror, {batches} stage "
+            "batches, worst bracket gap ")
+        for record, result, how in zip(records[1:], results, ("built", "reused")):
+            worst = max(s.residual for s in result.solutions.values())
+            assert record == (f"backward solve: {len(result.solutions)} on-path stage "
+                              f"solves, worst residual {worst:.3e}, value tables {how}")
+
+    def test_nothing_is_logged_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="dynblotto"):
+            solve_backward(three_battle_contest())
+        assert not [r for r in caplog.records if r.name == "dynblotto"]
 
 
 def _one_battle_left_value(spec, totals, b_a, b_b):
