@@ -237,7 +237,9 @@ FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 @lru_cache(maxsize=8)
 def _fractions(points: int) -> tuple:
     t = np.linspace(0.0, 1.0, points)
-    return 1.0 - t, t
+    rest = 1.0 - t
+    rest.flags.writeable = t.flags.writeable = False  # shared by every grid of this size
+    return rest, t
 
 
 def _grid(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
@@ -655,11 +657,9 @@ def solve_backward(
         winners = winners + (trailing,)
 
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "backward solve: %d on-path stage solves, worst residual %.3e, value tables %s",
-            len(solutions), max(s.residual for s in solutions.values()),
-            "built" if _tables_for.cache_info().misses > misses else "reused",
-        )
+        how = "built" if _tables_for.cache_info().misses > misses else "reused"
+        _log.debug("backward solve: %d on-path stage solves, worst residual %.3e, value tables %s",
+                   len(solutions), max(s.residual for s in solutions.values()), how)
     profile = StrategyProfile(tabulars)
     return BackwardSolveResult(profile, tuple(trace), solutions, tuple(trace_winners))
 
