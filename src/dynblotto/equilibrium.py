@@ -517,13 +517,21 @@ class _ValueTables:
 
 
 @lru_cache(maxsize=8)
-def _tables_for(spec: ContestSpec, settings: SolverSettings) -> _ValueTables:
-    return _ValueTables(spec, settings)
+def _tables_for(spec: ContestSpec, settings: SolverSettings):
+    """The contest's value tables, or the `ConvergenceError` their build raised,
+    so a contest with a class that has no pure saddle is built once."""
+    try:
+        return _ValueTables(spec, settings)
+    except ConvergenceError as error:
+        return error.with_traceback(None)  # the cache keeps no frames of the build
 
 
 def _budget_free_tables(spec: ContestSpec, settings: SolverSettings) -> _ValueTables:
     """The contest's value tables, cached under unit budgets: they never read the budgets."""
-    return _tables_for(replace(spec, budgets=(1.0,) * spec.n), settings)
+    tables = _tables_for(replace(spec, budgets=(1.0,) * spec.n), settings)
+    if isinstance(tables, ConvergenceError):
+        raise ConvergenceError(str(tables), tables.allocations, tables.residual)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared test helpers: independent oracles and random contest generators."""
 
+import math
 import random
 
 import numpy as np
@@ -8,9 +9,7 @@ from dynblotto import (
     ContestSpec,
     CsfParams,
     History,
-    InputError,
     Objective,
-    SimulationResult,
     allocations_at,
     csf_probability,
     proportional_profile,
@@ -41,40 +40,43 @@ def brute_force_payoffs(profile, spec, history=None):
     return out
 
 
-def history_tree_simulate(profile, spec, seed, trials):
-    """Reference simulation: walk the tree of Histories, splitting the trials.
+def terminal_distribution(profile, spec, history=None, weight=1.0, out=None):
+    """Independent oracle for simulation: the probability of each terminal payoff vector.
 
-    The History walk that `montecarlo.simulate` replaced, built from the
-    public per-battle operations only.  It draws the same uniforms and picks
-    winners by the same inverse-CDF rule, so its result must equal
-    `simulate`'s bit for bit.
+    The enumeration of `brute_force_payoffs`, built from the public
+    per-battle operations only, with the mass of every terminal history
+    added to its payoff vector.  Returns a dict of payoff tuple -> probability.
     """
-    if trials < 1 or seed < 0:
-        raise InputError("trials must be positive and seed nonnegative")
-    uniforms = np.random.default_rng(seed).random((trials, spec.m))
-    payoffs = np.zeros((trials, spec.n))
-    stack = [(History(), np.arange(trials))]
-    while stack:
-        history, trial_rows = stack.pop()
-        if terminal_status(spec, history).terminal:
-            payoffs[trial_rows] = terminal_payoff(spec, history)
-            continue
-        allocations = allocations_at(profile, spec, history)
-        probs = [csf_probability(allocations, spec.csf, i) for i in range(spec.n)]
-        thresholds = np.cumsum(probs)
-        draws = uniforms[trial_rows, len(history)]
-        winners = np.searchsorted(thresholds, draws, side="right")
-        np.clip(winners, 0, spec.n - 1, out=winners)
-        for w in reversed(range(spec.n)):
-            rows = trial_rows[winners == w]
-            if rows.size:
-                stack.append((history.extend(allocations, w), rows))
-    means = payoffs.mean(axis=0)
-    if trials > 1:
-        std_errors = payoffs.std(axis=0, ddof=1) / np.sqrt(trials)
+    history = history if history is not None else History()
+    out = {} if out is None else out
+    if terminal_status(spec, history).terminal:
+        payoff = terminal_payoff(spec, history)
+        out[payoff] = out.get(payoff, 0.0) + weight
+        return out
+    allocations = allocations_at(profile, spec, history)
+    for winner in range(spec.n):
+        p = csf_probability(allocations, spec.csf, winner)
+        if p > 0.0:
+            successor = history.extend(allocations, winner)
+            terminal_distribution(profile, spec, successor, weight * p, out)
+    return out
+
+
+def chi_square_sf(statistic, dof):
+    """P(X >= statistic) for X chi-square with a positive integer `dof`, in closed form.
+
+    With h = statistic / 2 it is the sum of h^k e^-h / Gamma(k + 1) over
+    k = 0, 1, ..., dof/2 - 1 for even dof, and erfc(sqrt(h)) plus that sum
+    over k = 1/2, 3/2, ..., dof/2 - 1 for odd dof.
+    """
+    half = statistic / 2.0
+    if half == 0.0:
+        return 1.0
+    if dof % 2 == 0:
+        total, ks = 0.0, range(dof // 2)
     else:
-        std_errors = np.zeros(spec.n)
-    return SimulationResult(trials, tuple(means.tolist()), tuple(std_errors.tolist()), seed)
+        total, ks = math.erfc(math.sqrt(half)), (i + 0.5 for i in range((dof - 1) // 2))
+    return total + sum(math.exp(k * math.log(half) - half - math.lgamma(k + 1.0)) for k in ks)
 
 
 def history_bfs_histories(spec, plan):

@@ -277,6 +277,18 @@ class TestTablesSharedAcrossBudgets:
         with pytest.raises(InputError, match="five battles"):
             solve_backward(ContestSpec([1.0] * 6, [60, 80], objective=WP))
 
+    def test_a_failed_build_is_built_once(self):
+        # one class of these tables has no pure saddle at alpha 2
+        spec = ContestSpec([1, 1, 1, 1], [100, 100], CsfParams(2.0), objective=WP)
+        equilibrium._tables_for.cache_clear()
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ConvergenceError, match="minimax bracket gap") as caught:
+                best_response(spec, History(), 0, 10.0)
+            errors.append((str(caught.value), caught.value.allocations, caught.value.residual))
+        assert equilibrium._tables_for.cache_info().misses == 1
+        assert errors[0] == errors[1] == errors[2]
+
 
 def _kernel_spline(seed):
     rng = np.random.default_rng(seed)

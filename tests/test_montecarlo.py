@@ -1,5 +1,7 @@
 """Seeded simulation: determinism and agreement with exact evaluation."""
 
+import logging
+import math
 import random
 import time
 import tracemalloc
@@ -20,7 +22,7 @@ from dynblotto import (
     solve_backward,
 )
 from dynblotto import montecarlo
-from conftest import history_tree_simulate
+from conftest import chi_square_sf, terminal_distribution
 
 WP = Objective.WIN_PROBABILITY
 EV = Objective.EXPECTED_VALUE
@@ -106,27 +108,57 @@ def test_contests_longer_than_the_recursion_limit():
     assert sum(result.means) == pytest.approx(1100.0, abs=1e-9)
 
 
-def assert_simulate_matches(monkeypatch, profile, spec, seed, trials):
-    """`simulate` equals the History-tree walk in blocks of the default size
-    and in blocks of 7 trials, where later blocks reach codes and states that
-    earlier ones did not and most trial counts leave a partial last block."""
-    expected = history_tree_simulate(profile, spec, seed, trials)
-    for block in (montecarlo.BLOCK, 7):
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "BLOCK", block)
-            assert simulate(profile, spec, seed, trials) == expected, (spec, block)
+def assert_counts_follow_the_exact_distribution(profile, spec, seed, trials=100_000):
+    """The banked terminal counts of `simulate` pass a chi-square test against
+    the exact distribution of terminal payoff vectors, at p >= 1e-6.
+
+    Cells expected to hold fewer than 5 trials pool, smallest first, until
+    the pool is expected to hold 5.  The counts add up to `trials`, every
+    banked payoff is a reachable terminal's, and the reported means are
+    the counts' weighted mean.
+    """
+    payoffs, counts = montecarlo._terminal_counts(profile, spec, seed, trials)
+    assert counts.sum() == trials and counts.min() > 0
+    exact = terminal_distribution(profile, spec)
+    observed = dict.fromkeys(exact, 0)
+    for row, count in zip(map(tuple, payoffs.tolist()), counts.tolist()):
+        assert row in exact, (spec, row)
+        observed[row] += count
+    cells = sorted((trials * p, observed[payoff]) for payoff, p in exact.items())
+    pool = [0.0, 0]
+    while cells and (pool[0] < 5.0 or cells[0][0] < 5.0):
+        expected, count = cells.pop(0)
+        pool = [pool[0] + expected, pool[1] + count]
+    cells.append(tuple(pool))
+    if len(cells) > 1:
+        statistic = sum((count - expected) ** 2 / expected for expected, count in cells)
+        assert chi_square_sf(statistic, len(cells) - 1) >= 1e-6, (spec, seed, statistic)
+    means = simulate(profile, spec, seed, trials).means
+    for i in range(spec.n):
+        weighted = math.fsum(c * p for c, p in zip(counts.tolist(), payoffs[:, i].tolist()))
+        assert means[i] == pytest.approx(weighted / trials, rel=1e-12, abs=1e-12)
 
 
-class TestAgainstTheHistoryTree:
-    """`simulate` equals the History-tree walk it replaced, bit for bit."""
+@pytest.mark.parametrize("statistic, dof, tail", [
+    (3.841459, 1, 0.05), (5.991465, 2, 0.05), (15.08627, 5, 0.01), (18.30704, 10, 0.05),
+    (59.70306, 30, 0.001),
+])
+def test_chi_square_tail_matches_the_tables(statistic, dof, tail):
+    assert chi_square_sf(statistic, dof) == pytest.approx(tail, rel=1e-5)
+
+
+class TestAgainstTheTerminalDistribution:
+    """`simulate` reaches the terminal payoffs the contest reaches, as often as it does."""
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
-    def test_proportional_play_over_a_seeded_family(self, monkeypatch, objective, with_shocks):
-        # integer values, so win-probability ties and clinches occur
+    def test_proportional_play_over_a_seeded_family(self, objective, with_shocks):
+        # integer values, so win-probability ties and clinches occur; some budgets
+        # are 0.  Four players stop at six battles: the oracle walks n^m paths.
         rng = random.Random(f"simulate-family:{objective.value}:{with_shocks}")
-        alphas, trial_counts = (0.5, 1.0, 2.0), (1, 2, 37, 150)
-        for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
+        alphas = (0.5, 1.0, 2.0)
+        sizes = [(n, m) for n in (2, 3, 4) for m in range(1, 9 if n < 4 else 7)]
+        for k, (n, m) in enumerate(sizes):
             values = [float(rng.randint(1, 3)) for _ in range(m)]
             budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
             shocks = {}
@@ -135,24 +167,23 @@ class TestAgainstTheHistoryTree:
                     shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
             spec = ContestSpec(values, budgets, CsfParams(alphas[k % 3], rng.choice([1.0, 2.0])),
                                objective, shocks)
-            profile = proportional_profile(n)
-            seed, trials = rng.randrange(2**31), trial_counts[k % 4]
-            assert_simulate_matches(monkeypatch, profile, spec, seed, trials)
+            assert_counts_follow_the_exact_distribution(
+                proportional_profile(n), spec, rng.randrange(2**31))
 
-    def test_tabular_profile(self, monkeypatch):
+    def test_tabular_profile(self):
         spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=WP)
         profile = solve_backward(spec).profile
-        for seed, trials in ((3, 1), (4, 2000), (5, 2), (6, 37)):
-            assert_simulate_matches(monkeypatch, profile, spec, seed, trials)
+        for seed in (3, 4, 5, 6):
+            assert_counts_follow_the_exact_distribution(profile, spec, seed)
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
-    def test_deviation_profiles(self, monkeypatch, objective):
+    def test_deviation_profiles(self, objective):
         spec = ContestSpec([1, 2, 1, 2, 1], [40, 55, 30], objective=objective)
         base = proportional_profile(3)
         at_root = one_shot_deviation(base, 1, History(), 3.0)
         below_root = one_shot_deviation(base, 2, history_from_winners(spec, [0]), 0.5)
         for profile in (at_root, below_root):
-            assert_simulate_matches(monkeypatch, profile, spec, 9, 3000)
+            assert_counts_follow_the_exact_distribution(profile, spec, 9)
 
 
 @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
@@ -161,9 +192,29 @@ def test_proportional_play_builds_no_history(monkeypatch, objective):
         raise AssertionError("History.extend called")
 
     spec = ContestSpec([1, 2, 1, 1, 3], [50, 40, 30], objective=objective)
-    expected = history_tree_simulate(proportional_profile(3), spec, 2, 5000)
+    expected = simulate(proportional_profile(3), spec, 2, 5000)
     monkeypatch.setattr(History, "extend", refuse)
     assert simulate(proportional_profile(3), spec, 2, 5000) == expected
+
+
+def test_a_trial_count_costs_no_time():
+    spec = ContestSpec([1, 2, 3], [60, 40])
+    start = time.process_time()
+    result = simulate(proportional_profile(2), spec, seed=8, trials=2**31 - 1)
+    elapsed = time.process_time() - start
+    assert all(math.isfinite(mean) for mean in result.means)
+    assert all(se > 0.0 for se in result.std_errors)
+    assert elapsed < 0.1
+
+
+def test_debug_record_counts_states_merges_and_draws(caplog):
+    spec = ContestSpec([1, 1, 1], [30, 30, 30])
+    with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+        simulate(proportional_profile(3), spec, seed=1, trials=1000)
+    # 3, 9 and 18 children merge into 3, 6 and 10 states; two binomial calls per battle
+    assert caplog.messages == [
+        "simulation: 1000 trials, states per battle [1, 3, 6], 11 states merged, 6 binomial calls"
+    ]
 
 
 def test_profile_for_another_player_count_is_rejected():
