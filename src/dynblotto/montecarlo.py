@@ -70,7 +70,7 @@ def simulate(
         raise InputError(f"trials must be an integer from 1 to {2**31 - 1}, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
-    payoffs, counts = _terminal_counts(profile, spec, seed, trials)
+    _, payoffs, counts = _terminal_counts(profile, spec, seed, trials)
     weights = counts.astype(float)
     means = weights @ payoffs / trials
     if trials > 1:
@@ -82,11 +82,12 @@ def simulate(
 
 
 def _terminal_counts(profile, spec, seed, trials):
-    """The terminal payoffs that `trials` plays of the contest reach, and how many reach each.
+    """The terminal states that `trials` plays of the contest reach, and how many reach each.
 
-    Returns a payoff row per banked terminal state, in the order they were
-    banked, and its trial count.  Strategies are pure, so trials in the same
-    contest state play the same spends and one state stands for all of them.
+    Returns the standings and the payoff row of each banked terminal state,
+    in the order they were banked, and its trial count.  Strategies are
+    pure, so trials in the same contest state play the same spends and one
+    state stands for all of them.
     A profile holding a strategy that reads more than the state (`Tabular`,
     or a `Deviation` below the root) gets the History of each state, and
     then no two states merge.
@@ -102,7 +103,7 @@ def _terminal_counts(profile, spec, seed, trials):
         histories = np.full(1, History(), object)
     standings, spent, counts = np.zeros((1, n)), np.zeros((1, n)), np.array([trials])
     rng = np.random.default_rng(seed)
-    payoffs, banked = [], []
+    finals, payoffs, banked = [], [], []
     states, merged = [], 0
     for played in range(spec.m):
         if played:
@@ -124,6 +125,7 @@ def _terminal_counts(profile, spec, seed, trials):
         ended, winners = _statuses(spec, played + 1, standings)
         if ended.any():
             won = winners[ended]
+            finals.append(standings[ended])
             if spec.objective is Objective.EXPECTED_VALUE:
                 payoffs.append(standings[ended])
             else:
@@ -139,4 +141,4 @@ def _terminal_counts(profile, spec, seed, trials):
             "simulation: %d trials, states per battle %s, %d states merged, %d binomial calls",
             trials, states, merged, len(states) * (n - 1),
         )
-    return np.concatenate(payoffs), np.concatenate(banked)
+    return np.concatenate(finals), np.concatenate(payoffs), np.concatenate(banked)

@@ -41,17 +41,18 @@ def brute_force_payoffs(profile, spec, history=None):
 
 
 def terminal_distribution(profile, spec, history=None, weight=1.0, out=None):
-    """Independent oracle for simulation: the probability of each terminal payoff vector.
+    """Independent oracle for simulation: the probability of each terminal state.
 
     The enumeration of `brute_force_payoffs`, built from the public
     per-battle operations only, with the mass of every terminal history
-    added to its payoff vector.  Returns a dict of payoff tuple -> probability.
+    added to its final standings (won-value totals) and payoff vector.
+    Returns a dict of (standings tuple, payoff tuple) -> probability.
     """
     history = history if history is not None else History()
     out = {} if out is None else out
     if terminal_status(spec, history).terminal:
-        payoff = terminal_payoff(spec, history)
-        out[payoff] = out.get(payoff, 0.0) + weight
+        final = (history.won_values(spec), terminal_payoff(spec, history))
+        out[final] = out.get(final, 0.0) + weight
         return out
     allocations = allocations_at(profile, spec, history)
     for winner in range(spec.n):

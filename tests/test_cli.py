@@ -169,7 +169,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("trials", ["2147483648", "3000000000", "10000000000000"])
     def test_simulate_refuses_more_trials_than_it_can_index(self, tmp_path, capsys, trials):
-        # per-trial indices are int32; refused before anything is allocated
+        # above the public bound of 2^31 - 1; refused before anything is allocated
         # (3e9 trials used to ask numpy for 67 GiB)
         config = example2_config(tmp_path)
         tracemalloc.start()

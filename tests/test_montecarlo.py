@@ -1,5 +1,6 @@
 """Seeded simulation: determinism and agreement with exact evaluation."""
 
+import itertools
 import logging
 import math
 import random
@@ -14,6 +15,9 @@ from dynblotto import (
     History,
     InputError,
     Objective,
+    Proportional,
+    StrategyProfile,
+    Tabular,
     expected_payoffs,
     history_from_winners,
     one_shot_deviation,
@@ -110,21 +114,25 @@ def test_contests_longer_than_the_recursion_limit():
 
 def assert_counts_follow_the_exact_distribution(profile, spec, seed, trials=100_000):
     """The banked terminal counts of `simulate` pass a chi-square test against
-    the exact distribution of terminal payoff vectors, at p >= 1e-6.
+    the exact distribution of terminal states, at p >= 1e-6.
 
+    A cell is a terminal state's final standings with its payoff vector:
+    under win probability the standings tell apart terminals that pay the
+    same, so a profile that plays the wrong spends below the root shows.
     Cells expected to hold fewer than 5 trials pool, smallest first, until
     the pool is expected to hold 5.  The counts add up to `trials`, every
-    banked payoff is a reachable terminal's, and the reported means are
-    the counts' weighted mean.
+    banked state is a reachable terminal with its payoff, and the reported
+    means are the counts' weighted mean.
     """
-    payoffs, counts = montecarlo._terminal_counts(profile, spec, seed, trials)
+    finals, payoffs, counts = montecarlo._terminal_counts(profile, spec, seed, trials)
     assert counts.sum() == trials and counts.min() > 0
     exact = terminal_distribution(profile, spec)
     observed = dict.fromkeys(exact, 0)
-    for row, count in zip(map(tuple, payoffs.tolist()), counts.tolist()):
-        assert row in exact, (spec, row)
-        observed[row] += count
-    cells = sorted((trials * p, observed[payoff]) for payoff, p in exact.items())
+    rows = zip(map(tuple, finals.tolist()), map(tuple, payoffs.tolist()))
+    for final, count in zip(rows, counts.tolist()):
+        assert final in exact, (spec, final)
+        observed[final] += count
+    cells = sorted((trials * p, observed[final]) for final, p in exact.items())
     pool = [0.0, 0]
     while cells and (pool[0] < 5.0 or cells[0][0] < 5.0):
         expected, count = cells.pop(0)
@@ -153,12 +161,10 @@ class TestAgainstTheTerminalDistribution:
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
     def test_proportional_play_over_a_seeded_family(self, objective, with_shocks):
-        # integer values, so win-probability ties and clinches occur; some budgets
-        # are 0.  Four players stop at six battles: the oracle walks n^m paths.
+        # integer values, so win-probability ties and clinches occur; some budgets are 0
         rng = random.Random(f"simulate-family:{objective.value}:{with_shocks}")
         alphas = (0.5, 1.0, 2.0)
-        sizes = [(n, m) for n in (2, 3, 4) for m in range(1, 9 if n < 4 else 7)]
-        for k, (n, m) in enumerate(sizes):
+        for k, (n, m) in enumerate((n, m) for n in (2, 3, 4) for m in range(1, 9)):
             values = [float(rng.randint(1, 3)) for _ in range(m)]
             budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
             shocks = {}
@@ -175,6 +181,18 @@ class TestAgainstTheTerminalDistribution:
         profile = solve_backward(spec).profile
         for seed in (3, 4, 5, 6):
             assert_counts_follow_the_exact_distribution(profile, spec, seed)
+        # The solved tables spend proportionally to within 1e-7, so a walk that
+        # played them proportionally below the root would pass the above.  A
+        # table of other spends at every battle tells the two apart.
+        rng = random.Random("simulate-tabular")
+        table = Tabular(player=0)
+        for played in range(spec.m):
+            for winners in itertools.product(range(2), repeat=played):
+                table.record(played + 1, winners, (0.0, 0.0), rng.uniform(0.0, 40.0))
+        profile = StrategyProfile((table, Proportional()))
+        for objective in (EV, WP):
+            spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=objective)
+            assert_counts_follow_the_exact_distribution(profile, spec, 7)
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     def test_deviation_profiles(self, objective):
