@@ -393,6 +393,14 @@ def _hopeless(spec: ContestSpec, played: int, standings):
     return standings + spec._suffix[played] < _rival_bests(standings)
 
 
+def _remaining_budgets(spec: ContestSpec, played: int, standings, spent):
+    """The array form of `remaining_budget` at nonterminal states: one state per row."""
+    budgets = _formal_budgets(spec, played, spent)
+    if spec.objective is Objective.WIN_PROBABILITY:
+        budgets[_hopeless(spec, played, standings)] = 0.0
+    return budgets
+
+
 def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
     """Terminal status of the state after `played` battles with these standings."""
     if played == len(spec.values):

@@ -48,17 +48,18 @@ from .core import (
     Objective,
     _payoff,
     _proportional_spend,
+    _remaining_budgets,
     _status,
     _statuses,
     remaining_budget,
     terminal_status,
 )
-from .evaluation import DeviationReport, deviation_gains, deviation_grid
+from .evaluation import PART, DeviationReport, _closed_forms, _offset_grids, _state, _sweeps
 from .strategies import (
     StrategyProfile,
     Tabular,
-    _children,
     _level_spends,
+    history_from_winners,
     proportional_profile,
 )
 
@@ -676,27 +677,35 @@ def solve_backward(
 # proportionality checking (any player count, any objective)
 
 
-def _sampled_histories(spec: ContestSpec, plan: SamplingPlan):
-    yield from plan.histories
+def _swept_states(spec: ContestSpec, plan: SamplingPlan):
+    """Yields (battles played, standings, spent, sources) of the states to sweep.
+
+    One state per row; a source is the state's History or winner schedule.
+    The plan's histories come one by one, then the states reachable under
+    proportional play, a depth at a time and equal ones kept apart, each
+    depth cut to `plan.max_per_depth` by a sorted sample of one seeded draw.
+    """
+    for history in plan.histories:
+        yield len(history), *_state(spec, history), (history,)
     below = proportional_profile(spec.n).strategies
     rng = random.Random(plan.seed)
     standings, spent = np.zeros((1, spec.n)), np.zeros((1, spec.n))
-    histories = np.empty(1, object)
-    histories[0] = History()
-    yield from histories
+    winners = np.zeros((1, 0), int)
+    yield 0, standings, spent, winners
     for played in range(spec.m - 1):
-        spends, probs = _level_spends(below, spec, played, standings, spent, histories)
+        spends, probs = _level_spends(below, spec, played, standings, spent, None)
         parent, winner = np.nonzero(probs > 0.0)
-        standings, spent, histories, _, _ = _children(
-            spec, played, parent, winner, standings, spent, spends, histories
-        )
+        standings = standings[parent]
+        standings[np.arange(parent.size), winner] += spec.values[played]
+        spent = spent[parent] + spends[parent]
+        winners = np.column_stack((winners[parent], winner))
         live = np.flatnonzero(~_statuses(spec, played + 1, standings)[0])
         if not live.size:
             return
         if plan.max_per_depth is not None and live.size > plan.max_per_depth:
             live = live[sorted(rng.sample(range(live.size), plan.max_per_depth))]
-        standings, spent, histories = standings[live], spent[live], histories[live]
-        yield from histories
+        standings, spent, winners = standings[live], spent[live], winners[live]
+        yield played + 1, standings, spent, winners
 
 
 def check_proportionality(
@@ -705,22 +714,49 @@ def check_proportionality(
     """Is the proportional profile robust to one-shot deviations?
 
     Sweeps the feasible deviation grid for every player at every sampled
-    history; returns Fails on the first gain above tolerance, otherwise Holds
-    with the largest gain observed.
+    history, history after history and player after player; returns Fails
+    on the first gain above tolerance, otherwise Holds with the largest gain
+    observed.  Each batch of sweeps is one walk (`evaluation._sweeps`) of at
+    most PART rows: a depth's first sweep alone, so a refutation there costs
+    one sweep, then 2, 4, 8, ... sweeps, doubling on from depth to depth.
     """
-    checked = 0
-    max_gain = -math.inf
-    for history in _sampled_histories(spec, plan):
-        if terminal_status(spec, history).terminal:
+    n, checked, max_gain, verdict = spec.n, 0, -math.inf, None
+    states, sweeps, walks, rows, size = [0] * spec.m, 0, 0, 0, 2
+    for played, standings, spent, sources in _swept_states(spec, plan):
+        if isinstance(sources[0], History) and terminal_status(spec, sources[0]).terminal:
             continue
-        checked += 1
-        for player in range(spec.n):
-            deltas = deviation_grid(spec, history, player, plan.delta_points)
-            for report in deviation_gains(spec, history, player, deltas):
-                if report.gain > max_gain:
-                    max_gain = report.gain
-                if report.gain > plan.tolerance:
-                    return ProportionalityVerdict(False, checked, report.gain, report)
-    if max_gain == -math.inf:
-        max_gain = 0.0
-    return ProportionalityVerdict(True, checked, max_gain, None)
+        states[played] += len(sources)
+        known = spec.truncate_shocks(played + 1)
+        budgets = _remaining_budgets(known, played, standings, spent).ravel()
+        grids = _offset_grids(known, played, budgets, plan.delta_points)
+        fit, start = max(1, PART // (grids.shape[1] + 1)), 0  # sweeps in a walk of PART rows
+        while start < len(grids) and verdict is None:
+            stop = min(start + min(size if start else 1, fit), len(grids))
+            sweep = np.arange(start, stop)
+            gains = _sweeps(known, played, standings[sweep // n], spent[sweep // n], sweep % n,
+                            grids[start:stop])
+            sweeps, walks, rows = sweeps + sweep.size, walks + 1, rows + gains.size + sweep.size
+            over = np.flatnonzero(gains > plan.tolerance)
+            if over.size:
+                k, j = divmod(int(over[0]), gains.shape[1])
+                state, player = divmod(start + k, n)
+                history = sources[state]
+                if not isinstance(history, History):
+                    history = history_from_winners(spec, history.tolist())
+                delta, gain = float(grids[start + k, j]), float(gains[k, j])
+                closed = _closed_forms(known, history, player, [delta])[0]
+                report = DeviationReport(history, player, delta, gain, closed)
+                verdict = ProportionalityVerdict(False, checked + state + 1, gain, report)
+            elif gains.max() > max_gain:
+                max_gain = float(gains.max())
+            size, start = 2 * size if start else size, stop
+        if verdict is not None:
+            break
+        checked += len(sources)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("proportionality check: states per depth %s, %d sweeps, %d walks, %d rows, "
+                   "refuted at depth %s", states, sweeps, walks, rows,
+                   None if verdict is None else played)
+    if verdict is None:
+        verdict = ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
+    return verdict

@@ -8,9 +8,10 @@ success function.  Win-probability states end as soon as someone clinches.
 Under proportional play children with equal (row, standings, spent) merge,
 so under expected value, where each battle's value is credited where it is
 fought, a row keeps one state per battle.  A one-shot deviation sweep is
-one kernel call: the proportional baseline and each offset are rows.  On
-top sit the Tullock closed form for the deviation gain and the per-battle
-marginal gain used to characterize proportional play.
+rows too, the proportional baseline and one per offset, and many sweeps at
+states of one depth share one kernel call.  On top sit the Tullock closed
+form for the deviation gain and the per-battle marginal gain used to
+characterize proportional play.
 """
 
 from __future__ import annotations
@@ -31,19 +32,21 @@ from .core import (
     Objective,
     _csf_distributions,
     _proportional_spend,
+    _remaining_budgets,
+    _standings,
     _statuses,
     remaining_budget,
     terminal_payoff,
     terminal_status,
 )
 from .strategies import (
+    PROPORTIONAL,
     Proportional,
     StrategyProfile,
     _below_root,
     _children,
     _level_spends,
     allocations_at,
-    proportional_profile,
 )
 
 # Most winner sequences an exact evaluation may enumerate, unless it merges
@@ -57,13 +60,19 @@ PART = 2**16
 _log = logging.getLogger("dynblotto")
 
 
-def _check_cap(spec: ContestSpec, history: History, cap: int) -> None:
-    depth = spec.m - len(history)
+def _check_cap(spec: ContestSpec, played: int, cap: int) -> None:
+    depth = spec.m - played
     if spec.n**depth > cap:
         raise EnumerationCapError(
             f"{spec.n}**{depth} winner sequences exceed the cap of {cap} leaves; "
             "use montecarlo.simulate for an estimate"
         )
+
+
+def _state(spec: ContestSpec, history: History) -> tuple:
+    """The standings and spends at a history, as 1 x n arrays."""
+    spent = [history.spent(i) for i in range(spec.n)]
+    return np.array([_standings(spec, history)]), np.array([spent])
 
 
 def expected_payoffs(
@@ -91,52 +100,55 @@ def expected_payoffs(
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
     markov = all(type(s) is Proportional for s in below)
     if spec.objective is Objective.WIN_PROBABILITY or not markov:  # only these branch
-        _check_cap(spec, root, LEAF_CAP)
+        _check_cap(spec, len(root), LEAF_CAP)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
     spends = np.array([allocations_at(profile, spec, root)])
-    return tuple(_level_walk(spec, root, spends, below)[0].tolist())
+    walk = _level_walk(spec, len(root), *_state(spec, root), spends, below,
+                       None if markov else root)
+    return tuple(walk[0].tolist())
 
 
-def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndarray:
-    """Exact payoffs of R ways to play the root battle: an R x n array.
+def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends, below,
+                root: Optional[History] = None) -> np.ndarray:
+    """Exact payoffs of R ways to play a battle: an R x n array.
 
-    Row r spends `root_spends[r]` at the nonterminal root and plays the
-    strategies `below` after it.  The live states of a battle are arrays of
-    (row, standings, spent, mass), played in one set of array operations:
-    ended states bank their payoffs, the others get their spends and their
-    contest success probabilities from `_level_spends`, and each branches
-    on the winner through `_children`.  Under expected value each battle's
-    value is credited where it is fought.  When every strategy below is
-    `Proportional`, children with equal (row, standings, spent) merge and
-    their masses add up; under expected value all children of a state are
-    one state, which keeps its mass and the standings it has.  Otherwise
-    each state carries its History, which the strategies read, and nothing
-    merges.  A level of more than PART states is finished in parts, one
-    after another.
+    Row r starts at the nonterminal state after `played` battles with
+    standings `standings[r]` and spends `spent[r]`, spends `root_spends[r]`
+    at the next battle and plays the strategies `below` after it.  The live
+    states of a battle are arrays of (row, standings, spent, mass), played
+    in one set of array operations: ended states bank their payoffs, the
+    others get their spends and contest success probabilities from
+    `_level_spends` and branch on the winner through `_children`.  Under
+    expected value each battle's value is credited where it is fought.
+    When every strategy below is `Proportional`, children with equal (row,
+    standings, spent) merge and their masses add up; under expected value
+    all children of a state are one state.  Otherwise `root` is the History
+    of every row's state; each state carries its History, which the
+    strategies read, and nothing merges.  A row's states lie together, and
+    a level of more than PART states is finished in parts, each ending
+    where a row's states end unless one row alone has more than PART, so
+    every row pays bit for bit what it pays alone.
     """
     n, m, values = spec.n, spec.m, spec.values
     win_prob = spec.objective is Objective.WIN_PROBABILITY
-    markov = all(type(s) is Proportional for s in below)
-    count = len(root_spends)
-    standings, spent = np.empty((count, n)), np.empty((count, n))
-    standings[:] = root.won_values(spec)
-    spent[:] = [root.spent(i) for i in range(n)]
+    count, depth = len(root_spends), played
     out = np.zeros((count, n)) if win_prob else standings.copy()
     histories = None
-    if not markov:
+    if root is not None:
         histories = np.empty(count, object)
         histories.fill(root)
     state = (np.arange(count), standings, spent, np.ones(count), histories, root_spends)
-    stack = [(len(root), state)]
+    stack = [(played, state)]
     states, merged, parts = [0] * (m + 1), 0, 0
     while stack:
         played, state = stack.pop()
         size = len(state[0])
         if size > PART:
-            cuts = range(0, size, PART)
-            parts += len(cuts)
-            stack.extend((played, _take(state, slice(c, c + PART))) for c in reversed(cuts))
+            cuts = _cuts(state[0])
+            parts += len(cuts) - 1
+            pieces = [_take(state, slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+            stack.extend((played, piece) for piece in reversed(pieces))
             continue
         states[played] += size
         rows, standings, spent, mass, histories, spends = state
@@ -155,10 +167,12 @@ def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndar
         else:
             probs = _csf_distributions(spends, spec.csf)
         if not win_prob:
-            np.add.at(out, rows, mass[:, None] * probs * values[played])
+            credit = mass[:, None] * probs * values[played]
             if histories is None:  # spends never depend on who won: every child is one state
+                out[rows] += credit  # so every row has one state
                 stack.append((played + 1, (rows, standings, spent + spends, mass, None, None)))
                 continue
+            np.add.at(out, rows, credit)
         parent, winner = np.nonzero(probs > 0.0)
         mass = mass[parent] * probs[parent, winner]
         standings, spent, histories, first, group = _children(
@@ -171,9 +185,19 @@ def _level_walk(spec: ContestSpec, root: History, root_spends, below) -> np.ndar
         _log.debug(
             "exact walk: %d rows, states per battle %s, %d states merged, "
             "%d parts of split battles",
-            count, states[len(root):], merged, parts,
+            count, states[depth:], merged, parts,
         )
     return out
+
+
+def _cuts(rows) -> list:
+    """Where to cut a level of states into parts (see `_level_walk`)."""
+    ends = np.flatnonzero(np.diff(rows, prepend=-1, append=-1))  # 0, each row's end
+    cuts = [0]
+    while cuts[-1] < rows.size:
+        end = int(ends[np.searchsorted(ends, cuts[-1] + PART, side="right") - 1])
+        cuts.append(end if end > cuts[-1] else cuts[-1] + PART)
+    return cuts
 
 
 def _take(arrays, index) -> tuple:
@@ -202,13 +226,19 @@ def deviation_grid(spec: ContestSpec, history: History, player: int, points: int
     if terminal_status(spec, history).terminal:
         raise ContractError("deviations are undefined at terminal histories")
     budget = remaining_budget(spec, history, player)
-    if budget <= 0.0:
-        return (0.0,)
-    spend = _proportional_spend(spec, len(history), budget)
-    lo, hi = -spend, budget - spend
+    grid = _offset_grids(spec, len(history), np.array([budget]), points)[0]
+    return tuple(grid.tolist()) if budget > 0.0 else (0.0,)
+
+
+def _offset_grids(spec: ContestSpec, played: int, budgets, points: int) -> np.ndarray:
+    """`deviation_grid` at many budgets, one row each; zeros where it is (0.0,)."""
     if points < 2:
-        return (0.0,)
-    return tuple(lo + (hi - lo) * j / (points - 1) for j in range(points))
+        return np.zeros((budgets.size, 1))
+    spends = _proportional_spend(spec, played, budgets)
+    lo, hi = -spends, budgets - spends
+    grids = lo[:, None] + (hi - lo)[:, None] * np.arange(points) / (points - 1)
+    grids[budgets <= 0.0] = 0.0
+    return grids
 
 
 def deviation_gains(
@@ -219,10 +249,11 @@ def deviation_gains(
 ) -> list:
     """Deviation reports for several offsets, from one walk.
 
-    Row 0 of the walk plays proportionally at the history; each offset adds
-    a row in which the player's spend there is the proportional one plus
-    the offset, clamped into [0, budget].  Every row plays proportionally
-    below the history, so each gain is the row's payoff minus row 0's.
+    The walk has a row that plays proportionally at the history and a row
+    per offset, in which the player's spend there is the proportional one
+    plus the offset, clamped into [0, budget].  Every row plays
+    proportionally below the history, so each gain is its row's payoff
+    minus the proportional row's.
 
     Payoffs are evaluated in the contest as known at the history: shocks
     announced for later battles are not visible when the deviation is chosen,
@@ -230,42 +261,54 @@ def deviation_gains(
     """
     if terminal_status(spec, history).terminal:
         raise ContractError("deviations are undefined at terminal histories")
+    if not 0 <= player < spec.n:
+        raise InputError(f"player index {player} out of range")
     known = spec.truncate_shocks(len(history) + 1)
-    base = proportional_profile(known.n)
-    if known.objective is Objective.WIN_PROBABILITY:
-        _check_cap(known, history, LEAF_CAP)
-    baseline = allocations_at(base, known, history)
-    budget = remaining_budget(known, history, player)
-    played = len(history)
-    x_next = known.values[played]
-    k = known.suffix_value(played) / x_next
-    spend = _proportional_spend(known, played, budget)
-
-    tullock = known.csf.alpha == 1.0
-    expected_value = known.objective is Objective.EXPECTED_VALUE
-    opponents = sum(remaining_budget(known, history, j) for j in range(known.n) if j != player)
-
     deltas = [float(delta) for delta in deltas]
-    deviated = spend + np.array(deltas)
+    gains = _sweeps(known, len(history), *_state(known, history), np.array([player]),
+                    np.array([deltas]))[0]
+    closed = _closed_forms(known, history, player, deltas)
+    return [DeviationReport(history, player, *r) for r in zip(deltas, gains.tolist(), closed)]
+
+
+def _sweeps(spec: ContestSpec, played: int, standings, spent, players, deltas) -> np.ndarray:
+    """The K x P gains of K sweeps of P offsets after `played` battles, from one walk.
+
+    Sweep k has the rows of `deviation_gains` for player `players[k]` at the
+    state (`standings[k]`, `spent[k]`) and the offsets `deltas[k]`.  Rows do
+    not touch each other in the walk, so a sweep gains bit for bit what it
+    gains alone.
+    """
+    if spec.objective is Objective.WIN_PROBABILITY:
+        _check_cap(spec, played, LEAF_CAP)
+    (count, width), n = deltas.shape, spec.n
+    budgets = _remaining_budgets(spec, played, standings, spent)
+    baseline = _proportional_spend(spec, played, budgets)
+    sweep = np.arange(count)
+    budget = budgets[sweep, players][:, None]
+    deviated = baseline[sweep, players][:, None] + deltas
     outside = ~((deviated >= -BUDGET_TOLERANCE) & (deviated <= budget + BUDGET_TOLERANCE))
     if outside.any():
-        j = int(np.argmax(outside))
-        raise InputError(
-            f"deviation {deltas[j]} puts the spend {float(deviated[j])} outside [0, {budget}]"
-        )
-    rows = np.empty((len(deltas) + 1, known.n))
-    rows[:] = baseline
-    rows[1:, player] = np.minimum(np.maximum(deviated, 0.0), budget)
-    payoffs = _level_walk(known, history, rows, base.strategies)[:, player]
-    gains = (payoffs[1:] - payoffs[0]).tolist()
+        k, j = divmod(int(np.argmax(outside)), width)
+        raise InputError(f"deviation {deltas[k, j]} puts the spend {deviated[k, j]} "
+                         f"outside [0, {budget[k, 0]}]")
+    rows = np.repeat(baseline[:, None], width + 1, axis=1)  # the proportional row, then P more
+    rows[sweep, 1:, players] = np.minimum(np.maximum(deviated, 0.0), budget)
+    standings, spent = (np.repeat(a, width + 1, axis=0) for a in (standings, spent))
+    walk = _level_walk(spec, played, standings, spent, rows.reshape(-1, n), (PROPORTIONAL,) * n)
+    payoffs = walk.reshape(count, width + 1, n)[sweep, :, players]
+    return payoffs[:, 1:] - payoffs[:, :1]
 
-    reports = []
-    for delta, gain in zip(deltas, gains):
-        closed = None
-        if tullock and expected_value:
-            closed = closed_form_gain(budget, opponents, k, delta, x_next)
-        reports.append(DeviationReport(history, player, delta, gain, closed))
-    return reports
+
+def _closed_forms(known: ContestSpec, history: History, player: int, deltas) -> list:
+    """`closed_form_gain` of each offset under Tullock expected value, else Nones."""
+    if known.csf.alpha != 1.0 or known.objective is not Objective.EXPECTED_VALUE:
+        return [None] * len(deltas)
+    played, budget = len(history), remaining_budget(known, history, player)
+    opponents = sum(remaining_budget(known, history, j) for j in range(known.n) if j != player)
+    x_next = known.values[played]
+    k = known.suffix_value(played) / x_next
+    return [closed_form_gain(budget, opponents, k, delta, x_next) for delta in deltas]
 
 
 def deviation_gain(spec: ContestSpec, history: History, player: int, delta: float) -> DeviationReport:

@@ -25,9 +25,8 @@ from .core import (
     _csf_distributions,
     _distinct_rows,
     _formal_budget,
-    _formal_budgets,
-    _hopeless,
     _proportional_spend,
+    _remaining_budgets,
     _trails_hopelessly,
     remaining_budget,
     terminal_status,
@@ -218,9 +217,8 @@ def _level_spends(below, spec, played, standings, spent, histories):
     `_state_allocations`.
     """
     if histories is None:
-        spends = _proportional_spend(spec, played, _formal_budgets(spec, played, spent))
-        if spec.objective is Objective.WIN_PROBABILITY:
-            spends[_hopeless(spec, played, standings)] = 0.0
+        budgets = _remaining_budgets(spec, played, standings, spent)
+        spends = _proportional_spend(spec, played, budgets)
     else:
         spends = np.array([
             _state_allocations(below, spec, played, s, p, h)

@@ -10,8 +10,11 @@ from dynblotto import (
     CsfParams,
     History,
     Objective,
+    ProportionalityVerdict,
     allocations_at,
     csf_probability,
+    deviation_gains,
+    deviation_grid,
     proportional_profile,
     terminal_payoff,
     terminal_status,
@@ -83,8 +86,8 @@ def chi_square_sf(statistic, dof):
 def history_bfs_histories(spec, plan):
     """Reference for the histories `check_proportionality` sweeps: a History BFS.
 
-    The breadth-first walk over Histories that `equilibrium._sampled_histories`
-    replaced, built from the public per-battle operations only: the plan's
+    A breadth-first walk over Histories, built from the public per-battle
+    operations only, where `equilibrium._swept_states` walks arrays: the plan's
     own histories, then the root and every nonterminal history reachable
     under proportional play through battle m - 1, depth by depth.  A depth
     of more than `plan.max_per_depth` histories is cut to a sorted sample
@@ -110,6 +113,30 @@ def history_bfs_histories(spec, plan):
         level = deeper
         out.extend(level)
     return out
+
+
+def per_history_check(spec, plan):
+    """Reference for `check_proportionality`: one sweep per (history, player).
+
+    The loop the batched check replaced: over `history_bfs_histories`,
+    skipping terminal ones, every player's `deviation_grid` goes through one
+    `deviation_gains` call, history after history and player after player.
+    The first gain above the tolerance refutes; otherwise the verdict holds
+    with the largest gain seen.
+    """
+    checked, max_gain = 0, -math.inf
+    for history in history_bfs_histories(spec, plan):
+        if terminal_status(spec, history).terminal:
+            continue
+        checked += 1
+        for player in range(spec.n):
+            deltas = deviation_grid(spec, history, player, plan.delta_points)
+            for report in deviation_gains(spec, history, player, deltas):
+                if report.gain > max_gain:
+                    max_gain = report.gain
+                if report.gain > plan.tolerance:
+                    return ProportionalityVerdict(False, checked, report.gain, report)
+    return ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
 
 
 def random_battle_values(rng, m, lo=0.5, hi=3.0):

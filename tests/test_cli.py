@@ -221,6 +221,20 @@ class TestCommands:
         assert report["histories_checked"] == 2
         assert report["counterexample"]["history"]["winners"] == []
 
+    def test_check_reports_the_given_history_first(self, tmp_path, capsys):
+        # after a split of the first two battles everything rides on the
+        # double-value last one, so the given history itself refutes
+        path = write_config(tmp_path, {
+            "players": [{"budget": 100}, {"budget": 100}],
+            "battles": [{"value": 1}, {"value": 1}, {"value": 1}, {"value": 2}],
+            "objective": "win_probability",
+        })
+        assert main(["check", "--config", path, "--history", "A,B"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["histories_checked"] == 1
+        assert report["counterexample"]["history"]["winners"] == [0, 1]
+        assert report["counterexample"]["gain"] > 1e-6
+
     def test_check_exit_code_flags_failure(self, tmp_path, capsys):
         assert main(["check", "--config", example2_config(tmp_path)]) == 2
         report = json.loads(capsys.readouterr().out)

@@ -3,6 +3,7 @@
 import json
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from dynblotto import (
     ContestSpec,
     ConvergenceError,
     CsfParams,
+    EnumerationCapError,
     History,
     InputError,
     Objective,
@@ -26,10 +28,11 @@ from dynblotto import (
     solve_backward,
     stage_equilibrium,
 )
-from dynblotto import equilibrium
+from dynblotto import equilibrium, evaluation
 from dynblotto.cli import main
 from conftest import (
     history_bfs_histories,
+    per_history_check,
     random_ev_spec,
     reference_payoff_vec,
     reference_stage_payoff,
@@ -465,8 +468,20 @@ class TestCheckProportionality:
         assert not verdict.holds
 
 
+def seeded_contest(rng, objective, with_shocks, k):
+    """A small contest with integer values (ties and clinches), zero budgets and shocks."""
+    n, m = rng.choice((2, 3, 4)), rng.randint(1, 6)
+    values = [float(rng.randint(1, 3)) for _ in range(m)]
+    budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
+    shocks = {}
+    if with_shocks:
+        for _ in range(rng.randint(1, n)):
+            shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
+    return ContestSpec(values, budgets, CsfParams((0.5, 1.0, 2.0)[k % 3]), objective, shocks)
+
+
 class TestSampledHistories:
-    """The swept histories equal those of the History BFS they replaced, in order."""
+    """The swept states are the histories of the History BFS, in order."""
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
@@ -476,24 +491,95 @@ class TestSampledHistories:
         rng = random.Random(f"sampled-histories:{objective.value}:{with_shocks}")
         subsampled = 0
         for k in range(18):
-            n, m = rng.choice((2, 3, 4)), rng.randint(1, 6)
-            values = [float(rng.randint(1, 3)) for _ in range(m)]
-            budgets = [rng.choice([0.0, rng.uniform(1.0, 100.0)]) for _ in range(n)]
-            shocks = {}
-            if with_shocks:
-                for _ in range(rng.randint(1, n)):
-                    shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-30.0, 30.0)
-            spec = ContestSpec(values, budgets, CsfParams((0.5, 1.0, 2.0)[k % 3]),
-                               objective, shocks)
+            spec = seeded_contest(rng, objective, with_shocks, k)
+            n, m = spec.n, spec.m
             given = (history_from_winners(spec, [rng.randrange(n)]),) if m > 1 else ()
             lengths = []
             for max_per_depth in (None, 3):
                 plan = SamplingPlan(max_per_depth=max_per_depth, histories=given, seed=k)
                 expected = history_bfs_histories(spec, plan)
-                assert list(equilibrium._sampled_histories(spec, plan)) == expected, spec
+                swept = []
+                for played, standings, spent, sources in equilibrium._swept_states(spec, plan):
+                    for row, source in enumerate(sources):
+                        if not isinstance(source, History):
+                            source = history_from_winners(spec, source.tolist())
+                        # the state's arrays are its History's, bit for bit
+                        assert len(source) == played
+                        assert standings[row].tolist() == list(source.won_values(spec))
+                        assert spent[row].tolist() == [source.spent(i) for i in range(n)]
+                        swept.append(source)
+                assert swept == expected, spec
                 lengths.append(len(expected))
             subsampled += lengths[1] < lengths[0]
         assert subsampled >= 3  # the seeded subsample was drawn
+
+
+class TestBatchedCheck:
+    """Batched sweeps give the verdict of one sweep per (history, player)."""
+
+    @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
+    @pytest.mark.parametrize("with_shocks", [False, True], ids=["no-shocks", "shocks"])
+    def test_verdicts_equal_the_per_history_loop(self, monkeypatch, objective, with_shocks):
+        # A tolerance of 1 lets every win-probability check hold, so all its
+        # sweeps and their largest gain are compared.  A check that holds
+        # with a positive largest gain is run again with half that gain as
+        # its tolerance, which refutes it somewhere inside a batch.  Every
+        # other contest has batches of at most 50 rows, walked in parts of
+        # at most 50 states.
+        rng = random.Random(f"batched-check:{objective.value}:{with_shocks}")
+        refuted = []
+        for k in range(24):
+            spec = seeded_contest(rng, objective, with_shocks, k)
+            given = ()
+            if spec.m > 1 and rng.random() < 0.5:
+                given = (history_from_winners(spec, [rng.randrange(spec.n)]),)
+            whole = spec.n ** (spec.m - 1) <= 256  # the reference is slow on larger levels
+            plan = SamplingPlan(max_per_depth=rng.choice((None, 3)) if whole else 3,
+                                histories=given, delta_points=rng.choice((0, 1, 2, 21)),
+                                tolerance=rng.choice((1e-6, 1.0)), seed=k)
+            with monkeypatch.context() as patch:
+                if k % 2:
+                    patch.setattr(equilibrium, "PART", 50)
+                    patch.setattr(evaluation, "PART", 50)
+                verdict = check_proportionality(spec, plan)
+                assert verdict == per_history_check(spec, plan), (spec, plan)
+                if verdict.holds and verdict.max_gain > 0.0:
+                    plan = replace(plan, tolerance=verdict.max_gain / 2)
+                    verdict = check_proportionality(spec, plan)
+                    assert verdict == per_history_check(spec, plan), (spec, plan)
+            if not verdict.holds:
+                refuted.append(verdict.histories_checked)
+        if objective is WP:  # refutations at first sweeps and deep inside batches
+            assert len(refuted) >= 4 and min(refuted) == 1 and max(refuted) > 3
+
+    def test_a_win_probability_check_over_the_cap_walks_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(evaluation, "_level_walk", refuse)
+        spec = ContestSpec([1.0] * 24, [10.0, 20.0], objective=WP)  # 2**24 leaves
+        with pytest.raises(EnumerationCapError):
+            check_proportionality(spec)
+
+    def test_one_debug_record_per_check(self, caplog):
+        spec = ContestSpec([1, 1, 1, 3], [100, 100], objective=WP)
+        with caplog.at_level(logging.INFO, logger="dynblotto"):
+            check_proportionality(spec)
+        assert check_records(caplog) == []
+        alternating = history_from_winners(spec, (0, 1))
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            check_proportionality(spec, SamplingPlan(histories=(alternating,)))
+            check_proportionality(ContestSpec([1, 2, 1, 1], [30, 20, 10]))
+        (refuted, held) = check_records(caplog)
+        assert refuted == ([0, 0, 1, 0], 1, 1, 22, 2)  # the given history's first sweep
+        states, sweeps, walks, rows, depth = held
+        assert states == [1, 3, 9, 27] and sweeps == 3 * 40 and depth is None
+        assert rows == sweeps * 22 and walks < sweeps
+
+
+def check_records(caplog):
+    """(states per depth, sweeps, walks, rows, refuted depth) of each logged check."""
+    return [r.args for r in caplog.records if r.msg.startswith("proportionality check")]
 
 
 class TestLargerBattleThatCannotBePivotal:

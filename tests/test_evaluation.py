@@ -247,28 +247,40 @@ class TestLevelWalk:
         merged = [record[2] for record in walk_records(caplog)]
         assert len(merged) == 12 and min(merged) > 0
 
+    @pytest.mark.parametrize("part", [None, 7], ids=["whole", "parts-of-7"])
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
-    def test_rows_do_not_touch_each_other(self, objective):
-        # each row of a batch, repeated rows included, pays bit for bit what
-        # it pays alone
+    def test_rows_do_not_touch_each_other(self, monkeypatch, objective, part):
+        # each row of a batch, repeated rows and rows of other states
+        # included, pays bit for bit what it pays alone, also when levels are
+        # finished in parts
+        if part is not None:
+            monkeypatch.setattr(evaluation, "PART", part)
         rng = random.Random(f"rows-{objective.value}")
         for _ in range(20):
             n = rng.choice([2, 3, 4])
             spec = oracle_spec(rng, objective, n, rng.randint(2, 5), rng.choice([0.5, 1.0, 2.0]),
                                rng.random() < 0.5, rng.random() < 0.5)
             base = proportional_profile(n)
-            root = open_history(rng, spec, base, rng.randrange(spec.m))
+            depth = rng.randrange(spec.m)
+            roots = [open_history(rng, spec, base, depth) for _ in range(3)]
+            roots = [h for h in roots if len(h) == len(roots[0])]
             strategies = [PROPORTIONAL] * n
+            history = None
             if rng.random() < 0.3:
                 strategies[0] = Tabular(player=0)  # plays proportionally, through a History
+                roots, history = roots[:1], roots[0]  # its rows share one History
             below = tuple(strategies)
-            budgets = [remaining_budget(spec, root, i) for i in range(n)]
-            batch = np.array([[rng.uniform(0.0, b) for b in budgets] for _ in range(4)])
+            picks = [rng.randrange(len(roots)) for _ in range(4)]
+            picks += picks[:2]
+            batch = np.array([[rng.uniform(0.0, remaining_budget(spec, roots[k], i))
+                               for i in range(n)] for k in picks[:4]])
             batch = np.concatenate((batch, batch[:2]))
-            together = _level_walk(spec, root, batch, below)
-            for row, payoffs in zip(batch, together):
-                alone = _level_walk(spec, root, row[None, :], below)[0]
-                assert np.array_equal(payoffs, alone), (spec, root, row)
+            states = [evaluation._state(spec, roots[k]) for k in picks]
+            standings, spent = (np.concatenate(arrays) for arrays in zip(*states))
+            together = _level_walk(spec, len(roots[0]), standings, spent, batch, below, history)
+            for row, (one, spend), payoffs in zip(batch, states, together):
+                alone = _level_walk(spec, len(roots[0]), one, spend, row[None, :], below, history)
+                assert np.array_equal(payoffs, alone[0]), (spec, roots, row)
 
     @pytest.mark.parametrize(
         "objective, alpha, shocked",

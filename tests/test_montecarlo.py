@@ -254,8 +254,8 @@ def test_long_contests_take_linear_time(objective):
 
 
 def test_a_million_trials_take_little_memory():
-    # no (trials x battles) uniforms and no (trials x players) payoffs: one
-    # int32 per trial and a block's arrays (82 MB with the whole matrices)
+    # no per-trial arrays at all: the trials are counts carried by the
+    # distinct states of each battle (82 MB with (trials x battles) matrices)
     spec = ContestSpec([1, 2, 1, 3, 1, 2, 1, 1], [60, 40])
     tracemalloc.start()
     try:
