@@ -13,11 +13,12 @@ whole budget refined by the same search with the opponent's spend pinned.
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
 two remaining budgets; since the contest success function is homogeneous, it
-depends on the budgets only through their ratio, so each (battle, standings)
-class stores one cubic spline of the equilibrium value over the budget
-ratio, and all budget-ratio nodes of a class are solved in one batch.  So
-the tables are cached per battle values, CSF, objective and settings, never
-per budgets: a mirrored budget pair or a budget sweep builds them once.
+depends on the budgets only through their ratio, so a (battle, standings)
+class stores one cubic spline of the equilibrium value over the budget ratio.
+A decisive class (its battle settles the contest) is played all in and needs
+none; equal standings are their own mirror, searched at shares up to 1/2.
+Tables are cached per battle values, CSF, objective and settings, never per
+budgets: a budget sweep or mirrored pair builds them once.
 
 For arbitrary contests, `check_proportionality` sweeps one-shot deviations
 from proportional play over sampled histories and reports the first
@@ -189,11 +190,22 @@ def _safe_sum(x: np.ndarray, y: np.ndarray) -> tuple:
     return total, zero
 
 
+def _share(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x / (x + y) for scores x, y >= 0, and 0.5 where both are 0: A's chance to win."""
+    denom, idle = _safe_sum(x, y)
+    share = x / denom
+    if idle is not None:
+        share[idle] = 0.5  # neither player scores: a coin flip
+    return share
+
+
 class _BranchValue:
     """Player A's payoff at one successor class, as a function of the budgets."""
 
-    def __init__(self, const=None, spline=None, mirrored=False, coin=0.5, callback=None):
+    def __init__(self, const=None, decisive=None, spline=None, mirrored=False, coin=0.5,
+                 callback=None):
         self.const = const  # (payoff_A, payoff_B) for terminal classes
+        self.decisive = decisive  # (A's value if A wins, if B wins, alpha): both go all in
         self.spline = spline
         self.mirrored = mirrored
         self.coin = coin  # A's value when both players are broke
@@ -203,6 +215,9 @@ class _BranchValue:
         """A's payoff at the budgets left, a scalar if terminal; split = _safe_sum(b_a, b_b)."""
         if self.const is not None:
             return self.const[0]
+        if self.decisive is not None:
+            win, lose, alpha = self.decisive
+            return lose + (win - lose) * _share(b_a**alpha, b_b**alpha)
         if self.callback is not None:
             b_a, b_b = np.broadcast_arrays(b_a, b_b)
             pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
@@ -293,11 +308,7 @@ class _StageGame:
             b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
             split = _safe_sum(b_a, b_b)
             win, lose = (branch.payoff_vec(b_a, b_b, split) for branch in self.branches)
-        score_a = w_a**self.alpha
-        denom, idle = _safe_sum(score_a, w_b**self.alpha)
-        p_a = score_a / denom
-        if idle is not None:
-            p_a[idle] = 0.5  # neither player spends: a coin flip
+        p_a = _share(w_a**self.alpha, w_b**self.alpha)
         return p_a * win + (1.0 - p_a) * lose
 
     def _own_payoff(self, player, own, opp):
@@ -417,18 +428,23 @@ class _ValueTables:
         self.splines = {}  # (played, totals) -> _UniformSpline for player A's value
         self._coin = {}
         self._worst_gap = 0.0
+        self._batches = decisive = 0
         start = time.perf_counter()
         self._levels = self._reachable_classes()
         for played in range(spec.m - 1, 0, -1):
             for totals in self._levels.get(played, ()):
-                if self._lookup(played, totals) is None:
+                if self._decisive(played, totals) is not None:
+                    decisive += 1
+                elif self._lookup(played, totals) is None:
                     self._build_class(played, totals)
         if _log.isEnabledFor(logging.DEBUG):
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
             _log.debug(
-                "value tables: %d classes built, %d served by a mirror, %d stage batches, "
-                "worst bracket gap %.3e, %.3f s", built, classes - built,
-                built * -(-VALUE_NODES // NODE_CHUNK), self._worst_gap, time.perf_counter() - start,
+                "value tables: %d classes built (%d on half the nodes), %d decisive in closed "
+                "form, %d served by a mirror, %d stage batches, worst bracket gap %.3e, %.3f s",
+                built, sum(a == b for _, (a, b) in self.splines), decisive,
+                classes - built - decisive, self._batches, self._worst_gap,
+                time.perf_counter() - start,
             )
 
     @staticmethod
@@ -469,18 +485,29 @@ class _ValueTables:
         if terminal is not None:
             value = terminal[0]
         else:
-            x = self.spec.values[played]
-            value = 0.5 * self.coin_value(played + 1, (totals[0] + x, totals[1])) + 0.5 * self.coin_value(
-                played + 1, (totals[0], totals[1] + x)
-            )
+            win, lose = (self.coin_value(played + 1, t) for t in self._successors(played, totals))
+            value = 0.5 * win + 0.5 * lose
         self._coin[key] = value
         return value
+
+    def _successors(self, played, totals) -> tuple:
+        x = self.spec.values[played]
+        return (totals[0] + x, totals[1]), (totals[0], totals[1] + x)
+
+    def _decisive(self, played, totals) -> Optional[tuple]:
+        """A's payoffs (if A wins, if B wins) when both successors are terminal, else None."""
+        ends = [_terminal_value_from_totals(self.spec, played + 1, t)
+                for t in self._successors(played, totals)]
+        return None if None in ends else (ends[0][0], ends[1][0])
 
     def branch(self, played, totals) -> _BranchValue:
         """Value object for the class reached after `played` battles."""
         terminal = _terminal_value_from_totals(self.spec, played, totals)
         if terminal is not None:
             return _BranchValue(const=terminal)
+        decisive = self._decisive(played, totals)
+        if decisive is not None:  # lose + (win - lose) * p(w_a, w_b) rises in w_a, falls in w_b
+            return _BranchValue(decisive=decisive + (self.spec.csf.alpha,))
         found = self._lookup(played, totals)
         if found is None:
             raise ContractError(f"no value table for battle {played + 1} standings {totals}")
@@ -488,17 +515,16 @@ class _ValueTables:
         return _BranchValue(spline=spline, mirrored=mirrored, coin=self.coin_value(played, totals))
 
     def stage_game(self, played, totals, budgets) -> _StageGame:
-        x = self.spec.values[played]
-        branches = (
-            self.branch(played + 1, (totals[0] + x, totals[1])),
-            self.branch(played + 1, (totals[0], totals[1] + x)),
-        )
+        branches = tuple(self.branch(played + 1, t) for t in self._successors(played, totals))
         return _StageGame(self.spec, played, totals, budgets, branches, self.settings)
 
     def _build_class(self, played, totals) -> None:
-        nodes = np.linspace(0.0, 1.0, VALUE_NODES)
+        key = self._key(totals)
+        half = key[0] == key[1]  # its own mirror, V(1 - s) = 1 - V(s): solve s <= 1/2
+        nodes = np.linspace(0.0, 1.0, VALUE_NODES)[: (VALUE_NODES + 1) // 2 if half else None]
         values = []
         for shares in np.array_split(nodes, -(-len(nodes) // NODE_CHUNK)):
+            self._batches += 1
             game = self.stage_game(played, totals, (shares, 1.0 - shares))
             points = game.solve()
             # The stage value lies in [value - B's gain, value + A's gain]: a
@@ -514,7 +540,10 @@ class _ValueTables:
                 )
             self._worst_gap = max(self._worst_gap, float(gap[worst]))
             values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
-        self.splines[(played, self._key(totals))] = _UniformSpline(np.concatenate(values))
+        values = np.concatenate(values)
+        if half:  # node VALUE_NODES - 1 - i mirrors node i
+            values = np.concatenate((values, 1.0 - values[VALUE_NODES - len(values) - 1 :: -1]))
+        self.splines[(played, key)] = _UniformSpline(values)
 
 
 @lru_cache(maxsize=8)

@@ -173,6 +173,13 @@ def reference_payoff_vec(branch, b_a, b_b):
     """
     if branch.const is not None:
         return np.full(np.shape(b_a), branch.const[0], dtype=float)
+    if branch.decisive is not None:
+        # both go all in: A wins the battle with the CSF share of the budgets left
+        win, lose, alpha = branch.decisive
+        score_a, score_b = b_a**alpha, b_b**alpha
+        denom = score_a + score_b
+        p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)
+        return lose + (win - lose) * p_a
     if branch.callback is not None:
         pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
         return np.reshape([branch.callback(x, y)[0] for x, y in pairs], np.shape(b_a))

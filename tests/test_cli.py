@@ -168,7 +168,7 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: seed must be")
 
     @pytest.mark.parametrize("trials", ["2147483648", "3000000000", "10000000000000"])
-    def test_simulate_refuses_more_trials_than_it_can_index(self, tmp_path, capsys, trials):
+    def test_simulate_refuses_trials_above_the_public_bound(self, tmp_path, capsys, trials):
         # above the public bound of 2^31 - 1; refused before anything is allocated
         # (3e9 trials used to ask numpy for 67 GiB)
         config = example2_config(tmp_path)

@@ -302,19 +302,23 @@ class TestLeanStageKernel:
     """The stage payoff against its earlier formula (`reference_stage_payoff`), by `==`."""
 
     BRANCHES = {
-        "unmirrored-mirrored": lambda: (
+        "unmirrored-mirrored": lambda alpha: (
             equilibrium._BranchValue(spline=_kernel_spline(1), coin=0.3),
             equilibrium._BranchValue(spline=_kernel_spline(2), mirrored=True, coin=0.6),
         ),
-        "mirrored-terminal": lambda: (
+        "mirrored-terminal": lambda alpha: (
             equilibrium._BranchValue(spline=_kernel_spline(3), mirrored=True, coin=0.7),
             equilibrium._BranchValue(const=(0.0, 1.0)),
         ),
-        "terminal-terminal": lambda: (
+        "terminal-terminal": lambda alpha: (
             equilibrium._BranchValue(const=(1.0, 0.0)),
             equilibrium._BranchValue(const=(0.5, 0.5)),
         ),
-        "continuation": lambda: tuple(
+        "decisive": lambda alpha: (
+            equilibrium._BranchValue(decisive=(1.0, 0.5, alpha)),
+            equilibrium._BranchValue(decisive=(0.5, 0.0, alpha)),
+        ),
+        "continuation": lambda alpha: tuple(
             equilibrium._BranchValue(callback=lambda b_a, b_b, k=k: (
                 (b_a + k) / (b_a + b_b + 1.0), 0.0))
             for k in (1.0, 0.0)
@@ -331,7 +335,7 @@ class TestLeanStageKernel:
             (np.array([60.0]), np.array([80.0])),  # an on-path stage
             (np.array([0.0, 0.0]), np.array([0.0, 25.0])),  # no budget left at all
         ]
-        branches = self.BRANCHES[kind]()
+        branches = self.BRANCHES[kind](alpha)
         for budgets in batches:
             game = equilibrium._StageGame(spec, 1, (1.0, 0.0), budgets, branches,
                                           equilibrium.DEFAULT_SETTINGS)
@@ -371,12 +375,14 @@ class TestSolverLogging:
         assert len(records) == 3
         tables = equilibrium._tables_for(
             ContestSpec(specs[0].values, [1, 1], objective=WP), equilibrium.DEFAULT_SETTINGS)
-        # standings 0-1, 0-2, 1-1 and 1-2 are built; 1-0, 2-0 and 2-1 mirror them
-        assert len(tables.splines) == 4
-        batches = 4 * -(-equilibrium.VALUE_NODES // equilibrium.NODE_CHUNK)
+        # standings 0-1, 0-2 and 1-1 are built, 1-1 on the shares up to 1/2;
+        # 1-2 and 2-1 before the last battle are decisive; 1-0 and 2-0 mirror
+        assert len(tables.splines) == 3
+        full, half = (-(-nodes // equilibrium.NODE_CHUNK) for nodes in
+                      (equilibrium.VALUE_NODES, (equilibrium.VALUE_NODES + 1) // 2))
         assert records[0].startswith(
-            f"value tables: 4 classes built, 3 served by a mirror, {batches} stage "
-            "batches, worst bracket gap ")
+            "value tables: 3 classes built (1 on half the nodes), 2 decisive in closed form, "
+            f"2 served by a mirror, {2 * full + half} stage batches, worst bracket gap ")
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
             assert record == (f"backward solve: {len(result.solutions)} on-path stage "
@@ -431,6 +437,115 @@ class TestValueTablesAgainstAnIndependentBracket:
                      + (1.0 - p) * _one_battle_left_value(spec, (a, b + x), left_a, left_b))
             low, high = stage.min(axis=1).max(), stage.max(axis=0).min()
             assert low - 1e-6 <= value <= high + 1e-6, (share, low, value, high)
+
+
+def _live_classes(spec):
+    """(battles played, standings) of every live class, found here from the rules."""
+    classes, frontier = [], [(0.0, 0.0)]
+    for played in range(spec.m):
+        classes += [(played, totals) for totals in frontier]
+        x = spec.values[played]
+        frontier = sorted({t for a, b in frontier for t in ((a + x, b), (a, b + x))
+                           if equilibrium._terminal_value_from_totals(spec, played + 1, t) is None})
+    return classes
+
+
+def _searched_values(game_at, played, totals):
+    """The saddle search's bracket midpoints at the table nodes, in the table's batches."""
+    nodes = np.linspace(0.0, 1.0, equilibrium.VALUE_NODES)
+    values = []
+    for shares in np.array_split(nodes, -(-len(nodes) // equilibrium.NODE_CHUNK)):
+        points = game_at(played, totals, (shares, 1.0 - shares)).solve()
+        values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
+    return nodes, np.concatenate(values)
+
+
+def _decisive_family():
+    rng = random.Random("decisive-classes")
+    specs = []
+    for alpha in (0.5, 1.0, 2.0):
+        for m in range(1, 6):
+            generic = [rng.uniform(0.5, 3.0) for _ in range(m)]
+            ties = [rng.randint(1, 3) for _ in range(m)]
+            specs += [ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+                      for values in (generic, ties)]
+        # 1-1 before battle 3 is decisive: battle 3 settles the contest either way
+        specs.append(ContestSpec([1, 1, 5, 1], [1, 1], CsfParams(alpha), objective=WP))
+    return specs
+
+
+class TestValueTablesSkipKnownClasses:
+    """Classes whose values the game fixes are not searched, and lose nothing by it."""
+
+    def test_decisive_classes_equal_the_searched_stage(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(equilibrium._ValueTables, "_build_class",
+                            lambda self, played, totals: built.append((played, totals)))
+        searched, decisive, before_last = {}, 0, 0
+        for spec in _decisive_family():
+            built.clear()
+            tables = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+            for played, totals in _live_classes(spec):
+                ends = [equilibrium._terminal_value_from_totals(spec, played + 1, t)
+                        for t in tables._successors(played, totals)]
+                if None in ends:
+                    continue
+                decisive, before_last = decisive + 1, before_last + (played < spec.m - 1)
+                assert (played, tables._key(totals)) not in built
+                branch = tables.branch(played, totals)
+                assert branch.decisive is not None
+                # the stage depends on the spec only through alpha and the
+                # battles left, which set the proportional spend
+                key = (spec.csf.alpha, spec.values[played:], ends[0][0], ends[1][0])
+                if key not in searched:
+                    terminal = tuple(equilibrium._BranchValue(const=end) for end in ends)
+                    searched[key] = _searched_values(
+                        lambda p, t, budgets: equilibrium._StageGame(
+                            spec, p, t, budgets, terminal, equilibrium.DEFAULT_SETTINGS),
+                        played, totals)
+                nodes, values = searched[key]
+                b_a, b_b = nodes, 1.0 - nodes
+                closed = branch.payoff_vec(b_a, b_b, equilibrium._safe_sum(b_a, b_b))
+                assert np.max(np.abs(closed - values)) <= 1e-12, (spec, played, totals)
+                broke = np.zeros(1)
+                assert branch.payoff_vec(broke, broke, equilibrium._safe_sum(broke, broke)) == \
+                    tables.coin_value(played, totals)
+        assert (decisive, before_last, len(searched)) == (84, 13, 38)
+
+    @pytest.mark.parametrize("values, alpha, played, standings", [
+        ([1, 1, 1, 1], 1.0, 2, (1.0, 1.0)),
+        ([1, 1, 1, 1], 0.5, 2, (1.0, 1.0)),
+        ([1, 1, 1, 2], 1.0, 2, (1.0, 1.0)),
+        ([1, 1, 1, 1, 1], 1.0, 2, (1.0, 1.0)),
+    ])
+    def test_self_mirrored_classes_equal_a_full_build(self, values, alpha, played, standings):
+        spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+        tables = equilibrium._tables_for(spec, equilibrium.DEFAULT_SETTINGS)
+        nodes, full = _searched_values(tables.stage_game, played, standings)
+        half = tables.splines[(played, standings)].value_vec(nodes)
+        assert np.max(np.abs(half - full)) <= 1e-12
+
+    def test_a_self_mirrored_class_without_a_pure_saddle_still_fails(self):
+        spec = ContestSpec([1, 1, 2, 1, 1], [100, 100], objective=WP)
+        with pytest.raises(ConvergenceError) as caught:
+            solve_backward(spec)
+        assert str(caught.value) == (
+            "stage solve at battle 3, standings 1-1: minimax bracket gap 6.772e-02 above "
+            "1e-03 at A's budget share 0.00625")
+
+    @pytest.mark.parametrize("values, message", [
+        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.569e-02 above 1e-03 "
+                    "at A's budget share 0.4469"),
+        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 7.844e-03 above 1e-03 "
+                       "at A's budget share 0.4469"),
+        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 2.857e-03 above 1e-03 "
+                       "at A's budget share 0.08438"),
+    ])
+    def test_alpha_two_failures_keep_their_messages(self, values, message):
+        spec = ContestSpec(values, [100, 100], CsfParams(2.0), objective=WP)
+        with pytest.raises(ConvergenceError) as caught:
+            solve_backward(spec)
+        assert str(caught.value) == "stage solve at " + message
 
 
 class TestCheckProportionality:
