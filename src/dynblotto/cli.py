@@ -89,15 +89,21 @@ def load_config(path: str):
     """Load and validate a contest config; returns (spec, run settings).
 
     Defaults: Tullock success function (alpha=1, beta=1), no shocks,
-    grid_points=200, tolerance=1e-6, budget_step=0.25, seed=0 (read by
-    simulate).  Malformed fields raise InputError naming the field.
+    grid_points=200, tolerance=1e-6, seed=0 (read by simulate).  Malformed
+    fields raise InputError naming the field; so do a file that is not
+    UTF-8 text and JSON nested too deeply to parse.
     """
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as err:
+        raise InputError(f"config is not UTF-8 text: byte {err.start}: {err.reason}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"config parse failure at line {err.lineno}, column {err.colno}: {err.msg}")
+    except RecursionError:
+        raise InputError("config parse failure: JSON nested too deeply") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require("players" in raw, "config needs a 'players' list")
     _require("battles" in raw, "config needs a 'battles' list")
@@ -136,18 +142,16 @@ def load_config(path: str):
     solver = SolverSettings(
         grid_points=_read(solver_raw, "grid_points", "solver.grid_points", _integer, 200),
         tolerance=_read(solver_raw, "tolerance", "solver.tolerance", default=1e-6),
-        budget_step=_read(solver_raw, "budget_step", "solver.budget_step", default=0.25),
     )
     _require(
         solver.grid_points >= 2,
         f"config field solver.grid_points must be at least 2, got {solver.grid_points}",
     )
-    for field in ("tolerance", "budget_step"):
-        value = getattr(solver, field)
-        _require(
-            value > 0 and math.isfinite(value),
-            f"config field solver.{field} must be a positive finite number, got {value!r}",
-        )
+    tolerance = solver.tolerance
+    _require(
+        tolerance > 0 and math.isfinite(tolerance),
+        f"config field solver.tolerance must be a positive finite number, got {tolerance!r}",
+    )
     seed = _read(raw, "seed", "seed", _integer, 0)
     _require(seed >= 0, f"config field seed must be a nonnegative integer, got {seed}")
     return spec, RunSettings(solver=solver, seed=seed)

@@ -47,6 +47,7 @@ from .core import (
     History,
     InputError,
     Objective,
+    _formal_budget,
     _payoff,
     _proportional_spend,
     _remaining_budgets,
@@ -60,6 +61,7 @@ from .strategies import (
     StrategyProfile,
     Tabular,
     _level_spends,
+    _standings_key,
     history_from_winners,
     proportional_profile,
 )
@@ -71,7 +73,6 @@ _log = logging.getLogger("dynblotto")
 class SolverSettings:
     grid_points: int = 200  # spends per best-response scan over the whole budget
     tolerance: float = 1e-6  # largest best-response gain accepted on the solved path
-    budget_step: float = 0.25  # tabular strategy budget grid
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -447,9 +448,7 @@ class _ValueTables:
                 time.perf_counter() - start,
             )
 
-    @staticmethod
-    def _key(totals) -> tuple:
-        return (round(totals[0], 9), round(totals[1], 9))
+    _key = staticmethod(_standings_key)
 
     def _reachable_classes(self) -> dict:
         spec = self.spec
@@ -655,31 +654,33 @@ def solve_backward(
 ) -> BackwardSolveResult:
     """Backward-induction solve of a two-player win-probability contest.
 
-    Returns a tabular strategy profile covering every winner schedule
-    reachable under mutual equilibrium play, plus the deterministic on-path
-    allocation trace.  The trace follows the path where the currently trailing
-    player wins each battle, which keeps the contest alive as long as
-    possible.
+    Returns a tabular strategy profile covering every state reachable under
+    mutual equilibrium play, keyed by (battle, standings), plus the
+    deterministic on-path allocation trace.  The trace follows the path
+    where the currently trailing player wins each battle, which keeps the
+    contest alive as long as possible.
     """
     misses = _tables_for.cache_info().misses
     tables = _budget_free_tables(spec, settings)
-    tabulars = tuple(Tabular(player=i, budget_step=settings.budget_step) for i in range(2))
+    tabulars = tuple(Tabular(player=i) for i in range(2))
     solutions = {}
 
-    def descend(played, winners, totals, budgets):
+    def descend(played, winners, totals, spent):
         if _terminal_value_from_totals(spec, played, totals) is not None or played == spec.m:
             return
+        # the budgets left as a History of this play reads them, so the
+        # tables answer its states exactly
+        budgets = tuple(_formal_budget(spec, played, spent[i], i) for i in range(2))
         solution = _path_solution(tables.stage_game(played, totals, budgets))
         solutions[winners] = solution
         for i in range(2):
-            tabulars[i].record(played + 1, winners, budgets, solution.allocations[i])
+            tabulars[i].record(played + 1, totals, budgets, solution.allocations[i])
         value = spec.values[played]
-        spends = solution.allocations
-        next_budgets = (max(budgets[0] - spends[0], 0.0), max(budgets[1] - spends[1], 0.0))
-        descend(played + 1, winners + (0,), (totals[0] + value, totals[1]), next_budgets)
-        descend(played + 1, winners + (1,), (totals[0], totals[1] + value), next_budgets)
+        spent = tuple(s + w for s, w in zip(spent, solution.allocations))
+        descend(played + 1, winners + (0,), (totals[0] + value, totals[1]), spent)
+        descend(played + 1, winners + (1,), (totals[0], totals[1] + value), spent)
 
-    descend(0, (), (0.0, 0.0), tuple(spec.budgets))
+    descend(0, (), (0.0, 0.0), (0.0, 0.0))
 
     trace = []
     trace_winners = []
@@ -722,7 +723,7 @@ def _swept_states(spec: ContestSpec, plan: SamplingPlan):
     winners = np.zeros((1, 0), int)
     yield 0, standings, spent, winners
     for played in range(spec.m - 1):
-        spends, probs = _level_spends(below, spec, played, standings, spent, None)
+        spends, probs = _level_spends(below, spec, played, standings, spent)
         parent, winner = np.nonzero(probs > 0.0)
         standings = standings[parent]
         standings[np.arange(parent.size), winner] += spec.values[played]

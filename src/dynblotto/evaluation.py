@@ -5,8 +5,8 @@ states (row, standings, spent, mass).  A row is one way to play the root
 battle; each later battle is one set of array operations over the live
 states of every row, which branch on who wins it, weighted by the contest
 success function.  Win-probability states end as soon as someone clinches.
-Under proportional play children with equal (row, standings, spent) merge,
-so under expected value, where each battle's value is credited where it is
+Children with equal (row, standings, spent) merge, and under expected value
+with proportional play, where each battle's value is credited where it is
 fought, a row keeps one state per battle.  A one-shot deviation sweep is
 rows too, the proportional baseline and one per offset, and many sweeps at
 states of one depth share one kernel call.  On top sit the Tullock closed
@@ -83,34 +83,31 @@ def expected_payoffs(
     """Exact per-player expected payoff of the profile from the given history.
 
     The root goes through `allocations_at`, which checks the profile and
-    plays any deviation at the root; `_level_walk` plays the battles below.
-    Each battle branches on who wins it with its contest success
-    probability; zero-probability branches are skipped, and under win
-    probability a state ends as soon as someone clinches.  Under expected
-    value with proportional play below the root, spends never depend on who
-    won, so the walk keeps one state per battle and the payoff is the root
-    standings plus the sum over battles of v_t * p_t.
-
-    Strategies that read more than the state (`Tabular`, or a `Deviation`
-    below the root) get the History of each state, which merges with no
-    other.  LEAF_CAP caps the winner sequences of every walk but the
+    plays any deviation at the root; `_level_walk` plays the battles below
+    over contest states.  A deviation deeper than the root raises
+    InputError: evaluate from its history instead.  Each battle branches on
+    who wins it with its contest success probability; zero-probability
+    branches are skipped, and under win probability a state ends as soon as
+    someone clinches.  Under expected value with proportional play below the
+    root, spends never depend on who won, so the walk keeps one state per
+    battle and the payoff is the root standings plus the sum over battles of
+    v_t * p_t.  LEAF_CAP caps the winner sequences of every walk but that
     one-state-per-battle one.
     """
     root = history if history is not None else History()
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
-    markov = all(type(s) is Proportional for s in below)
-    if spec.objective is Objective.WIN_PROBABILITY or not markov:  # only these branch
+    proportional = all(type(s) is Proportional for s in below)
+    if spec.objective is Objective.WIN_PROBABILITY or not proportional:  # only these branch
         _check_cap(spec, len(root), LEAF_CAP)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
     spends = np.array([allocations_at(profile, spec, root)])
-    walk = _level_walk(spec, len(root), *_state(spec, root), spends, below,
-                       None if markov else root)
+    walk = _level_walk(spec, len(root), *_state(spec, root), spends, below)
     return tuple(walk[0].tolist())
 
 
-def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends, below,
-                root: Optional[History] = None) -> np.ndarray:
+def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
+                below) -> np.ndarray:
     """Exact payoffs of R ways to play a battle: an R x n array.
 
     Row r starts at the nonterminal state after `played` battles with
@@ -119,26 +116,21 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends, b
     states of a battle are arrays of (row, standings, spent, mass), played
     in one set of array operations: ended states bank their payoffs, the
     others get their spends and contest success probabilities from
-    `_level_spends` and branch on the winner through `_children`.  Under
-    expected value each battle's value is credited where it is fought.
-    When every strategy below is `Proportional`, children with equal (row,
-    standings, spent) merge and their masses add up; under expected value
-    all children of a state are one state.  Otherwise `root` is the History
-    of every row's state; each state carries its History, which the
-    strategies read, and nothing merges.  A row's states lie together, and
-    a level of more than PART states is finished in parts, each ending
-    where a row's states end unless one row alone has more than PART, so
-    every row pays bit for bit what it pays alone.
+    `_level_spends` and branch on the winner through `_children`, where
+    children with equal (row, standings, spent) merge and their masses add
+    up.  Under expected value each battle's value is credited where it is
+    fought, and when every strategy below is `Proportional` all children of
+    a state are one state.  A row's states lie together, and a level of
+    more than PART states is finished in parts, each ending where a row's
+    states end unless one row alone has more than PART, so every row pays
+    bit for bit what it pays alone.
     """
     n, m, values = spec.n, spec.m, spec.values
     win_prob = spec.objective is Objective.WIN_PROBABILITY
+    proportional = all(type(s) is Proportional for s in below)
     count, depth = len(root_spends), played
     out = np.zeros((count, n)) if win_prob else standings.copy()
-    histories = None
-    if root is not None:
-        histories = np.empty(count, object)
-        histories.fill(root)
-    state = (np.arange(count), standings, spent, np.ones(count), histories, root_spends)
+    state = (np.arange(count), standings, spent, np.ones(count), root_spends)
     stack = [(played, state)]
     states, merged, parts = [0] * (m + 1), 0, 0
     while stack:
@@ -151,7 +143,7 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends, b
             stack.extend((played, piece) for piece in reversed(pieces))
             continue
         states[played] += size
-        rows, standings, spent, mass, histories, spends = state
+        rows, standings, spent, mass, spends = state
         if spends is None:
             if win_prob:
                 ended, winners = _statuses(spec, played, standings)
@@ -160,27 +152,27 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends, b
                     np.add.at(out, rows[ended], won * (mass[ended] / won.sum(axis=1))[:, None])
                     if ended.all():
                         continue
-                    rows, standings, spent, mass, histories = _take(state[:5], ~ended)
+                    rows, standings, spent, mass = _take(state[:4], ~ended)
             elif played == m:  # under expected value nothing ends before battle m
                 continue  # every battle's value was credited where it was fought
-            spends, probs = _level_spends(below, spec, played, standings, spent, histories)
+            spends, probs = _level_spends(below, spec, played, standings, spent)
         else:
             probs = _csf_distributions(spends, spec.csf)
         if not win_prob:
             credit = mass[:, None] * probs * values[played]
-            if histories is None:  # spends never depend on who won: every child is one state
+            if proportional:  # spends never depend on who won: every child is one state
                 out[rows] += credit  # so every row has one state
-                stack.append((played + 1, (rows, standings, spent + spends, mass, None, None)))
+                stack.append((played + 1, (rows, standings, spent + spends, mass, None)))
                 continue
             np.add.at(out, rows, credit)
         parent, winner = np.nonzero(probs > 0.0)
         mass = mass[parent] * probs[parent, winner]
-        standings, spent, histories, first, group = _children(
-            spec, played, parent, winner, standings, spent, spends, histories, key=rows
+        standings, spent, first, group = _children(
+            spec, played, parent, winner, standings, spent, spends, key=rows
         )
         merged += parent.size - first.size
         rows, mass = rows[parent[first]], np.bincount(group, weights=mass)
-        stack.append((played + 1, (rows, standings, spent, mass, histories, None)))
+        stack.append((played + 1, (rows, standings, spent, mass, None)))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "exact walk: %d rows, states per battle %s, %d states merged, "

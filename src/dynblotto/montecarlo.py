@@ -38,7 +38,6 @@ from .core import (
     _statuses,
 )
 from .strategies import (
-    Proportional,
     StrategyProfile,
     _below_root,
     _children,
@@ -86,11 +85,9 @@ def _terminal_counts(profile, spec, seed, trials):
 
     Returns the standings and the payoff row of each banked terminal state,
     in the order they were banked, and its trial count.  Strategies are
-    pure, so trials in the same contest state play the same spends and one
-    state stands for all of them.
-    A profile holding a strategy that reads more than the state (`Tabular`,
-    or a `Deviation` below the root) gets the History of each state, and
-    then no two states merge.
+    pure and read only the contest state, so trials in the same state play
+    the same spends and one state stands for all of them.  A deviation
+    after the first battle raises InputError (`strategies._below_root`).
     """
     n = spec.n
     # The root goes through the public per-battle rule, which checks the
@@ -98,16 +95,13 @@ def _terminal_counts(profile, spec, seed, trials):
     spends = np.array([allocations_at(profile, spec, History())])
     probs = _csf_distributions(spends, spec.csf)
     below = tuple(_below_root(s, 0) for s in profile.strategies)
-    histories = None
-    if not all(type(s) is Proportional for s in below):
-        histories = np.full(1, History(), object)
     standings, spent, counts = np.zeros((1, n)), np.zeros((1, n)), np.array([trials])
     rng = np.random.default_rng(seed)
     finals, payoffs, banked = [], [], []
     states, merged = [], 0
     for played in range(spec.m):
         if played:
-            spends, probs = _level_spends(below, spec, played, standings, spent, histories)
+            spends, probs = _level_spends(below, spec, played, standings, spent)
         states.append(len(counts))
         split, left = np.empty((len(counts), n), np.int64), counts
         for j in range(n - 1):
@@ -117,8 +111,8 @@ def _terminal_counts(profile, spec, seed, trials):
             left = left - split[:, j]
         split[:, n - 1] = left
         parent, winner = np.nonzero(split)
-        standings, spent, histories, first, group = _children(
-            spec, played, parent, winner, standings, spent, spends, histories
+        standings, spent, first, group = _children(
+            spec, played, parent, winner, standings, spent, spends
         )
         merged += parent.size - first.size
         counts = np.bincount(group, split[parent, winner]).astype(np.int64)  # exact below 2^53
@@ -135,7 +129,6 @@ def _terminal_counts(profile, spec, seed, trials):
                 break
             live = ~ended
             standings, spent, counts = standings[live], spent[live], counts[live]
-            histories = None if histories is None else histories[live]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "simulation: %d trials, states per battle %s, %d states merged, %d binomial calls",

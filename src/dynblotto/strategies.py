@@ -1,11 +1,11 @@
 """Pure strategies and strategy profiles.
 
-A strategy maps any nonterminal history to a feasible allocation for one
-player.  Three kinds are provided: the proportional rule (spend the remaining
-budget in proportion to the value of the upcoming battle relative to all
-remaining value), tabular strategies produced by the backward-induction
-solver, and one-shot deviation wrappers that override a base strategy at a
-single history.
+A strategy maps contest states (battles played, standings, budgets left) to
+one player's spends, so equal states play alike and the engines merge them.
+Three kinds are provided: the proportional rule (spend the remaining budget
+in proportion to the value of the upcoming battle relative to all remaining
+value), tabular strategies produced by the backward-induction solver, and
+one-shot deviation wrappers that override a base strategy at one history.
 """
 
 from __future__ import annotations
@@ -34,9 +34,15 @@ from .core import (
 
 
 class Strategy:
-    """Interface: a total map from (spec, nonterminal history) to a spend."""
+    """Interface: a map from nonterminal contest states to one player's spends."""
 
-    def allocation(self, spec: ContestSpec, history: History, player: int) -> float:
+    def spends(self, spec: ContestSpec, played: int, standings, budgets, player: int):
+        """The player's spend at each of the states after `played` battles.
+
+        `standings` and `budgets` have one state per row; `budgets` are
+        `core._remaining_budgets`, 0 for hopeless players.  The caller
+        clamps each spend into [0, budget].
+        """
         raise NotImplementedError
 
 
@@ -51,8 +57,8 @@ def proportional_allocation(spec: ContestSpec, history: History, player: int) ->
 class Proportional(Strategy):
     """The proportional rule.  Stateless; one shared instance suffices."""
 
-    def allocation(self, spec, history, player):
-        return proportional_allocation(spec, history, player)
+    def spends(self, spec, played, standings, budgets, player):
+        return _proportional_spend(spec, played, budgets[:, player])
 
     def __repr__(self):
         return "Proportional()"
@@ -63,77 +69,72 @@ PROPORTIONAL = Proportional()
 
 @dataclass(frozen=True)
 class Deviation(Strategy):
-    """Play `amount` at exactly one history, follow the base strategy elsewhere."""
+    """Play `amount` at exactly one history, follow the base strategy elsewhere.
+
+    The engines play it only at their root (`_below_root`).
+    """
 
     base: Strategy
     history: History
     player: int
     amount: float
 
-    def allocation(self, spec, history, player):
-        if player == self.player and history == self.history:
-            return self.amount
-        return self.base.allocation(spec, history, player)
+
+def _standings_key(standings) -> tuple:
+    """Standings rounded to 9 decimals, so float noise keeps one key per class."""
+    return tuple(round(v, 9) for v in standings)
 
 
 @dataclass
 class Tabular(Strategy):
-    """Finite table of solved allocations with nearest-neighbor lookup.
+    """Finite table of solved spends keyed by contest state, nearest-neighbor lookup.
 
-    Entries are keyed by (battle index, winner schedule); within a key the
-    entry whose recorded remaining-budget vector is closest (Euclidean) to the
-    queried one wins.  Budgets are recorded on a grid of `budget_step` to keep
-    keys stable across float noise.  Histories with no entry at all are
-    played proportionally, so the map stays total.
+    Entries are keyed by (battle index, standings), the standings rounded by
+    `_standings_key`; within a key the entry whose recorded remaining-budget
+    vector is closest (Euclidean) to the queried one wins.  States with no
+    entry at all are played proportionally, so the map stays total.
     """
 
     player: int
-    budget_step: float = 0.25
     entries: dict = field(default_factory=dict)
 
-    def _grid(self, budgets):
-        step = self.budget_step
-        return tuple(round(b / step) * step for b in budgets)
+    def record(self, battle: int, standings: tuple, budgets: tuple, allocation: float):
+        key = (battle, _standings_key(standings))
+        self.entries.setdefault(key, []).append((tuple(map(float, budgets)), float(allocation)))
 
-    def record(self, battle: int, winners: tuple, budgets: tuple, allocation: float):
-        key = (battle, tuple(winners))
-        self.entries.setdefault(key, []).append((self._grid(budgets), float(allocation)))
-
-    def allocation(self, spec, history, player):
-        budgets = tuple(remaining_budget(spec, history, i) for i in range(spec.n))
-        key = (len(history) + 1, history.winner_schedule())
-        bucket = self.entries.get(key)
-        if not bucket:
-            return proportional_allocation(spec, history, player)
-        probe = self._grid(budgets)
-        best = min(bucket, key=lambda item: sum((a - b) ** 2 for a, b in zip(item[0], probe)))
-        return best[1]
+    def spends(self, spec, played, standings, budgets, player):
+        out = _proportional_spend(spec, played, budgets[:, player])
+        for row, (totals, probe) in enumerate(zip(standings.tolist(), budgets.tolist())):
+            bucket = self.entries.get((played + 1, _standings_key(totals)))
+            if bucket:
+                nearest = min(bucket, key=lambda e: sum((a - b) ** 2 for a, b in zip(e[0], probe)))
+                out[row] = nearest[1]
+        return out
 
     def to_payload(self) -> dict:
         return {
             "kind": "tabular",
             "player": self.player,
-            "budget_step": self.budget_step,
             "fallback": "proportional",
             "entries": [
                 {
                     "battle": battle,
-                    "winners": list(winners),
+                    "standings": list(standings),
                     "budgets": list(budgets),
                     "allocation": allocation,
                 }
-                for (battle, winners), bucket in sorted(self.entries.items())
+                for (battle, standings), bucket in sorted(self.entries.items())
                 for budgets, allocation in bucket
             ],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Tabular":
-        strategy = cls(player=payload["player"], budget_step=payload["budget_step"])
+        strategy = cls(player=payload["player"])
         for entry in payload["entries"]:
             strategy.record(
                 entry["battle"],
-                tuple(entry["winners"]),
+                tuple(entry["standings"]),
                 tuple(entry["budgets"]),
                 entry["allocation"],
             )
@@ -161,9 +162,15 @@ def proportional_profile(n: int) -> StrategyProfile:
 def _below_root(strategy: Strategy, root_length: int) -> Strategy:
     """The strategy as it plays below a history of `root_length` battles.
 
-    A deviation at a history no longer than the root never fires below it.
+    A deviation at a history no longer than the root never fires below it,
+    so it is unwrapped; one at a deeper history is refused.
     """
-    while type(strategy) is Deviation and len(strategy.history) <= root_length:
+    while type(strategy) is Deviation:
+        if len(strategy.history) > root_length:
+            raise InputError(
+                f"a deviation after {len(strategy.history)} battles lies below the root "
+                f"after {root_length}; evaluate from its history"
+            )
         strategy = strategy.base
     return strategy
 
@@ -171,87 +178,76 @@ def _below_root(strategy: Strategy, root_length: int) -> Strategy:
 def allocations_at(profile: StrategyProfile, spec: ContestSpec, history: History) -> tuple:
     """Evaluate every player's strategy at a nonterminal history.
 
-    Applies the model's forced rules before the strategies' own choices:
-    guaranteed losers spend 0 under the win-probability objective, and every
-    output is clamped into [0, remaining budget].
+    A deviation at this history plays its amount; where deviations are
+    stacked, the outermost one at this history wins.  Every other strategy
+    answers through its `spends` at the history's contest state.  The
+    model's forced rules apply to both: guaranteed losers spend 0 under the
+    win-probability objective, and every output is clamped into [0,
+    remaining budget].
     """
     if profile.n != spec.n:
         raise InputError(f"profile has {profile.n} strategies for {spec.n} players")
     if terminal_status(spec, history).terminal:
         raise ContractError("allocations_at called at a terminal history")
-    standings = history.won_values(spec)
-    spent = tuple(history.spent(i) for i in range(spec.n))
-    return _state_allocations(profile.strategies, spec, len(history), standings, spent, history)
-
-
-def _state_allocations(strategies, spec, played, standings, spent, history) -> tuple:
-    """Every player's spend at a nonterminal contest state.
-
-    The state is the number of battles played, the won-value standings and
-    each player's total spend.  `history` is the History of that state; it
-    may be None when every strategy is `Proportional`, which reads the state
-    alone.  This is the rule behind `allocations_at`, without its checks.
-    """
+    played, standings = len(history), history.won_values(spec)
     win_prob = spec.objective is Objective.WIN_PROBABILITY
+    budgets = [
+        0.0 if win_prob and _trails_hopelessly(spec, played, standings, i)
+        else _formal_budget(spec, played, history.spent(i), i)
+        for i in range(spec.n)
+    ]
     out = []
-    for i, strategy in enumerate(strategies):
-        if win_prob and _trails_hopelessly(spec, played, standings, i):
-            out.append(0.0)
-            continue
-        bound = _formal_budget(spec, played, spent[i], i)
+    for i, strategy in enumerate(profile.strategies):
+        while type(strategy) is Deviation and not (strategy.player == i
+                                                   and strategy.history == history):
+            strategy = strategy.base
         if type(strategy) is Proportional:
-            out.append(_proportional_spend(spec, played, bound))  # skips the per-player guards
+            out.append(_proportional_spend(spec, played, budgets[i]))  # within [0, budget]
             continue
-        raw = strategy.allocation(spec, history, i)
-        out.append(min(max(raw, 0.0), bound))
+        if type(strategy) is Deviation:
+            raw = strategy.amount
+        else:
+            raw = float(strategy.spends(spec, played, np.array([standings]),
+                                        np.array([budgets]), i)[0])
+        out.append(min(max(raw, 0.0), budgets[i]))
     return tuple(out)
 
 
-def _level_spends(below, spec, played, standings, spent, histories):
+def _level_spends(below, spec, played, standings, spent):
     """Spends and contest success probabilities of live states, one per row.
 
     The states have played `played` battles; `standings` and `spent` are
-    numpy arrays with one state per row.  When `histories` is None every
-    strategy in `below` is `Proportional` and all spends come from one set
-    of array operations; otherwise each state's History goes to
-    `_state_allocations`.
+    numpy arrays with one state per row.  When every strategy in `below` is
+    `Proportional` all spends are one array operation; otherwise each
+    player's strategy answers for its column, clamped into [0, budget].
     """
-    if histories is None:
-        budgets = _remaining_budgets(spec, played, standings, spent)
+    budgets = _remaining_budgets(spec, played, standings, spent)
+    if all(type(s) is Proportional for s in below):
         spends = _proportional_spend(spec, played, budgets)
     else:
-        spends = np.array([
-            _state_allocations(below, spec, played, s, p, h)
-            for s, p, h in zip(standings.tolist(), spent.tolist(), histories)
+        spends = np.column_stack([
+            np.minimum(np.maximum(s.spends(spec, played, standings, budgets, i), 0.0),
+                       budgets[:, i])
+            for i, s in enumerate(below)
         ])
     return spends, _csf_distributions(spends, spec.csf)
 
 
-def _children(spec, played, parent, winner, standings, spent, spends, histories, key=None):
+def _children(spec, played, parent, winner, standings, spent, spends, key=None):
     """The states reached when `winner` wins battle `played` + 1 from state `parent`.
 
     `parent` and `winner` hold one child each; `standings`, `spent`,
-    `spends` and `key` have one parent state per row.  Without Histories,
-    children equal in (key, standings, spent) merge into one state.  With
-    them, each child extends its parent's History and none merge.  Returns
-    the states' standings, spent and Histories, the first child of each
-    state, and each child's state.
+    `spends` and `key` have one parent state per row.  Children equal in
+    (key, standings, spent) merge into one state.  Returns the states'
+    standings and spent, the first child of each state, and each child's
+    state.
     """
     standings = standings[parent]
     standings[np.arange(parent.size), winner] += spec.values[played]
     spent = spent[parent] + spends[parent]
-    if histories is not None:
-        allocations = spends.tolist()
-        extended = np.empty(parent.size, object)
-        extended[:] = [
-            histories[p].extend(allocations[p], w)
-            for p, w in zip(parent.tolist(), winner.tolist())
-        ]
-        every = np.arange(parent.size)
-        return standings, spent, extended, every, every
     columns = (standings, spent) if key is None else (key[parent], standings, spent)
     first, group = _distinct_rows(np.column_stack(columns))
-    return standings[first], spent[first], None, first, group
+    return standings[first], spent[first], first, group
 
 
 def one_shot_deviation(

@@ -1,5 +1,6 @@
 """Shared test helpers: independent oracles and random contest generators."""
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from dynblotto import (
     History,
     Objective,
     ProportionalityVerdict,
+    Tabular,
     allocations_at,
     csf_probability,
     deviation_gains,
@@ -139,8 +141,34 @@ def per_history_check(spec, plan):
     return ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
 
 
+def random_table(rng, spec, player, root=None):
+    """A `Tabular` for `player` with a random spend at every state below `root`.
+
+    Each state reachable from the root gets an entry under its standings,
+    at random budgets; equal standings reached by other winners add
+    entries to the same key, so the nearest-budget lookup has a choice.
+    """
+    root = root if root is not None else History()
+    table = Tabular(player=player)
+    start = root.won_values(spec)
+    for played in range(len(root), spec.m):
+        for tail in itertools.product(range(spec.n), repeat=played - len(root)):
+            standings = list(start)
+            for t, winner in enumerate(tail, start=len(root)):
+                standings[winner] += spec.values[t]
+            budgets = tuple(rng.uniform(0.0, 100.0) for _ in range(spec.n))
+            table.record(played + 1, standings, budgets, rng.uniform(0.0, 60.0))
+    return table
+
+
 def random_battle_values(rng, m, lo=0.5, hi=3.0):
-    """Battle values in [lo, hi] with no battle worth the rest combined."""
+    """Battle values in [lo, hi] with no battle worth the rest combined.
+
+    Needs m >= 3: with one or two battles some battle is always worth at
+    least the rest.
+    """
+    if m < 3:
+        raise ValueError(f"no {m} battle values avoid a dictatorial battle; m must be at least 3")
     while True:
         values = [rng.uniform(lo, hi) for _ in range(m)]
         total = sum(values)

@@ -5,8 +5,17 @@ import tracemalloc
 
 import pytest
 
-from dynblotto import InputError, Objective
+from dynblotto import (
+    History,
+    InputError,
+    Objective,
+    StrategyProfile,
+    Tabular,
+    allocations_at,
+    expected_payoffs,
+)
 from dynblotto.cli import format_report, load_config, main, parse_winner_schedule
+from conftest import brute_force_payoffs
 
 
 def write_config(tmp_path, payload, name="contest.json"):
@@ -33,7 +42,6 @@ class TestLoadConfig:
         assert spec.objective is Objective.WIN_PROBABILITY
         assert settings.solver.grid_points == 200
         assert settings.solver.tolerance == 1e-6
-        assert settings.solver.budget_step == 0.25
 
     def test_missing_csf_defaults_to_tullock(self, tmp_path):
         spec, _ = load_config(example2_config(tmp_path))
@@ -82,10 +90,6 @@ class TestLoadConfig:
                          r"shocks\[0\]\.player", id="shock-player"),
             pytest.param({"solver": {"grid_points": 1}}, r"solver\.grid_points",
                          id="grid-points-below-2"),
-            pytest.param({"solver": {"budget_step": 0}}, r"solver\.budget_step",
-                         id="budget-step-zero"),
-            pytest.param({"solver": {"budget_step": -0.5}}, r"solver\.budget_step",
-                         id="budget-step-negative"),
             pytest.param({"solver": {"tolerance": -1}}, r"solver\.tolerance",
                          id="tolerance-negative"),
             pytest.param({"solver": {"tolerance": float("nan")}}, r"solver\.tolerance",
@@ -110,6 +114,18 @@ class TestLoadConfig:
         path.write_text('{"players": [,]}')
         with pytest.raises(InputError, match="line 1"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b'\xff\xfe{"players": []}', "not UTF-8", id="not-utf-8"),
+        pytest.param(b"[" * 100_000, "nested too deeply", id="nested-100000-deep"),
+    ])
+    def test_unparsable_file_is_one_error_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "contest.json"
+        path.write_bytes(content)
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestWinnerScheduleFlag:
@@ -261,6 +277,21 @@ class TestCommands:
         assert report["trace"][0] == pytest.approx([50.0, 50.0], abs=1e-2)
         assert len(report["profile"]) == 2
         assert report["profile"][0]["kind"] == "tabular"
+
+    def test_solve_report_replays_the_trace(self, tmp_path, capsys):
+        # the report's tables, loaded back, play the trace exactly along its
+        # winners, and their exact payoffs match enumeration
+        assert main(["solve", "--config", example2_config(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        spec, _ = load_config(example2_config(tmp_path))
+        profile = StrategyProfile(tuple(Tabular.from_payload(p) for p in report["profile"]))
+        history = History()
+        for spends, winner in zip(report["trace"], report["trace_winners"]):
+            allocations = allocations_at(profile, spec, history)
+            assert list(allocations) == spends
+            history = history.extend(allocations, winner)
+        assert expected_payoffs(profile, spec) == pytest.approx(
+            brute_force_payoffs(profile, spec), abs=1e-12)
 
     def test_unreadable_config_is_an_error(self, capsys):
         assert main(["evaluate", "--config", "/nonexistent.json"]) == 1

@@ -23,6 +23,7 @@ from dynblotto import (
     validate_spec,
 )
 from dynblotto.core import _status, _statuses
+from conftest import random_battle_values
 
 WP = Objective.WIN_PROBABILITY
 
@@ -342,3 +343,14 @@ class TestHistory:
         b = History().extend((1.0, 2.0), 0)
         assert a == b and hash(a) == hash(b)
         assert a != b.extend((0.5, 0.5), 1)
+
+
+def test_random_battle_values_refuses_too_few_battles():
+    # with one or two battles no values avoid a dictatorial battle, so the
+    # helper would draw forever
+    rng = random.Random(0)
+    for m in (0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3"):
+            random_battle_values(rng, m)
+    values = random_battle_values(rng, 3)
+    assert all(v < sum(values) - v for v in values)

@@ -19,7 +19,6 @@ from dynblotto import (
     Objective,
     PROPORTIONAL,
     StrategyProfile,
-    Tabular,
     allocations_at,
     closed_form_gain,
     csf_probability,
@@ -36,7 +35,7 @@ from dynblotto import (
 )
 from dynblotto import evaluation
 from dynblotto.evaluation import _level_walk
-from conftest import brute_force_payoffs, random_ev_spec
+from conftest import brute_force_payoffs, random_ev_spec, random_table
 
 WP = Objective.WIN_PROBABILITY
 EV = Objective.EXPECTED_VALUE
@@ -154,37 +153,42 @@ class TestStateWalkAgainstOracle:
             ), spec
 
     def test_deviations_and_tables_from_inner_histories(self):
+        # a deviation at the root, a table keyed by standings that differs
+        # from proportional play at every battle, and the two together
         rng = random.Random(41)
-        for _ in range(60):
-            objective = rng.choice([EV, WP])
-            n, m = rng.choice([2, 3]), rng.randint(2, 5)
-            spec = oracle_spec(rng, objective, n, m, rng.choice([0.5, 1.0, 2.0]),
-                               rng.random() < 0.5, rng.random() < 0.5)
+        grid = itertools.product((EV, WP), (2, 3), range(2, 6), (0.5, 1.0, 2.0), (False, True))
+        for objective, n, m, alpha, shocked in grid:
+            spec = oracle_spec(rng, objective, n, m, alpha, shocked, rng.random() < 0.5)
             base = proportional_profile(n)
             root = open_history(rng, spec, base, rng.randrange(m))
             player = rng.randrange(n)
-            at_root = one_shot_deviation(base, player, root, rng.uniform(0.0, 50.0))
-            profiles = [at_root]
-            if len(root) + 1 < m:
-                # a deviation one battle below the root, alone and on top of the root one
-                child = root.extend(allocations_at(base, spec, root), rng.randrange(n))
-                if not terminal_status(spec, child).terminal:
-                    deeper = rng.randrange(n)
-                    profiles.append(one_shot_deviation(base, deeper, child, rng.uniform(0.0, 50.0)))
-                    profiles.append(one_shot_deviation(at_root, deeper, child, 0.0))
-            table = Tabular(player=player)
-            for played in range(len(root), m):
-                for tail in itertools.product(range(n), repeat=played - len(root)):
-                    budgets = tuple(rng.uniform(0.0, 100.0) for _ in range(n))
-                    table.record(played + 1, root.winner_schedule() + tail, budgets,
-                                 rng.uniform(0.0, 60.0))
             strategies = [PROPORTIONAL] * n
-            strategies[player] = table
-            profiles.append(StrategyProfile(tuple(strategies)))
-            for profile in profiles:
+            strategies[player] = random_table(rng, spec, player, root)
+            tabular = StrategyProfile(tuple(strategies))
+            deviator = rng.randrange(n)
+            for profile in (
+                one_shot_deviation(base, deviator, root, rng.uniform(0.0, 50.0)),
+                tabular,
+                one_shot_deviation(tabular, deviator, root, rng.uniform(0.0, 50.0)),
+            ):
                 assert expected_payoffs(profile, spec, root) == pytest.approx(
                     brute_force_payoffs(profile, spec, root), abs=1e-12
                 ), (spec, root, profile)
+
+    def test_a_deviation_below_the_root_is_refused(self):
+        spec = ContestSpec([1, 2, 1, 1], [50, 40, 30], objective=WP)
+        base = proportional_profile(3)
+        child = history_from_winners(spec, [0])
+        deeper = one_shot_deviation(base, 2, child, 1.0)
+        with pytest.raises(InputError, match="evaluate from its history"):
+            expected_payoffs(deeper, spec)
+        with pytest.raises(InputError, match="evaluate from its history"):
+            expected_payoffs(one_shot_deviation(deeper, 0, History(), 5.0), spec)
+        # from its own history, or from a sibling of it, the deviation is fine
+        assert expected_payoffs(deeper, spec, child) == pytest.approx(
+            brute_force_payoffs(deeper, spec, child), abs=1e-12)
+        sibling = history_from_winners(spec, [1])
+        assert expected_payoffs(deeper, spec, sibling) == expected_payoffs(base, spec, sibling)
 
     def test_deviation_gains_match_brute_force_differences(self):
         rng = random.Random(42)
@@ -265,10 +269,8 @@ class TestLevelWalk:
             roots = [open_history(rng, spec, base, depth) for _ in range(3)]
             roots = [h for h in roots if len(h) == len(roots[0])]
             strategies = [PROPORTIONAL] * n
-            history = None
-            if rng.random() < 0.3:
-                strategies[0] = Tabular(player=0)  # plays proportionally, through a History
-                roots, history = roots[:1], roots[0]  # its rows share one History
+            if rng.random() < 0.3:  # a table keeps states apart that proportional play merges
+                strategies[0] = random_table(rng, spec, 0, roots[0])
             below = tuple(strategies)
             picks = [rng.randrange(len(roots)) for _ in range(4)]
             picks += picks[:2]
@@ -277,9 +279,9 @@ class TestLevelWalk:
             batch = np.concatenate((batch, batch[:2]))
             states = [evaluation._state(spec, roots[k]) for k in picks]
             standings, spent = (np.concatenate(arrays) for arrays in zip(*states))
-            together = _level_walk(spec, len(roots[0]), standings, spent, batch, below, history)
+            together = _level_walk(spec, len(roots[0]), standings, spent, batch, below)
             for row, (one, spend), payoffs in zip(batch, states, together):
-                alone = _level_walk(spec, len(roots[0]), one, spend, row[None, :], below, history)
+                alone = _level_walk(spec, len(roots[0]), one, spend, row[None, :], below)
                 assert np.array_equal(payoffs, alone[0]), (spec, roots, row)
 
     @pytest.mark.parametrize(
@@ -325,19 +327,25 @@ class TestLevelWalk:
         assert parts[0] > 0 and parts[1] == 0
 
     def test_proportional_play_builds_no_history(self, monkeypatch):
+        # nor does a table keyed by standings, nor a deviation at the root
         def refuse(*args):
             raise AssertionError("History.extend called")
 
+        rng = random.Random(47)
         roots = {}
         for objective in (EV, WP):
             spec = ContestSpec([1, 2, 1, 1, 3], [50, 40, 30], objective=objective)
             roots[objective] = (spec, history_from_winners(spec, [0]))
         monkeypatch.setattr(History, "extend", refuse)
         for spec, root in roots.values():
-            expected_payoffs(proportional_profile(3), spec)
-            expected_payoffs(proportional_profile(3), spec, root)
+            base = proportional_profile(3)
+            tabular = StrategyProfile((PROPORTIONAL, random_table(rng, spec, 1), PROPORTIONAL))
+            for profile in (base, tabular):
+                expected_payoffs(profile, spec)
+                expected_payoffs(profile, spec, root)
+                expected_payoffs(one_shot_deviation(profile, 2, root, 1.0), spec, root)
+                expected_payoffs(one_shot_deviation(profile, 2, History(), 1.0), spec)
             deviation_gains(spec, root, 1, deviation_grid(spec, root, 1))
-            expected_payoffs(one_shot_deviation(proportional_profile(3), 2, root, 1.0), spec, root)
 
     def test_generic_win_probability_is_fast(self):
         # 2**16 winner sequences with generic values: about 49,000 states,

@@ -15,9 +15,9 @@ from dynblotto import (
     History,
     InputError,
     Objective,
+    PROPORTIONAL,
     Proportional,
     StrategyProfile,
-    Tabular,
     expected_payoffs,
     history_from_winners,
     one_shot_deviation,
@@ -26,7 +26,7 @@ from dynblotto import (
     solve_backward,
 )
 from dynblotto import montecarlo
-from conftest import chi_square_sf, terminal_distribution
+from conftest import chi_square_sf, random_table, terminal_distribution
 
 WP = Objective.WIN_PROBABILITY
 EV = Objective.EXPECTED_VALUE
@@ -185,34 +185,41 @@ class TestAgainstTheTerminalDistribution:
         # played them proportionally below the root would pass the above.  A
         # table of other spends at every battle tells the two apart.
         rng = random.Random("simulate-tabular")
-        table = Tabular(player=0)
-        for played in range(spec.m):
-            for winners in itertools.product(range(2), repeat=played):
-                table.record(played + 1, winners, (0.0, 0.0), rng.uniform(0.0, 40.0))
-        profile = StrategyProfile((table, Proportional()))
-        for objective in (EV, WP):
-            spec = ContestSpec([2, 1, 1, 1], [70, 50], objective=objective)
-            assert_counts_follow_the_exact_distribution(profile, spec, 7)
+        for k, (objective, n, m) in enumerate(itertools.product((EV, WP), (2, 3), range(2, 6))):
+            values = [float(rng.randint(1, 3)) for _ in range(m)]
+            shocks = {}
+            if k % 2:
+                shocks[(rng.randrange(n), rng.randint(1, m))] = rng.uniform(-20.0, 20.0)
+            spec = ContestSpec(values, [rng.uniform(10.0, 90.0) for _ in range(n)],
+                               CsfParams((0.5, 1.0, 2.0)[k % 3]), objective, shocks)
+            strategies = [Proportional()] * n
+            strategies[k % n] = random_table(rng, spec, k % n)
+            assert_counts_follow_the_exact_distribution(StrategyProfile(tuple(strategies)), spec, k)
 
     @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
     def test_deviation_profiles(self, objective):
+        # a deviation at the root plays there; one below it is refused
         spec = ContestSpec([1, 2, 1, 2, 1], [40, 55, 30], objective=objective)
         base = proportional_profile(3)
         at_root = one_shot_deviation(base, 1, History(), 3.0)
+        assert_counts_follow_the_exact_distribution(at_root, spec, 9)
         below_root = one_shot_deviation(base, 2, history_from_winners(spec, [0]), 0.5)
-        for profile in (at_root, below_root):
-            assert_counts_follow_the_exact_distribution(profile, spec, 9)
+        with pytest.raises(InputError, match="evaluate from its history"):
+            simulate(below_root, spec, 9, 1000)
 
 
 @pytest.mark.parametrize("objective", [EV, WP], ids=["ev", "wp"])
 def test_proportional_play_builds_no_history(monkeypatch, objective):
+    # nor does a table keyed by standings, nor a deviation at the root
     def refuse(*args):
         raise AssertionError("History.extend called")
 
     spec = ContestSpec([1, 2, 1, 1, 3], [50, 40, 30], objective=objective)
-    expected = simulate(proportional_profile(3), spec, 2, 5000)
+    tabular = StrategyProfile((PROPORTIONAL, random_table(random.Random(5), spec, 1), PROPORTIONAL))
+    profiles = [proportional_profile(3), tabular, one_shot_deviation(tabular, 0, History(), 9.0)]
+    expected = [simulate(profile, spec, 2, 5000) for profile in profiles]
     monkeypatch.setattr(History, "extend", refuse)
-    assert simulate(proportional_profile(3), spec, 2, 5000) == expected
+    assert [simulate(profile, spec, 2, 5000) for profile in profiles] == expected
 
 
 def test_a_trial_count_costs_no_time():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dynblotto import (
@@ -124,7 +125,7 @@ class TestOneShotDeviation:
         base = proportional_profile(2)
         h = history_from_winners(spec, (0,))
         same = one_shot_deviation(base, 0, h, proportional_allocation(spec, h, 0))
-        assert expected_payoffs(same, spec) == pytest.approx(expected_payoffs(base, spec))
+        assert expected_payoffs(same, spec, h) == pytest.approx(expected_payoffs(base, spec, h))
         for winners in [(), (0,), (1,), (0, 1), (1, 0)]:
             probe = history_from_winners(spec, winners)
             assert allocations_at(same, spec, probe) == pytest.approx(
@@ -139,6 +140,16 @@ class TestOneShotDeviation:
         assert allocations_at(profile, spec, History())[0] == pytest.approx(100 / 3)
         other = history_from_winners(spec, (0,))
         assert allocations_at(profile, spec, other)[0] == pytest.approx(100 / 3)
+
+    def test_outermost_deviation_at_a_history_wins(self):
+        spec = ContestSpec([1, 1, 1], [100, 100])
+        h = history_from_winners(spec, (1,))
+        inner = one_shot_deviation(proportional_profile(2), 0, h, 5.0)
+        outer = one_shot_deviation(inner, 0, h, 7.0)
+        assert allocations_at(outer, spec, h)[0] == 7.0
+        elsewhere = one_shot_deviation(inner, 0, History(), 9.0)
+        assert allocations_at(elsewhere, spec, h)[0] == 5.0
+        assert allocations_at(elsewhere, spec, History())[0] == 9.0
 
     def test_out_of_budget_deviation_rejected(self):
         from dynblotto import deviation_gain
@@ -156,30 +167,54 @@ class TestTabular:
     def test_recorded_allocation_wins_over_fallback(self):
         spec = ContestSpec([1, 1], [10, 10], objective=WP)
         strategy = Tabular(player=0)
-        strategy.record(1, (), (10.0, 10.0), 7.5)
+        strategy.record(1, (0.0, 0.0), (10.0, 10.0), 7.5)
         profile = StrategyProfile((strategy, PROPORTIONAL))
         assert allocations_at(profile, spec, History())[0] == 7.5
 
     def test_nearest_budget_entry_is_used(self):
         spec = ContestSpec([1, 1], [10, 10], objective=WP)
         strategy = Tabular(player=0)
-        strategy.record(2, (0,), (8.0, 4.0), 8.0)
-        strategy.record(2, (0,), (5.0, 9.0), 3.0)
-        h = History().extend((5.0, 1.0), 0)  # budgets (5, 9)
-        assert strategy.allocation(spec, h, 0) == 3.0
+        strategy.record(2, (1.0, 0.0), (8.0, 4.0), 8.0)
+        strategy.record(2, (1.0, 0.0), (5.0, 9.0), 3.0)
+        h = History().extend((5.0, 1.0), 0)  # standings (1, 0), budgets (5, 9)
+        profile = StrategyProfile((strategy, PROPORTIONAL))
+        assert allocations_at(profile, spec, h)[0] == 3.0
+
+    def test_states_with_equal_standings_share_entries(self):
+        # (A, B) and (B, A) both reach standings (1, 1): one key answers both
+        spec = ContestSpec([1, 1, 1], [60, 60])
+        strategy = Tabular(player=0)
+        strategy.record(3, (1.0, 1.0), (40.0, 40.0), 12.5)
+        profile = StrategyProfile((strategy, PROPORTIONAL))
+        for winners in [(0, 1), (1, 0)]:
+            h = history_from_winners(spec, winners)
+            assert allocations_at(profile, spec, h)[0] == 12.5
+        assert allocations_at(profile, spec, history_from_winners(spec, (0, 0)))[0] == 20.0
+
+    def test_answers_every_state_of_a_level(self):
+        # standings are keyed as rounded to 9 decimals; a state with no
+        # entry spends proportionally
+        spec = ContestSpec([1, 2, 1], [60, 30])
+        strategy = Tabular(player=1)
+        strategy.record(2, (1.0, 0.0), (45.0, 22.5), 4.0)
+        standings = np.array([[1.0, 0.0], [1.0 + 1e-12, 0.0], [0.0, 1.0]])
+        budgets = np.array([[45.0, 22.5]] * 3)
+        spends = strategy.spends(spec, 1, standings, budgets, 1)
+        assert spends.tolist() == [4.0, 4.0, 22.5 * (2 / 3)]
 
     def test_missing_key_falls_back_to_proportional(self):
         spec = ContestSpec([1, 1, 1], [60, 60])
-        strategy = Tabular(player=0)
-        assert strategy.allocation(spec, History(), 0) == pytest.approx(20.0)
+        profile = StrategyProfile((Tabular(player=0), PROPORTIONAL))
+        assert allocations_at(profile, spec, History())[0] == pytest.approx(20.0)
 
     def test_payload_round_trip(self):
-        strategy = Tabular(player=1, budget_step=0.5)
-        strategy.record(1, (), (10.0, 10.0), 3.25)
-        strategy.record(2, (1,), (6.75, 10.0), 2.0)
-        clone = Tabular.from_payload(strategy.to_payload())
+        strategy = Tabular(player=1)
+        strategy.record(1, (0.0, 0.0), (10.0, 10.0), 3.25)
+        strategy.record(2, (0.0, 1.0), (6.75, 10.0), 2.0)
+        payload = strategy.to_payload()
+        assert payload["entries"][1]["standings"] == [0.0, 1.0]
+        clone = Tabular.from_payload(payload)
         assert clone.player == 1
-        assert clone.budget_step == 0.5
         assert clone.entries == strategy.entries
 
 
