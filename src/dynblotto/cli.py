@@ -3,14 +3,17 @@
 Commands: evaluate, simulate, solve, check, demo.  Contests are described by
 a JSON config file; reports are emitted as JSON (default) or CSV.  Exit
 status is 0 on success, 2 when `check` refutes proportionality (so scripts
-can branch on it), and 1 on errors.
+can branch on it), and 1 on errors, an unknown config field among them, or
+when standard output closes before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -79,6 +82,12 @@ def _read(entry, key: str, where: str, convert=float, default=None):
         raise InputError(f"config field {where} must be {kind}, got {entry[key]!r}") from None
 
 
+def _known(entry, where: str, *keys) -> None:
+    """Refuse a field of the JSON object `entry`, at `where`, that is not in `keys`."""
+    for key in entry if isinstance(entry, dict) else ():
+        _require(key in keys, f"config field {where}{key} is unknown")
+
+
 def _list(raw, key: str) -> list:
     entries = raw.get(key, [])
     _require(isinstance(entries, list), f"config field {key} must be a list")
@@ -90,8 +99,9 @@ def load_config(path: str):
 
     Defaults: Tullock success function (alpha=1, beta=1), no shocks,
     grid_points=200, tolerance=1e-6, seed=0 (read by simulate).  Malformed
-    fields raise InputError naming the field; so do a file that is not
-    UTF-8 text and JSON nested too deeply to parse.
+    fields and fields the schema does not know raise InputError naming the
+    field; so do a file that is not UTF-8 text and JSON nested too deeply to
+    parse.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -105,17 +115,18 @@ def load_config(path: str):
     except RecursionError:
         raise InputError("config parse failure: JSON nested too deeply") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
+    _known(raw, "", "players", "battles", "csf", "objective", "shocks", "solver", "seed")
     _require("players" in raw, "config needs a 'players' list")
     _require("battles" in raw, "config needs a 'battles' list")
-    budgets = [
-        _read(entry, "budget", f"players[{i}].budget")
-        for i, entry in enumerate(_list(raw, "players"))
-    ]
-    values = [
-        _read(entry, "value", f"battles[{t}].value")
-        for t, entry in enumerate(_list(raw, "battles"))
-    ]
+    budgets, values = [], []
+    for i, entry in enumerate(_list(raw, "players")):
+        _known(entry, f"players[{i}].", "budget")
+        budgets.append(_read(entry, "budget", f"players[{i}].budget"))
+    for t, entry in enumerate(_list(raw, "battles")):
+        _known(entry, f"battles[{t}].", "value")
+        values.append(_read(entry, "value", f"battles[{t}].value"))
     csf_raw = raw.get("csf", {})
+    _known(csf_raw, "csf.", "alpha", "beta")
     csf = CsfParams(
         _read(csf_raw, "alpha", "csf.alpha", default=1.0),
         _read(csf_raw, "beta", "csf.beta", default=1.0),
@@ -131,6 +142,7 @@ def load_config(path: str):
     shocks = {}
     for k, entry in enumerate(_list(raw, "shocks")):
         where = f"shocks[{k}]"
+        _known(entry, f"{where}.", "player", "battle", "amount")
         key = (_read(entry, "player", f"{where}.player", _integer),
                _read(entry, "battle", f"{where}.battle", _integer))
         shocks[key] = _read(entry, "amount", f"{where}.amount")
@@ -139,6 +151,7 @@ def load_config(path: str):
     if violations:
         raise InputError("invalid contest: " + "; ".join(violations))
     solver_raw = raw.get("solver", {})
+    _known(solver_raw, "solver.", "grid_points", "tolerance")
     solver = SolverSettings(
         grid_points=_read(solver_raw, "grid_points", "solver.grid_points", _integer, 200),
         tolerance=_read(solver_raw, "tolerance", "solver.tolerance", default=1e-6),
@@ -373,6 +386,7 @@ def format_report(report: dict, output: str) -> str:
     raise InputError(f"unknown output format {output!r}")
 
 
+@functools.cache  # built once per process: argparse sizes the terminal per argument
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynblotto", description="Dynamic multi-battle Blotto contests."
@@ -418,7 +432,12 @@ def main(argv=None) -> int:
     except (ContestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(format_report(report, settings.output))
+    try:
+        print(format_report(report, settings.output))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: write nothing more, not even at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -47,6 +47,7 @@ from .core import (
     History,
     InputError,
     Objective,
+    _distinct_rows,
     _formal_budget,
     _payoff,
     _proportional_spend,
@@ -746,16 +747,23 @@ def check_proportionality(
     Sweeps the feasible deviation grid for every player at every sampled
     history, history after history and player after player; returns Fails
     on the first gain above tolerance, otherwise Holds with the largest gain
-    observed.  Each batch of sweeps is one walk (`evaluation._sweeps`) of at
-    most PART rows: a depth's first sweep alone, so a refutation there costs
-    one sweep, then 2, 4, 8, ... sweeps, doubling on from depth to depth.
+    observed.  States of one depth that a sweep reads alike, equal in spent
+    under expected value and in (standings, spent) under win probability,
+    gain alike, so only the first of them is swept and its gains stand for
+    all.  Each batch of sweeps is one walk (`evaluation._sweeps`) of at most
+    PART rows: a depth's first sweep alone, so a refutation there costs one
+    sweep, then 2, 4, 8, ... sweeps, doubling on from depth to depth.
     """
     n, checked, max_gain, verdict = spec.n, 0, -math.inf, None
-    states, sweeps, walks, rows, size = [0] * spec.m, 0, 0, 0, 2
+    states, distinct, sweeps, walks, rows, size = [0] * spec.m, [0] * spec.m, 0, 0, 0, 2
     for played, standings, spent, sources in _swept_states(spec, plan):
         if isinstance(sources[0], History) and terminal_status(spec, sources[0]).terminal:
             continue
+        read = (standings, spent) if spec.objective is Objective.WIN_PROBABILITY else (spent,)
+        first = np.sort(_distinct_rows(np.column_stack(read))[0])  # in order of first occurrence
         states[played] += len(sources)
+        distinct[played] += first.size
+        standings, spent = standings[first], spent[first]
         known = spec.truncate_shocks(played + 1)
         budgets = _remaining_budgets(known, played, standings, spent).ravel()
         grids = _offset_grids(known, played, budgets, plan.delta_points)
@@ -770,6 +778,7 @@ def check_proportionality(
             if over.size:
                 k, j = divmod(int(over[0]), gains.shape[1])
                 state, player = divmod(start + k, n)
+                state = int(first[state])  # the first state that gains alike
                 history = sources[state]
                 if not isinstance(history, History):
                     history = history_from_winners(spec, history.tolist())
@@ -784,9 +793,9 @@ def check_proportionality(
             break
         checked += len(sources)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("proportionality check: states per depth %s, %d sweeps, %d walks, %d rows, "
-                   "refuted at depth %s", states, sweeps, walks, rows,
-                   None if verdict is None else played)
+        _log.debug("proportionality check: states per depth %s, distinct per depth %s, "
+                   "%d sweeps, %d walks, %d rows, refuted at depth %s", states, distinct,
+                   sweeps, walks, rows, None if verdict is None else played)
     if verdict is None:
         verdict = ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
     return verdict

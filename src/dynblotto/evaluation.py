@@ -269,10 +269,13 @@ def _sweeps(spec: ContestSpec, played: int, standings, spent, players, deltas) -
     Sweep k has the rows of `deviation_gains` for player `players[k]` at the
     state (`standings[k]`, `spent[k]`) and the offsets `deltas[k]`.  Rows do
     not touch each other in the walk, so a sweep gains bit for bit what it
-    gains alone.
+    gains alone.  Under expected value the walk starts from zero standings,
+    which nothing in it reads, so sweeps with equal spends gain alike.
     """
     if spec.objective is Objective.WIN_PROBABILITY:
         _check_cap(spec, played, LEAF_CAP)
+    else:
+        standings = np.zeros_like(standings)
     (count, width), n = deltas.shape, spec.n
     budgets = _remaining_budgets(spec, played, standings, spent)
     baseline = _proportional_spend(spec, played, budgets)

@@ -1,10 +1,15 @@
 """Command line front end: configs, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import dynblotto
 from dynblotto import (
     History,
     InputError,
@@ -109,6 +114,27 @@ class TestLoadConfig:
         assert main(["evaluate", "--config", path]) == 1
         assert capsys.readouterr().err.startswith("error: config field ")
 
+    @pytest.mark.parametrize("overrides, field", [
+        pytest.param({"sead": 4}, "sead", id="top-level"),
+        pytest.param({"solver": {"tolerence": 1e-3}}, r"solver\.tolerence", id="solver"),
+        pytest.param({"solver": {"budget_step": 0.5}}, r"solver\.budget_step",
+                     id="retired-budget-step"),
+        pytest.param({"csf": {"alpha": 1, "gamma": 2}}, r"csf\.gamma", id="csf"),
+        pytest.param({"players": [{"budget": 100}, {"budget": 100, "name": "B"}]},
+                     r"players\[1\]\.name", id="player"),
+        pytest.param({"battles": [{"value": 2}, {"value": 1}, {"value": 1, "weight": 3},
+                                  {"value": 1}]}, r"battles\[2\]\.weight", id="battle"),
+        pytest.param({"shocks": [{"player": 0, "battle": 2, "amount": 1.0, "when": 1}]},
+                     r"shocks\[0\]\.when", id="shock"),
+    ])
+    def test_unknown_field_is_named(self, tmp_path, capsys, overrides, field):
+        path = example2_config(tmp_path, **overrides)
+        with pytest.raises(InputError, match=rf"config field {field} is unknown"):
+            load_config(path)
+        assert main(["check", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field ") and err.count("\n") == 1
+
     def test_parse_failure_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"players": [,]}')
@@ -178,6 +204,36 @@ class TestCommands:
             with pytest.raises(SystemExit) as exit_info:
                 main(head + flag)
             assert exit_info.value.code == 2, head + flag
+
+    def test_commands_in_one_process_share_no_arguments(self, tmp_path, capsys):
+        config = ["--config", example2_config(tmp_path)]
+        assert main(["evaluate", *config, "--history", "A,B"]) == 0
+        assert json.loads(capsys.readouterr().out)["history"]["winners"] == [0, 1]
+        assert main(["simulate", *config, "--trials", "50"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 50
+        assert main(["evaluate", *config]) == 0
+        assert json.loads(capsys.readouterr().out)["history"]["winners"] == []
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", *config, "--trials", "5"])
+        assert exit_info.value.code == 2
+
+    def test_a_closed_pipe_is_exit_1_without_a_traceback(self, tmp_path):
+        # the reader of standard output is gone before the report is written
+        src = str(Path(dynblotto.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "dynblotto.cli", "evaluate", "--config",
+                 example2_config(tmp_path)],
+                stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == b""  # no traceback, no "Exception ignored" line
 
     def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
         assert main(["simulate", "--config", example2_config(tmp_path), "--seed", "-1"]) == 1

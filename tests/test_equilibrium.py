@@ -27,6 +27,7 @@ from dynblotto import (
     remaining_budget,
     solve_backward,
     stage_equilibrium,
+    terminal_status,
 )
 from dynblotto import equilibrium, evaluation
 from dynblotto.cli import main
@@ -686,15 +687,83 @@ class TestBatchedCheck:
             check_proportionality(spec, SamplingPlan(histories=(alternating,)))
             check_proportionality(ContestSpec([1, 2, 1, 1], [30, 20, 10]))
         (refuted, held) = check_records(caplog)
-        assert refuted == ([0, 0, 1, 0], 1, 1, 22, 2)  # the given history's first sweep
-        states, sweeps, walks, rows, depth = held
-        assert states == [1, 3, 9, 27] and sweeps == 3 * 40 and depth is None
-        assert rows == sweeps * 22 and walks < sweeps
+        # the given history's first sweep refutes
+        assert refuted == ([0, 0, 1, 0], [0, 0, 1, 0], 1, 1, 22, 2)
+        states, distinct, sweeps, walks, rows, depth = held
+        assert states == [1, 3, 9, 27] and distinct == [1] * 4 and depth is None
+        assert sweeps == 3 * 4 and rows == sweeps * 22 and walks == 2 * 4
+
+    @pytest.mark.parametrize("values, budgets", [([1] * 6, [30, 20, 10]), ([1, 2] * 3, [37, 81])],
+                             ids=["ones-n3", "one-two-n2"])
+    @pytest.mark.parametrize("max_per_depth", [None, 3], ids=["whole", "sampled"])
+    def test_merged_states_give_the_per_history_verdict(self, caplog, values, budgets,
+                                                         max_per_depth):
+        # integer values: many states of a depth have equal standings and spends
+        spec = ContestSpec(values, budgets, objective=WP)
+        plan = SamplingPlan(max_per_depth=max_per_depth, tolerance=1.0)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            verdict = check_proportionality(spec, plan)
+        assert verdict.holds and verdict == per_history_check(spec, plan)
+        ((states, distinct, *_),) = check_records(caplog)
+        assert max_per_depth is not None or sum(distinct) < sum(states) / 2
+        plan = replace(plan, tolerance=verdict.max_gain / 2)
+        verdict = check_proportionality(spec, plan)
+        assert not verdict.holds and verdict == per_history_check(spec, plan)
+
+    def test_a_counterexample_with_a_later_twin_is_the_first(self):
+        # (0, 1) and (1, 0) have equal standings and spends; (0, 1) comes first
+        spec = ContestSpec([1, 1, 1, 3], [100, 100], objective=WP)
+        plan = SamplingPlan(tolerance=0.01)
+        verdict = check_proportionality(spec, plan)
+        assert verdict == per_history_check(spec, plan)
+        assert verdict.counterexample.history.winner_schedule() == (0, 1)
+        assert verdict.histories_checked == 1 + 2 + 2
+        twin = history_from_winners(spec, (1, 0))
+        assert twin.won_values(spec) == verdict.counterexample.history.won_values(spec)
+        assert [twin.spent(i) for i in range(2)] == [
+            verdict.counterexample.history.spent(i) for i in range(2)]
+
+    @pytest.mark.parametrize("spec, given", [
+        (ContestSpec([1.0] * 12, [30, 20]), ()),
+        (ContestSpec([1.0] * 6, [10, 40, 25, 5]), ((0, 1), (2,))),
+        (ContestSpec([1, 2, 1, 1], [30, 20, 10], shocks={(1, 3): 5.0}), ()),
+        (ContestSpec([1.0] * 8, [30, 20, 10], objective=WP), ()),
+        (ContestSpec([1, 2, 1, 2, 1], [37, 81], objective=WP), ((1, 0, 1), (1,))),
+    ], ids=["ev-n2-m12", "ev-n4-given", "ev-shocks", "wp-n3-m8", "wp-n2-given"])
+    def test_distinct_states_per_depth(self, caplog, spec, given):
+        plan = SamplingPlan(histories=tuple(history_from_winners(spec, w) for w in given),
+                            tolerance=sum(spec.values))  # every check holds
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            assert check_proportionality(spec, plan).holds
+        ((states, distinct, sweeps, *_),) = check_records(caplog)
+        assert distinct == distinct_per_depth(spec, plan)
+        assert sweeps == spec.n * sum(distinct)
 
 
 def check_records(caplog):
-    """(states per depth, sweeps, walks, rows, refuted depth) of each logged check."""
+    """(states and distinct states per depth, sweeps, walks, rows, refuted depth) of each check."""
     return [r.args for r in caplog.records if r.msg.startswith("proportionality check")]
+
+
+def distinct_per_depth(spec, plan):
+    """Distinct states per depth that a check sweeps, from the rules.
+
+    A sweep reads a state's spends under expected value and its standings
+    and spends under win probability.  The states of one depth of the
+    breadth-first walk are merged on that; each plan history stands alone.
+    """
+    groups = {}
+    for k, history in enumerate(history_bfs_histories(spec, plan)):
+        if terminal_status(spec, history).terminal:
+            continue
+        spent = tuple(history.spent(i) for i in range(spec.n))
+        read = spent if spec.objective is EV else (history.won_values(spec), spent)
+        group = (k if k < len(plan.histories) else None, len(history))
+        groups.setdefault(group, set()).add(read)
+    counts = [0] * spec.m
+    for (_, played), reads in groups.items():
+        counts[played] += len(reads)
+    return counts
 
 
 class TestLargerBattleThatCannotBePivotal:
