@@ -10,13 +10,15 @@ win-probability objective the contest ends early once some player's lead
 strictly exceeds all value still on the table.
 
 Everything in this module is an immutable value object or a pure function, so
-instances are safe to share between threads.
+instances are safe to share between threads; the caches a History and
+`_csf_row` keep only ever hold the one value their key determines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import math
@@ -150,7 +152,9 @@ class ContestSpec:
         for row in cum:
             for t in range(1, m + 1):
                 row[t] += row[t - 1]
-        object.__setattr__(self, "_shock_cum", tuple(tuple(row) for row in cum))
+        ceilings = [[b + row[min(t + 1, m)] for b, row in zip(self.budgets, cum)]
+                    for t in range(m + 1)]  # shocks through the upcoming battle, none after m
+        object.__setattr__(self, "_ceilings", np.array(ceilings))
 
         # Success-function scores of the largest spends the budgets and
         # shocks allow must add up to a finite number, or the win
@@ -285,40 +289,27 @@ def csf_probability(allocations: Sequence[float], params: CsfParams, i: int) -> 
     for w in allocations:
         if not math.isfinite(w) or w < 0:
             raise InputError(f"allocations must be nonnegative reals, got {w}")
-    return _csf_distribution(allocations, params)[i]
+    return _csf_row(allocations, params)[i]
 
 
-def _csf_distribution(allocations, params) -> list:
-    """Win probability of every player, in player order.  No input checks.
-
-    A battle where no score is positive (nobody spends, or every score
-    underflows) splits evenly.
-    """
-    alpha = params.alpha
-    if alpha == 1.0:
-        scores = list(allocations)
-    else:
-        scores = [w**alpha for w in allocations]
-    total = sum(scores)
-    if total == 0.0:
-        return [1.0 / len(scores)] * len(scores)
-    return [s / total for s in scores]
+@lru_cache(maxsize=64)  # callers ask for each player's probability in turn
+def _csf_row(allocations: tuple, params: CsfParams) -> tuple:
+    """`_csf_distributions` of one battle."""
+    return tuple(_csf_distributions(np.array([allocations]), params)[0].tolist())
 
 
 def _csf_distributions(spends, params):
-    """The array form of `_csf_distribution`: `spends` has one state per row.
+    """Win probability of every player of every state: `spends` has one state per row.
 
-    The scores are summed in player order, as Python's `sum` does, and a
-    state where no score is positive (nobody spends, or every score
-    underflows) splits evenly.  numpy's power may differ from Python's in
-    the last bit.
+    The scores are summed in player order, and a state where no score is
+    positive (nobody spends, or every score underflows) splits evenly.
     """
     scores = spends if params.alpha == 1.0 else spends**params.alpha
     total = scores[:, 0] + scores[:, 1]
     for j in range(2, scores.shape[1]):
         total += scores[:, j]
     nobody = total == 0.0
-    if not nobody.any():
+    if not np.count_nonzero(nobody):
         return scores / total[:, None]
     total[nobody] = 1.0
     probs = scores / total[:, None]
@@ -339,27 +330,43 @@ def _distinct_rows(array):
 
 
 # ---------------------------------------------------------------------------
-# Contest rules on the state (battles played, standings, spends).  The
-# History-based functions below and the strategies read each rule from
-# here; beside a rule stands its array form over many states at once, which
-# the per-battle step of `strategies` reads.
+# Contest rules on states (battles played, standings, spends), one state per
+# row.  The engines read them over all states of a battle at once; the
+# History-based functions below read them on the one-row state of a history.
 
 
-def _formal_budget(spec: ContestSpec, played: int, spent: float, player: int) -> float:
+def _state(spec: ContestSpec, history: History) -> tuple:
+    """(standings, spends, their `_statuses`) at a history; the first two 1 x n, read-only.
+
+    Raises InfeasibleHistoryError for a history longer than the contest or
+    with another number of players.  The public rules read a history
+    several times, so the state is kept on it for the spec last asked.
+    """
+    kept = history.__dict__.get("_state")
+    if kept is not None and kept[0] is spec:
+        return kept[1:]
+    played = len(history.records)
+    if played > len(spec.values):
+        raise InfeasibleHistoryError("history longer than the contest")
+    spent = history._spent or (0.0,) * len(spec.budgets)
+    if len(spent) != len(spec.budgets):
+        raise InfeasibleHistoryError(f"history has {len(spent)} players, the contest {spec.n}")
+    state = np.array([history.won_values(spec), spent])
+    state.flags.writeable = False
+    kept = (spec, state[:1], state[1:], _statuses(spec, played, state[:1]))
+    object.__setattr__(history, "_state", kept)
+    return kept[1:]
+
+
+def _formal_budgets(spec: ContestSpec, played: int, spent):
     """W_i plus shocks through the upcoming battle minus spending, clamped at 0.
 
     The formal ledger may run negative after a harsh shock; the clamp applies
     on every read, so a later positive shock can restore spending power only
-    to the extent the ledger recovers.
+    to the extent the ledger recovers.  After the last battle no shock is
+    upcoming.
     """
-    through = played + 1 if played < len(spec.values) else len(spec.values)
-    return max(spec.budgets[player] + spec._shock_cum[player][through] - spent, 0.0)
-
-
-def _formal_budgets(spec: ContestSpec, played: int, spent):
-    """The array form of `_formal_budget` before a battle: one state per row."""
-    ceilings = [b + cum[played + 1] for b, cum in zip(spec.budgets, spec._shock_cum)]
-    return np.maximum(np.array(ceilings) - spent, 0.0)
+    return np.maximum(spec._ceilings[played] - spent, 0.0)
 
 
 def _proportional_spend(spec: ContestSpec, played: int, budget):
@@ -372,79 +379,49 @@ def _proportional_spend(spec: ContestSpec, played: int, budget):
     return budget * (spec.values[played] / spec._suffix[played])
 
 
-def _rival_best(standings, player: int) -> float:
-    return max(v for j, v in enumerate(standings) if j != player)
-
-
-def _rival_bests(standings):
-    """Every player's best rival total; `standings` has one state per row."""
-    ordered = np.sort(standings, axis=1)
-    top, second = ordered[:, -1:], ordered[:, -2:-1]
-    return np.where(standings == top, second, top)
-
-
-def _trails_hopelessly(spec: ContestSpec, played: int, standings, player: int) -> bool:
-    """True if the player cannot reach even a tie by winning everything left."""
-    return standings[player] + spec._suffix[played] < _rival_best(standings, player)
-
-
 def _hopeless(spec: ContestSpec, played: int, standings):
-    """The array form of `_trails_hopelessly`, for every player of every state."""
-    return standings + spec._suffix[played] < _rival_bests(standings)
+    """True for each player who cannot reach even a tie by winning everything left.
+
+    A player's best rival total is the highest total whenever that is out of
+    the player's reach, so the highest total stands for it.
+    """
+    return standings + spec._suffix[played] < np.maximum.reduce(standings, axis=1, keepdims=True)
 
 
 def _remaining_budgets(spec: ContestSpec, played: int, standings, spent):
-    """The array form of `remaining_budget` at nonterminal states: one state per row."""
+    """Budgets for the upcoming battle at nonterminal states (see `remaining_budget`)."""
     budgets = _formal_budgets(spec, played, spent)
     if spec.objective is Objective.WIN_PROBABILITY:
         budgets[_hopeless(spec, played, standings)] = 0.0
     return budgets
 
 
-def _status(spec: ContestSpec, played: int, standings) -> TerminalStatus:
-    """Terminal status of the state after `played` battles with these standings."""
-    if played == len(spec.values):
-        best = max(standings)
-        return TerminalStatus(True, tuple(i for i, v in enumerate(standings) if v == best))
-    if spec.objective is Objective.EXPECTED_VALUE:
-        return TerminalStatus.ONGOING
-    # win probability: a lead strictly above every rival's total plus all
-    # value left clinches; a lead exactly equal to the remainder does not
-    remaining = spec._suffix[played]
-    for i, total in enumerate(standings):
-        if total > _rival_best(standings, i) + remaining:
-            return TerminalStatus(True, (i,))
-    return TerminalStatus.ONGOING
-
-
 def _statuses(spec: ContestSpec, played: int, standings):
-    """The array form of `_status`: one state per row.
+    """Which states have ended after `played` battles, and their winners.
 
-    Returns which states have ended, and a boolean per state and player
-    marking the winners of those that have.  Under expected value nothing
-    ends before the last battle.
+    Returns None when no state has ended, else a boolean per state and a
+    boolean per state and player marking the winners of those that have.
+    Under expected value nothing ends before the last battle.  Under win
+    probability a lead strictly above every rival's total plus all value
+    left clinches (a lead exactly equal to the remainder does not); only
+    the top total can, and its best rival is the second highest.
     """
     if played == len(spec.values):
-        return np.ones(len(standings), bool), standings == standings.max(axis=1, keepdims=True)
+        top = np.maximum.reduce(standings, axis=1, keepdims=True)
+        return np.ones(len(standings), bool), standings == top
     if spec.objective is Objective.EXPECTED_VALUE:
-        return np.zeros(len(standings), bool), np.zeros(standings.shape, bool)
-    clinched = standings > _rival_bests(standings) + spec._suffix[played]
-    return clinched.any(axis=1), clinched
+        return None
+    second = np.sort(standings, axis=1)[:, -2:-1]
+    clinched = standings > second + spec._suffix[played]
+    ended = clinched.any(axis=1)
+    return (ended, clinched) if np.count_nonzero(ended) else None
 
 
-def _payoff(spec: ContestSpec, status: TerminalStatus, standings) -> tuple:
-    """Payoff vector of a terminal state (see `terminal_payoff`)."""
+def _payoffs(spec: ContestSpec, standings, winners):
+    """Payoff rows of ended states (see `terminal_payoff`)."""
     if spec.objective is Objective.EXPECTED_VALUE:
-        return tuple(standings)
-    share = 1.0 / len(status.winners)
-    return tuple(share if i in status.winners else 0.0 for i in range(len(standings)))
-
-
-def _standings(spec: ContestSpec, history: History) -> tuple:
-    """Won-value totals at a history, checking it is no longer than the contest."""
-    if len(history) > spec.m:
-        raise InfeasibleHistoryError("history longer than the contest")
-    return history.won_values(spec)
+        return standings
+    return winners / winners.sum(axis=1, keepdims=True)
 
 
 def is_guaranteed_loser(spec: ContestSpec, history: History, player: int) -> bool:
@@ -453,12 +430,14 @@ def is_guaranteed_loser(spec: ContestSpec, history: History, player: int) -> boo
     Only meaningful under the win-probability objective at nonterminal
     histories; ties count as not losing because tied players share the prize.
     """
+    if not 0 <= player < spec.n:
+        raise InputError(f"player index {player} out of range")
     if spec.objective is not Objective.WIN_PROBABILITY:
         raise ContractError("guaranteed-loser rule applies to win-probability contests only")
-    played, standings = len(history), _standings(spec, history)
-    if _status(spec, played, standings).terminal:
+    standings, _, status = _state(spec, history)
+    if status is not None:
         raise ContractError("guaranteed-loser rule applies to nonterminal histories only")
-    return _trails_hopelessly(spec, played, standings, player)
+    return bool(_hopeless(spec, len(history), standings)[0, player])
 
 
 def remaining_budget(spec: ContestSpec, history: History, player: int) -> float:
@@ -467,18 +446,14 @@ def remaining_budget(spec: ContestSpec, history: History, player: int) -> float:
     Includes the shock announced for that battle, excludes later shocks.
     Under the win-probability objective a player who is already guaranteed to
     lose stays in the game but is forced to spend 0, so their remaining budget
-    reads as 0.
+    reads as 0; at a terminal history the formal budget is read.
     """
     if not 0 <= player < spec.n:
         raise InputError(f"player index {player} out of range")
-    played = len(history)
-    if spec.objective is Objective.WIN_PROBABILITY and played < spec.m:
-        standings = history.won_values(spec)
-        if not _status(spec, played, standings).terminal and _trails_hopelessly(
-            spec, played, standings, player
-        ):
-            return 0.0
-    return _formal_budget(spec, played, history.spent(player), player)
+    standings, spent, status = _state(spec, history)
+    if status is not None:  # no one is hopeless at the end
+        return float(_formal_budgets(spec, len(history), spent)[0, player])
+    return float(_remaining_budgets(spec, len(history), standings, spent)[0, player])
 
 
 def terminal_status(spec: ContestSpec, history: History) -> TerminalStatus:
@@ -489,7 +464,10 @@ def terminal_status(spec: ContestSpec, history: History) -> TerminalStatus:
     total plus all remaining value (a lead exactly equal to the remainder does
     not end the contest).
     """
-    return _status(spec, len(history), _standings(spec, history))
+    status = _state(spec, history)[2]
+    if status is None:
+        return TerminalStatus.ONGOING
+    return TerminalStatus(True, tuple(status[1][0].nonzero()[0].tolist()))
 
 
 def terminal_payoff(spec: ContestSpec, history: History) -> tuple:
@@ -498,11 +476,10 @@ def terminal_payoff(spec: ContestSpec, history: History) -> tuple:
     Expected value: each player banks the value of the battles they won.
     Win probability: the leaders split one unit of prize equally.
     """
-    standings = _standings(spec, history)
-    status = _status(spec, len(history), standings)
-    if not status.terminal:
+    standings, _, status = _state(spec, history)
+    if status is None:
         raise ContractError("terminal_payoff called on a nonterminal history")
-    return _payoff(spec, status, standings)
+    return tuple(_payoffs(spec, standings, status[1])[0].tolist())
 
 
 def check_history(spec: ContestSpec, history: History) -> None:

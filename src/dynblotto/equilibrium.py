@@ -48,20 +48,21 @@ from .core import (
     InputError,
     Objective,
     _distinct_rows,
-    _formal_budget,
-    _payoff,
+    _formal_budgets,
+    _payoffs,
     _proportional_spend,
     _remaining_budgets,
-    _status,
+    _state,
     _statuses,
     remaining_budget,
     terminal_status,
 )
-from .evaluation import PART, DeviationReport, _closed_forms, _offset_grids, _state, _sweeps
+from .evaluation import PART, DeviationReport, _closed_forms, _offset_grids, _sweeps
 from .strategies import (
     StrategyProfile,
     Tabular,
-    _level_spends,
+    _every_winner,
+    _levels,
     _standings_key,
     history_from_winners,
     proportional_profile,
@@ -176,10 +177,12 @@ class _UniformSpline:
         return value
 
 
-def _terminal_value_from_totals(spec: ContestSpec, played: int, totals) -> Optional[tuple]:
+@lru_cache(maxsize=4096)  # the solver asks about each class many times
+def _terminal_value_from_totals(spec: ContestSpec, played: int, totals: tuple) -> Optional[tuple]:
     """Player payoffs if the class (battle count, totals) is terminal, else None."""
-    status = _status(spec, played, totals)
-    return _payoff(spec, status, totals) if status.terminal else None
+    standings = np.array([totals], dtype=float)
+    status = _statuses(spec, played, standings)
+    return None if status is None else tuple(_payoffs(spec, standings, status[1])[0].tolist())
 
 
 def _safe_sum(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -452,18 +455,15 @@ class _ValueTables:
     _key = staticmethod(_standings_key)
 
     def _reachable_classes(self) -> dict:
+        """The live classes after each battle but the last, one status test per battle."""
         spec = self.spec
         levels = {0: [(0.0, 0.0)]}
-        frontier = [(0.0, 0.0)]
         for played in range(spec.m - 1):
-            value = spec.values[played]
-            nxt = set()
-            for v_a, v_b in frontier:
-                for totals in ((v_a + value, v_b), (v_a, v_b + value)):
-                    if _terminal_value_from_totals(spec, played + 1, totals) is None:
-                        nxt.add(self._key(totals))
-            frontier = sorted(nxt)
-            levels[played + 1] = frontier
+            children = [t for totals in levels[played] for t in self._successors(played, totals)]
+            children = np.array(children).reshape(-1, 2)
+            status = _statuses(spec, played + 1, children)
+            live = children if status is None else children[~status[0]]
+            levels[played + 1] = sorted({self._key(totals) for totals in live.tolist()})
         return levels
 
     def _lookup(self, played, totals):
@@ -667,41 +667,34 @@ def solve_backward(
     solutions = {}
 
     def descend(played, winners, totals, spent):
-        if _terminal_value_from_totals(spec, played, totals) is not None or played == spec.m:
+        if _terminal_value_from_totals(spec, played, totals) is not None:
             return
         # the budgets left as a History of this play reads them, so the
         # tables answer its states exactly
-        budgets = tuple(_formal_budget(spec, played, spent[i], i) for i in range(2))
+        budgets = tuple(_formal_budgets(spec, played, np.array([spent]))[0].tolist())
         solution = _path_solution(tables.stage_game(played, totals, budgets))
         solutions[winners] = solution
         for i in range(2):
             tabulars[i].record(played + 1, totals, budgets, solution.allocations[i])
-        value = spec.values[played]
         spent = tuple(s + w for s, w in zip(spent, solution.allocations))
-        descend(played + 1, winners + (0,), (totals[0] + value, totals[1]), spent)
-        descend(played + 1, winners + (1,), (totals[0], totals[1] + value), spent)
+        for winner, child in enumerate(tables._successors(played, totals)):
+            descend(played + 1, winners + (winner,), child, spent)
 
     descend(0, (), (0.0, 0.0), (0.0, 0.0))
 
-    trace = []
-    trace_winners = []
-    winners = ()
-    totals = (0.0, 0.0)
-    while winners in solutions:
-        solution = solutions[winners]
-        trace.append(solution.allocations)
+    trace, trace_winners, totals = [], (), (0.0, 0.0)
+    while trace_winners in solutions:
+        trace.append(solutions[trace_winners].allocations)
         trailing = 0 if totals[0] <= totals[1] else 1
-        value = spec.values[len(winners)]
-        totals = (totals[0] + value, totals[1]) if trailing == 0 else (totals[0], totals[1] + value)
-        trace_winners.append(trailing)
-        winners = winners + (trailing,)
+        totals = tables._successors(len(trace_winners), totals)[trailing]
+        trace_winners += (trailing,)
 
     if _log.isEnabledFor(logging.DEBUG):
         how = "built" if _tables_for.cache_info().misses > misses else "reused"
         _log.debug("backward solve: %d on-path stage solves, worst residual %.3e, value tables %s",
                    len(solutions), max(s.residual for s in solutions.values()), how)
     profile = StrategyProfile(tabulars)
-    return BackwardSolveResult(profile, tuple(trace), solutions, tuple(trace_winners))
+    return BackwardSolveResult(profile, tuple(trace), solutions, trace_winners)
 
 
 # ---------------------------------------------------------------------------
@@ -713,30 +706,33 @@ def _swept_states(spec: ContestSpec, plan: SamplingPlan):
 
     One state per row; a source is the state's History or winner schedule.
     The plan's histories come one by one, then the states reachable under
-    proportional play, a depth at a time and equal ones kept apart, each
-    depth cut to `plan.max_per_depth` by a sorted sample of one seeded draw.
+    proportional play, a depth at a time from `strategies._levels` with
+    equal ones kept apart, each depth cut to `plan.max_per_depth` by a
+    sorted sample of one seeded draw.
     """
     for history in plan.histories:
-        yield len(history), *_state(spec, history), (history,)
+        yield len(history), *_state(spec, history)[:2], (history,)
+    rng, cap = random.Random(plan.seed), plan.max_per_depth
+
+    def sample(played, count):
+        if played and cap is not None and count > cap:
+            return sorted(rng.sample(range(count), cap))
+        return slice(None)
+
+    def branch(played, probs, weight, winners):
+        parent, winner, weight, winners = _every_winner(played, probs, weight, winners)
+        return parent, winner, weight, np.column_stack((winners, winner))
+
+    root = (np.zeros((1, spec.n)), np.zeros((1, spec.n)), np.ones(1), np.zeros((1, 0), int))
     below = proportional_profile(spec.n).strategies
-    rng = random.Random(plan.seed)
-    standings, spent = np.zeros((1, spec.n)), np.zeros((1, spec.n))
-    winners = np.zeros((1, 0), int)
-    yield 0, standings, spent, winners
-    for played in range(spec.m - 1):
-        spends, probs = _level_spends(below, spec, played, standings, spent)
-        parent, winner = np.nonzero(probs > 0.0)
-        standings = standings[parent]
-        standings[np.arange(parent.size), winner] += spec.values[played]
-        spent = spent[parent] + spends[parent]
-        winners = np.column_stack((winners[parent], winner))
-        live = np.flatnonzero(~_statuses(spec, played + 1, standings)[0])
-        if not live.size:
+    for played, (standings, spent, _, winners), _ in _levels(
+        spec, below, 0, root, branch, merge=False, select=sample
+    ):
+        if not len(winners):
             return
-        if plan.max_per_depth is not None and live.size > plan.max_per_depth:
-            live = live[sorted(rng.sample(range(live.size), plan.max_per_depth))]
-        standings, spent, winners = standings[live], spent[live], winners[live]
-        yield played + 1, standings, spent, winners
+        yield played, standings, spent, winners
+        if played == spec.m - 1:
+            return
 
 
 def check_proportionality(

@@ -1,17 +1,17 @@
 """Exact payoff evaluation and deviation analysis.
 
-Payoffs are computed exactly by one level-by-level kernel over contest
-states (row, standings, spent, mass).  A row is one way to play the root
-battle; each later battle is one set of array operations over the live
-states of every row, which branch on who wins it, weighted by the contest
-success function.  Win-probability states end as soon as someone clinches.
-Children with equal (row, standings, spent) merge, and under expected value
-with proportional play, where each battle's value is credited where it is
+Payoffs are computed exactly by playing the contest through the per-battle
+loop of `strategies` (`_levels`) over contest states (row, standings,
+spent, mass).  A row is one way to play the root battle; each later battle
+branches on every winner, weighted by the contest success function, in one
+set of array operations over the live states of every row.  Children with
+equal (row, standings, spent) merge, and under expected value with
+proportional play, where each battle's value is credited where it is
 fought, a row keeps one state per battle.  A one-shot deviation sweep is
 rows too, the proportional baseline and one per offset, and many sweeps at
-states of one depth share one kernel call.  On top sit the Tullock closed
-form for the deviation gain and the per-battle marginal gain used to
-characterize proportional play.
+states of one depth share one walk.  On top sit the Tullock closed form for
+the deviation gain and the per-battle marginal gain used to characterize
+proportional play.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .core import (
     History,
     InputError,
     Objective,
-    _csf_distributions,
     _proportional_spend,
     _remaining_budgets,
-    _standings,
-    _statuses,
+    _state,
     remaining_budget,
     terminal_payoff,
     terminal_status,
@@ -44,8 +42,8 @@ from .strategies import (
     Proportional,
     StrategyProfile,
     _below_root,
-    _children,
-    _level_spends,
+    _every_winner,
+    _levels,
     allocations_at,
 )
 
@@ -67,12 +65,6 @@ def _check_cap(spec: ContestSpec, played: int, cap: int) -> None:
             f"{spec.n}**{depth} winner sequences exceed the cap of {cap} leaves; "
             "use montecarlo.simulate for an estimate"
         )
-
-
-def _state(spec: ContestSpec, history: History) -> tuple:
-    """The standings and spends at a history, as 1 x n arrays."""
-    spent = [history.spent(i) for i in range(spec.n)]
-    return np.array([_standings(spec, history)]), np.array([spent])
 
 
 def expected_payoffs(
@@ -102,7 +94,7 @@ def expected_payoffs(
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
     spends = np.array([allocations_at(profile, spec, root)])
-    walk = _level_walk(spec, len(root), *_state(spec, root), spends, below)
+    walk = _level_walk(spec, len(root), *_state(spec, root)[:2], spends, below)
     return tuple(walk[0].tolist())
 
 
@@ -112,89 +104,41 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
 
     Row r starts at the nonterminal state after `played` battles with
     standings `standings[r]` and spends `spent[r]`, spends `root_spends[r]`
-    at the next battle and plays the strategies `below` after it.  The live
-    states of a battle are arrays of (row, standings, spent, mass), played
-    in one set of array operations: ended states bank their payoffs, the
-    others get their spends and contest success probabilities from
-    `_level_spends` and branch on the winner through `_children`, where
-    children with equal (row, standings, spent) merge and their masses add
-    up.  Under expected value each battle's value is credited where it is
-    fought, and when every strategy below is `Proportional` all children of
-    a state are one state.  A row's states lie together, and a level of
-    more than PART states is finished in parts, each ending where a row's
-    states end unless one row alone has more than PART, so every row pays
-    bit for bit what it pays alone.
+    at the next battle and plays the strategies `below` after it, through
+    `strategies._levels` with the row as key and probability mass as weight.
+    Under expected value each battle's value is credited where it is fought.
+    Levels of more than PART states are finished in parts that end where a
+    row's states end, so every row pays bit for bit what it pays alone.
     """
-    n, m, values = spec.n, spec.m, spec.values
     win_prob = spec.objective is Objective.WIN_PROBABILITY
     proportional = all(type(s) is Proportional for s in below)
     count, depth = len(root_spends), played
-    out = np.zeros((count, n)) if win_prob else standings.copy()
-    state = (np.arange(count), standings, spent, np.ones(count), root_spends)
-    stack = [(played, state)]
-    states, merged, parts = [0] * (m + 1), 0, 0
-    while stack:
-        played, state = stack.pop()
-        size = len(state[0])
-        if size > PART:
-            cuts = _cuts(state[0])
-            parts += len(cuts) - 1
-            pieces = [_take(state, slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-            stack.extend((played, piece) for piece in reversed(pieces))
-            continue
-        states[played] += size
-        rows, standings, spent, mass, spends = state
-        if spends is None:
-            if win_prob:
-                ended, winners = _statuses(spec, played, standings)
-                if ended.any():
-                    won = winners[ended]
-                    np.add.at(out, rows[ended], won * (mass[ended] / won.sum(axis=1))[:, None])
-                    if ended.all():
-                        continue
-                    rows, standings, spent, mass = _take(state[:4], ~ended)
-            elif played == m:  # under expected value nothing ends before battle m
-                continue  # every battle's value was credited where it was fought
-            spends, probs = _level_spends(below, spec, played, standings, spent)
-        else:
-            probs = _csf_distributions(spends, spec.csf)
+    out = np.zeros((count, spec.n)) if win_prob else standings.copy()
+
+    def branch(played, probs, mass, rows):
         if not win_prob:
-            credit = mass[:, None] * probs * values[played]
+            credit = mass[:, None] * probs * spec.values[played]
             if proportional:  # spends never depend on who won: every child is one state
                 out[rows] += credit  # so every row has one state
-                stack.append((played + 1, (rows, standings, spent + spends, mass, None)))
-                continue
+                return None
             np.add.at(out, rows, credit)
-        parent, winner = np.nonzero(probs > 0.0)
-        mass = mass[parent] * probs[parent, winner]
-        standings, spent, first, group = _children(
-            spec, played, parent, winner, standings, spent, spends, key=rows
-        )
-        merged += parent.size - first.size
-        rows, mass = rows[parent[first]], np.bincount(group, weights=mass)
-        stack.append((played + 1, (rows, standings, spent, mass, None)))
+        return _every_winner(played, probs, mass, rows)
+
+    states, tally = [0] * (spec.m + 1), {"merged": 0, "parts": 0}
+    root = (standings, spent, np.ones(count), np.arange(count))
+    for played, live, ended in _levels(spec, below, played, root, branch, root_spends,
+                                       part=PART, tally=tally):
+        states[played] += len(live[0]) + (0 if ended is None else len(ended[0]))
+        if ended is not None and win_prob:  # expected value credited every battle already
+            _, _, mass, rows, won = ended
+            np.add.at(out, rows, won * (mass / won.sum(axis=1))[:, None])
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "exact walk: %d rows, states per battle %s, %d states merged, "
             "%d parts of split battles",
-            count, states[depth:], merged, parts,
+            count, states[depth:], tally["merged"], tally["parts"],
         )
     return out
-
-
-def _cuts(rows) -> list:
-    """Where to cut a level of states into parts (see `_level_walk`)."""
-    ends = np.flatnonzero(np.diff(rows, prepend=-1, append=-1))  # 0, each row's end
-    cuts = [0]
-    while cuts[-1] < rows.size:
-        end = int(ends[np.searchsorted(ends, cuts[-1] + PART, side="right") - 1])
-        cuts.append(end if end > cuts[-1] else cuts[-1] + PART)
-    return cuts
-
-
-def _take(arrays, index) -> tuple:
-    """Index every array of a state tuple alike, passing over missing ones."""
-    return tuple(None if a is None else a[index] for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -257,7 +201,7 @@ def deviation_gains(
         raise InputError(f"player index {player} out of range")
     known = spec.truncate_shocks(len(history) + 1)
     deltas = [float(delta) for delta in deltas]
-    gains = _sweeps(known, len(history), *_state(known, history), np.array([player]),
+    gains = _sweeps(known, len(history), *_state(known, history)[:2], np.array([player]),
                     np.array([deltas]))[0]
     closed = _closed_forms(known, history, player, deltas)
     return [DeviationReport(history, player, *r) for r in zip(deltas, gains.tolist(), closed)]
@@ -299,11 +243,12 @@ def _closed_forms(known: ContestSpec, history: History, player: int, deltas) -> 
     """`closed_form_gain` of each offset under Tullock expected value, else Nones."""
     if known.csf.alpha != 1.0 or known.objective is not Objective.EXPECTED_VALUE:
         return [None] * len(deltas)
-    played, budget = len(history), remaining_budget(known, history, player)
-    opponents = sum(remaining_budget(known, history, j) for j in range(known.n) if j != player)
+    played = len(history)
+    budgets = _remaining_budgets(known, played, *_state(known, history)[:2])[0].tolist()
+    opponents = sum(b for j, b in enumerate(budgets) if j != player)
     x_next = known.values[played]
     k = known.suffix_value(played) / x_next
-    return [closed_form_gain(budget, opponents, k, delta, x_next) for delta in deltas]
+    return [closed_form_gain(budgets[player], opponents, k, delta, x_next) for delta in deltas]
 
 
 def deviation_gain(spec: ContestSpec, history: History, player: int, delta: float) -> DeviationReport:

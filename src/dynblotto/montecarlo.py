@@ -9,16 +9,13 @@ stream across numpy releases, so another release may report other means.
 
 The trials are not played one by one.  The contest is played battle by
 battle over its distinct live states (standings, spends), each carrying the
-number of trials that reached it.  A battle splits each state's count over
-the winners by a chain of binomial draws, j-major: for winner j = 0..n-2 in
-turn, one vectorised `rng.binomial` call over all live states, in the order
-`strategies._children` gives them, draws winner j's share of the trials
-still left with success probability p_j / (p_j + ... + p_{n-1}); the last
-player gets what is left.  The nonzero cells of the split, in row-major
-order, are the children, played through the per-battle step of `strategies`
-that the exact evaluator plays too: equal children merge and their counts
-add up.  Ended states bank their payoff with their count.  So the work
-grows with the distinct states per battle, not with the trials.
+number of trials that reached it, through the per-battle loop of
+`strategies` (`_levels`) that exact evaluation plays too.  A battle splits
+each state's count over the winners by a chain of binomial draws, j-major
+(`strategies._binomial_split`), in the order the loop gives the states;
+equal children merge and their counts add up, and ended states bank their
+payoff with their count.  So the work grows with the distinct states per
+battle, not with the trials.
 """
 
 from __future__ import annotations
@@ -26,24 +23,12 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import (
-    ContestSpec,
-    History,
-    InputError,
-    Objective,
-    _csf_distributions,
-    _statuses,
-)
-from .strategies import (
-    StrategyProfile,
-    _below_root,
-    _children,
-    _level_spends,
-    allocations_at,
-)
+from .core import ContestSpec, History, InputError, _payoffs
+from .strategies import StrategyProfile, _below_root, _binomial_split, _levels, allocations_at
 
 _log = logging.getLogger("dynblotto")
 
@@ -91,47 +76,21 @@ def _terminal_counts(profile, spec, seed, trials):
     """
     n = spec.n
     # The root goes through the public per-battle rule, which checks the
-    # profile and plays any deviation at the root; the kernel takes over below.
+    # profile and plays any deviation at the root; the loop takes over below.
     spends = np.array([allocations_at(profile, spec, History())])
-    probs = _csf_distributions(spends, spec.csf)
     below = tuple(_below_root(s, 0) for s in profile.strategies)
-    standings, spent, counts = np.zeros((1, n)), np.zeros((1, n)), np.array([trials])
-    rng = np.random.default_rng(seed)
-    finals, payoffs, banked = [], [], []
-    states, merged = [], 0
-    for played in range(spec.m):
-        if played:
-            spends, probs = _level_spends(below, spec, played, standings, spent)
-        states.append(len(counts))
-        split, left = np.empty((len(counts), n), np.int64), counts
-        for j in range(n - 1):
-            tail = probs[:, j:].sum(axis=1)
-            share = np.divide(probs[:, j], tail, out=np.zeros(len(tail)), where=tail > 0.0)
-            split[:, j] = rng.binomial(left, np.clip(share, 0.0, 1.0))
-            left = left - split[:, j]
-        split[:, n - 1] = left
-        parent, winner = np.nonzero(split)
-        standings, spent, first, group = _children(
-            spec, played, parent, winner, standings, spent, spends
-        )
-        merged += parent.size - first.size
-        counts = np.bincount(group, split[parent, winner]).astype(np.int64)  # exact below 2^53
-        ended, winners = _statuses(spec, played + 1, standings)
-        if ended.any():
-            won = winners[ended]
-            finals.append(standings[ended])
-            if spec.objective is Objective.EXPECTED_VALUE:
-                payoffs.append(standings[ended])
-            else:
-                payoffs.append(won / won.sum(axis=1, keepdims=True))
-            banked.append(counts[ended])
-            if ended.all():
-                break
-            live = ~ended
-            standings, spent, counts = standings[live], spent[live], counts[live]
+    root = (np.zeros((1, n)), np.zeros((1, n)), np.array([trials]), None)
+    split = partial(_binomial_split, np.random.default_rng(seed))
+    banked, states, tally = [], [], {"merged": 0, "parts": 0}
+    for _, live, ended in _levels(spec, below, 0, root, split, spends, tally=tally):
+        if ended is not None:
+            banked.append(ended)
+        if len(live[0]):
+            states.append(len(live[0]))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "simulation: %d trials, states per battle %s, %d states merged, %d binomial calls",
-            trials, states, merged, len(states) * (n - 1),
+            trials, states, tally["merged"], len(states) * (n - 1),
         )
-    return np.concatenate(finals), np.concatenate(payoffs), np.concatenate(banked)
+    finals, counts, winners = (np.concatenate([e[i] for e in banked]) for i in (0, 2, 4))
+    return finals, _payoffs(spec, finals, winners), counts

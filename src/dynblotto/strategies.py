@@ -10,6 +10,7 @@ one-shot deviation wrappers that override a base strategy at one history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,14 +21,13 @@ from .core import (
     ContractError,
     History,
     InputError,
-    Objective,
-    _csf_distribution,
     _csf_distributions,
+    _csf_row,
     _distinct_rows,
-    _formal_budget,
     _proportional_spend,
     _remaining_budgets,
-    _trails_hopelessly,
+    _state,
+    _statuses,
     remaining_budget,
     terminal_status,
 )
@@ -39,19 +39,18 @@ class Strategy:
     def spends(self, spec: ContestSpec, played: int, standings, budgets, player: int):
         """The player's spend at each of the states after `played` battles.
 
-        `standings` and `budgets` have one state per row; `budgets` are
-        `core._remaining_budgets`, 0 for hopeless players.  The caller
-        clamps each spend into [0, budget].
+        `standings` and `budgets` have one state per row, to be read only;
+        `budgets` are `core._remaining_budgets`, 0 for hopeless players.
+        The caller clamps each spend into [0, budget].
         """
         raise NotImplementedError
 
 
 def proportional_allocation(spec: ContestSpec, history: History, player: int) -> float:
     """Remaining budget times the upcoming battle's share of all remaining value."""
-    played = len(history)
-    if played >= spec.m or terminal_status(spec, history).terminal:
+    if terminal_status(spec, history).terminal:
         raise ContractError("proportional allocation is undefined at terminal histories")
-    return _proportional_spend(spec, played, remaining_budget(spec, history, player))
+    return _proportional_spend(spec, len(history), remaining_budget(spec, history, player))
 
 
 class Proportional(Strategy):
@@ -189,65 +188,139 @@ def allocations_at(profile: StrategyProfile, spec: ContestSpec, history: History
         raise InputError(f"profile has {profile.n} strategies for {spec.n} players")
     if terminal_status(spec, history).terminal:
         raise ContractError("allocations_at called at a terminal history")
-    played, standings = len(history), history.won_values(spec)
-    win_prob = spec.objective is Objective.WIN_PROBABILITY
-    budgets = [
-        0.0 if win_prob and _trails_hopelessly(spec, played, standings, i)
-        else _formal_budget(spec, played, history.spent(i), i)
-        for i in range(spec.n)
-    ]
+    (standings, spent, _), played = _state(spec, history), len(history)
+    budgets = _remaining_budgets(spec, played, standings, spent)
+    proportional = _proportional_spend(spec, played, budgets[0]).tolist()  # within [0, budget]
     out = []
-    for i, strategy in enumerate(profile.strategies):
+    for i, (strategy, budget) in enumerate(zip(profile.strategies, budgets[0].tolist())):
         while type(strategy) is Deviation and not (strategy.player == i
                                                    and strategy.history == history):
             strategy = strategy.base
         if type(strategy) is Proportional:
-            out.append(_proportional_spend(spec, played, budgets[i]))  # within [0, budget]
+            out.append(proportional[i])
             continue
         if type(strategy) is Deviation:
             raw = strategy.amount
         else:
-            raw = float(strategy.spends(spec, played, np.array([standings]),
-                                        np.array([budgets]), i)[0])
-        out.append(min(max(raw, 0.0), budgets[i]))
+            raw = float(strategy.spends(spec, played, standings, budgets, i)[0])
+        out.append(min(max(raw, 0.0), budget))
     return tuple(out)
 
 
-def _level_spends(below, spec, played, standings, spent):
-    """Spends and contest success probabilities of live states, one per row.
+def _every_winner(played, probs, weight, key):
+    """Branch rule: every winner of positive probability, the weight times it."""
+    parent, winner = np.nonzero(probs > 0.0)
+    key = None if key is None else key[parent]
+    return parent, winner, weight[parent] * probs[parent, winner], key
 
-    The states have played `played` battles; `standings` and `spent` are
-    numpy arrays with one state per row.  When every strategy in `below` is
-    `Proportional` all spends are one array operation; otherwise each
-    player's strategy answers for its column, clamped into [0, budget].
+
+def _binomial_split(rng, played, probs, counts, key):
+    """Branch rule: split each state's integer count over the winners.
+
+    Binomial draws on `rng`, j-major: for j = 0..n-2, one call over all
+    states draws winner j's share of the count left, with probability p_j /
+    (p_j + ... + p_{n-1}), which lies in [0, 1] as rounded; the last player
+    gets the rest.  The nonzero cells, row-major, are the children.
     """
-    budgets = _remaining_budgets(spec, played, standings, spent)
-    if all(type(s) is Proportional for s in below):
-        spends = _proportional_spend(spec, played, budgets)
-    else:
-        spends = np.column_stack([
-            np.minimum(np.maximum(s.spends(spec, played, standings, budgets, i), 0.0),
-                       budgets[:, i])
-            for i, s in enumerate(below)
-        ])
-    return spends, _csf_distributions(spends, spec.csf)
+    n = probs.shape[1]
+    cells, left = np.empty(probs.shape, np.int64), counts
+    for j in range(n - 1):
+        tail = probs[:, j:].sum(axis=1)
+        share = np.divide(probs[:, j], tail, out=np.zeros(len(tail)), where=tail > 0.0)
+        cells[:, j] = rng.binomial(left, share)
+        left = left - cells[:, j]
+    cells[:, n - 1] = left
+    parent, winner = np.nonzero(cells)
+    key = None if key is None else key[parent]
+    return parent, winner, cells[parent, winner], key
 
 
-def _children(spec, played, parent, winner, standings, spent, spends, key=None):
-    """The states reached when `winner` wins battle `played` + 1 from state `parent`.
+def _levels(spec, below, played, state, branch, spends=None, merge=True, part=None,
+            select=None, tally=None):
+    """Play the contest on from the given states: the one per-battle loop.
 
-    `parent` and `winner` hold one child each; `standings`, `spent`,
-    `spends` and `key` have one parent state per row.  Children equal in
-    (key, standings, spent) merge into one state.  Returns the states'
-    standings and spent, the first child of each state, and each child's
-    state.
+    A level is (standings, spent, weight, key) after `played` battles, one
+    state per row; the weight is a float mass or an integer count, the key
+    None or a column that keeps states apart.  A level without given
+    `spends` is status-tested, its ended states set aside and its live ones
+    indexed by `select(played, count)` when given.  Then (played, live,
+    ended) is yielded, `ended` with a winner mask appended or None, and the
+    live states get spends and probabilities.  `branch(played, probs,
+    weight, key)` returns the children's (parent, winner, weight, key), or
+    None for one child per state; children equal in (key, standings,
+    spent) merge unless `merge` is false.  Levels go depth first; with
+    `part`, larger levels are played in parts cut where the ascending key
+    changes.  `tally`, a dict, counts "merged" states and "parts" added.
     """
-    standings = standings[parent]
-    standings[np.arange(parent.size), winner] += spec.values[played]
-    spent = spent[parent] + spends[parent]
-    columns = (standings, spent) if key is None else (key[parent], standings, spent)
-    first, group = _distinct_rows(np.column_stack(columns))
-    return standings[first], spent[first], first, group
+    stack = [(played, state, spends)]
+    tally = {"merged": 0, "parts": 0} if tally is None else tally
+    proportional = all(type(s) is Proportional for s in below)
+    while stack:
+        played, state, spends = stack.pop()
+        if part is not None and len(state[0]) > part:
+            cuts = _cuts(state[3], part)
+            tally["parts"] += len(cuts) - 1
+            pieces = [_take(state + (spends,), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+            stack.extend((played, piece[:4], piece[4]) for piece in reversed(pieces))
+            continue
+        ended = None
+        if spends is None:
+            status = _statuses(spec, played, state[0])
+            if status is not None:
+                over, winners = status
+                if over.all():  # every state ended: no copies
+                    ended, state = state + (winners,), _take(state, slice(0))
+                else:
+                    ended, state = _take(state, over) + (winners[over],), _take(state, ~over)
+            if select is not None:
+                state = _take(state, select(played, len(state[0])))
+        yield played, state, ended
+        standings, spent, weight, key = state
+        if not len(standings):
+            continue
+        if spends is None:
+            budgets = _remaining_budgets(spec, played, standings, spent)
+            if proportional:
+                spends = _proportional_spend(spec, played, budgets)
+            else:  # each strategy answers for its column, clamped into [0, budget]
+                spends = np.column_stack([
+                    np.minimum(np.maximum(s.spends(spec, played, standings, budgets, i), 0.0),
+                               budgets[:, i])
+                    for i, s in enumerate(below)
+                ])
+        probs = _csf_distributions(spends, spec.csf)
+        children = branch(played, probs, weight, key)
+        if children is None:
+            stack.append((played + 1, (standings, spent + spends, weight, key), None))
+            continue
+        parent, winner, weight, key = children
+        standings = standings[parent]
+        standings[np.arange(parent.size), winner] += spec.values[played]
+        spent = spent[parent] + spends[parent]
+        if merge:
+            columns = (standings, spent) if key is None else (key, standings, spent)
+            first, group = _distinct_rows(np.column_stack(columns))
+            tally["merged"] += parent.size - first.size
+            standings, spent = standings[first], spent[first]
+            key = None if key is None else key[first]
+            # integer counts come back from float sums, exact below 2^53
+            weight = np.bincount(group, weights=weight).astype(weight.dtype, copy=False)
+        stack.append((played + 1, (standings, spent, weight, key), None))
+
+
+def _cuts(keys, part: int) -> list:
+    """Where to cut a level of states into parts of at most `part` (see `_levels`)."""
+    ends = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))  # 0, each key's end
+    cuts = [0]
+    while cuts[-1] < keys.size:
+        end = int(ends[np.searchsorted(ends, cuts[-1] + part, side="right") - 1])
+        cuts.append(end if end > cuts[-1] else cuts[-1] + part)
+    return cuts
+
+
+def _take(arrays, index) -> tuple:
+    """Index every array of a state tuple alike, passing over missing ones."""
+    return tuple([None if a is None else a[index] for a in arrays])
 
 
 def one_shot_deviation(
@@ -280,7 +353,5 @@ def history_from_winners(spec: ContestSpec, winners: Sequence[int]) -> History:
 
 def reach_probability(spec: ContestSpec, history: History) -> float:
     """Probability of this exact winner sequence given its recorded spends."""
-    q = 1.0
-    for record in history.records:
-        q *= _csf_distribution(record.allocations, spec.csf)[record.winner]
-    return q
+    return math.prod((_csf_row(r.allocations, spec.csf)[r.winner] for r in history.records),
+                     start=1.0)

@@ -68,6 +68,55 @@ def terminal_distribution(profile, spec, history=None, weight=1.0, out=None):
     return out
 
 
+def reference_status(spec, played, standings):
+    """Reference for `core._statuses`: the rule for one state, from its definition.
+
+    Returns (terminal, winners).  After the last battle the top totals win.
+    Before it, under win probability, a player whose total strictly exceeds
+    every rival's total plus all value left clinches; under expected value
+    nothing ends.
+    """
+    if played == spec.m:
+        best = max(standings)
+        return True, tuple(i for i, v in enumerate(standings) if v == best)
+    if spec.objective is Objective.EXPECTED_VALUE:
+        return False, ()
+    for i, total in enumerate(standings):
+        if total > max(v for j, v in enumerate(standings) if j != i) + spec.suffix_value(played):
+            return True, (i,)
+    return False, ()
+
+
+def reference_hopeless(spec, played, standings, player):
+    """Reference for `core._hopeless`: the player cannot reach a tie by winning all that is left."""
+    rival = max(v for j, v in enumerate(standings) if j != player)
+    return standings[player] + spec.suffix_value(played) < rival
+
+
+def reference_budget(spec, played, standings, spent, player):
+    """Reference for `core._remaining_budgets`, from the definition.
+
+    The starting budget plus the player's shocks through the upcoming
+    battle (none after the last) minus the spends, clamped at 0; 0 for a
+    hopeless player under win probability.
+    """
+    if spec.objective is Objective.WIN_PROBABILITY and reference_hopeless(
+            spec, played, standings, player):
+        return 0.0
+    through = min(played + 1, spec.m)
+    shocks = sum(amount for (i, battle), amount in spec.shocks if i == player and battle <= through)
+    return max(spec.budgets[player] + shocks - spent[player], 0.0)
+
+
+def reference_csf(spends, params):
+    """Reference for `core._csf_distributions` on one state: f(w_i) / sum f, or 1/n if that is 0."""
+    scores = [w**params.alpha for w in spends]
+    total = sum(scores)
+    if total == 0.0:
+        return [1.0 / len(scores)] * len(scores)
+    return [s / total for s in scores]
+
+
 def chi_square_sf(statistic, dof):
     """P(X >= statistic) for X chi-square with a positive integer `dof`, in closed form.
 

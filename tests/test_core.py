@@ -13,17 +13,25 @@ from dynblotto import (
     InfeasibleHistoryError,
     InputError,
     Objective,
+    allocations_at,
     check_history,
     csf_probability,
     history_from_winners,
     is_guaranteed_loser,
+    proportional_profile,
     remaining_budget,
     terminal_payoff,
     terminal_status,
     validate_spec,
 )
-from dynblotto.core import _status, _statuses
-from conftest import random_battle_values
+from dynblotto.core import _csf_distributions, _hopeless, _remaining_budgets, _statuses
+from conftest import (
+    random_battle_values,
+    reference_budget,
+    reference_csf,
+    reference_hopeless,
+    reference_status,
+)
 
 WP = Objective.WIN_PROBABILITY
 
@@ -159,6 +167,13 @@ class TestRemainingBudget:
         assert remaining_budget(spec, h, 2) == 0.0
         assert remaining_budget(spec, h, 1) > 0.0
 
+    def test_terminal_history_reads_the_formal_budget(self):
+        # the guaranteed-loser rule applies before the contest ends only
+        spec = ContestSpec([2, 1, 1, 1], [100, 100], objective=WP)
+        h = history_from_winners(spec, (0, 0))
+        assert terminal_status(spec, h).terminal
+        assert remaining_budget(spec, h, 1) == 100.0 - h.spent(1) > 0.0
+
     def test_nonincreasing_and_nonnegative(self):
         rng = random.Random(13)
         spec = ContestSpec([1, 2, 1, 1], [30, 70])
@@ -171,6 +186,35 @@ class TestRemainingBudget:
             for before, after in zip(previous, current):
                 assert 0.0 <= after <= before + 1e-12
             previous = current
+
+
+class TestHistoriesThePublicRulesRefuse:
+    @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
+    def test_a_history_longer_than_the_contest(self, objective):
+        spec = ContestSpec([1, 2, 1.5], [40, 60], objective=objective)
+        long = History()
+        for winner in (0, 1, 1, 0):
+            long = long.extend((1.0, 1.0), winner)
+        rules = [lambda: remaining_budget(spec, long, 0), lambda: terminal_status(spec, long),
+                 lambda: terminal_payoff(spec, long),
+                 lambda: allocations_at(proportional_profile(2), spec, long)]
+        if objective is WP:
+            rules.append(lambda: is_guaranteed_loser(spec, long, 0))
+        for rule in rules:
+            with pytest.raises(InfeasibleHistoryError, match="longer than the contest"):
+                rule()
+
+    def test_a_history_of_another_player_count(self):
+        spec = ContestSpec([1, 2, 1.5], [40, 60])
+        with pytest.raises(InfeasibleHistoryError, match="3 players"):
+            remaining_budget(spec, History().extend((1.0, 1.0, 1.0), 0), 0)
+
+    def test_guaranteed_loser_player_out_of_range(self):
+        spec = ContestSpec([3, 3, 1, 1], [90, 90, 90], objective=WP)
+        h = history_from_winners(spec, (0, 1))
+        for player in (-1, 3):
+            with pytest.raises(InputError, match="out of range"):
+                is_guaranteed_loser(spec, h, player)
 
 
 class TestTerminalStatus:
@@ -201,9 +245,11 @@ class TestTerminalStatus:
         assert not terminal_status(spec, h).terminal
 
 
-class TestStatusesArrayForm:
+class TestArrayRulesAgainstTheDefinitions:
+    """Every array rule of `core`, row by row, against its rule for one state."""
+
     @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
-    def test_every_row_matches_the_scalar_rule(self, objective):
+    def test_statuses(self, objective):
         # integer standings up to the total value, so ties and leads equal
         # to the value left occur
         rng = np.random.default_rng(17)
@@ -211,15 +257,58 @@ class TestStatusesArrayForm:
             spec = ContestSpec([1, 2, 1, 3, 1], [100.0] * n, objective=objective)
             for played in range(spec.m + 1):
                 standings = rng.integers(0, 9, size=(300, n)).astype(float)
-                ended, winners = _statuses(spec, played, standings)
+                status = _statuses(spec, played, standings)
+                if status is None:  # no state has ended
+                    status = np.zeros(300, bool), np.zeros((300, n), bool)
+                else:
+                    assert status[0].any()
+                ended, winners = status
                 assert ended.shape == (300,) and winners.shape == (300, n)
                 for row, done, won in zip(standings.tolist(), ended, winners):
-                    status = _status(spec, played, row)
-                    assert done == status.terminal, (played, row)
-                    if status.terminal:
-                        assert won.tolist() == [i in status.winners for i in range(n)]
+                    terminal, who = reference_status(spec, played, row)
+                    assert done == terminal, (played, row)
+                    if terminal:
+                        assert won.tolist() == [i in who for i in range(n)]
                     else:
                         assert not won.any()
+
+    @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
+    def test_hopeless_and_remaining_budgets(self, objective):
+        # with shocks, after the last battle, and at clinched rows too,
+        # where the array rules read as at any other row
+        rng = np.random.default_rng(18)
+        clinched = 0
+        for n in (2, 3, 4):
+            shocks = {(0, 1): 5.0, (1, 3): -60.0, (n - 1, 5): 7.5, (0, 4): 2.25}
+            spec = ContestSpec([1, 2, 1, 3, 1], [30.0, 50.0, 20.0, 40.0][:n], objective=objective,
+                               shocks=shocks)
+            for played in range(spec.m + 1):
+                standings = rng.integers(0, 9, size=(200, n)).astype(float)
+                spent = rng.choice([0.0, 12.5, 35.0, 70.0], size=(200, n))
+                hopeless = _hopeless(spec, played, standings)
+                budgets = _remaining_budgets(spec, played, standings, spent)
+                for r, (row, spends) in enumerate(zip(standings.tolist(), spent.tolist())):
+                    clinched += played < spec.m and reference_status(spec, played, row)[0]
+                    for i in range(n):
+                        assert hopeless[r, i] == reference_hopeless(spec, played, row, i)
+                        assert budgets[r, i] == reference_budget(spec, played, row, spends, i)
+        assert clinched > 0 or objective is Objective.EXPECTED_VALUE
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_csf_distributions(self, alpha):
+        # numpy's power may differ from Python's in the last bit, so alpha
+        # != 1 agrees to a few units in the last place
+        rng = np.random.default_rng(19)
+        for n in (2, 3, 4):
+            spends = rng.choice([0.0, 1e-200, 0.5, 3.0, 47.25], size=(300, n))
+            spends[:10] = 0.0  # nobody spends: an even split
+            probs = _csf_distributions(spends, CsfParams(alpha))
+            for row, got in zip(spends.tolist(), probs.tolist()):
+                want = reference_csf(row, CsfParams(alpha))
+                if alpha == 1.0:
+                    assert got == want, row
+                else:
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0), row
 
 
 class TestTerminalPayoff:

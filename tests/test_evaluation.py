@@ -287,7 +287,7 @@ class TestLevelWalk:
             batch = np.array([[rng.uniform(0.0, remaining_budget(spec, roots[k], i))
                                for i in range(n)] for k in picks[:4]])
             batch = np.concatenate((batch, batch[:2]))
-            states = [evaluation._state(spec, roots[k]) for k in picks]
+            states = [evaluation._state(spec, roots[k])[:2] for k in picks]
             standings, spent = (np.concatenate(arrays) for arrays in zip(*states))
             together = _level_walk(spec, len(roots[0]), standings, spent, batch, below)
             for row, (one, spend), payoffs in zip(batch, states, together):

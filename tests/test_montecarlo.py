@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 
+import numpy
 import pytest
 
 from dynblotto import (
@@ -18,6 +19,7 @@ from dynblotto import (
     PROPORTIONAL,
     Proportional,
     StrategyProfile,
+    Tabular,
     expected_payoffs,
     history_from_winners,
     one_shot_deviation,
@@ -38,6 +40,34 @@ def test_same_seed_same_result():
     first = simulate(profile, spec, seed=123, trials=5000)
     second = simulate(profile, spec, seed=123, trials=5000)
     assert first == second  # bit-identical, not just close
+
+
+@pytest.mark.skipif(numpy.__version__ != "2.4.6",
+                    reason="values drawn with numpy 2.4.6; NEP 19 does not promise that "
+                           "Generator.binomial keeps its stream across numpy releases")
+def test_the_stream_of_each_seed_is_pinned():
+    # literal results, repr-exact, so a change in the order of the draws shows
+    table = Tabular(player=1)
+    table.record(1, (0.0, 0.0), (50.0, 50.0), 30.0)
+    table.record(2, (1.0, 0.0), (50.0, 20.0), 20.0)
+    table.record(2, (0.0, 1.0), (50.0, 20.0), 5.0)
+    table.record(3, (1.0, 1.0), (40.0, 10.0), 10.0)
+    runs = [
+        (proportional_profile(2), ContestSpec([1, 2, 1.5, 1], [40, 60], CsfParams(0.5)), 11,
+         (2.48905, 3.01095), (0.014263094101047414, 0.014263094101047414)),
+        (proportional_profile(3), ContestSpec([1, 1, 2, 1, 1], [30, 50, 20], CsfParams(2.0), WP,
+                                              {(0, 2): 10.0, (2, 4): -5.0}), 12,
+         (0.31901666666666667, 0.6619666666666667, 0.019016666666666664),
+         (0.004103767734501997, 0.004158200473068673, 0.0009112126857291007)),
+        (StrategyProfile((PROPORTIONAL, table)), ContestSpec([1, 1, 1, 1], [50, 50], objective=WP),
+         13, (0.65735, 0.34265), (0.003823357105471001, 0.003823357105471001)),
+        (one_shot_deviation(proportional_profile(3), 1, History(), 7.5),
+         ContestSpec([2, 1, 1, 2], [30, 40, 50]), 14, (1.5213, 1.9508, 2.5279),
+         (0.01377728610290271, 0.014582153473338293, 0.01563606752546068)),
+    ]
+    for profile, spec, seed, means, std_errors in runs:
+        result = simulate(profile, spec, seed, 10_000)
+        assert (repr(result.means), repr(result.std_errors)) == (repr(means), repr(std_errors))
 
 
 def test_different_seeds_differ():
