@@ -102,7 +102,8 @@ class SamplingPlan:
     User-supplied histories are checked first (so a known counterexample is
     the one reported), then all winner sequences reachable under proportional
     play, breadth-first through battle m - 1, subsampled per depth when a
-    level exceeds max_per_depth.
+    level exceeds max_per_depth.  A field of the wrong type or range raises
+    InputError naming it.
     """
 
     max_per_depth: Optional[int] = None
@@ -110,6 +111,26 @@ class SamplingPlan:
     delta_points: int = 21
     tolerance: float = 1e-6
     seed: int = 0
+
+    def __post_init__(self):
+        def refuse(name, what):
+            raise InputError(f"sampling plan {name} must be {what}, got {getattr(self, name)!r}")
+
+        if self.max_per_depth is not None and not _count(self.max_per_depth):
+            refuse("max_per_depth", "None or a nonnegative integer")
+        if not _count(self.delta_points):
+            refuse("delta_points", "a nonnegative integer")
+        if not (isinstance(self.tolerance, numbers.Real) and self.tolerance >= 0):  # not nan
+            refuse("tolerance", "a nonnegative number")
+        if not (isinstance(self.histories, Sequence)
+                and all(isinstance(h, History) for h in self.histories)):
+            refuse("histories", "a sequence of History objects")
+        if not isinstance(self.seed, numbers.Integral):
+            refuse("seed", "an integer")
+
+
+def _count(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 0
 
 
 @dataclass(frozen=True)

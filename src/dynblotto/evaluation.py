@@ -1,14 +1,15 @@
 """Exact payoff evaluation and deviation analysis.
 
-Payoffs are computed exactly by playing the contest through the per-battle
-loop of `strategies` (`_levels`) over contest states (row, standings,
-spent, mass).  A row is one way to play the root battle; each later battle
-branches on every winner, weighted by the contest success function, in one
-set of array operations over the live states of every row.  Children with
-equal (row, standings, spent) merge, and under expected value with
-proportional play, where each battle's value is credited where it is
-fought, a row keeps one state per battle.  A one-shot deviation sweep is
-rows too, the proportional baseline and one per offset, and many sweeps at
+Payoffs are computed exactly, one row per way to play the root battle.
+Under expected value with proportional play below the root, spends never
+depend on who won, so a row follows one budget path and each battle adds
+its value times its success probabilities.  Every other walk plays the
+contest through the per-battle loop of `strategies` (`_levels`) over
+contest states (row, standings, spent, mass): each battle branches on
+every winner, weighted by the contest success function, in one set of
+array operations over the live states of every row, and children with
+equal (row, standings, spent) merge.  A one-shot deviation sweep is rows
+too, the proportional baseline and one per offset, and many sweeps at
 states of one depth share one walk.  On top sit the Tullock closed form for
 the deviation gain and the per-battle marginal gain used to characterize
 proportional play.
@@ -17,6 +18,7 @@ proportional play.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +32,7 @@ from .core import (
     History,
     InputError,
     Objective,
+    _csf_distributions,
     _proportional_spend,
     _remaining_budgets,
     _state,
@@ -47,8 +50,7 @@ from .strategies import (
     allocations_at,
 )
 
-# Most winner sequences an exact evaluation may enumerate, unless it merges
-# to one state per battle (expected value under proportional play).
+# Most winner sequences an exact evaluation may enumerate.
 LEAF_CAP = 10**7
 
 # Most states of one battle played at once.  A larger level is finished in
@@ -77,20 +79,16 @@ def expected_payoffs(
     The root goes through `allocations_at`, which checks the profile and
     plays any deviation at the root; `_level_walk` plays the battles below
     over contest states.  A deviation deeper than the root raises
-    InputError: evaluate from its history instead.  Each battle branches on
-    who wins it with its contest success probability; zero-probability
-    branches are skipped, and under win probability a state ends as soon as
-    someone clinches.  Under expected value with proportional play below the
-    root, spends never depend on who won, so the walk keeps one state per
-    battle and the payoff is the root standings plus the sum over battles of
-    v_t * p_t.  LEAF_CAP caps the winner sequences of every walk but that
-    one-state-per-battle one.
+    InputError: evaluate from its history instead.  Under expected value
+    with proportional play below the root, spends never depend on who won,
+    so the payoff is the root standings plus the sum over battles of v_t *
+    p_t along one budget path.  Every other walk branches on who wins each
+    battle with its contest success probability, skips zero-probability
+    branches, ends a win-probability state as soon as someone clinches,
+    and is capped at LEAF_CAP winner sequences.
     """
     root = history if history is not None else History()
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
-    proportional = all(type(s) is Proportional for s in below)
-    if spec.objective is Objective.WIN_PROBABILITY or not proportional:  # only these branch
-        _check_cap(spec, len(root), LEAF_CAP)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
     spends = np.array([allocations_at(profile, spec, root)])
@@ -104,39 +102,45 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
 
     Row r starts at the nonterminal state after `played` battles with
     standings `standings[r]` and spends `spent[r]`, spends `root_spends[r]`
-    at the next battle and plays the strategies `below` after it, through
-    `strategies._levels` with the row as key and probability mass as weight.
-    Under expected value each battle's value is credited where it is fought.
-    Levels of more than PART states are finished in parts that end where a
-    row's states end, so every row pays bit for bit what it pays alone.
+    at the next battle and plays the strategies `below` after it.  Under
+    expected value with proportional play below, spends never depend on who
+    won, so a row follows one budget path: each battle adds v_t times its
+    success probabilities to the root standings.  Every other walk, capped
+    at LEAF_CAP winner sequences, goes through `strategies._levels` with
+    the row as key and probability mass as weight, and ended states bank
+    their payoffs.  Levels of more than PART states are finished in parts
+    that end where a row's states end, so every row pays bit for bit what
+    it pays alone.
     """
     win_prob = spec.objective is Objective.WIN_PROBABILITY
-    proportional = all(type(s) is Proportional for s in below)
-    count, depth = len(root_spends), played
-    out = np.zeros((count, spec.n)) if win_prob else standings.copy()
-
-    def branch(played, probs, mass, rows):
-        if not win_prob:
-            credit = mass[:, None] * probs * spec.values[played]
-            if proportional:  # spends never depend on who won: every child is one state
-                out[rows] += credit  # so every row has one state
-                return None
-            np.add.at(out, rows, credit)
-        return _every_winner(played, probs, mass, rows)
-
-    states, tally = [0] * (spec.m + 1), {"merged": 0, "parts": 0}
-    root = (standings, spent, np.ones(count), np.arange(count))
-    for played, live, ended in _levels(spec, below, played, root, branch, root_spends,
-                                       part=PART, tally=tally):
-        states[played] += len(live[0]) + (0 if ended is None else len(ended[0]))
-        if ended is not None and win_prob:  # expected value credited every battle already
-            _, _, mass, rows, won = ended
-            np.add.at(out, rows, won * (mass / won.sum(axis=1))[:, None])
+    count, depth, tally = len(root_spends), played, {"merged": 0, "parts": 0}
+    if not win_prob and all(type(s) is Proportional for s in below):
+        out, spends = standings.copy(), root_spends
+        for played in range(depth, spec.m):
+            if played > depth:
+                budgets = _remaining_budgets(spec, played, standings, spent)
+                spends = _proportional_spend(spec, played, budgets)
+            out += _csf_distributions(spends, spec.csf) * spec.values[played]
+            spent = spent + spends
+        states = [count] * (spec.m - depth + 1)
+    else:
+        _check_cap(spec, depth, LEAF_CAP)
+        out, states = np.zeros((count, spec.n)), [0] * (spec.m - depth + 1)
+        root = (standings, spent, np.ones(count), np.arange(count))
+        for played, live, ended in _levels(spec, below, depth, root, _every_winner, root_spends,
+                                           part=PART, tally=tally):
+            states[played - depth] += len(live[0]) + (0 if ended is None else len(ended[0]))
+            if ended is not None:
+                totals, _, mass, rows, won = ended
+                if win_prob:  # the leaders split the prize
+                    np.add.at(out, rows, won * (mass / won.sum(axis=1))[:, None])
+                else:
+                    np.add.at(out, rows, totals * mass[:, None])
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "exact walk: %d rows, states per battle %s, %d states merged, "
             "%d parts of split battles",
-            count, states[depth:], tally["merged"], tally["parts"],
+            count, states, tally["merged"], tally["parts"],
         )
     return out
 
@@ -216,9 +220,7 @@ def _sweeps(spec: ContestSpec, played: int, standings, spent, players, deltas) -
     gains alone.  Under expected value the walk starts from zero standings,
     which nothing in it reads, so sweeps with equal spends gain alike.
     """
-    if spec.objective is Objective.WIN_PROBABILITY:
-        _check_cap(spec, played, LEAF_CAP)
-    else:
+    if spec.objective is Objective.EXPECTED_VALUE:
         standings = np.zeros_like(standings)
     (count, width), n = deltas.shape, spec.n
     budgets = _remaining_budgets(spec, played, standings, spent)
@@ -295,6 +297,9 @@ def marginal_gain(spec: ContestSpec, allocations: Sequence[float], player: int, 
     allocations = tuple(float(w) for w in allocations)
     if not 0 <= player < len(allocations):
         raise InputError(f"player index {player} out of range")
+    for w in allocations:
+        if not math.isfinite(w) or w < 0:
+            raise InputError(f"allocations must be nonnegative reals, got {w}")
     if sum(allocations) <= 0.0:
         raise InputError("marginal gain is singular when nobody spends")
     alpha = spec.csf.alpha

@@ -52,7 +52,7 @@ def simulate(
     """
     if not isinstance(trials, numbers.Integral) or not 1 <= trials <= 2**31 - 1:
         raise InputError(f"trials must be an integer from 1 to {2**31 - 1}, got {trials}")
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
     _, payoffs, counts = _terminal_counts(profile, spec, seed, trials)
     weights = counts.astype(float)

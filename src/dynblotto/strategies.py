@@ -246,11 +246,11 @@ def _levels(spec, below, played, state, branch, spends=None, merge=True, part=No
     indexed by `select(played, count)` when given.  Then (played, live,
     ended) is yielded, `ended` with a winner mask appended or None, and the
     live states get spends and probabilities.  `branch(played, probs,
-    weight, key)` returns the children's (parent, winner, weight, key), or
-    None for one child per state; children equal in (key, standings,
-    spent) merge unless `merge` is false.  Levels go depth first; with
-    `part`, larger levels are played in parts cut where the ascending key
-    changes.  `tally`, a dict, counts "merged" states and "parts" added.
+    weight, key)` returns the children's (parent, winner, weight, key);
+    children equal in (key, standings, spent) merge unless `merge` is
+    false.  Levels go depth first; with `part`, larger levels are played
+    in parts cut where the ascending key changes.  `tally`, a dict, counts
+    "merged" states and "parts" added.
     """
     stack = [(played, state, spends)]
     tally = {"merged": 0, "parts": 0} if tally is None else tally
@@ -289,11 +289,7 @@ def _levels(spec, below, played, state, branch, spends=None, merge=True, part=No
                     for i, s in enumerate(below)
                 ])
         probs = _csf_distributions(spends, spec.csf)
-        children = branch(played, probs, weight, key)
-        if children is None:
-            stack.append((played + 1, (standings, spent + spends, weight, key), None))
-            continue
-        parent, winner, weight, key = children
+        parent, winner, weight, key = branch(played, probs, weight, key)
         standings = standings[parent]
         standings[np.arange(parent.size), winner] += spec.values[played]
         spent = spent[parent] + spends[parent]

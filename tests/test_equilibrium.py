@@ -584,6 +584,24 @@ class TestCheckProportionality:
         assert not verdict.holds
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_per_depth", -1), ("max_per_depth", 1.5), ("delta_points", -1),
+    ("delta_points", 2.5), ("tolerance", float("nan")), ("tolerance", -1.0),
+    ("tolerance", "1e-6"), ("histories", ("x",)), ("histories", 5), ("seed", [1]),
+    ("seed", 1.5),
+])
+def test_a_sampling_plan_refuses_a_bad_field(field, value):
+    with pytest.raises(InputError, match=f"sampling plan {field} must be"):
+        SamplingPlan(**{field: value})
+
+
+def test_a_sampling_plan_keeps_its_edge_values():
+    spec = ContestSpec([1, 1, 1], [10, 20])
+    for plan in (SamplingPlan(delta_points=0), SamplingPlan(delta_points=1),
+                 SamplingPlan(max_per_depth=0), SamplingPlan(tolerance=float("inf"))):
+        assert check_proportionality(spec, plan).holds
+
+
 def seeded_contest(rng, objective, with_shocks, k):
     """A small contest with integer values (ties and clinches), zero budgets and shocks."""
     n, m = rng.choice((2, 3, 4)), rng.randint(1, 6)
@@ -672,7 +690,7 @@ class TestBatchedCheck:
         def refuse(*args):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(evaluation, "_level_walk", refuse)
+        monkeypatch.setattr(evaluation, "_levels", refuse)  # the exact walk's loop
         spec = ContestSpec([1.0] * 24, [10.0, 20.0], objective=WP)  # 2**24 leaves
         with pytest.raises(EnumerationCapError):
             check_proportionality(spec)

@@ -146,6 +146,49 @@ class TestExpectedPayoffs:
         payoffs = expected_payoffs(proportional_profile(2), spec)
         assert payoffs == pytest.approx((m / 4, 3 * m / 4), abs=1e-12)
 
+    def test_cap_spares_a_terminal_root(self):
+        # 2**29 winner sequences would follow, but battle 1 settles the contest
+        spec = ContestSpec([30.0] + [1.0] * 29, [10, 10], objective=WP)
+        root = history_from_winners(spec, [0])
+        assert expected_payoffs(proportional_profile(2), spec, root) == (1.0, 0.0)
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6",
+                        reason="values computed with numpy 2.4.6, whose power and division "
+                               "may round differently in other releases")
+    def test_expected_value_results_are_pinned(self):
+        # literal results, repr-exact, so a change in the order of the
+        # float operations of the budget path shows
+        cases = [
+            (ContestSpec([1, 2, 1.5, 1], [40, 60]), (), 0,
+             (2.2, 3.3),
+             (-0.17959183673469425, -0.014842578710644982, -0.25030959752322013,
+              -0.7051282051282051, -1.4142857142857144)),
+            (ContestSpec([2, 1, 1, 2, 1.5], [30, 40, 50], CsfParams(0.5),
+                         shocks={(0, 3): 12.5, (2, 4): -7.0}), (1, 0), 2,
+             (2.6356244170255216, 3.4509060324295264, 1.4134695505449524),
+             (-0.24334413948189493, -0.0009131572586393855, -0.07182767478632801,
+              -0.2555662155160858, -1.023105839204809)),
+            (ContestSpec([1, 1, 2, 1, 3, 1], [25, 35, 45, 55], CsfParams(2.0)), (3,), 1,
+             (0.7246376811594202, 1.4202898550724636, 2.347826086956521, 4.507246376811594),
+             (0.11922904527117839, 0.001242023865774211, -0.18391467342857104,
+              -0.41309079262478243, -0.4877891116885802)),
+        ]
+        for spec, winners, player, payoffs, gains in cases:
+            root = history_from_winners(spec, winners)
+            got = expected_payoffs(proportional_profile(spec.n), spec, root)
+            reports = deviation_gains(spec, root, player, deviation_grid(spec, root, player, 5))
+            assert repr(got) == repr(payoffs)
+            assert repr(tuple(r.gain for r in reports)) == repr(gains)
+        # a sweep of more rows than one part holds
+        spec = ContestSpec([1, 2, 1, 1.5], [30, 70], CsfParams(0.5))
+        grid = deviation_grid(spec, History(), 1, 2**16 + 3)
+        gains = [r.gain for r in deviation_gains(spec, History(), 1, grid)]
+        assert evaluation.PART == 2**16 and len(gains) == 65539
+        picked = tuple(gains[i] for i in (0, 1, 2**16 - 1, 2**16, -1))
+        assert repr(picked) == repr((-0.4976031408997992, -0.4838108767698661, -2.491356072616376,
+                                     -2.50059680458959, -2.5421863808470535))
+        assert repr(math.fsum(gains)) == repr(-23140.83124581983)
+
 
 class TestStateWalkAgainstOracle:
     """The state walk against brute-force enumeration over histories."""
@@ -385,6 +428,13 @@ class TestLevelWalk:
         assert (rows, states[:2], parts) == (1, [1, 3], 0)  # the root, then one state per winner
         assert len(states) == 4 and merged >= 0
         assert sweep[0] == 3  # the baseline and two offsets
+
+    def test_a_budget_path_logs_its_rows_at_every_battle(self, caplog):
+        spec = ContestSpec([1, 1, 2], [30, 20, 10])
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            expected_payoffs(proportional_profile(3), spec)
+            deviation_gains(spec, history_from_winners(spec, [1]), 0, (0.0, 1.0))
+        assert walk_records(caplog) == [(1, [1, 1, 1, 1], 0, 0), (3, [3, 3, 3], 0, 0)]
 
 
 class TestWinnerTreeThroughTheOracle:
@@ -626,3 +676,10 @@ class TestMarginalGain:
         half = ContestSpec([1, 1], [10, 10], csf=CsfParams(0.5))
         with pytest.raises(InputError):
             marginal_gain(half, (0.0, 1.0), 0, 1.0)
+
+    @pytest.mark.parametrize("spends", [(-1.0, 2.0), (1.0, -0.5), (1.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_spends_must_be_finite_and_nonnegative(self, spends):
+        spec = ContestSpec([1, 1], [10, 10])
+        with pytest.raises(InputError, match="allocations must be nonnegative reals"):
+            marginal_gain(spec, spends, 0, 1.0)

@@ -135,6 +135,13 @@ def test_seed_must_be_nonnegative():
         simulate(proportional_profile(2), spec, seed=-1, trials=5)
 
 
+@pytest.mark.parametrize("seed", [1.5, "a", None])
+def test_seed_must_be_an_integer(seed):
+    spec = ContestSpec([1, 1], [10, 10])
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        simulate(proportional_profile(2), spec, seed=seed, trials=5)
+
+
 def test_contests_longer_than_the_recursion_limit():
     # expected value: every trial plays all 1100 battles and banks each value once
     spec = ContestSpec([1.0] * 1100, [10, 10])
