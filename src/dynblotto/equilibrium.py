@@ -14,9 +14,11 @@ Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
 two remaining budgets; since the contest success function is homogeneous, it
 depends on the budgets only through their ratio, so a (battle, standings)
-class stores one cubic spline of the equilibrium value over the budget ratio.
-A decisive class (its battle settles the contest) is played all in and needs
-none; equal standings are their own mirror, searched at shares up to 1/2.
+class stores one cubic spline of the equilibrium value over the success
+function's own share q = b_a^alpha / (b_a^alpha + b_b^alpha), on nodes graded
+toward both ends.  A decisive class (its battle settles the contest) is played
+all in, linear in q, and needs none; equal standings are their own mirror,
+searched at shares up to 1/2.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -154,42 +156,50 @@ class BackwardSolveResult:
 
 
 # ---------------------------------------------------------------------------
-# cubic-spline value tables over the budget ratio
+# cubic-spline value tables over the success-function share
+
+# A value table holds a class's value at VALUE_NODES shares q of A's
+# success-function score, q = b_a^alpha / (b_a^alpha + b_b^alpha): a decisive
+# class is linear in q, and the others are smooth in it too.  The nodes,
+# (1 - cos(pi i / (VALUE_NODES - 1))) / 2, crowd toward q = 0 and q = 1, where
+# the value bends most (de Boor, A Practical Guide to Splines, 1978).  The
+# second half mirrors the first, node VALUE_NODES - 1 - i at exactly 1 minus
+# node i, so a class with equal standings mirrors node i onto that node.
+VALUE_NODES = 81
+_HALF = (1.0 - np.cos(np.pi * np.arange(VALUE_NODES // 2) / (VALUE_NODES - 1))) / 2.0
+_NODES = np.concatenate((_HALF, [0.5], 1.0 - _HALF[::-1]))
+_STEPS = np.diff(_NODES)
+# the natural spline's tridiagonal system for its inner second derivatives
+_CURVATURE = (np.diag(2.0 * (_STEPS[:-1] + _STEPS[1:]))
+              + np.diag(_STEPS[1:-1], 1) + np.diag(_STEPS[1:-1], -1))
+_INDEX_SCALE = (VALUE_NODES - 1) / np.pi  # arccos(1 - 2 q) * this is q's node index
 
 
-class _UniformSpline:
-    """Natural cubic spline on uniform nodes over [0, 1]."""
+def _node_budgets(alpha: float, nodes=slice(None)) -> tuple:
+    """Budgets (q^(1/alpha), (1 - q)^(1/alpha)) at the table nodes, with 1 - q
+    read off the mirrored node, so node VALUE_NODES - 1 - i swaps node i's."""
+    return _NODES[nodes] ** (1.0 / alpha), _NODES[::-1][nodes] ** (1.0 / alpha)
+
+
+class _Spline:
+    """Natural cubic spline over A's share q in [0, 1], on the table nodes."""
 
     def __init__(self, ys: Sequence[float]):
         ys = np.asarray(ys, dtype=float)
-        n = len(ys)
-        h = 1.0 / (n - 1)
-        # second derivatives from the natural-spline tridiagonal system
-        m = np.zeros(n)
-        if n > 2:
-            rhs = (ys[2:] - 2 * ys[1:-1] + ys[:-2]) * (6.0 / h / h)
-            diag = np.full(n - 2, 4.0)
-            # Thomas algorithm; sub- and super-diagonals are all ones
-            for i in range(1, n - 2):
-                w = 1.0 / diag[i - 1]
-                diag[i] -= w
-                rhs[i] -= w * rhs[i - 1]
-            sol = np.zeros(n - 2)
-            sol[-1] = rhs[-1] / diag[-1]
-            for i in range(n - 4, -1, -1):
-                sol[i] = (rhs[i] - sol[i + 1]) / diag[i]
-            m[1:-1] = sol
-        self.h = h
-        self.n = n
+        slopes = np.diff(ys) / _STEPS
+        m = np.zeros(VALUE_NODES)  # second derivatives, 0 at both ends
+        m[1:-1] = np.linalg.solve(_CURVATURE, 6.0 * np.diff(slopes))
         self.a = ys[:-1].copy()
-        self.b = (ys[1:] - ys[:-1]) / h - h * (2 * m[:-1] + m[1:]) / 6.0
+        self.b = slopes - _STEPS * (2 * m[:-1] + m[1:]) / 6.0
         self.c = m[:-1] / 2.0
-        self.d = (m[1:] - m[:-1]) / (6.0 * h)
+        self.d = np.diff(m) / (6.0 * _STEPS)
 
-    def value_vec(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.clip(xs, 0.0, 1.0)
-        idx = np.minimum((xs * (self.n - 1)).astype(int), self.n - 2)
-        s = xs - idx * self.h
+    def value_vec(self, qs: np.ndarray) -> np.ndarray:
+        """The spline at shares qs in [0, 1]; each finds its interval in O(1)."""
+        idx = np.arccos(1.0 - 2.0 * qs)
+        idx *= _INDEX_SCALE
+        idx = np.minimum(idx.astype(int), VALUE_NODES - 2)
+        s = qs - np.take(_NODES, idx)
         # Horner's rule in place: ((d * s + c) * s + b) * s + a
         value = np.take(self.d, idx)
         for coefficient in (self.c, self.b, self.a):
@@ -216,10 +226,11 @@ def _safe_sum(x: np.ndarray, y: np.ndarray) -> tuple:
     return total, zero
 
 
-def _share(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x / (x + y) for scores x, y >= 0, and 0.5 where both are 0: A's chance to win."""
-    denom, idle = _safe_sum(x, y)
-    share = x / denom
+def _share(x: np.ndarray, split: tuple) -> np.ndarray:
+    """x / (x + y) for scores x, y >= 0 and split = _safe_sum(x, y), and 0.5
+    where both are 0: A's chance to win."""
+    total, idle = split
+    share = x / total
     if idle is not None:
         share[idle] = 0.5  # neither player scores: a coin flip
     return share
@@ -231,25 +242,31 @@ class _BranchValue:
     def __init__(self, const=None, decisive=None, spline=None, mirrored=False, coin=0.5,
                  callback=None):
         self.const = const  # (payoff_A, payoff_B) for terminal classes
-        self.decisive = decisive  # (A's value if A wins, if B wins, alpha): both go all in
+        self.decisive = decisive  # (A's value if A wins, if B wins): both go all in
         self.spline = spline
         self.mirrored = mirrored
         self.coin = coin  # A's value when both players are broke
         self.callback = callback  # user continuation: (b_a, b_b) -> (payoff_A, payoff_B)
 
-    def payoff_vec(self, b_a: np.ndarray, b_b: np.ndarray, split: tuple):
-        """A's payoff at the budgets left, a scalar if terminal; split = _safe_sum(b_a, b_b)."""
+    def payoff_vec(self, score_a: np.ndarray, score_b: np.ndarray, split: tuple, budgets=None):
+        """A's payoff at the budgets left, a scalar if terminal.
+
+        score_a, score_b are the budgets' success-function scores b^alpha and
+        split = _safe_sum(score_a, score_b), so every branch but a user
+        continuation, which reads the budgets themselves, is a function of
+        A's share q = score_a / (score_a + score_b).
+        """
         if self.const is not None:
             return self.const[0]
-        if self.decisive is not None:
-            win, lose, alpha = self.decisive
-            return lose + (win - lose) * _share(b_a**alpha, b_b**alpha)
         if self.callback is not None:
-            b_a, b_b = np.broadcast_arrays(b_a, b_b)
+            b_a, b_b = np.broadcast_arrays(*budgets)
             pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
             return np.reshape([self.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
+        if self.decisive is not None:  # lose + (win - lose) * q, rising in q
+            win, lose = self.decisive
+            return lose + (win - lose) * _share(score_a, split)
         total, broke = split
-        value = self.spline.value_vec((b_b if self.mirrored else b_a) / total)
+        value = self.spline.value_vec((score_b if self.mirrored else score_a) / total)
         if self.mirrored:
             np.subtract(1.0, value, out=value)
         if broke is not None:
@@ -263,14 +280,12 @@ class _BranchValue:
 # The saddle search's first round scans each player's whole budget on a
 # coarse grid; each later round scans a box of MARGIN grid steps either side
 # of the previous round's spend, until the boxes are narrower than
-# REFINE_TOLERANCE.  A value table holds VALUE_NODES budget-ratio nodes, solved
-# in chunks of at most NODE_CHUNK, which bounds the (node x spend_A x spend_B)
-# payoff array.
+# REFINE_TOLERANCE.  A value table's nodes are solved in chunks of at most
+# NODE_CHUNK, which bounds the (node x spend_A x spend_B) payoff array.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
 REFINE_TOLERANCE = 1e-6
-VALUE_NODES = 321
 NODE_CHUNK = 40
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
@@ -332,9 +347,12 @@ class _StageGame:
             shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
             b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
             b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
-            split = _safe_sum(b_a, b_b)
-            win, lose = (branch.payoff_vec(b_a, b_b, split) for branch in self.branches)
-        p_a = _share(w_a**self.alpha, w_b**self.alpha)
+            scores = (b_a**self.alpha, b_b**self.alpha)
+            split = _safe_sum(*scores)  # shared by both branches
+            win, lose = (branch.payoff_vec(*scores, split, (b_a, b_b))
+                         for branch in self.branches)
+        score_a, score_b = w_a**self.alpha, w_b**self.alpha
+        p_a = _share(score_a, _safe_sum(score_a, score_b))
         return p_a * win + (1.0 - p_a) * lose
 
     def _own_payoff(self, player, own, opp):
@@ -451,7 +469,7 @@ class _ValueTables:
             raise InputError("the backward solver is limited to five battles")
         self.spec = spec
         self.settings = settings
-        self.splines = {}  # (played, totals) -> _UniformSpline for player A's value
+        self.splines = {}  # (played, totals) -> _Spline of player A's value over q
         self._coin = {}
         self._worst_gap = 0.0
         self._batches = decisive = 0
@@ -527,8 +545,8 @@ class _ValueTables:
         if terminal is not None:
             return _BranchValue(const=terminal)
         decisive = self._decisive(played, totals)
-        if decisive is not None:  # lose + (win - lose) * p(w_a, w_b) rises in w_a, falls in w_b
-            return _BranchValue(decisive=decisive + (self.spec.csf.alpha,))
+        if decisive is not None:
+            return _BranchValue(decisive=decisive)
         found = self._lookup(played, totals)
         if found is None:
             raise ContractError(f"no value table for battle {played + 1} standings {totals}")
@@ -541,21 +559,23 @@ class _ValueTables:
 
     def _build_class(self, played, totals) -> None:
         key = self._key(totals)
-        half = key[0] == key[1]  # its own mirror, V(1 - s) = 1 - V(s): solve s <= 1/2
-        nodes = np.linspace(0.0, 1.0, VALUE_NODES)[: (VALUE_NODES + 1) // 2 if half else None]
+        half = key[0] == key[1]  # its own mirror, V(1 - q) = 1 - V(q): solve q <= 1/2
+        count = (VALUE_NODES + 1) // 2 if half else VALUE_NODES
         values = []
-        for shares in np.array_split(nodes, -(-len(nodes) // NODE_CHUNK)):
+        for nodes in np.array_split(np.arange(count), -(-count // NODE_CHUNK)):
             self._batches += 1
-            game = self.stage_game(played, totals, (shares, 1.0 - shares))
+            budgets = _node_budgets(self.spec.csf.alpha, nodes)
+            game = self.stage_game(played, totals, budgets)
             points = game.solve()
             # The stage value lies in [value - B's gain, value + A's gain]: a
             # wide bracket means the stage has no pure saddle at that node.
             gap = points.gains[0] + points.gains[1]
             worst = int(np.argmax(gap))
             if gap[worst] > BRACKET_BOUND:
+                share = budgets[0][worst] / (budgets[0][worst] + budgets[1][worst])
                 raise ConvergenceError(
                     f"{game.where()}: minimax bracket gap {gap[worst]:.3e} above "
-                    f"{BRACKET_BOUND:.0e} at A's budget share {shares[worst]:.4g}",
+                    f"{BRACKET_BOUND:.0e} at A's budget share {share:.4g}",
                     allocations=tuple(float(w[worst]) for w in points.spends),
                     residual=float(gap[worst]),
                 )
@@ -563,8 +583,8 @@ class _ValueTables:
             values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
         values = np.concatenate(values)
         if half:  # node VALUE_NODES - 1 - i mirrors node i
-            values = np.concatenate((values, 1.0 - values[VALUE_NODES - len(values) - 1 :: -1]))
-        self.splines[(played, key)] = _UniformSpline(values)
+            values = np.concatenate((values, 1.0 - values[VALUE_NODES - count - 1 :: -1]))
+        self.splines[(played, key)] = _Spline(values)
 
 
 @lru_cache(maxsize=8)

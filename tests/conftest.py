@@ -21,6 +21,7 @@ from dynblotto import (
     terminal_payoff,
     terminal_status,
 )
+from dynblotto.equilibrium import VALUE_NODES
 
 
 def brute_force_payoffs(profile, spec, history=None):
@@ -240,33 +241,37 @@ def random_ev_spec(rng, alphas=(1.0,), betas=(1.0,), with_shocks=False,
     return ContestSpec(values, budgets, csf, Objective.EXPECTED_VALUE, shocks)
 
 
-def reference_payoff_vec(branch, b_a, b_b):
-    """Reference for `equilibrium._BranchValue.payoff_vec`: its earlier formula.
+def reference_payoff_vec(branch, b_a, b_b, alpha):
+    """Reference for `equilibrium._BranchValue.payoff_vec` at budgets b_a, b_b.
 
-    The stage kernel now shares the budget total between branches, writes
-    the coin value only into both-broke cells and evaluates the spline in
-    place; this is the arithmetic it replaced, operation for operation, so
-    the two must agree bit for bit.  Returns a full array for every branch.
+    The stage kernel shares the scores b^alpha and their total between
+    branches, writes the coin value only into both-broke cells and evaluates
+    the spline in place; this is the same arithmetic written out plainly,
+    operation for operation, so the two must agree bit for bit.  Returns a
+    full array for every branch.
     """
     if branch.const is not None:
         return np.full(np.shape(b_a), branch.const[0], dtype=float)
-    if branch.decisive is not None:
-        # both go all in: A wins the battle with the CSF share of the budgets left
-        win, lose, alpha = branch.decisive
-        score_a, score_b = b_a**alpha, b_b**alpha
-        denom = score_a + score_b
-        p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)
-        return lose + (win - lose) * p_a
     if branch.callback is not None:
         pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
         return np.reshape([branch.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
-    total = b_a + b_b
-    own = b_b if branch.mirrored else b_a
-    ratio = np.divide(own, total, out=np.zeros_like(total), where=total > 0.0)
+    score_a, score_b = b_a**alpha, b_b**alpha
+    total = score_a + score_b
+    if branch.decisive is not None:
+        # both go all in: A wins the battle with the CSF share of the budgets left
+        win, lose = branch.decisive
+        p_a = np.divide(score_a, total, out=np.full(total.shape, 0.5), where=total > 0.0)
+        return lose + (win - lose) * p_a
+    # the spline over the share q of the class's own player, looked up on
+    # the graded nodes: q's node index is arccos(1 - 2 q) (VALUE_NODES - 1) / pi
+    own = score_b if branch.mirrored else score_a
+    q = np.divide(own, total, out=np.zeros_like(total), where=total > 0.0)
+    n = VALUE_NODES
+    nodes = (1.0 - np.cos(np.pi * np.arange(n // 2) / (n - 1))) / 2.0
+    nodes = np.concatenate((nodes, [0.5], 1.0 - nodes[::-1]))
+    idx = np.minimum((np.arccos(1.0 - 2.0 * q) * ((n - 1) / np.pi)).astype(int), n - 2)
+    s = q - nodes[idx]
     spline = branch.spline
-    xs = np.clip(ratio, 0.0, 1.0)
-    idx = np.minimum((xs * (spline.n - 1)).astype(int), spline.n - 2)
-    s = xs - idx * spline.h
     value = ((spline.d[idx] * s + spline.c[idx]) * s + spline.b[idx]) * s + spline.a[idx]
     if branch.mirrored:
         value = 1.0 - value
@@ -283,8 +288,8 @@ def reference_stage_payoff(game, w_a, w_b):
     b_a = np.maximum(game.budgets[0].reshape(shape) - w_a, 0.0)
     b_b = np.maximum(game.budgets[1].reshape(shape) - w_b, 0.0)
     b_a, b_b = np.broadcast_arrays(b_a, b_b)
-    win = reference_payoff_vec(game.branches[0], b_a, b_b)
-    lose = reference_payoff_vec(game.branches[1], b_a, b_b)
+    win = reference_payoff_vec(game.branches[0], b_a, b_b, game.alpha)
+    lose = reference_payoff_vec(game.branches[1], b_a, b_b, game.alpha)
     score_a = w_a**game.alpha
     denom = score_a + w_b**game.alpha
     p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)

@@ -294,9 +294,15 @@ class TestTablesSharedAcrossBudgets:
         assert errors[0] == errors[1] == errors[2]
 
 
+def _branch_at(branch, b_a, b_b, alpha):
+    """A branch's value at budgets b_a, b_b, from their scores as a stage passes them."""
+    scores = (b_a**alpha, b_b**alpha)
+    return branch.payoff_vec(*scores, equilibrium._safe_sum(*scores), (b_a, b_b))
+
+
 def _kernel_spline(seed):
     rng = np.random.default_rng(seed)
-    return equilibrium._UniformSpline(rng.uniform(0.1, 0.9, equilibrium.VALUE_NODES))
+    return equilibrium._Spline(rng.uniform(0.1, 0.9, equilibrium.VALUE_NODES))
 
 
 class TestLeanStageKernel:
@@ -316,8 +322,8 @@ class TestLeanStageKernel:
             equilibrium._BranchValue(const=(0.5, 0.5)),
         ),
         "decisive": lambda alpha: (
-            equilibrium._BranchValue(decisive=(1.0, 0.5, alpha)),
-            equilibrium._BranchValue(decisive=(0.5, 0.0, alpha)),
+            equilibrium._BranchValue(decisive=(1.0, 0.5)),
+            equilibrium._BranchValue(decisive=(0.5, 0.0)),
         ),
         "continuation": lambda alpha: tuple(
             equilibrium._BranchValue(callback=lambda b_a, b_b, k=k: (
@@ -330,9 +336,8 @@ class TestLeanStageKernel:
     @pytest.mark.parametrize("kind", list(BRANCHES))
     def test_payoffs_equal_the_earlier_formula(self, kind, alpha):
         spec = ContestSpec([1, 1, 1], [1, 1], CsfParams(alpha), objective=WP)
-        shares = np.linspace(0.0, 1.0, 9)
         batches = [
-            (shares, 1.0 - shares),  # table nodes, with one player broke at each end
+            equilibrium._node_budgets(alpha),  # table nodes, one player broke at each end
             (np.array([60.0]), np.array([80.0])),  # an on-path stage
             (np.array([0.0, 0.0]), np.array([0.0, 25.0])),  # no budget left at all
         ]
@@ -361,9 +366,9 @@ class TestLeanStageKernel:
                 assert np.array_equal(value, expected), (kind, alpha, budgets)
             b_a, b_b = np.broadcast_arrays(grids[0][:, :, None], grids[1][:, None, :])
             for branch in branches:
-                value = branch.payoff_vec(b_a, b_b, equilibrium._safe_sum(b_a, b_b))
+                value = _branch_at(branch, b_a, b_b, alpha)
                 assert np.array_equal(np.broadcast_to(value, b_a.shape),
-                                      reference_payoff_vec(branch, b_a, b_b))
+                                      reference_payoff_vec(branch, b_a, b_b, alpha))
 
 
 class TestSolverLogging:
@@ -427,13 +432,13 @@ class TestValueTablesAgainstAnIndependentBracket:
         a, b = standings
         x = spec.values[played]
         grid = np.linspace(0.0, 1.0, 401)
-        nodes = np.linspace(0.0, 1.0, spline.n)
-        for share, value in zip(nodes, spline.value_vec(nodes)):
+        budgets = zip(*equilibrium._node_budgets(spec.csf.alpha))  # the nodes' budgets
+        for (share, rest), value in zip(budgets, spline.value_vec(equilibrium._NODES)):
             w_a = share * grid[:, None]
-            w_b = (1.0 - share) * grid[None, :]
+            w_b = rest * grid[None, :]
             spend = w_a + w_b
             p = np.where(spend > 0.0, w_a / np.where(spend > 0.0, spend, 1.0), 0.5)
-            left_a, left_b = share - w_a, (1.0 - share) - w_b
+            left_a, left_b = share - w_a, rest - w_b
             stage = (p * _one_battle_left_value(spec, (a + x, b), left_a, left_b)
                      + (1.0 - p) * _one_battle_left_value(spec, (a, b + x), left_a, left_b))
             low, high = stage.min(axis=1).max(), stage.max(axis=0).min()
@@ -452,13 +457,16 @@ def _live_classes(spec):
 
 
 def _searched_values(game_at, played, totals):
-    """The saddle search's bracket midpoints at the table nodes, in the table's batches."""
-    nodes = np.linspace(0.0, 1.0, equilibrium.VALUE_NODES)
-    values = []
-    for shares in np.array_split(nodes, -(-len(nodes) // equilibrium.NODE_CHUNK)):
-        points = game_at(played, totals, (shares, 1.0 - shares)).solve()
+    """The saddle search's bracket midpoints at the table nodes, in the table's batches.
+
+    Returns the nodes, A's success-function shares q, and the values there.
+    """
+    alpha = game_at(played, totals, (np.ones(1), np.ones(1))).alpha
+    count, values = equilibrium.VALUE_NODES, []
+    for nodes in np.array_split(np.arange(count), -(-count // equilibrium.NODE_CHUNK)):
+        points = game_at(played, totals, equilibrium._node_budgets(alpha, nodes)).solve()
         values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
-    return nodes, np.concatenate(values)
+    return equilibrium._NODES, np.concatenate(values)
 
 
 def _decisive_family():
@@ -531,22 +539,90 @@ class TestValueTablesSkipKnownClasses:
         with pytest.raises(ConvergenceError) as caught:
             solve_backward(spec)
         assert str(caught.value) == (
-            "stage solve at battle 3, standings 1-1: minimax bracket gap 6.772e-02 above "
-            "1e-03 at A's budget share 0.00625")
+            "stage solve at battle 3, standings 1-1: minimax bracket gap 6.642e-02 above "
+            "1e-03 at A's budget share 0.006156")
 
     @pytest.mark.parametrize("values, message", [
-        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.569e-02 above 1e-03 "
-                    "at A's budget share 0.4469"),
-        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 7.844e-03 above 1e-03 "
-                       "at A's budget share 0.4469"),
-        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 2.857e-03 above 1e-03 "
-                       "at A's budget share 0.08438"),
+        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.328e-01 above 1e-03 "
+                    "at A's budget share 0.6305"),
+        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 6.639e-02 above 1e-03 "
+                       "at A's budget share 0.6305"),
+        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 6.955e-03 above 1e-03 "
+                       "at A's budget share 0.3375"),
     ])
     def test_alpha_two_failures_keep_their_messages(self, values, message):
         spec = ContestSpec(values, [100, 100], CsfParams(2.0), objective=WP)
         with pytest.raises(ConvergenceError) as caught:
             solve_backward(spec)
         assert str(caught.value) == "stage solve at " + message
+
+
+def _unit_tables(values, alpha):
+    spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+    return equilibrium._tables_for(spec, equilibrium.DEFAULT_SETTINGS)
+
+
+class TestValueTablesAgainstDirectStageSolves:
+    """Every built class between its nodes, against a direct stage solve there.
+
+    The midpoint of every interval between table nodes, the eight outermost
+    at each end included, is solved on the class's own continuation; the
+    spline there must match the search's bracket midpoint to 1e-6.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("values", [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]])
+    def test_splines_match_stage_solves_between_nodes(self, values, alpha):
+        tables = _unit_tables(values, alpha)
+        nodes = equilibrium._NODES
+        middles = (nodes[:-1] + nodes[1:]) / 2.0
+        budgets = (middles ** (1.0 / alpha), (1.0 - middles) ** (1.0 / alpha))
+        assert len(tables.splines) >= 4
+        for (played, standings), spline in tables.splines.items():
+            direct = []
+            for chunk in np.array_split(np.arange(middles.size), 2):
+                game = tables.stage_game(played, standings, tuple(b[chunk] for b in budgets))
+                points = game.solve()
+                direct.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
+            error = np.abs(spline.value_vec(middles) - np.concatenate(direct))
+            assert error.max() <= 1e-6, (played, standings, int(error.argmax()), error.max())
+
+
+class TestBranchesOverTheShare:
+    """Branch values at alpha 0.5, where A's share q and A's budget share differ."""
+
+    ALPHA = 0.5
+    BUDGETS = (np.concatenate(([0.0, 0.0, 3.0], np.random.default_rng(5).uniform(0, 4, 200))),
+               np.concatenate(([0.0, 2.0, 0.0], np.random.default_rng(6).uniform(0, 4, 200))))
+
+    def test_a_mirrored_class_is_one_minus_its_mirror_at_swapped_budgets(self):
+        tables = _unit_tables([1, 1, 1, 1], self.ALPHA)
+        b_a, b_b = self.BUDGETS
+        for played, standings in ((1, (1.0, 0.0)), (2, (2.0, 0.0))):
+            mirrored = tables.branch(played, standings)
+            mirror = tables.branch(played, standings[::-1])
+            assert mirrored.mirrored and not mirror.mirrored
+            assert np.array_equal(_branch_at(mirrored, b_a, b_b, self.ALPHA),
+                                  1.0 - _branch_at(mirror, b_b, b_a, self.ALPHA))
+
+    def test_both_players_broke_get_the_coin_value(self):
+        tables = _unit_tables([1, 1, 1, 1], self.ALPHA)
+        broke = np.zeros(3)
+        kinds = set()
+        for played, standings in _live_classes(tables.spec)[1:]:
+            branch = tables.branch(played, standings)
+            kinds.add((branch.decisive is not None, branch.mirrored))
+            value = _branch_at(branch, broke, broke, self.ALPHA)
+            assert np.array_equal(value, np.full(3, tables.coin_value(played, standings)))
+        assert kinds == {(True, False), (False, False), (False, True)}
+
+    def test_splines_reproduce_their_node_values(self):
+        ys = np.random.default_rng(7).uniform(0.1, 0.9, equilibrium.VALUE_NODES)
+        assert np.max(np.abs(equilibrium._Spline(ys).value_vec(equilibrium._NODES) - ys)) <= 1e-15
+        tables = _unit_tables([1, 1, 1, 1], self.ALPHA)
+        for spline in tables.splines.values():
+            node_values = spline.value_vec(equilibrium._NODES[:-1])
+            assert np.max(np.abs(node_values - spline.a)) <= 1e-15
 
 
 class TestCheckProportionality:
