@@ -5,10 +5,13 @@ induction solver computes stage equilibria.  Such a stage is zero-sum (the
 two win probabilities add up to one), so its equilibrium is a saddle point
 of player A's payoff over the two spends, and one search finds it: grid
 minimax on shrinking boxes, where A takes the argmax of the row minima and
-B the argmin of the column maxima.  The search runs batched over (node x
-spend_A x spend_B).  Each point it returns carries a best-response
-certificate, the largest payoff gain either player finds by a scan over the
-whole budget refined by the same search with the opponent's spend pinned.
+B the argmin of the column maxima.  The search runs batched over (row x
+spend_A x spend_B), a row being one class at one budget pair, and each row
+stops once its own box is narrow enough, so a row's result does not depend
+on the rows it shares a batch with.  Each point it returns carries a
+best-response certificate, the largest payoff gain either player finds by a
+scan over the whole budget refined by the same search with the opponent's
+spend pinned.
 
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
@@ -18,7 +21,10 @@ class stores one cubic spline of the equilibrium value over the success
 function's own share q = b_a^alpha / (b_a^alpha + b_b^alpha), on nodes graded
 toward both ends.  A decisive class (its battle settles the contest) is played
 all in, linear in q, and needs none; equal standings are their own mirror,
-searched at shares up to 1/2.
+searched at shares up to 1/2.  A level's classes read only the next level's
+splines, so each level is searched as one batch of (class, node) rows, in
+blocks of at most ROW_BLOCK rows.  The solver then walks the on-path states
+depth by depth, one batch of stage solves per depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -30,6 +36,7 @@ so the two engines stay independent checks of each other.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import numbers
@@ -196,16 +203,30 @@ class _Spline:
 
     def value_vec(self, qs: np.ndarray) -> np.ndarray:
         """The spline at shares qs in [0, 1]; each finds its interval in O(1)."""
-        idx = np.arccos(1.0 - 2.0 * qs)
-        idx *= _INDEX_SCALE
-        idx = np.minimum(idx.astype(int), VALUE_NODES - 2)
-        s = qs - np.take(_NODES, idx)
-        # Horner's rule in place: ((d * s + c) * s + b) * s + a
-        value = np.take(self.d, idx)
-        for coefficient in (self.c, self.b, self.a):
-            value *= s
-            value += np.take(coefficient, idx)
-        return value
+        return _spline_values((self.a, self.b, self.c, self.d), None, np.array(qs, dtype=float))
+
+
+def _spline_values(coefficients, base, qs: np.ndarray) -> np.ndarray:
+    """Stacked splines at shares qs, which are overwritten.  Each coefficient
+    array (a, b, c, d) holds VALUE_NODES - 1 intervals per spline; `base` is
+    each row's offset into them, broadcast against qs, or None for one spline."""
+    idx = np.multiply(qs, -2.0)  # 1 - 2 q, bit for bit, in place
+    idx += 1.0
+    np.arccos(idx, out=idx)
+    idx *= _INDEX_SCALE
+    idx = idx.astype(int)
+    np.minimum(idx, VALUE_NODES - 2, out=idx)
+    s = np.subtract(qs, np.take(_NODES, idx), out=qs)
+    if base is not None:
+        idx += base
+    # Horner's rule in place: ((d * s + c) * s + b) * s + a
+    a, b, c, d = coefficients
+    value = np.take(d, idx)
+    term = np.empty_like(value)
+    for coefficient in (c, b, a):
+        value *= s
+        value += np.take(coefficient, idx, out=term, mode="clip")  # idx lies in range
+    return value
 
 
 @lru_cache(maxsize=4096)  # the solver asks about each class many times
@@ -217,8 +238,12 @@ def _terminal_value_from_totals(spec: ContestSpec, played: int, totals: tuple) -
 
 
 def _safe_sum(x: np.ndarray, y: np.ndarray) -> tuple:
-    """x + y >= 0 as a denominator, 1 where it is 0, and a mask of those cells or None."""
+    """x + y for x, y >= 0 as a denominator, 1 where it is 0, and a mask of those
+    cells or None.  The sum is 0 only where both are, so the operands, which may
+    be broadcast against each other, are searched for zeros first."""
     total = x + y
+    if not ((x <= 0.0).any() and (y <= 0.0).any()):
+        return total, None
     zero = total <= 0.0
     if not zero.any():
         return total, None
@@ -236,41 +261,142 @@ def _share(x: np.ndarray, split: tuple) -> np.ndarray:
     return share
 
 
-class _BranchValue:
-    """Player A's payoff at one successor class, as a function of the budgets."""
+# the kinds of class value, in the order a branch groups its rows
+_CONST, _DECISIVE, _SPLINE, _MIRRORED = range(4)
 
-    def __init__(self, const=None, decisive=None, spline=None, mirrored=False, coin=0.5,
-                 callback=None):
-        self.const = const  # (payoff_A, payoff_B) for terminal classes
-        self.decisive = decisive  # (A's value if A wins, if B wins): both go all in
-        self.spline = spline
-        self.mirrored = mirrored
-        self.coin = coin  # A's value when both players are broke
-        self.callback = callback  # user continuation: (b_a, b_b) -> (payoff_A, payoff_B)
+
+@dataclass(frozen=True)
+class _ClassValue:
+    """Player A's payoff at one class: terminal, decisive or a spline over q."""
+
+    const: Optional[tuple] = None  # (payoff_A, payoff_B) for terminal classes
+    decisive: Optional[tuple] = None  # (A's value if A wins, if B wins): both go all in
+    spline: Optional[_Spline] = None
+    mirrored: bool = False  # reads the spline of the class with swapped standings
+    coin: float = 0.5  # A's value when both players are broke
+
+    @property
+    def kind(self) -> int:
+        if self.const is not None:
+            return _CONST
+        if self.decisive is not None:
+            return _DECISIVE
+        return _MIRRORED if self.mirrored else _SPLINE
+
+
+class _BranchValue:
+    """Player A's payoff at each row's successor class, as a function of the budgets.
+
+    `classes` holds `_ClassValue`s and `owner` each row's index into them;
+    without an owner every row reads classes[0], at any array shape.  Rows
+    are grouped by kind, and a group is valued on its own rows from per-row
+    arrays: a terminal payoff, a decisive pair, or an offset into the
+    classes' spline coefficients, stacked.  A user continuation `callback`,
+    (b_a, b_b) -> (payoff_A, payoff_B), stands in for the classes.
+    """
+
+    def __init__(self, classes=(), owner=None, callback=None):
+        self.classes = tuple(classes)
+        self.owner = owner
+        self.callback = callback
+        if callback is not None:
+            return
+        kinds = [value.kind for value in self.classes]
+        pairs = np.zeros((len(kinds), 2))  # a terminal payoff, or a decisive pair
+        offsets, coins, slots = np.zeros(len(kinds), int), np.full(len(kinds), 0.5), {}
+        for i, value in enumerate(self.classes):
+            if value.const is not None:
+                pairs[i, 0] = value.const[0]
+            elif value.decisive is not None:
+                pairs[i] = value.decisive
+            else:
+                slot = slots.setdefault(id(value.spline), (len(slots), value.spline))[0]
+                offsets[i], coins[i] = slot * (VALUE_NODES - 1), value.coin
+        splines = [spline for _, spline in slots.values()]
+        self._coefficients = tuple(np.concatenate([getattr(s, f) for s in splines])
+                                   for f in "abcd") if splines else None
+        self._data = np.array(kinds), pairs, offsets if len(splines) > 1 else None, coins
+        self.groups = self._group()
+
+    def _group(self) -> list:
+        """(rows, kind, per-row data) of each kind the rows read."""
+        kinds, pairs, offsets, coins = self._data
+        owner = np.zeros(1, int) if self.owner is None else self.owner
+        row_kinds = kinds[owner]
+        counts = np.bincount(row_kinds, minlength=4).tolist()
+        groups = []
+        for kind, count in enumerate(counts):
+            if count == 0:
+                continue
+            if count == owner.size:
+                rows, of = slice(None), owner
+            else:
+                rows = np.flatnonzero(row_kinds == kind)
+                of = owner[rows]
+            if kind == _CONST:
+                data = (pairs[of, 0],)
+            elif kind == _DECISIVE:
+                data = (pairs[of, 0], pairs[of, 1])
+            else:
+                data = (None if offsets is None else offsets[of], coins[of])
+            groups.append((rows, kind, data))
+        return groups
+
+    def take(self, rows) -> "_BranchValue":
+        """The branch on a subset of its rows."""
+        if self.owner is None:
+            return self
+        taken = copy.copy(self)
+        taken.owner = self.owner[rows]
+        taken.groups = taken._group()
+        return taken
+
+    @property
+    def constant(self) -> Optional[np.ndarray]:
+        """A's payoff per row (or one for all) if every row's class is terminal, else None."""
+        if self.callback is None and len(self.groups) == 1 and self.groups[0][1] == _CONST:
+            return self.groups[0][2][0]
+        return None
 
     def payoff_vec(self, score_a: np.ndarray, score_b: np.ndarray, split: tuple, budgets=None):
-        """A's payoff at the budgets left, a scalar if terminal.
+        """A's payoff at the budgets left, leading with the row axis.
 
         score_a, score_b are the budgets' success-function scores b^alpha and
         split = _safe_sum(score_a, score_b), so every branch but a user
         continuation, which reads the budgets themselves, is a function of
         A's share q = score_a / (score_a + score_b).
         """
-        if self.const is not None:
-            return self.const[0]
         if self.callback is not None:
             b_a, b_b = np.broadcast_arrays(*budgets)
             pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
             return np.reshape([self.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
-        if self.decisive is not None:  # lose + (win - lose) * q, rising in q
-            win, lose = self.decisive
-            return lose + (win - lose) * _share(score_a, split)
         total, broke = split
-        value = self.spline.value_vec((score_b if self.mirrored else score_a) / total)
-        if self.mirrored:
+        if len(self.groups) == 1:  # every row of one kind: no gather, no scatter
+            return self._value(*self.groups[0][1:], score_a, score_b, total, broke)
+        value = np.empty(np.shape(total))
+        for rows, kind, data in self.groups:
+            value[rows] = self._value(kind, data, score_a[rows], score_b[rows], total[rows],
+                                      None if broke is None else broke[rows])
+        return value
+
+    def _value(self, kind, data, score_a, score_b, total, broke):
+        shape = (-1,) + (1,) * (np.ndim(total) - 1)  # per-row data against the rows
+        if kind == _CONST:
+            return data[0].reshape(shape)
+        if kind == _DECISIVE:  # lose + (win - lose) * q, rising in q
+            win, lose = (side.reshape(shape) for side in data)
+            value = _share(score_a, (total, broke))
+            value *= win - lose
+            value += lose
+            return value
+        offsets, coins = data
+        mirrored = kind == _MIRRORED
+        value = _spline_values(self._coefficients, None if offsets is None else
+                               offsets.reshape(shape), (score_b if mirrored else score_a) / total)
+        if mirrored:
             np.subtract(1.0, value, out=value)
         if broke is not None:
-            value[broke] = self.coin
+            np.copyto(value, coins.reshape(shape), where=broke)
         return value
 
 
@@ -279,14 +405,17 @@ class _BranchValue:
 
 # The saddle search's first round scans each player's whole budget on a
 # coarse grid; each later round scans a box of MARGIN grid steps either side
-# of the previous round's spend, until the boxes are narrower than
-# REFINE_TOLERANCE.  A value table's nodes are solved in chunks of at most
-# NODE_CHUNK, which bounds the (node x spend_A x spend_B) payoff array.
+# of the previous round's spend.  A row stops once its own boxes are narrower
+# than REFINE_TOLERANCE and leaves the later rounds, so its result does not
+# depend on the rows that share its batch.  A value table's classes are
+# solved a level at a time, in blocks of at most ROW_BLOCK (class, node) rows,
+# and a round scans A's spends in pieces of at most ZOOM_POINTS, so a block's
+# first round, (row x spend_A x spend_B), works on arrays that stay in cache.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
 REFINE_TOLERANCE = 1e-6
-NODE_CHUNK = 40
+ROW_BLOCK = 64
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 
@@ -300,51 +429,64 @@ def _fractions(points: int) -> tuple:
 
 
 def _grid(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
-    """`points` evenly spaced spends from lo to hi, both exact, one row per node."""
+    """`points` evenly spaced spends from lo to hi, both exact, for each row."""
     rest, t = _fractions(points)
     return lo[:, None] * rest + hi[:, None] * t
 
 
+def _where(played, totals) -> str:
+    a, b = totals
+    return f"stage solve at battle {played + 1}, standings {a:.6g}-{b:.6g}"
+
+
 @dataclass(frozen=True)
 class _StagePoints:
-    """Saddle-search results at every node of a stage batch."""
+    """Saddle-search results at every row of a stage batch."""
 
     spends: tuple  # (A's spends, B's spends)
     value: np.ndarray  # A's payoff at the spends
     gains: tuple  # each player's best-response improvement at the spends
     flats: tuple  # each player's scan was flat and the proportional spend is played
-    rounds: int
+    rounds: np.ndarray  # rounds of the saddle search
 
 
 class _StageGame:
-    """One battle of one class at a batch of budget pairs (nodes).
+    """One battle at a batch of rows, each a budget pair of one class.
 
+    `totals` gives the standings, one pair for every row or one per row;
+    `branches` (A's value if A wins, if B wins) value each row's successors.
     A two-player win-probability stage is zero-sum: B's payoff is one minus
     A's.  So everything is computed on A's payoff over the two spends, with
-    arrays that lead with the node axis.
+    arrays that lead with the row axis.
     """
 
     def __init__(self, spec, played, totals, budgets, branches, settings):
         self.played = played
-        self.totals = totals
         self.budgets = tuple(np.atleast_1d(np.asarray(b, dtype=float)) for b in budgets)
-        self.branches = branches  # (A's value if A wins, A's value if B wins)
-        self.terminal = all(branch.const is not None for branch in branches)
+        self.totals = np.broadcast_to(np.reshape(totals, (-1, 2)), (len(self.budgets[0]), 2))
+        self.branches = branches
         self.settings = settings
         self.alpha = spec.csf.alpha
         self.proportional = tuple(_proportional_spend(spec, played, b) for b in self.budgets)
-        self._nodes = np.arange(len(self.budgets[0]))
+        self._rows = np.arange(len(self.budgets[0]))
 
-    def where(self) -> str:
-        a, b = self.totals
-        return f"stage solve at battle {self.played + 1}, standings {a:.6g}-{b:.6g}"
+    def take(self, rows) -> "_StageGame":
+        """The game on a subset of its rows."""
+        game = copy.copy(self)
+        game.budgets = tuple(b[rows] for b in self.budgets)
+        game.totals = self.totals[rows]
+        game.proportional = tuple(p[rows] for p in self.proportional)
+        game.branches = tuple(branch.take(rows) for branch in self.branches)
+        game._rows = np.arange(len(game.budgets[0]))
+        return game
 
     def payoff(self, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
         """Player A's payoff; w_a and w_b have equal rank and broadcast together."""
-        if self.terminal:
-            win, lose = (branch.const[0] for branch in self.branches)
+        shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
+        win, lose = (branch.constant for branch in self.branches)
+        if win is not None and lose is not None:  # both successors terminal
+            win, lose = win.reshape(shape), lose.reshape(shape)
         else:
-            shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
             b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
             b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
             scores = (b_a**self.alpha, b_b**self.alpha)
@@ -353,39 +495,63 @@ class _StageGame:
                          for branch in self.branches)
         score_a, score_b = w_a**self.alpha, w_b**self.alpha
         p_a = _share(score_a, _safe_sum(score_a, score_b))
-        return p_a * win + (1.0 - p_a) * lose
+        # p_a * win + (1 - p_a) * lose, with one temporary
+        value = p_a * win
+        np.subtract(1.0, p_a, out=p_a)
+        p_a *= lose
+        value += p_a
+        return value
 
     def _own_payoff(self, player, own, opp):
         return self.payoff(own, opp) if player == 0 else 1.0 - self.payoff(opp, own)
 
     def _zoom(self, boxes, points):
-        """Grid minimax on shrinking boxes; returns (spends, rounds).
+        """Grid minimax on shrinking boxes; returns (spends, rounds), per row.
 
         `boxes` holds a (lo, hi) array pair per player.  Each round A takes the
         argmax of the row minima of A's payoff and B the argmin of the column
         maxima, the first one on ties, so ties go to the smallest spend.  The
-        boxes then shrink to MARGIN grid steps around those spends, until they
-        are narrower than REFINE_TOLERANCE.  A zero-width box pins a spend.
+        boxes then shrink to MARGIN grid steps around those spends.  A row
+        stops once its own boxes are narrower than REFINE_TOLERANCE, and the
+        later rounds run on the rows left.  A zero-width box pins a spend.
         """
-        rounds = 0
+        game, active = self, self._rows  # the rows left, as indices into self's
+        spends = [np.empty(active.size), np.empty(active.size)]
+        rounds = np.empty(active.size, dtype=int)
+        count = 0
         while True:
-            rounds += 1
+            count += 1
             grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
-            values = self.payoff(grids[0][:, :, None], grids[1][:, None, :])
-            picks = (values.min(axis=2).argmax(axis=1), values.max(axis=1).argmin(axis=1))
-            spends = [grid[self._nodes, pick] for grid, pick in zip(grids, picks)]
+            # A's spends in pieces of at most ZOOM_POINTS: the row minima are
+            # per spend, and the column maxima are exact over the pieces
+            minima, maxima = [], None
+            for piece in np.array_split(grids[0], -(-grids[0].shape[1] // ZOOM_POINTS), axis=1):
+                piece = np.ascontiguousarray(piece)  # laid out as a whole grid is
+                values = game.payoff(piece[:, :, None], grids[1][:, None, :])
+                minima.append(values.min(axis=2))
+                high = values.max(axis=1)
+                maxima = high if maxima is None else np.maximum(maxima, high, out=maxima)
+            picks = (np.concatenate(minima, axis=1).argmax(axis=1), maxima.argmin(axis=1))
+            found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
             steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
-            widest = 2 * MARGIN * max(float(np.max(step)) for step in steps)
-            if widest <= REFINE_TOLERANCE:
-                return spends, rounds
+            done = 2 * MARGIN * np.maximum(*steps) <= REFINE_TOLERANCE
+            if done.any():
+                for spend, w in zip(spends, found):
+                    spend[active[done]] = w[done]
+                rounds[active[done]] = count
+                if done.all():
+                    return spends, rounds
+                keep = np.flatnonzero(~done)
+                game, active = game.take(keep), active[keep]
+                found, steps = [w[keep] for w in found], [step[keep] for step in steps]
             boxes = [
                 (np.maximum(w - MARGIN * step, 0.0), np.minimum(w + MARGIN * step, budget))
-                for w, step, budget in zip(spends, steps, self.budgets)
+                for w, step, budget in zip(found, steps, game.budgets)
             ]
             points = ZOOM_POINTS
 
     def best_responses(self, player: int, opp: np.ndarray):
-        """Each node's best spend for `player` against the opponent spends `opp`.
+        """Each row's best spend for `player` against the opponent spends `opp`.
 
         A scan of grid_points spends over the whole budget, then the saddle
         search on the grid steps either side of the scan's best, with the
@@ -396,13 +562,13 @@ class _StageGame:
         grid = _grid(np.zeros_like(budget), budget, self.settings.grid_points)
         values = self._own_payoff(player, grid[:, :, None], opp[:, None, None])[:, :, 0]
         best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
-        top = values[self._nodes, best]
+        top = values[self._rows, best]
         flat = (top - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(top))) & (budget > 0.0)
         last = grid.shape[1] - 1
         boxes = [(opp, opp), (opp, opp)]
         boxes[player] = (
-            grid[self._nodes, np.maximum(best - 1, 0)],
-            grid[self._nodes, np.minimum(best + 1, last)],
+            grid[self._rows, np.maximum(best - 1, 0)],
+            grid[self._rows, np.minimum(best + 1, last)],
         )
         spend = self._zoom(boxes, ZOOM_POINTS)[0][player]
         spend = np.where(flat, self.proportional[player], spend)
@@ -412,14 +578,19 @@ class _StageGame:
         return self.best_responses(0, spends[1]), self.best_responses(1, spends[0])
 
     def solve(self) -> _StagePoints:
-        """Saddle points of every node, with their best-response certificates."""
+        """Saddle points of every row, with their best-response certificates."""
         spends, rounds = self._zoom([(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS)
         responses = self._certificate(spends)
         flats = tuple(response[2] for response in responses)
-        if any(flat.any() for flat in flats):
-            # a player whose payoff is flat in the own spend plays proportional
+        rows = np.flatnonzero(flats[0] | flats[1])
+        if rows.size:
+            # a player whose payoff is flat in the own spend plays proportional;
+            # only those rows' certificates are taken again
             spends = [np.where(f, p, w) for f, p, w in zip(flats, self.proportional, spends)]
-            responses = self._certificate(spends)
+            again = self.take(rows)._certificate([w[rows] for w in spends])
+            for response, new in zip(responses, again):
+                for part, fresh in zip(response[:2], new[:2]):
+                    part[rows] = fresh
         value = self.payoff(*spends)
         gains = (
             np.maximum(responses[0][1] - value, 0.0),
@@ -428,20 +599,26 @@ class _StageGame:
         return _StagePoints(tuple(spends), value, gains, flats, rounds)
 
 
-def _path_solution(game: _StageGame) -> StageSolution:
-    """The stage equilibrium of a one-node game; its residual must meet the tolerance."""
+def _path_solutions(game: _StageGame) -> list:
+    """The stage equilibrium of each row; every residual must meet the tolerance."""
     points = game.solve()
-    allocations = tuple(float(w[0]) for w in points.spends)
-    residual = float(max(gain[0] for gain in points.gains))
-    if residual > game.settings.tolerance:
+    residuals = np.maximum(*points.gains)
+    over = np.flatnonzero(residuals > game.settings.tolerance)
+    if over.size:
+        row = int(over[0])
+        allocations = tuple(float(w[row]) for w in points.spends)
         raise ConvergenceError(
-            f"{game.where()}: best-response residual {residual:.3e} "
-            f"above the tolerance {game.settings.tolerance:.1e}",
+            f"{_where(game.played, game.totals[row].tolist())}: best-response residual "
+            f"{residuals[row]:.3e} above the tolerance {game.settings.tolerance:.1e}",
             allocations=allocations,
-            residual=residual,
+            residual=float(residuals[row]),
         )
-    flats = tuple(bool(flat[0]) for flat in points.flats)
-    return StageSolution(allocations, residual, points.rounds, flats)
+    return [
+        StageSolution((w_a, w_b), residual, rounds, (flat_a, flat_b))
+        for w_a, w_b, residual, rounds, flat_a, flat_b in zip(
+            *(array.tolist() for array in (*points.spends, residuals, points.rounds, *points.flats))
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +629,9 @@ class _ValueTables:
     """Equilibrium continuation values for a two-player win-probability contest.
 
     Every precondition of the built-in tables is checked here, so the backward
-    solver and table-backed stage solves share them.
+    solver and table-backed stage solves share them.  A level's classes read
+    only the next level's splines, so a level is searched as one batch of
+    (class, node) rows, in blocks of at most ROW_BLOCK rows.
     """
 
     def __init__(self, spec: ContestSpec, settings: SolverSettings):
@@ -472,23 +651,29 @@ class _ValueTables:
         self.splines = {}  # (played, totals) -> _Spline of player A's value over q
         self._coin = {}
         self._worst_gap = 0.0
-        self._batches = decisive = 0
+        self._level_blocks, self._level_rows, decisive = [], [], 0  # per level searched
         start = time.perf_counter()
         self._levels = self._reachable_classes()
         for played in range(spec.m - 1, 0, -1):
+            searched = set()
             for totals in self._levels.get(played, ()):
+                key = self._key(totals)
                 if self._decisive(played, totals) is not None:
                     decisive += 1
-                elif self._lookup(played, totals) is None:
-                    self._build_class(played, totals)
+                elif (key[1], key[0]) not in searched:  # a mirror reads its twin's spline
+                    searched.add(key)
+            if searched:
+                self._build_level(played, sorted(searched))
         if _log.isEnabledFor(logging.DEBUG):
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
             _log.debug(
                 "value tables: %d classes built (%d on half the nodes), %d decisive in closed "
-                "form, %d served by a mirror, %d stage batches, worst bracket gap %.3e, %.3f s",
+                "form, %d served by a mirror, %d stage batches, blocks per level %s, rows per "
+                "level %s, worst bracket gap %.3e, %.3f s",
                 built, sum(a == b for _, (a, b) in self.splines), decisive,
-                classes - built - decisive, self._batches, self._worst_gap,
-                time.perf_counter() - start,
+                classes - built - decisive, sum(self._level_blocks), self._level_blocks,
+                self._level_rows,
+                self._worst_gap, time.perf_counter() - start,
             )
 
     _key = staticmethod(_standings_key)
@@ -539,52 +724,73 @@ class _ValueTables:
                 for t in self._successors(played, totals)]
         return None if None in ends else (ends[0][0], ends[1][0])
 
-    def branch(self, played, totals) -> _BranchValue:
-        """Value object for the class reached after `played` battles."""
+    def branch(self, played, totals) -> _ClassValue:
+        """Value of the class reached after `played` battles."""
         terminal = _terminal_value_from_totals(self.spec, played, totals)
         if terminal is not None:
-            return _BranchValue(const=terminal)
+            return _ClassValue(const=terminal)
         decisive = self._decisive(played, totals)
         if decisive is not None:
-            return _BranchValue(decisive=decisive)
+            return _ClassValue(decisive=decisive)
         found = self._lookup(played, totals)
         if found is None:
             raise ContractError(f"no value table for battle {played + 1} standings {totals}")
         spline, mirrored = found
-        return _BranchValue(spline=spline, mirrored=mirrored, coin=self.coin_value(played, totals))
+        return _ClassValue(spline=spline, mirrored=mirrored, coin=self.coin_value(played, totals))
 
-    def stage_game(self, played, totals, budgets) -> _StageGame:
-        branches = tuple(self.branch(played + 1, t) for t in self._successors(played, totals))
-        return _StageGame(self.spec, played, totals, budgets, branches, self.settings)
+    def stage_game(self, played, totals, budgets, owner=None) -> _StageGame:
+        """The stage after `played` battles at rows of budgets: of the class `totals`
+        at every row, or, given `owner`, of the class totals[owner[row]] at each row."""
+        classes = [totals] if owner is None else totals
+        successors = [self._successors(played, t) for t in classes]
+        branches = tuple(
+            _BranchValue([self.branch(played + 1, pair[k]) for pair in successors], owner)
+            for k in range(2)
+        )
+        standings = totals if owner is None else np.asarray(classes, dtype=float)[owner]
+        return _StageGame(self.spec, played, standings, budgets, branches, self.settings)
 
-    def _build_class(self, played, totals) -> None:
-        key = self._key(totals)
-        half = key[0] == key[1]  # its own mirror, V(1 - q) = 1 - V(q): solve q <= 1/2
-        count = (VALUE_NODES + 1) // 2 if half else VALUE_NODES
-        values = []
-        for nodes in np.array_split(np.arange(count), -(-count // NODE_CHUNK)):
-            self._batches += 1
-            budgets = _node_budgets(self.spec.csf.alpha, nodes)
-            game = self.stage_game(played, totals, budgets)
-            points = game.solve()
+    def _build_level(self, played, classes) -> None:
+        """Search every class of a level at its nodes and store a spline per class.
+
+        A class with equal standings is its own mirror, V(1 - q) = 1 - V(q),
+        so it is searched at shares q <= 1/2 only.
+        """
+        counts = [(VALUE_NODES + 1) // 2 if a == b else VALUE_NODES for a, b in classes]
+        owner = np.repeat(np.arange(len(classes)), counts)
+        nodes = np.concatenate([np.arange(count) for count in counts])
+        budgets = _node_budgets(self.spec.csf.alpha, nodes)
+        game = self.stage_game(played, classes, budgets, owner)
+        values, gaps = np.empty(owner.size), np.empty(owner.size)
+        spends = np.empty((2, owner.size))
+        blocks = np.array_split(np.arange(owner.size), -(-owner.size // ROW_BLOCK))
+        for block in blocks:
+            block = slice(block[0], block[-1] + 1)
+            points = game.take(block).solve()
             # The stage value lies in [value - B's gain, value + A's gain]: a
             # wide bracket means the stage has no pure saddle at that node.
-            gap = points.gains[0] + points.gains[1]
-            worst = int(np.argmax(gap))
-            if gap[worst] > BRACKET_BOUND:
+            gaps[block] = points.gains[0] + points.gains[1]
+            values[block] = points.value + (points.gains[0] - points.gains[1]) / 2.0
+            spends[:, block] = points.spends
+        self._level_blocks.append(len(blocks))
+        self._level_rows.append(owner.size)
+        ends = np.cumsum(counts)
+        for totals, count, end in zip(classes, counts, ends.tolist()):
+            rows = slice(end - count, end)
+            worst = end - count + int(np.argmax(gaps[rows]))
+            if gaps[worst] > BRACKET_BOUND:
                 share = budgets[0][worst] / (budgets[0][worst] + budgets[1][worst])
                 raise ConvergenceError(
-                    f"{game.where()}: minimax bracket gap {gap[worst]:.3e} above "
+                    f"{_where(played, totals)}: minimax bracket gap {gaps[worst]:.3e} above "
                     f"{BRACKET_BOUND:.0e} at A's budget share {share:.4g}",
-                    allocations=tuple(float(w[worst]) for w in points.spends),
-                    residual=float(gap[worst]),
+                    allocations=tuple(spends[:, worst].tolist()),
+                    residual=float(gaps[worst]),
                 )
-            self._worst_gap = max(self._worst_gap, float(gap[worst]))
-            values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
-        values = np.concatenate(values)
-        if half:  # node VALUE_NODES - 1 - i mirrors node i
-            values = np.concatenate((values, 1.0 - values[VALUE_NODES - count - 1 :: -1]))
-        self.splines[(played, key)] = _Spline(values)
+            ys = values[rows]
+            if count < VALUE_NODES:  # node VALUE_NODES - 1 - i mirrors node i
+                ys = np.concatenate((ys, 1.0 - ys[VALUE_NODES - count - 1 :: -1]))
+            self.splines[(played, totals)] = _Spline(ys)
+        self._worst_gap = max(self._worst_gap, float(gaps.max()))
 
 
 @lru_cache(maxsize=8)
@@ -688,7 +894,7 @@ def stage_equilibrium(
     `settings.tolerance` raises ConvergenceError naming the battle and the
     standings.  `continuation` is read as in `best_response`.
     """
-    return _path_solution(_stage_game_at(spec, history, continuation, settings))
+    return _path_solutions(_stage_game_at(spec, history, continuation, settings))[0]
 
 
 def solve_backward(
@@ -700,28 +906,39 @@ def solve_backward(
     mutual equilibrium play, keyed by (battle, standings), plus the
     deterministic on-path allocation trace.  The trace follows the path
     where the currently trailing player wins each battle, which keeps the
-    contest alive as long as possible.
+    contest alive as long as possible.  The states are solved a depth at a
+    time, one batch per depth; a residual above `settings.tolerance` raises
+    ConvergenceError for the shallowest such state, the first in the order
+    of the winner schedules.
     """
     misses = _tables_for.cache_info().misses
     tables = _budget_free_tables(spec, settings)
     tabulars = tuple(Tabular(player=i) for i in range(2))
-    solutions = {}
-
-    def descend(played, winners, totals, spent):
-        if _terminal_value_from_totals(spec, played, totals) is not None:
-            return
+    solutions, batches = {}, []
+    # the live on-path states of a depth, (winners, totals, spent), in the
+    # order of their winner schedules; each depth is one batch of stage solves
+    states = [((), (0.0, 0.0), (0.0, 0.0))]
+    for played in range(spec.m):
+        states = [state for state in states
+                  if _terminal_value_from_totals(spec, played, state[1]) is None]
+        if not states:
+            break
         # the budgets left as a History of this play reads them, so the
         # tables answer its states exactly
-        budgets = tuple(_formal_budgets(spec, played, np.array([spent]))[0].tolist())
-        solution = _path_solution(tables.stage_game(played, totals, budgets))
-        solutions[winners] = solution
-        for i in range(2):
-            tabulars[i].record(played + 1, totals, budgets, solution.allocations[i])
-        spent = tuple(s + w for s, w in zip(spent, solution.allocations))
-        for winner, child in enumerate(tables._successors(played, totals)):
-            descend(played + 1, winners + (winner,), child, spent)
-
-    descend(0, (), (0.0, 0.0), (0.0, 0.0))
+        budgets = _formal_budgets(spec, played, np.array([state[2] for state in states]))
+        game = tables.stage_game(played, [state[1] for state in states], budgets.T,
+                                 np.arange(len(states)))
+        batches.append(len(states))
+        children = []
+        for (winners, totals, spent), solution, left in zip(
+                states, _path_solutions(game), budgets.tolist()):
+            solutions[winners] = solution
+            for i in range(2):
+                tabulars[i].record(played + 1, totals, left, solution.allocations[i])
+            spent = tuple(s + w for s, w in zip(spent, solution.allocations))
+            children += [(winners + (winner,), child, spent)
+                         for winner, child in enumerate(tables._successors(played, totals))]
+        states = children
 
     trace, trace_winners, totals = [], (), (0.0, 0.0)
     while trace_winners in solutions:
@@ -732,8 +949,9 @@ def solve_backward(
 
     if _log.isEnabledFor(logging.DEBUG):
         how = "built" if _tables_for.cache_info().misses > misses else "reused"
-        _log.debug("backward solve: %d on-path stage solves, worst residual %.3e, value tables %s",
-                   len(solutions), max(s.residual for s in solutions.values()), how)
+        _log.debug("backward solve: %d on-path stage solves in depth batches %s, worst residual "
+                   "%.3e, value tables %s", len(solutions), batches,
+                   max(s.residual for s in solutions.values()), how)
     profile = StrategyProfile(tabulars)
     return BackwardSolveResult(profile, tuple(trace), solutions, trace_winners)
 

@@ -244,44 +244,46 @@ def random_ev_spec(rng, alphas=(1.0,), betas=(1.0,), with_shocks=False,
 def reference_payoff_vec(branch, b_a, b_b, alpha):
     """Reference for `equilibrium._BranchValue.payoff_vec` at budgets b_a, b_b.
 
-    The stage kernel shares the scores b^alpha and their total between
-    branches, writes the coin value only into both-broke cells and evaluates
-    the spline in place; this is the same arithmetic written out plainly,
-    operation for operation, so the two must agree bit for bit.  Returns a
-    full array for every branch.
+    For a branch whose rows all read one class, or a user continuation.  The
+    stage kernel shares the scores b^alpha and their total between branches,
+    writes the coin value only into both-broke cells and evaluates the spline
+    in place; this is the same arithmetic written out plainly, operation for
+    operation, so the two must agree bit for bit.  Returns a full array for
+    every branch.
     """
-    if branch.const is not None:
-        return np.full(np.shape(b_a), branch.const[0], dtype=float)
     if branch.callback is not None:
         pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
         return np.reshape([branch.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
+    (class_value,) = branch.classes  # the one class every row reads
+    if class_value.const is not None:
+        return np.full(np.shape(b_a), class_value.const[0], dtype=float)
     score_a, score_b = b_a**alpha, b_b**alpha
     total = score_a + score_b
-    if branch.decisive is not None:
+    if class_value.decisive is not None:
         # both go all in: A wins the battle with the CSF share of the budgets left
-        win, lose = branch.decisive
+        win, lose = class_value.decisive
         p_a = np.divide(score_a, total, out=np.full(total.shape, 0.5), where=total > 0.0)
         return lose + (win - lose) * p_a
     # the spline over the share q of the class's own player, looked up on
     # the graded nodes: q's node index is arccos(1 - 2 q) (VALUE_NODES - 1) / pi
-    own = score_b if branch.mirrored else score_a
+    own = score_b if class_value.mirrored else score_a
     q = np.divide(own, total, out=np.zeros_like(total), where=total > 0.0)
     n = VALUE_NODES
     nodes = (1.0 - np.cos(np.pi * np.arange(n // 2) / (n - 1))) / 2.0
     nodes = np.concatenate((nodes, [0.5], 1.0 - nodes[::-1]))
     idx = np.minimum((np.arccos(1.0 - 2.0 * q) * ((n - 1) / np.pi)).astype(int), n - 2)
     s = q - nodes[idx]
-    spline = branch.spline
+    spline = class_value.spline
     value = ((spline.d[idx] * s + spline.c[idx]) * s + spline.b[idx]) * s + spline.a[idx]
-    if branch.mirrored:
+    if class_value.mirrored:
         value = 1.0 - value
-    return np.where(total > 0.0, value, branch.coin)
+    return np.where(total > 0.0, value, class_value.coin)
 
 
 def reference_stage_payoff(game, w_a, w_b):
     """Reference for `equilibrium._StageGame.payoff`: its earlier formula.
 
-    Player A's payoff at spends w_a, w_b (equal rank, node axis first), with
+    Player A's payoff at spends w_a, w_b (equal rank, row axis first), with
     each branch valued by `reference_payoff_vec`.
     """
     shape = (-1,) + (1,) * (np.ndim(w_a) - 1)

@@ -241,6 +241,30 @@ class TestSolveBackward:
         assert len(err) == 1 and err[0].startswith("error: stage solve at battle ")
         assert "standings" in err[0] and "gap" in err[0]
 
+    @pytest.mark.parametrize("values, budgets", [
+        ([1, 1, 1], [100, 100]),  # the demos' contests
+        ([2, 1, 1, 1], [100, 100]),
+        ([1, 1, 1, 2], [100, 100]),
+        ([1, 1, 1], [41.06, 97.59]),  # the bench's solve vectors, both mirror sides
+        ([1.114, 1.0815, 0.7158], [41.04, 49.99]),
+        ([1.114, 1.0815, 0.7158], [49.99, 41.04]),
+        ([2.0219, 2.598, 0.5708, 2.211], [79.04, 67.59]),
+        ([2.0219, 2.598, 0.5708, 2.211], [67.59, 79.04]),
+        ([1, 2, 3, 4, 5], [92.0, 99.31]),
+    ])
+    def test_depth_batches_equal_one_node_solves(self, values, budgets):
+        """Each on-path state is solved in its depth's batch; a stage solve of
+        that state alone, at its History, gives the same solution."""
+        spec = ContestSpec(values, budgets, objective=WP)
+        result = solve_backward(spec)
+        depths = {len(winners) for winners in result.solutions}
+        assert depths == set(range(spec.m))
+        for winners, solution in result.solutions.items():
+            history = History()
+            for depth, winner in enumerate(winners):
+                history = history.extend(result.solutions[winners[:depth]].allocations, winner)
+            assert stage_equilibrium(spec, history) == solution, winners
+
     def test_guards(self):
         with pytest.raises(InputError):
             solve_backward(ContestSpec([1] * 6, [10, 10], objective=WP))
@@ -294,8 +318,16 @@ class TestTablesSharedAcrossBudgets:
         assert errors[0] == errors[1] == errors[2]
 
 
+def _one_class(**fields):
+    """A branch whose rows all read one class."""
+    return equilibrium._BranchValue((equilibrium._ClassValue(**fields),))
+
+
 def _branch_at(branch, b_a, b_b, alpha):
-    """A branch's value at budgets b_a, b_b, from their scores as a stage passes them."""
+    """A branch's value at budgets b_a, b_b, from their scores as a stage passes them;
+    a class's value is read as a branch of that class."""
+    if isinstance(branch, equilibrium._ClassValue):
+        branch = equilibrium._BranchValue((branch,))
     scores = (b_a**alpha, b_b**alpha)
     return branch.payoff_vec(*scores, equilibrium._safe_sum(*scores), (b_a, b_b))
 
@@ -310,20 +342,20 @@ class TestLeanStageKernel:
 
     BRANCHES = {
         "unmirrored-mirrored": lambda alpha: (
-            equilibrium._BranchValue(spline=_kernel_spline(1), coin=0.3),
-            equilibrium._BranchValue(spline=_kernel_spline(2), mirrored=True, coin=0.6),
+            _one_class(spline=_kernel_spline(1), coin=0.3),
+            _one_class(spline=_kernel_spline(2), mirrored=True, coin=0.6),
         ),
         "mirrored-terminal": lambda alpha: (
-            equilibrium._BranchValue(spline=_kernel_spline(3), mirrored=True, coin=0.7),
-            equilibrium._BranchValue(const=(0.0, 1.0)),
+            _one_class(spline=_kernel_spline(3), mirrored=True, coin=0.7),
+            _one_class(const=(0.0, 1.0)),
         ),
         "terminal-terminal": lambda alpha: (
-            equilibrium._BranchValue(const=(1.0, 0.0)),
-            equilibrium._BranchValue(const=(0.5, 0.5)),
+            _one_class(const=(1.0, 0.0)),
+            _one_class(const=(0.5, 0.5)),
         ),
         "decisive": lambda alpha: (
-            equilibrium._BranchValue(decisive=(1.0, 0.5)),
-            equilibrium._BranchValue(decisive=(0.5, 0.0)),
+            _one_class(decisive=(1.0, 0.5)),
+            _one_class(decisive=(0.5, 0.0)),
         ),
         "continuation": lambda alpha: tuple(
             equilibrium._BranchValue(callback=lambda b_a, b_b, k=k: (
@@ -370,6 +402,55 @@ class TestLeanStageKernel:
                 assert np.array_equal(np.broadcast_to(value, b_a.shape),
                                       reference_payoff_vec(branch, b_a, b_b, alpha))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_rows_of_mixed_classes_equal_their_one_class_games(self, alpha):
+        """A batch whose rows read classes of every kind, row by row against a
+        game of that row alone: payoffs and saddle points bit for bit, so a
+        row's result does not depend on the rows beside it."""
+        spec = ContestSpec([1, 1, 1], [1, 1], CsfParams(alpha), objective=WP)
+        shared = _kernel_spline(4)
+        wins = [equilibrium._ClassValue(spline=shared, coin=0.3),
+                equilibrium._ClassValue(spline=_kernel_spline(5), mirrored=True, coin=0.6),
+                equilibrium._ClassValue(const=(0.4, 0.6)),
+                equilibrium._ClassValue(decisive=(1.0, 0.5)),
+                equilibrium._ClassValue(const=(0.7, 0.3))]
+        loses = [equilibrium._ClassValue(decisive=(0.5, 0.0)),
+                 equilibrium._ClassValue(spline=shared, mirrored=True, coin=0.7),
+                 equilibrium._ClassValue(spline=_kernel_spline(6), coin=0.2),
+                 equilibrium._ClassValue(const=(0.1, 0.9)),
+                 equilibrium._ClassValue(const=(0.7, 0.3))]  # flat in both spends
+        rng = np.random.default_rng(8)
+        owner = np.array([0, 0, 1, 2, 3, 4, 1, 0, 2, 2, 3, 1, 4, 0])
+        budgets = [rng.uniform(0.0, 3.0, owner.size) for _ in range(2)]
+        budgets[0][1] = budgets[1][1] = budgets[0][7] = 0.0  # broke players
+        totals = rng.integers(0, 3, (owner.size, 2)).astype(float)
+        settings = equilibrium.DEFAULT_SETTINGS
+        game = equilibrium._StageGame(spec, 1, totals, budgets, (
+            equilibrium._BranchValue(wins, owner), equilibrium._BranchValue(loses, owner)),
+            settings)
+        assert [len(branch.groups) for branch in game.branches] == [4, 4]
+        grids = [equilibrium._grid(np.zeros(owner.size), b, 17) for b in game.budgets]
+        spends = [(grids[0][:, :, None], grids[1][:, None, :]),
+                  (grids[0][:, :, None], game.budgets[1][:, None, None] / 3.0),
+                  (game.budgets[0] / 2.0, game.budgets[1])]
+        values = [game.payoff(*pair) for pair in spends]
+        points = game.solve()
+        assert np.any(points.flats[0]) and len(set(points.rounds.tolist())) > 1
+        for row, k in enumerate(owner.tolist()):
+            alone = equilibrium._StageGame(
+                spec, 1, totals[row], [b[row:row + 1] for b in budgets],
+                (equilibrium._BranchValue((wins[k],)), equilibrium._BranchValue((loses[k],))),
+                settings)
+            for value, pair in zip(values, spends):
+                one = alone.payoff(*(w[row:row + 1] if np.ndim(w) else w for w in pair))
+                assert np.array_equal(value[row:row + 1], one), (row, k)
+            single = alone.solve()
+            for field in ("spends", "gains", "flats"):
+                for batched, lone in zip(getattr(points, field), getattr(single, field)):
+                    assert batched[row] == lone[0], (field, row, k)
+            assert points.value[row] == single.value[0]
+            assert points.rounds[row] == single.rounds[0]
+
 
 class TestSolverLogging:
     def test_builds_and_solves_log_at_debug(self, caplog):
@@ -384,15 +465,22 @@ class TestSolverLogging:
         # standings 0-1, 0-2 and 1-1 are built, 1-1 on the shares up to 1/2;
         # 1-2 and 2-1 before the last battle are decisive; 1-0 and 2-0 mirror
         assert len(tables.splines) == 3
-        full, half = (-(-nodes // equilibrium.NODE_CHUNK) for nodes in
-                      (equilibrium.VALUE_NODES, (equilibrium.VALUE_NODES + 1) // 2))
+        # level 2 searches 0-2 on all nodes and 1-1 on half of them, level 1 0-1
+        rows = [equilibrium.VALUE_NODES + (equilibrium.VALUE_NODES + 1) // 2,
+                equilibrium.VALUE_NODES]
+        blocks = [-(-count // equilibrium.ROW_BLOCK) for count in rows]
         assert records[0].startswith(
             "value tables: 3 classes built (1 on half the nodes), 2 decisive in closed form, "
-            f"2 served by a mirror, {2 * full + half} stage batches, worst bracket gap ")
+            f"2 served by a mirror, {sum(blocks)} stage batches, blocks per level {blocks}, "
+            f"rows per level {rows}, worst bracket gap ")
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
+            # one batch per depth: 3-0 and 0-3 after three battles are settled
+            depths = [sum(len(w) == d for w in result.solutions) for d in range(4)]
+            assert depths == [1, 2, 4, 6]
             assert record == (f"backward solve: {len(result.solutions)} on-path stage "
-                              f"solves, worst residual {worst:.3e}, value tables {how}")
+                              f"solves in depth batches {depths}, worst residual {worst:.3e}, "
+                              f"value tables {how}")
 
     def test_nothing_is_logged_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="dynblotto"):
@@ -457,13 +545,14 @@ def _live_classes(spec):
 
 
 def _searched_values(game_at, played, totals):
-    """The saddle search's bracket midpoints at the table nodes, in the table's batches.
+    """The saddle search's bracket midpoints at the table nodes, in blocks of the
+    table's size, all of one class.
 
     Returns the nodes, A's success-function shares q, and the values there.
     """
     alpha = game_at(played, totals, (np.ones(1), np.ones(1))).alpha
     count, values = equilibrium.VALUE_NODES, []
-    for nodes in np.array_split(np.arange(count), -(-count // equilibrium.NODE_CHUNK)):
+    for nodes in np.array_split(np.arange(count), -(-count // equilibrium.ROW_BLOCK)):
         points = game_at(played, totals, equilibrium._node_budgets(alpha, nodes)).solve()
         values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
     return equilibrium._NODES, np.concatenate(values)
@@ -488,8 +577,9 @@ class TestValueTablesSkipKnownClasses:
 
     def test_decisive_classes_equal_the_searched_stage(self, monkeypatch):
         built = []
-        monkeypatch.setattr(equilibrium._ValueTables, "_build_class",
-                            lambda self, played, totals: built.append((played, totals)))
+        monkeypatch.setattr(equilibrium._ValueTables, "_build_level",
+                            lambda self, played, classes: built.extend(
+                                (played, totals) for totals in classes))
         searched, decisive, before_last = {}, 0, 0
         for spec in _decisive_family():
             built.clear()
@@ -507,18 +597,17 @@ class TestValueTablesSkipKnownClasses:
                 # battles left, which set the proportional spend
                 key = (spec.csf.alpha, spec.values[played:], ends[0][0], ends[1][0])
                 if key not in searched:
-                    terminal = tuple(equilibrium._BranchValue(const=end) for end in ends)
+                    terminal = tuple(_one_class(const=end) for end in ends)
                     searched[key] = _searched_values(
                         lambda p, t, budgets: equilibrium._StageGame(
                             spec, p, t, budgets, terminal, equilibrium.DEFAULT_SETTINGS),
                         played, totals)
                 nodes, values = searched[key]
                 b_a, b_b = nodes, 1.0 - nodes
-                closed = branch.payoff_vec(b_a, b_b, equilibrium._safe_sum(b_a, b_b))
+                closed = _branch_at(branch, b_a, b_b, 1.0)  # reads b_a, b_b as scores
                 assert np.max(np.abs(closed - values)) <= 1e-12, (spec, played, totals)
                 broke = np.zeros(1)
-                assert branch.payoff_vec(broke, broke, equilibrium._safe_sum(broke, broke)) == \
-                    tables.coin_value(played, totals)
+                assert _branch_at(branch, broke, broke, 1.0) == tables.coin_value(played, totals)
         assert (decisive, before_last, len(searched)) == (84, 13, 38)
 
     @pytest.mark.parametrize("values, alpha, played, standings", [
@@ -543,18 +632,58 @@ class TestValueTablesSkipKnownClasses:
             "1e-03 at A's budget share 0.006156")
 
     @pytest.mark.parametrize("values, message", [
-        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.328e-01 above 1e-03 "
-                    "at A's budget share 0.6305"),
-        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 6.639e-02 above 1e-03 "
-                       "at A's budget share 0.6305"),
-        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 6.955e-03 above 1e-03 "
-                       "at A's budget share 0.3375"),
+        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.415e-01 above 1e-03 "
+                    "at A's budget share 0.6734"),
+        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 7.077e-02 above 1e-03 "
+                       "at A's budget share 0.6734"),
+        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 1.417e-01 above 1e-03 "
+                       "at A's budget share 0.7548"),
     ])
     def test_alpha_two_failures_keep_their_messages(self, values, message):
         spec = ContestSpec(values, [100, 100], CsfParams(2.0), objective=WP)
         with pytest.raises(ConvergenceError) as caught:
             solve_backward(spec)
         assert str(caught.value) == "stage solve at " + message
+
+
+class TestLevelBlocks:
+    """A level's classes are searched together, in blocks of at most ROW_BLOCK rows."""
+
+    @pytest.mark.parametrize("values, alpha", [
+        ([1, 2, 3, 4, 5], 1.0), ([1, 1, 1, 1, 1], 0.5), ([1, 1, 1, 1], 0.8),
+    ])
+    def test_splines_are_equal_however_a_level_is_blocked(self, monkeypatch, values, alpha):
+        spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+        settings = equilibrium.DEFAULT_SETTINGS
+        built = [equilibrium._ValueTables(spec, settings)]  # the default blocks
+        monkeypatch.setattr(equilibrium, "ROW_BLOCK", 10**6)
+        built.append(equilibrium._ValueTables(spec, settings))  # each level at once
+        level = equilibrium._ValueTables._build_level
+        monkeypatch.setattr(equilibrium._ValueTables, "_build_level",
+                            lambda self, played, classes: [level(self, played, [totals])
+                                                           for totals in classes])
+        built.append(equilibrium._ValueTables(spec, settings))  # one class per block
+        assert max(built[1]._level_rows) > equilibrium.VALUE_NODES  # a level shares a block
+        for tables in built[1:]:
+            assert tables.splines.keys() == built[0].splines.keys()
+            for key, spline in tables.splines.items():
+                for field in "abcd":
+                    assert np.array_equal(getattr(spline, field),
+                                          getattr(built[0].splines[key], field)), key
+
+    @pytest.mark.parametrize("block", [7, 27, 64, 10**6])
+    def test_a_failing_class_names_its_worst_node_whatever_the_block_size(
+            self, monkeypatch, block):
+        monkeypatch.setattr(equilibrium, "ROW_BLOCK", block)
+        spec = ContestSpec([1, 1, 1], [100, 100], CsfParams(2.0), objective=WP)
+        equilibrium._tables_for.cache_clear()
+        with pytest.raises(ConvergenceError) as caught:
+            solve_backward(spec)
+        equilibrium._tables_for.cache_clear()
+        assert str(caught.value) == (
+            "stage solve at battle 2, standings 0-1: minimax bracket gap 1.415e-01 above "
+            "1e-03 at A's budget share 0.6734")
+        assert caught.value.residual == pytest.approx(0.14154426750124394, abs=1e-15)
 
 
 def _unit_tables(values, alpha):
