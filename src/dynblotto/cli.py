@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -37,10 +36,6 @@ from .equilibrium import (
 from .evaluation import expected_payoffs
 from .montecarlo import simulate
 from .strategies import history_from_winners, proportional_profile
-
-COMMANDS = ("evaluate", "simulate", "solve", "check", "demo")
-DEMOS = ("example1", "example2", "example3", "prop1")
-
 
 @dataclass(frozen=True)
 class RunSettings:
@@ -152,19 +147,12 @@ def load_config(path: str):
         raise InputError("invalid contest: " + "; ".join(violations))
     solver_raw = raw.get("solver", {})
     _known(solver_raw, "solver.", "grid_points", "tolerance")
-    solver = SolverSettings(
-        grid_points=_read(solver_raw, "grid_points", "solver.grid_points", _integer, 200),
-        tolerance=_read(solver_raw, "tolerance", "solver.tolerance", default=1e-6),
-    )
-    _require(
-        solver.grid_points >= 2,
-        f"config field solver.grid_points must be at least 2, got {solver.grid_points}",
-    )
-    tolerance = solver.tolerance
-    _require(
-        tolerance > 0 and math.isfinite(tolerance),
-        f"config field solver.tolerance must be a positive finite number, got {tolerance!r}",
-    )
+    grid_points = _read(solver_raw, "grid_points", "solver.grid_points", _integer, 200)
+    tolerance = _read(solver_raw, "tolerance", "solver.tolerance", default=1e-6)
+    try:
+        solver = SolverSettings(grid_points, tolerance)
+    except InputError as err:  # it names the field
+        raise InputError(f"config field {err}") from None
     seed = _read(raw, "seed", "seed", _integer, 0)
     _require(seed >= 0, f"config field seed must be a nonnegative integer, got {seed}")
     return spec, RunSettings(solver=solver, seed=seed)
@@ -333,31 +321,33 @@ def _demo_prop1(settings):
     }
 
 
-def _run_demo(settings):
-    runners = {
-        "example1": _demo_example1,
-        "example2": _demo_example2,
-        "example3": _demo_example3,
-        "prop1": _demo_prop1,
-    }
-    _require(settings.demo in runners, f"unknown demo {settings.demo!r}")
-    return runners[settings.demo](settings), 0
+DEMOS = {
+    "example1": _demo_example1,
+    "example2": _demo_example2,
+    "example3": _demo_example3,
+    "prop1": _demo_prop1,
+}
+
+
+def _run_demo(spec, settings):
+    _require(settings.demo in DEMOS, f"unknown demo {settings.demo!r}")
+    return DEMOS[settings.demo](settings), 0
+
+
+COMMANDS = {
+    "evaluate": _run_evaluate,
+    "simulate": _run_simulate,
+    "solve": _run_solve,
+    "check": _run_check,
+    "demo": _run_demo,
+}
 
 
 def run(command: str, spec: Optional[ContestSpec], settings: RunSettings):
     """Execute one command; returns (report dict, exit status)."""
-    if command == "demo":
-        return _run_demo(settings)
-    _require(spec is not None, f"command {command!r} needs a config")
-    if command == "evaluate":
-        return _run_evaluate(spec, settings)
-    if command == "simulate":
-        return _run_simulate(spec, settings)
-    if command == "solve":
-        return _run_solve(spec, settings)
-    if command == "check":
-        return _run_check(spec, settings)
-    raise InputError(f"unknown command {command!r}")
+    _require(spec is not None or command == "demo", f"command {command!r} needs a config")
+    _require(command in COMMANDS, f"unknown command {command!r}")
+    return COMMANDS[command](spec, settings)
 
 
 def _flatten(prefix, value, rows):
@@ -395,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command)
         if command == "demo":
-            p.add_argument("name", choices=DEMOS)
+            p.add_argument("name", choices=tuple(DEMOS))
         else:
             p.add_argument("--config", required=True, help="path to a contest config (JSON)")
         if command == "simulate":

@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import math
+import numbers
 
 import numpy as np
 
@@ -89,17 +90,20 @@ TULLOCK = CsfParams(1.0, 1.0)
 
 
 def _as_shock_items(shocks) -> tuple:
+    """Shocks as sorted ((player, battle), amount) items.  Both indices must
+    be integers, not booleans, and no (player, battle) key may repeat."""
     if shocks is None:
         return ()
-    if isinstance(shocks, Mapping):
-        items = shocks.items()
-    else:
-        items = list(shocks)
-    out = []
-    for key, amount in items:
+    out = {}
+    for key, amount in shocks.items() if isinstance(shocks, Mapping) else list(shocks):
         player, battle = key
-        out.append(((int(player), int(battle)), float(amount)))
-    return tuple(sorted(out))
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in key):
+            raise InputError(f"shock (player, battle) indices must be integers, got {key!r}")
+        key = (int(player), int(battle))
+        if key in out:
+            raise InputError(f"shock key {key} repeats")
+        out[key] = float(amount)
+    return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,15 @@ two remaining budgets; since the contest success function is homogeneous, it
 depends on the budgets only through their ratio, so a (battle, standings)
 class stores one cubic spline of the equilibrium value over the success
 function's own share q = b_a^alpha / (b_a^alpha + b_b^alpha), on nodes graded
-toward both ends.  A decisive class (its battle settles the contest) is played
-all in, linear in q, and needs none; equal standings are their own mirror,
-searched at shares up to 1/2.  A level's classes read only the next level's
-splines, so each level is searched as one batch of (class, node) rows, in
-blocks of at most ROW_BLOCK rows.  The solver then walks the on-path states
-depth by depth, one batch of stage solves per depth.
+toward both ends.  So a successor class's value is one of two things: a line
+in q, lose + (win - lose) q, flat when the class is terminal and sloped when
+its battle settles the contest (both then go all in), or a spline read at A's
+share, or at B's share for a class that mirrors one with swapped standings.
+Equal standings are their own mirror, searched at shares up to 1/2.  A
+level's classes read only the next level's splines, so each level is searched
+as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows.  The
+solver then walks the on-path states depth by depth, one batch of stage
+solves per depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -82,8 +85,19 @@ _log = logging.getLogger("dynblotto")
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Settings of the backward solver.  A field of the wrong type or range
+    raises InputError naming it."""
+
     grid_points: int = 200  # spends per best-response scan over the whole budget
     tolerance: float = 1e-6  # largest best-response gain accepted on the solved path
+
+    def __post_init__(self):
+        points, tolerance = self.grid_points, self.tolerance
+        if isinstance(points, bool) or not (isinstance(points, numbers.Integral) and points >= 2):
+            raise InputError(f"solver.grid_points must be an integer of at least 2, got {points!r}")
+        if not (isinstance(tolerance, numbers.Real) and 0 < tolerance < math.inf):  # not nan
+            raise InputError(
+                f"solver.tolerance must be a positive finite number, got {tolerance!r}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -261,27 +275,14 @@ def _share(x: np.ndarray, split: tuple) -> np.ndarray:
     return share
 
 
-# the kinds of class value, in the order a branch groups its rows
-_CONST, _DECISIVE, _SPLINE, _MIRRORED = range(4)
-
-
 @dataclass(frozen=True)
 class _ClassValue:
-    """Player A's payoff at one class: terminal, decisive or a spline over q."""
+    """Player A's payoff at one class: a line in A's share q, or a spline over q."""
 
-    const: Optional[tuple] = None  # (payoff_A, payoff_B) for terminal classes
-    decisive: Optional[tuple] = None  # (A's value if A wins, if B wins): both go all in
+    linear: Optional[tuple] = None  # (A's value if A wins, if B wins): flat when terminal
     spline: Optional[_Spline] = None
-    mirrored: bool = False  # reads the spline of the class with swapped standings
+    mirrored: bool = False  # reads the spline at B's share: the class with swapped standings
     coin: float = 0.5  # A's value when both players are broke
-
-    @property
-    def kind(self) -> int:
-        if self.const is not None:
-            return _CONST
-        if self.decisive is not None:
-            return _DECISIVE
-        return _MIRRORED if self.mirrored else _SPLINE
 
 
 class _BranchValue:
@@ -289,58 +290,53 @@ class _BranchValue:
 
     `classes` holds `_ClassValue`s and `owner` each row's index into them;
     without an owner every row reads classes[0], at any array shape.  Rows
-    are grouped by kind, and a group is valued on its own rows from per-row
-    arrays: a terminal payoff, a decisive pair, or an offset into the
-    classes' spline coefficients, stacked.  A user continuation `callback`,
-    (b_a, b_b) -> (payoff_A, payoff_B), stands in for the classes.
+    fall into at most two groups, lines and splines, and a group is valued
+    on its own rows from per-row arrays: a line's two ends, or an offset into
+    the classes' spline coefficients, stacked, a mirror flag and a coin.  A
+    user continuation `callback`, (b_a, b_b) -> (payoff_A, payoff_B), stands
+    in for the classes.
     """
 
     def __init__(self, classes=(), owner=None, callback=None):
-        self.classes = tuple(classes)
-        self.owner = owner
-        self.callback = callback
+        self.classes, self.owner, self.callback = tuple(classes), owner, callback
+        self.groups = []
         if callback is not None:
             return
-        kinds = [value.kind for value in self.classes]
-        pairs = np.zeros((len(kinds), 2))  # a terminal payoff, or a decisive pair
-        offsets, coins, slots = np.zeros(len(kinds), int), np.full(len(kinds), 0.5), {}
+        count = len(self.classes)
+        kinds, mirrored = np.zeros(count, bool), np.zeros(count, bool)  # spline classes, mirrored
+        ends, offsets, coins = np.zeros((count, 2)), np.zeros(count, int), np.full(count, 0.5)
+        slots = {}  # id(spline) -> (its slot in the stacked coefficients, spline)
         for i, value in enumerate(self.classes):
-            if value.const is not None:
-                pairs[i, 0] = value.const[0]
-            elif value.decisive is not None:
-                pairs[i] = value.decisive
+            if value.linear is not None:
+                ends[i] = value.linear
             else:
                 slot = slots.setdefault(id(value.spline), (len(slots), value.spline))[0]
                 offsets[i], coins[i] = slot * (VALUE_NODES - 1), value.coin
+                kinds[i], mirrored[i] = True, value.mirrored
         splines = [spline for _, spline in slots.values()]
         self._coefficients = tuple(np.concatenate([getattr(s, f) for s in splines])
                                    for f in "abcd") if splines else None
-        self._data = np.array(kinds), pairs, offsets if len(splines) > 1 else None, coins
-        self.groups = self._group()
+        self._data = kinds, ends, offsets if len(splines) > 1 else None, mirrored, coins
+        self._group()
 
-    def _group(self) -> list:
-        """(rows, kind, per-row data) of each kind the rows read."""
-        kinds, pairs, offsets, coins = self._data
+    def _group(self) -> None:
+        """Split the rows into at most two groups, lines then splines, each as
+        (rows, whether a spline, per-row data)."""
+        kinds, ends, offsets, mirrored, coins = self._data
         owner = np.zeros(1, int) if self.owner is None else self.owner
-        row_kinds = kinds[owner]
-        counts = np.bincount(row_kinds, minlength=4).tolist()
-        groups = []
-        for kind, count in enumerate(counts):
-            if count == 0:
-                continue
-            if count == owner.size:
-                rows, of = slice(None), owner
-            else:
-                rows = np.flatnonzero(row_kinds == kind)
+        self.groups = []
+        for spline in (False, True):
+            rows = np.flatnonzero(kinds[owner] == spline)
+            if rows.size:
                 of = owner[rows]
-            if kind == _CONST:
-                data = (pairs[of, 0],)
-            elif kind == _DECISIVE:
-                data = (pairs[of, 0], pairs[of, 1])
-            else:
-                data = (None if offsets is None else offsets[of], coins[of])
-            groups.append((rows, kind, data))
-        return groups
+                rows = slice(None) if rows.size == owner.size else rows  # no gather, no scatter
+                if not spline:  # the line's ends, and whether every row's is flat
+                    data = (ends[of, 0], ends[of, 1], np.array_equal(ends[of, 0], ends[of, 1]))
+                else:
+                    flip = mirrored[of]  # a bool when every row reads the same side
+                    flip = flip if flip.any() != flip.all() else bool(flip[0])
+                    data = (None if offsets is None else offsets[of], flip, coins[of])
+                self.groups.append((rows, spline, data))
 
     def take(self, rows) -> "_BranchValue":
         """The branch on a subset of its rows."""
@@ -348,14 +344,14 @@ class _BranchValue:
             return self
         taken = copy.copy(self)
         taken.owner = self.owner[rows]
-        taken.groups = taken._group()
+        taken._group()
         return taken
 
     @property
     def constant(self) -> Optional[np.ndarray]:
-        """A's payoff per row (or one for all) if every row's class is terminal, else None."""
-        if self.callback is None and len(self.groups) == 1 and self.groups[0][1] == _CONST:
-            return self.groups[0][2][0]
+        """A's payoff per row (or one for all) if every row's line is flat, else None."""
+        if len(self.groups) == 1 and not self.groups[0][1] and self.groups[0][2][2]:
+            return self.groups[0][2][1]
         return None
 
     def payoff_vec(self, score_a: np.ndarray, score_b: np.ndarray, split: tuple, budgets=None):
@@ -374,27 +370,31 @@ class _BranchValue:
         if len(self.groups) == 1:  # every row of one kind: no gather, no scatter
             return self._value(*self.groups[0][1:], score_a, score_b, total, broke)
         value = np.empty(np.shape(total))
-        for rows, kind, data in self.groups:
-            value[rows] = self._value(kind, data, score_a[rows], score_b[rows], total[rows],
+        for rows, spline, data in self.groups:
+            value[rows] = self._value(spline, data, score_a[rows], score_b[rows], total[rows],
                                       None if broke is None else broke[rows])
         return value
 
-    def _value(self, kind, data, score_a, score_b, total, broke):
+    def _value(self, spline, data, score_a, score_b, total, broke):
         shape = (-1,) + (1,) * (np.ndim(total) - 1)  # per-row data against the rows
-        if kind == _CONST:
-            return data[0].reshape(shape)
-        if kind == _DECISIVE:  # lose + (win - lose) * q, rising in q
-            win, lose = (side.reshape(shape) for side in data)
+        if not spline:  # lose + (win - lose) * q: exactly lose where flat
+            win, lose = (side.reshape(shape) for side in data[:2])
+            if data[2]:  # every row flat: lose, without the arithmetic
+                return lose
             value = _share(score_a, (total, broke))
             value *= win - lose
             value += lose
             return value
-        offsets, coins = data
-        mirrored = kind == _MIRRORED
+        offsets, flip, coins = data
+        if isinstance(flip, bool):
+            own = score_b if flip else score_a
+        else:  # a mirrored row reads B's share
+            flip = flip.reshape(shape)
+            own = np.where(flip, score_b, score_a)
         value = _spline_values(self._coefficients, None if offsets is None else
-                               offsets.reshape(shape), (score_b if mirrored else score_a) / total)
-        if mirrored:
-            np.subtract(1.0, value, out=value)
+                               offsets.reshape(shape), own / total)
+        if flip is not False:
+            np.subtract(1.0, value, out=value, where=flip)
         if broke is not None:
             np.copyto(value, coins.reshape(shape), where=broke)
         return value
@@ -640,14 +640,11 @@ class _ValueTables:
         if spec.n != 2:
             raise InputError("the backward solver handles two-player contests")
         if spec.shocks:
-            raise InputError(
-                "the backward solver requires a fixed-budget contest; "
-                "budget shocks break the budget-ratio reduction"
-            )
+            raise InputError("the backward solver requires a fixed-budget contest; "
+                             "budget shocks break the budget-ratio reduction")
         if spec.m > 5:
             raise InputError("the backward solver is limited to five battles")
-        self.spec = spec
-        self.settings = settings
+        self.spec, self.settings = spec, settings
         self.splines = {}  # (played, totals) -> _Spline of player A's value over q
         self._coin = {}
         self._worst_gap = 0.0
@@ -656,25 +653,21 @@ class _ValueTables:
         self._levels = self._reachable_classes()
         for played in range(spec.m - 1, 0, -1):
             searched = set()
-            for totals in self._levels.get(played, ()):
-                key = self._key(totals)
-                if self._decisive(played, totals) is not None:
+            for totals in self._levels.get(played, ()):  # keyed already
+                if self._line(played, totals) is not None:  # live, so decisive
                     decisive += 1
-                elif (key[1], key[0]) not in searched:  # a mirror reads its twin's spline
-                    searched.add(key)
+                elif totals[::-1] not in searched:  # a mirror reads its twin's spline
+                    searched.add(totals)
             if searched:
                 self._build_level(played, sorted(searched))
         if _log.isEnabledFor(logging.DEBUG):
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
-            _log.debug(
-                "value tables: %d classes built (%d on half the nodes), %d decisive in closed "
-                "form, %d served by a mirror, %d stage batches, blocks per level %s, rows per "
-                "level %s, worst bracket gap %.3e, %.3f s",
-                built, sum(a == b for _, (a, b) in self.splines), decisive,
-                classes - built - decisive, sum(self._level_blocks), self._level_blocks,
-                self._level_rows,
-                self._worst_gap, time.perf_counter() - start,
-            )
+            _log.debug("value tables: %d classes built (%d on half the nodes), %d decisive in "
+                       "closed form, %d served by a mirror, %d stage batches, blocks per level "
+                       "%s, rows per level %s, worst bracket gap %.3e, %.3f s",
+                       built, sum(a == b for _, (a, b) in self.splines), decisive,
+                       classes - built - decisive, sum(self._level_blocks), self._level_blocks,
+                       self._level_rows, self._worst_gap, time.perf_counter() - start)
 
     _key = staticmethod(_standings_key)
 
@@ -689,16 +682,6 @@ class _ValueTables:
             live = children if status is None else children[~status[0]]
             levels[played + 1] = sorted({self._key(totals) for totals in live.tolist()})
         return levels
-
-    def _lookup(self, played, totals):
-        key = self._key(totals)
-        spline = self.splines.get((played, key))
-        if spline is not None:
-            return spline, False
-        mirror = self.splines.get((played, (key[1], key[0])))
-        if mirror is not None:
-            return mirror, True
-        return None
 
     def coin_value(self, played, totals) -> float:
         """Player A's value when both players are broke: every battle is a coin flip."""
@@ -718,24 +701,26 @@ class _ValueTables:
         x = self.spec.values[played]
         return (totals[0] + x, totals[1]), (totals[0], totals[1] + x)
 
-    def _decisive(self, played, totals) -> Optional[tuple]:
-        """A's payoffs (if A wins, if B wins) when both successors are terminal, else None."""
-        ends = [_terminal_value_from_totals(self.spec, played + 1, t)
-                for t in self._successors(played, totals)]
+    def _line(self, played, totals) -> Optional[tuple]:
+        """A's payoffs (if A wins, if B wins) when the class's value is a line in
+        q: equal ones for a terminal class, and the successors' ones when both of
+        those are terminal, so the class's battle decides; else None."""
+        ends = [_terminal_value_from_totals(self.spec, played, totals)] * 2
+        if ends[0] is None:
+            ends = [_terminal_value_from_totals(self.spec, played + 1, t)
+                    for t in self._successors(played, totals)]
         return None if None in ends else (ends[0][0], ends[1][0])
 
     def branch(self, played, totals) -> _ClassValue:
         """Value of the class reached after `played` battles."""
-        terminal = _terminal_value_from_totals(self.spec, played, totals)
-        if terminal is not None:
-            return _ClassValue(const=terminal)
-        decisive = self._decisive(played, totals)
-        if decisive is not None:
-            return _ClassValue(decisive=decisive)
-        found = self._lookup(played, totals)
-        if found is None:
+        line = self._line(played, totals)
+        if line is not None:
+            return _ClassValue(linear=line)
+        key = self._key(totals)
+        mirrored = (played, key) not in self.splines  # then it reads its twin's spline
+        spline = self.splines.get((played, key[::-1] if mirrored else key))
+        if spline is None:
             raise ContractError(f"no value table for battle {played + 1} standings {totals}")
-        spline, mirrored = found
         return _ClassValue(spline=spline, mirrored=mirrored, coin=self.coin_value(played, totals))
 
     def stage_game(self, played, totals, budgets, owner=None) -> _StageGame:

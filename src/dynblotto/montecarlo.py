@@ -50,7 +50,8 @@ def simulate(
     errors are sums over the banked terminal payoffs, weighted by their
     trial counts, so a trial count costs no time.
     """
-    if not isinstance(trials, numbers.Integral) or not 1 <= trials <= 2**31 - 1:
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral)
+                                        and 1 <= trials <= 2**31 - 1):
         raise InputError(f"trials must be an integer from 1 to {2**31 - 1}, got {trials}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")

@@ -255,13 +255,15 @@ def reference_payoff_vec(branch, b_a, b_b, alpha):
         pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
         return np.reshape([branch.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
     (class_value,) = branch.classes  # the one class every row reads
-    if class_value.const is not None:
-        return np.full(np.shape(b_a), class_value.const[0], dtype=float)
+    if class_value.linear is not None and class_value.linear[0] == class_value.linear[1]:
+        # a terminal class: the same payoff whoever wins
+        return np.full(np.shape(b_a), class_value.linear[1], dtype=float)
     score_a, score_b = b_a**alpha, b_b**alpha
     total = score_a + score_b
-    if class_value.decisive is not None:
-        # both go all in: A wins the battle with the CSF share of the budgets left
-        win, lose = class_value.decisive
+    if class_value.linear is not None:
+        # a decisive class: both go all in, and A wins the battle with the
+        # CSF share of the budgets left
+        win, lose = class_value.linear
         p_a = np.divide(score_a, total, out=np.full(total.shape, 0.5), where=total > 0.0)
         return lose + (win - lose) * p_a
     # the spline over the share q of the class's own player, looked up on

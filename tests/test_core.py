@@ -67,6 +67,22 @@ class TestValidateSpec:
         with pytest.raises(InputError):
             ContestSpec([1, 1], [100, 100], shocks={(5, 1): 1.0})
 
+    @pytest.mark.parametrize("shocks", [
+        {(0.7, 1): 2.0}, {(0, 1.9): 2.0}, {(True, 1): 2.0}, {(0, False): 2.0},
+        {(0, "1"): 2.0}, [((0.0, 1), 2.0)],
+    ])
+    def test_shock_indices_must_be_integers(self, shocks):
+        with pytest.raises(InputError, match="shock .* indices must be integers"):
+            ContestSpec([1, 1], [100, 100], shocks=shocks)
+
+    def test_a_shock_key_must_not_repeat(self):
+        with pytest.raises(InputError, match=r"shock key \(0, 1\) repeats"):
+            ContestSpec([1, 1], [100, 100], shocks=[((0, 1), 2.0), ((0, 1), 3.0)])
+        with pytest.raises(InputError, match=r"shock key \(1, 2\) repeats"):
+            ContestSpec([1, 1], [100, 100], shocks=[((1, 2), 2.0), ((np.int64(1), 2), 2.0)])
+        spec = ContestSpec([1, 1], [100, 100], shocks=[((np.int64(0), 1), 2.0), ((1, 1), 3.0)])
+        assert spec.shock_map() == {(0, 1): 2.0, (1, 1): 3.0}
+
     def test_budgets_whose_scores_overflow_raise(self):
         # the largest spends' success-function scores must add up to a float
         ContestSpec([1, 1], [1e150, 1e150], CsfParams(2.0))

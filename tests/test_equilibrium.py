@@ -18,6 +18,7 @@ from dynblotto import (
     InputError,
     Objective,
     SamplingPlan,
+    SolverSettings,
     allocations_at,
     best_response,
     check_proportionality,
@@ -347,15 +348,15 @@ class TestLeanStageKernel:
         ),
         "mirrored-terminal": lambda alpha: (
             _one_class(spline=_kernel_spline(3), mirrored=True, coin=0.7),
-            _one_class(const=(0.0, 1.0)),
+            _one_class(linear=(0.0, 0.0)),
         ),
         "terminal-terminal": lambda alpha: (
-            _one_class(const=(1.0, 0.0)),
-            _one_class(const=(0.5, 0.5)),
+            _one_class(linear=(1.0, 1.0)),
+            _one_class(linear=(0.5, 0.5)),
         ),
         "decisive": lambda alpha: (
-            _one_class(decisive=(1.0, 0.5)),
-            _one_class(decisive=(0.5, 0.0)),
+            _one_class(linear=(1.0, 0.5)),
+            _one_class(linear=(0.5, 0.0)),
         ),
         "continuation": lambda alpha: tuple(
             equilibrium._BranchValue(callback=lambda b_a, b_b, k=k: (
@@ -411,14 +412,14 @@ class TestLeanStageKernel:
         shared = _kernel_spline(4)
         wins = [equilibrium._ClassValue(spline=shared, coin=0.3),
                 equilibrium._ClassValue(spline=_kernel_spline(5), mirrored=True, coin=0.6),
-                equilibrium._ClassValue(const=(0.4, 0.6)),
-                equilibrium._ClassValue(decisive=(1.0, 0.5)),
-                equilibrium._ClassValue(const=(0.7, 0.3))]
-        loses = [equilibrium._ClassValue(decisive=(0.5, 0.0)),
+                equilibrium._ClassValue(linear=(0.4, 0.4)),
+                equilibrium._ClassValue(linear=(1.0, 0.5)),
+                equilibrium._ClassValue(linear=(0.7, 0.7))]
+        loses = [equilibrium._ClassValue(linear=(0.5, 0.0)),
                  equilibrium._ClassValue(spline=shared, mirrored=True, coin=0.7),
                  equilibrium._ClassValue(spline=_kernel_spline(6), coin=0.2),
-                 equilibrium._ClassValue(const=(0.1, 0.9)),
-                 equilibrium._ClassValue(const=(0.7, 0.3))]  # flat in both spends
+                 equilibrium._ClassValue(linear=(0.1, 0.1)),
+                 equilibrium._ClassValue(linear=(0.7, 0.7))]  # flat in both spends
         rng = np.random.default_rng(8)
         owner = np.array([0, 0, 1, 2, 3, 4, 1, 0, 2, 2, 3, 1, 4, 0])
         budgets = [rng.uniform(0.0, 3.0, owner.size) for _ in range(2)]
@@ -428,7 +429,7 @@ class TestLeanStageKernel:
         game = equilibrium._StageGame(spec, 1, totals, budgets, (
             equilibrium._BranchValue(wins, owner), equilibrium._BranchValue(loses, owner)),
             settings)
-        assert [len(branch.groups) for branch in game.branches] == [4, 4]
+        assert [len(branch.groups) for branch in game.branches] == [2, 2]
         grids = [equilibrium._grid(np.zeros(owner.size), b, 17) for b in game.budgets]
         spends = [(grids[0][:, :, None], grids[1][:, None, :]),
                   (grids[0][:, :, None], game.budgets[1][:, None, None] / 3.0),
@@ -450,6 +451,78 @@ class TestLeanStageKernel:
                     assert batched[row] == lone[0], (field, row, k)
             assert points.value[row] == single.value[0]
             assert points.rounds[row] == single.rounds[0]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_groups_of_mixed_rows_equal_their_one_row_games(self, alpha):
+        """Two groups per branch: lines flat and sloped, and one shared spline
+        read at A's share and, mirrored, at B's.  Each row's payoffs and saddle
+        point equal its one-row game's, and its payoffs the reference, bit for
+        bit, with both players broke at the corners of the grids and in two rows."""
+        spec = ContestSpec([1, 1, 1], [1, 1], CsfParams(alpha), objective=WP)
+        shared = _kernel_spline(9)
+        wins = [equilibrium._ClassValue(linear=(0.6, 0.6)),
+                equilibrium._ClassValue(linear=(1.0, 0.25)),
+                equilibrium._ClassValue(spline=shared, coin=0.3),
+                equilibrium._ClassValue(spline=shared, mirrored=True, coin=0.8)]
+        loses = [equilibrium._ClassValue(spline=shared, mirrored=True, coin=0.4),
+                 equilibrium._ClassValue(linear=(0.5, 0.0)),
+                 equilibrium._ClassValue(linear=(0.2, 0.2)),
+                 equilibrium._ClassValue(spline=shared, coin=0.1)]
+        rng = np.random.default_rng(10)
+        owner = np.array([0, 1, 2, 3, 3, 2, 1, 0, 2, 3, 0, 1])
+        budgets = [rng.uniform(0.0, 3.0, owner.size) for _ in range(2)]
+        budgets[0][2] = budgets[1][2] = budgets[0][3] = budgets[1][3] = 0.0  # broke players
+        budgets[0][6] = 0.0
+        totals = rng.integers(0, 3, (owner.size, 2)).astype(float)
+        settings = equilibrium.DEFAULT_SETTINGS
+        game = equilibrium._StageGame(spec, 1, totals, budgets, (
+            equilibrium._BranchValue(wins, owner), equilibrium._BranchValue(loses, owner)),
+            settings)
+        for branch in game.branches:
+            (_, spline, lines), (_, _, splines) = branch.groups
+            assert not spline and not lines[2]  # flat and sloped lines in one group
+            assert splines[0] is None and not isinstance(splines[1], bool)  # one spline, both sides
+        grids = [equilibrium._grid(np.zeros(owner.size), b, 17) for b in game.budgets]
+        spends = [(grids[0][:, :, None], grids[1][:, None, :]),
+                  (grids[0][:, :, None], game.budgets[1][:, None, None] / 3.0),
+                  (game.budgets[0] / 2.0, game.budgets[1])]
+        values = [game.payoff(*pair) for pair in spends]
+        points = game.solve()
+        for row, k in enumerate(owner.tolist()):
+            alone = equilibrium._StageGame(
+                spec, 1, totals[row], [b[row:row + 1] for b in budgets],
+                (equilibrium._BranchValue((wins[k],)), equilibrium._BranchValue((loses[k],))),
+                settings)
+            for value, pair in zip(values, spends):
+                pair = [w[row:row + 1] if np.ndim(w) else w for w in pair]
+                one = alone.payoff(*pair)
+                assert np.array_equal(value[row:row + 1], one), (row, k)
+                assert np.array_equal(one, reference_stage_payoff(alone, *pair)), (row, k)
+            single = alone.solve()
+            for field in ("spends", "gains", "flats"):
+                for batched, lone in zip(getattr(points, field), getattr(single, field)):
+                    assert batched[row] == lone[0], (field, row, k)
+            assert points.value[row] == single.value[0]
+
+    def test_a_last_battle_stage_takes_the_constant_path(self, monkeypatch):
+        """Both successors of a last-battle stage are terminal, so its payoff
+        never values a branch over the budgets left."""
+        spec = ContestSpec([1, 1, 1, 2], [60, 80], objective=WP)
+        tables = equilibrium._budget_free_tables(spec, equilibrium.DEFAULT_SETTINGS)
+        classes = _live_classes(spec)
+        last = [totals for played, totals in classes if played == spec.m - 1]
+        assert last and any(played < spec.m - 1 for played, _ in classes)
+        monkeypatch.setattr(equilibrium._BranchValue, "payoff_vec", None)  # not called
+        budgets = (np.array([0.0, 7.0, 30.0]), np.array([0.0, 20.0, 5.0]))
+        for totals in last:
+            game = tables.stage_game(spec.m - 1, totals, budgets)
+            assert all(branch.constant is not None for branch in game.branches)
+            grids = [equilibrium._grid(np.zeros(3), b, 17) for b in game.budgets]
+            w_a, w_b = grids[0][:, :, None], grids[1][:, None, :]
+            assert np.array_equal(game.payoff(w_a, w_b), reference_stage_payoff(game, w_a, w_b))
+        history = history_from_winners(spec, (0, 1, 1))
+        assert len(history) == spec.m - 1 and not terminal_status(spec, history).terminal
+        stage_equilibrium(spec, history)
 
 
 class TestSolverLogging:
@@ -592,12 +665,12 @@ class TestValueTablesSkipKnownClasses:
                 decisive, before_last = decisive + 1, before_last + (played < spec.m - 1)
                 assert (played, tables._key(totals)) not in built
                 branch = tables.branch(played, totals)
-                assert branch.decisive is not None
+                assert branch.linear is not None
                 # the stage depends on the spec only through alpha and the
                 # battles left, which set the proportional spend
                 key = (spec.csf.alpha, spec.values[played:], ends[0][0], ends[1][0])
                 if key not in searched:
-                    terminal = tuple(_one_class(const=end) for end in ends)
+                    terminal = tuple(_one_class(linear=(end[0], end[0])) for end in ends)
                     searched[key] = _searched_values(
                         lambda p, t, budgets: equilibrium._StageGame(
                             spec, p, t, budgets, terminal, equilibrium.DEFAULT_SETTINGS),
@@ -740,7 +813,7 @@ class TestBranchesOverTheShare:
         kinds = set()
         for played, standings in _live_classes(tables.spec)[1:]:
             branch = tables.branch(played, standings)
-            kinds.add((branch.decisive is not None, branch.mirrored))
+            kinds.add((branch.linear is not None, branch.mirrored))
             value = _branch_at(branch, broke, broke, self.ALPHA)
             assert np.array_equal(value, np.full(3, tables.coin_value(played, standings)))
         assert kinds == {(True, False), (False, False), (False, True)}
@@ -798,6 +871,24 @@ class TestCheckProportionality:
 def test_a_sampling_plan_refuses_a_bad_field(field, value):
     with pytest.raises(InputError, match=f"sampling plan {field} must be"):
         SamplingPlan(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_points", 1), ("grid_points", 0), ("grid_points", -3), ("grid_points", 2.5),
+    ("grid_points", 200.0), ("grid_points", True), ("grid_points", "200"),
+    ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
+    ("tolerance", -1e-6), ("tolerance", "1e-6"), ("tolerance", None),
+])
+def test_solver_settings_refuse_a_bad_field(field, value):
+    with pytest.raises(InputError, match=rf"solver\.{field} must be"):
+        SolverSettings(**{field: value})
+
+
+def test_solver_settings_keep_their_edge_values():
+    spec = ContestSpec([1, 1, 1], [50, 50], objective=WP)
+    for settings in (SolverSettings(grid_points=2), SolverSettings(grid_points=np.int64(3)),
+                     SolverSettings(tolerance=1e-9), SolverSettings(tolerance=5)):
+        assert stage_equilibrium(spec, History(), settings=settings).allocations
 
 
 def test_a_sampling_plan_keeps_its_edge_values():

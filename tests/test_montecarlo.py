@@ -129,6 +129,12 @@ def test_trials_must_be_an_integer(trials):
         simulate(proportional_profile(2), spec, seed=5, trials=trials)
 
 
+def test_trials_must_not_be_a_boolean():
+    spec = ContestSpec([1, 1], [10, 10])
+    with pytest.raises(InputError, match="trials must be an integer"):
+        simulate(proportional_profile(2), spec, seed=5, trials=True)
+
+
 def test_seed_must_be_nonnegative():
     spec = ContestSpec([1, 1], [10, 10])
     with pytest.raises(InputError, match="seed"):
