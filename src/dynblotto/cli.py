@@ -140,6 +140,8 @@ def load_config(path: str):
         _known(entry, f"{where}.", "player", "battle", "amount")
         key = (_read(entry, "player", f"{where}.player", _integer),
                _read(entry, "battle", f"{where}.battle", _integer))
+        _require(key not in shocks, f"config field {where} repeats the shock of player "
+                                    f"{key[0]} at battle {key[1]}")
         shocks[key] = _read(entry, "amount", f"{where}.amount")
     spec = ContestSpec(values, budgets, csf, objective, shocks)
     violations = validate_spec(spec)

@@ -25,9 +25,10 @@ its battle settles the contest (both then go all in), or a spline read at A's
 share, or at B's share for a class that mirrors one with swapped standings.
 Equal standings are their own mirror, searched at shares up to 1/2.  A
 level's classes read only the next level's splines, so each level is searched
-as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows.  The
-solver then walks the on-path states depth by depth, one batch of stage
-solves per depth.
+as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows, a
+node only to NODE_TOLERANCE since it keeps only its certified bracket's
+midpoint, and then certified as one batch.  The solver then walks the
+on-path states depth by depth, one batch of stage solves per depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -153,7 +154,8 @@ class SamplingPlan:
 
 
 def _count(value) -> bool:
-    return isinstance(value, numbers.Integral) and value >= 0
+    """A nonnegative integer; a boolean is not a count."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -406,16 +408,24 @@ class _BranchValue:
 # The saddle search's first round scans each player's whole budget on a
 # coarse grid; each later round scans a box of MARGIN grid steps either side
 # of the previous round's spend.  A row stops once its own boxes are narrower
-# than REFINE_TOLERANCE and leaves the later rounds, so its result does not
-# depend on the rows that share its batch.  A value table's classes are
-# solved a level at a time, in blocks of at most ROW_BLOCK (class, node) rows,
-# and a round scans A's spends in pieces of at most ZOOM_POINTS, so a block's
-# first round, (row x spend_A x spend_B), works on arrays that stay in cache.
+# than its tolerance and leaves the later rounds, so its result does not
+# depend on the rows that share its batch.  A table node keeps only its
+# certified bracket's midpoint, whose error is second order in the spends',
+# so it is searched to NODE_TOLERANCE (at 1e-4 a self-mirrored class would
+# miss its full build by 1.3e-12); on-path solves and certificates refine to
+# REFINE_TOLERANCE.  A value table's classes are searched a level at a time,
+# in blocks of at most ROW_BLOCK (class, node) rows, and a round scans A's
+# spends in pieces of at most ZOOM_POINTS, so a block's first round, (row x
+# spend_A x spend_B), works on arrays that stay in cache.  A level is then
+# certified at once, its best-response scans, grid_points spends per row, in
+# batches of at most CERTIFICATE_CELLS payoff cells.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
 REFINE_TOLERANCE = 1e-6
+NODE_TOLERANCE = 1e-5
 ROW_BLOCK = 64
+CERTIFICATE_CELLS = ROW_BLOCK * ZOOM_POINTS**2
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 
@@ -432,6 +442,17 @@ def _grid(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
     """`points` evenly spaced spends from lo to hi, both exact, for each row."""
     rest, t = _fractions(points)
     return lo[:, None] * rest + hi[:, None] * t
+
+
+def _row_batches(rows: int, size: int) -> list:
+    """Slices that split `rows` rows into the fewest batches of at most `size`."""
+    return [slice(part[0], part[-1] + 1)
+            for part in np.array_split(np.arange(rows), -(-rows // size))]
+
+
+def _scan_batches(rows: int, settings: SolverSettings) -> list:
+    """Slices of a best-response scan's rows of at most CERTIFICATE_CELLS cells."""
+    return _row_batches(rows, max(1, CERTIFICATE_CELLS // settings.grid_points))
 
 
 def _where(played, totals) -> str:
@@ -505,15 +526,15 @@ class _StageGame:
     def _own_payoff(self, player, own, opp):
         return self.payoff(own, opp) if player == 0 else 1.0 - self.payoff(opp, own)
 
-    def _zoom(self, boxes, points):
+    def _zoom(self, boxes, points, tolerance=REFINE_TOLERANCE):
         """Grid minimax on shrinking boxes; returns (spends, rounds), per row.
 
         `boxes` holds a (lo, hi) array pair per player.  Each round A takes the
         argmax of the row minima of A's payoff and B the argmin of the column
         maxima, the first one on ties, so ties go to the smallest spend.  The
         boxes then shrink to MARGIN grid steps around those spends.  A row
-        stops once its own boxes are narrower than REFINE_TOLERANCE, and the
-        later rounds run on the rows left.  A zero-width box pins a spend.
+        stops once its own boxes are narrower than `tolerance`, and the later
+        rounds run on the rows left.  A zero-width box pins a spend.
         """
         game, active = self, self._rows  # the rows left, as indices into self's
         spends = [np.empty(active.size), np.empty(active.size)]
@@ -534,7 +555,7 @@ class _StageGame:
             picks = (np.concatenate(minima, axis=1).argmax(axis=1), maxima.argmin(axis=1))
             found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
             steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
-            done = 2 * MARGIN * np.maximum(*steps) <= REFINE_TOLERANCE
+            done = 2 * MARGIN * np.maximum(*steps) <= tolerance
             if done.any():
                 for spend, w in zip(spends, found):
                     spend[active[done]] = w[done]
@@ -553,23 +574,28 @@ class _StageGame:
     def best_responses(self, player: int, opp: np.ndarray):
         """Each row's best spend for `player` against the opponent spends `opp`.
 
-        A scan of grid_points spends over the whole budget, then the saddle
-        search on the grid steps either side of the scan's best, with the
-        opponent's box pinned at `opp`.  A flat scan plays the proportional
-        spend.  Returns (spends, the player's payoffs, flat flags).
+        A scan of grid_points spends over the whole budget, in batches of at
+        most CERTIFICATE_CELLS payoff cells, then the saddle search on the grid
+        steps either side of the scan's best, with the opponent's box pinned at
+        `opp`.  A flat scan plays the proportional spend.  Returns (spends, the
+        player's payoffs, flat flags).
         """
-        budget = self.budgets[player]
-        grid = _grid(np.zeros_like(budget), budget, self.settings.grid_points)
-        values = self._own_payoff(player, grid[:, :, None], opp[:, None, None])[:, :, 0]
-        best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
-        top = values[self._rows, best]
-        flat = (top - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(top))) & (budget > 0.0)
-        last = grid.shape[1] - 1
+        points = self.settings.grid_points
         boxes = [(opp, opp), (opp, opp)]
-        boxes[player] = (
-            grid[self._rows, np.maximum(best - 1, 0)],
-            grid[self._rows, np.minimum(best + 1, last)],
-        )
+        boxes[player] = lo, hi = np.empty_like(opp), np.empty_like(opp)
+        flat = np.empty(opp.size, dtype=bool)
+        batches = _scan_batches(opp.size, self.settings)
+        for rows in batches:
+            game = self.take(rows) if len(batches) > 1 else self
+            budget = game.budgets[player]
+            grid = _grid(np.zeros_like(budget), budget, points)
+            values = game._own_payoff(player, grid[:, :, None], opp[rows, None, None])[:, :, 0]
+            best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
+            top = values[game._rows, best]
+            flat[rows] = ((top - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(top)))
+                          & (budget > 0.0))
+            lo[rows] = grid[game._rows, np.maximum(best - 1, 0)]
+            hi[rows] = grid[game._rows, np.minimum(best + 1, points - 1)]
         spend = self._zoom(boxes, ZOOM_POINTS)[0][player]
         spend = np.where(flat, self.proportional[player], spend)
         return spend, self._own_payoff(player, spend, opp), flat
@@ -577,9 +603,16 @@ class _StageGame:
     def _certificate(self, spends):
         return self.best_responses(0, spends[1]), self.best_responses(1, spends[0])
 
+    def search(self, tolerance=REFINE_TOLERANCE):
+        """Each row's saddle-search (spends, rounds), its boxes refined to `tolerance`."""
+        return self._zoom([(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS, tolerance)
+
     def solve(self) -> _StagePoints:
         """Saddle points of every row, with their best-response certificates."""
-        spends, rounds = self._zoom([(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS)
+        return self.certify(*self.search())
+
+    def certify(self, spends, rounds) -> _StagePoints:
+        """The rows' points at the searched spends, with their certificates."""
         responses = self._certificate(spends)
         flats = tuple(response[2] for response in responses)
         rows = np.flatnonzero(flats[0] | flats[1])
@@ -648,7 +681,8 @@ class _ValueTables:
         self.splines = {}  # (played, totals) -> _Spline of player A's value over q
         self._coin = {}
         self._worst_gap = 0.0
-        self._level_blocks, self._level_rows, decisive = [], [], 0  # per level searched
+        self._level_blocks, self._level_batches, self._level_rows = [], [], []  # per level
+        decisive = 0
         start = time.perf_counter()
         self._levels = self._reachable_classes()
         for played in range(spec.m - 1, 0, -1):
@@ -664,10 +698,12 @@ class _ValueTables:
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
             _log.debug("value tables: %d classes built (%d on half the nodes), %d decisive in "
                        "closed form, %d served by a mirror, %d stage batches, blocks per level "
-                       "%s, rows per level %s, worst bracket gap %.3e, %.3f s",
+                       "%s, certificate batches per level %s, rows per level %s, worst bracket "
+                       "gap %.3e, %.3f s",
                        built, sum(a == b for _, (a, b) in self.splines), decisive,
                        classes - built - decisive, sum(self._level_blocks), self._level_blocks,
-                       self._level_rows, self._worst_gap, time.perf_counter() - start)
+                       self._level_batches, self._level_rows, self._worst_gap,
+                       time.perf_counter() - start)
 
     _key = staticmethod(_standings_key)
 
@@ -746,18 +782,28 @@ class _ValueTables:
         nodes = np.concatenate([np.arange(count) for count in counts])
         budgets = _node_budgets(self.spec.csf.alpha, nodes)
         game = self.stage_game(played, classes, budgets, owner)
-        values, gaps = np.empty(owner.size), np.empty(owner.size)
-        spends = np.empty((2, owner.size))
-        blocks = np.array_split(np.arange(owner.size), -(-owner.size // ROW_BLOCK))
+        spends, rounds = np.empty((2, owner.size)), np.empty(owner.size, dtype=int)
+        blocks = _row_batches(owner.size, ROW_BLOCK)
         for block in blocks:
-            block = slice(block[0], block[-1] + 1)
-            points = game.take(block).solve()
+            found, rounds[block] = game.take(block).search(NODE_TOLERANCE)
+            spends[:, block] = found
+        values, gaps = np.empty(owner.size), np.empty(owner.size)
+
+        def store(rows, points):
             # The stage value lies in [value - B's gain, value + A's gain]: a
             # wide bracket means the stage has no pure saddle at that node.
-            gaps[block] = points.gains[0] + points.gains[1]
-            values[block] = points.value + (points.gains[0] - points.gains[1]) / 2.0
-            spends[:, block] = points.spends
+            gaps[rows] = points.gains[0] + points.gains[1]
+            values[rows] = points.value + (points.gains[0] - points.gains[1]) / 2.0
+            spends[:, rows] = points.spends
+
+        store(slice(None), game.certify(spends, rounds))
+        # a node without a pure saddle is solved again as an on-path stage, so
+        # a failure reports what a direct stage solve finds
+        wide = np.flatnonzero(gaps > BRACKET_BOUND)
+        for block in _row_batches(wide.size, ROW_BLOCK) if wide.size else ():
+            store(wide[block], game.take(wide[block]).solve())
         self._level_blocks.append(len(blocks))
+        self._level_batches.append(len(_scan_batches(owner.size, self.settings)))
         self._level_rows.append(owner.size)
         ends = np.cumsum(counts)
         for totals, count, end in zip(classes, counts, ends.tolist()):

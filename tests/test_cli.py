@@ -135,6 +135,22 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: config field ") and err.count("\n") == 1
 
+    def test_a_repeated_shock_is_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "players": [{"budget": 100}, {"budget": 100}],
+            "battles": [{"value": 1}, {"value": 1}, {"value": 1}],
+            "shocks": [{"player": 0, "battle": 2, "amount": -5},
+                       {"player": 1, "battle": 2, "amount": 4},
+                       {"player": 0, "battle": 2, "amount": 3}],
+        })
+        message = r"config field shocks\[2\] repeats the shock of player 0 at battle 2"
+        with pytest.raises(InputError, match=message):
+            load_config(path)
+        for command in ("evaluate", "simulate", "check"):
+            assert main([command, "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config field shocks[2] repeats") and err.count("\n") == 1
+
     def test_parse_failure_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"players": [,]}')

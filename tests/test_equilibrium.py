@@ -542,10 +542,16 @@ class TestSolverLogging:
         rows = [equilibrium.VALUE_NODES + (equilibrium.VALUE_NODES + 1) // 2,
                 equilibrium.VALUE_NODES]
         blocks = [-(-count // equilibrium.ROW_BLOCK) for count in rows]
+        # certificate scans in batches of 92 rows x 200 spends, about a search block's cells
+        certify = equilibrium.CERTIFICATE_CELLS // equilibrium.DEFAULT_SETTINGS.grid_points
+        assert certify == 92
+        batches = [-(-count // certify) for count in rows]
+        assert batches == [2, 1]
         assert records[0].startswith(
             "value tables: 3 classes built (1 on half the nodes), 2 decisive in closed form, "
             f"2 served by a mirror, {sum(blocks)} stage batches, blocks per level {blocks}, "
-            f"rows per level {rows}, worst bracket gap ")
+            f"certificate batches per level {batches}, rows per level {rows}, "
+            "worst bracket gap ")
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
             # one batch per depth: 3-0 and 0-3 after three battles are settled
@@ -618,15 +624,16 @@ def _live_classes(spec):
 
 
 def _searched_values(game_at, played, totals):
-    """The saddle search's bracket midpoints at the table nodes, in blocks of the
-    table's size, all of one class.
+    """The saddle search's bracket midpoints at the table nodes, searched to
+    the tables' node tolerance in blocks of the table's size, all of one class.
 
     Returns the nodes, A's success-function shares q, and the values there.
     """
     alpha = game_at(played, totals, (np.ones(1), np.ones(1))).alpha
     count, values = equilibrium.VALUE_NODES, []
     for nodes in np.array_split(np.arange(count), -(-count // equilibrium.ROW_BLOCK)):
-        points = game_at(played, totals, equilibrium._node_budgets(alpha, nodes)).solve()
+        game = game_at(played, totals, equilibrium._node_budgets(alpha, nodes))
+        points = game.certify(*game.search(equilibrium.NODE_TOLERANCE))
         values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
     return equilibrium._NODES, np.concatenate(values)
 
@@ -758,6 +765,55 @@ class TestLevelBlocks:
             "1e-03 at A's budget share 0.6734")
         assert caught.value.residual == pytest.approx(0.14154426750124394, abs=1e-15)
 
+    @pytest.mark.parametrize("values, alpha", [
+        ([1, 2, 3, 4, 5], 1.0), ([1, 1, 1, 1, 1], 0.5), ([1, 1, 1, 1], 0.8),
+    ])
+    def test_splines_are_equal_however_a_level_is_certified(self, monkeypatch, values, alpha):
+        spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+        settings = equilibrium.DEFAULT_SETTINGS
+        built = [equilibrium._ValueTables(spec, settings)]  # batches sized by cells
+        sizes = [equilibrium.CERTIFICATE_CELLS // settings.grid_points]
+        for cells in (equilibrium.ROW_BLOCK * settings.grid_points, 1):  # per block, one row
+            monkeypatch.setattr(equilibrium, "CERTIFICATE_CELLS", cells)
+            built.append(equilibrium._ValueTables(spec, settings))
+            sizes.append(max(1, cells // settings.grid_points))
+        assert sizes == [92, equilibrium.ROW_BLOCK, 1]
+        for tables, size in zip(built, sizes):
+            assert tables._level_batches == [-(-rows // size) for rows in tables._level_rows]
+        assert built[1]._level_batches == built[1]._level_blocks  # one per search block
+        for tables in built[1:]:
+            assert tables.splines.keys() == built[0].splines.keys()
+            for key, spline in tables.splines.items():
+                for field in "abcd":
+                    assert np.array_equal(getattr(spline, field),
+                                          getattr(built[0].splines[key], field)), key
+
+    @pytest.mark.parametrize("values, alpha", [([1, 1, 1, 1], 2.0), ([1, 1, 2, 1, 1], 1.0)])
+    def test_a_failure_does_not_depend_on_the_node_tolerance(self, monkeypatch, values, alpha):
+        """A node without a pure saddle is solved again at REFINE_TOLERANCE, so
+        a failing class reports what a search to that tolerance finds; only the
+        levels built before it, searched to the node tolerance, differ."""
+        spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+        errors = []
+        for tolerance in (equilibrium.NODE_TOLERANCE, equilibrium.REFINE_TOLERANCE):
+            monkeypatch.setattr(equilibrium, "NODE_TOLERANCE", tolerance)
+            with pytest.raises(ConvergenceError) as caught:
+                equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+            errors.append(caught.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].residual == pytest.approx(errors[1].residual, abs=1e-12)
+        assert errors[0].allocations == pytest.approx(errors[1].allocations, abs=1e-12)
+
+    def test_the_worst_bracket_gap_stays_small(self):
+        """Nodes searched to NODE_TOLERANCE keep their certified brackets narrow:
+        far below the spline's own error, 5.4e-8 to 2.5e-7 between the nodes."""
+        worst = 0.0
+        for values in ([1, 1, 1], [1] * 4, [2, 1, 1, 1], [1, 2, 3, 4, 5],
+                       [0.7, 1.3, 2.1, 0.9], [1] * 5):
+            for alpha in (0.5, 0.8, 1.0):
+                worst = max(worst, _unit_tables(values, alpha)._worst_gap)
+        assert 0.0 < worst <= 2e-8
+
 
 def _unit_tables(values, alpha):
     spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
@@ -863,8 +919,10 @@ class TestCheckProportionality:
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_per_depth", -1), ("max_per_depth", 1.5), ("delta_points", -1),
-    ("delta_points", 2.5), ("tolerance", float("nan")), ("tolerance", -1.0),
+    ("max_per_depth", -1), ("max_per_depth", 1.5), ("max_per_depth", True),
+    ("max_per_depth", False), ("max_per_depth", np.True_), ("delta_points", -1),
+    ("delta_points", 2.5), ("delta_points", True), ("delta_points", False),
+    ("delta_points", np.True_), ("tolerance", float("nan")), ("tolerance", -1.0),
     ("tolerance", "1e-6"), ("histories", ("x",)), ("histories", 5), ("seed", [1]),
     ("seed", 1.5),
 ])
