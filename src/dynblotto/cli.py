@@ -424,6 +424,10 @@ def main(argv=None) -> int:
     except (ContestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:  # a check walks every winner sequence: n^m of them at the last battle
+        size = "" if spec is None else f" of {spec.m} battles and {spec.n} players"
+        print(f"error: out of memory in {args.command} on a contest{size}", file=sys.stderr)
+        return 1
     try:
         print(format_report(report, settings.output))
         sys.stdout.flush()

@@ -11,7 +11,8 @@ stops once its own box is narrow enough, so a row's result does not depend
 on the rows it shares a batch with.  Each point it returns carries a
 best-response certificate, the largest payoff gain either player finds by a
 scan over the whole budget refined by the same search with the opponent's
-spend pinned.
+spend pinned; both players' best responses are one batch, each row seen from
+its own player.
 
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
@@ -27,7 +28,9 @@ Equal standings are their own mirror, searched at shares up to 1/2.  A
 level's classes read only the next level's splines, so each level is searched
 as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows, a
 node only to NODE_TOLERANCE since it keeps only its certified bracket's
-midpoint, and then certified as one batch.  The solver then walks the
+midpoint, and then certified as one batch.  Every COLD_STRIDE-th node of a
+class is searched from the whole budgets and the nodes between from small
+boxes around their neighbours' spends.  The solver then walks the
 on-path states depth by depth, one batch of stage solves per depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
@@ -416,15 +419,23 @@ class _BranchValue:
 # REFINE_TOLERANCE.  A value table's classes are searched a level at a time,
 # in blocks of at most ROW_BLOCK (class, node) rows, and a round scans A's
 # spends in pieces of at most ZOOM_POINTS, so a block's first round, (row x
-# spend_A x spend_B), works on arrays that stay in cache.  A level is then
-# certified at once, its best-response scans, grid_points spends per row, in
-# batches of at most CERTIFICATE_CELLS payoff cells.
+# spend_A x spend_B), works on arrays that stay in cache.  Only every
+# COLD_STRIDE-th node of a class, and its last, starts from the whole
+# budgets; the nodes between start on ZOOM_POINTS from a box of WARM_WIDTH
+# of each budget either side of their cold neighbours' spend fractions,
+# interpolated, and one that ends within a first-round step of a box edge
+# inside the budget is searched again cold.  A level is then certified at
+# once, both players' best responses as one batch of stacked rows, their
+# scans, grid_points spends per row, in batches of at most CERTIFICATE_CELLS
+# payoff cells.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
 REFINE_TOLERANCE = 1e-6
 NODE_TOLERANCE = 1e-5
 ROW_BLOCK = 64
+COLD_STRIDE = 4
+WARM_WIDTH = 0.02
 CERTIFICATE_CELLS = ROW_BLOCK * ZOOM_POINTS**2
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
@@ -455,9 +466,65 @@ def _scan_batches(rows: int, settings: SolverSettings) -> list:
     return _row_batches(rows, max(1, CERTIFICATE_CELLS // settings.grid_points))
 
 
+def _interpolated_fractions(low: np.ndarray, high: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """low + weight (high - low): spend fractions on the line between two cold
+    nodes' ones, one row per player.  A fraction is nan where its budget is 0,
+    and the other node's stands in for it."""
+    low, high = np.where(np.isnan(low), high, low), np.where(np.isnan(high), low, high)
+    return low + weight * (high - low)
+
+
 def _where(played, totals) -> str:
     a, b = totals
     return f"stage solve at battle {played + 1}, standings {a:.6g}-{b:.6g}"
+
+
+def _zoom(game, boxes, points, tolerance=REFINE_TOLERANCE):
+    """Grid minimax on shrinking boxes; returns (spends, rounds), per row.
+
+    `game` is a `_StageGame`, or an `_OwnView` of one, whose payoff the
+    first player maximises.  `boxes` holds a (lo, hi) array pair per player.
+    Each round the first player takes the argmax of the row minima of the
+    payoff and the second the argmin of the column maxima, the first one on
+    ties, so ties go to the smallest spend.  The boxes then shrink to MARGIN
+    grid steps around those spends.  A row stops once its own boxes are
+    narrower than `tolerance`, and the later rounds run on the rows left.  A
+    zero-width box pins a spend.
+    """
+    active = game._rows  # the rows left, as indices into the first game's
+    spends = [np.empty(active.size), np.empty(active.size)]
+    rounds = np.empty(active.size, dtype=int)
+    count = 0
+    while True:
+        count += 1
+        grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
+        # the first player's spends in pieces of at most ZOOM_POINTS: the row
+        # minima are per spend, and the column maxima are exact over the pieces
+        minima, maxima = [], None
+        for piece in np.array_split(grids[0], -(-grids[0].shape[1] // ZOOM_POINTS), axis=1):
+            piece = np.ascontiguousarray(piece)  # laid out as a whole grid is
+            values = game.payoff(piece[:, :, None], grids[1][:, None, :])
+            minima.append(values.min(axis=2))
+            high = values.max(axis=1)
+            maxima = high if maxima is None else np.maximum(maxima, high, out=maxima)
+        picks = (np.concatenate(minima, axis=1).argmax(axis=1), maxima.argmin(axis=1))
+        found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
+        steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
+        done = 2 * MARGIN * np.maximum(*steps) <= tolerance
+        if done.any():
+            for spend, w in zip(spends, found):
+                spend[active[done]] = w[done]
+            rounds[active[done]] = count
+            if done.all():
+                return spends, rounds
+            keep = np.flatnonzero(~done)
+            game, active = game.take(keep), active[keep]
+            found, steps = [w[keep] for w in found], [step[keep] for step in steps]
+        boxes = [
+            (np.maximum(w - MARGIN * step, 0.0), np.minimum(w + MARGIN * step, budget))
+            for w, step, budget in zip(found, steps, game.budgets)
+        ]
+        points = ZOOM_POINTS
 
 
 @dataclass(frozen=True)
@@ -523,89 +590,52 @@ class _StageGame:
         value += p_a
         return value
 
-    def _own_payoff(self, player, own, opp):
-        return self.payoff(own, opp) if player == 0 else 1.0 - self.payoff(opp, own)
-
-    def _zoom(self, boxes, points, tolerance=REFINE_TOLERANCE):
-        """Grid minimax on shrinking boxes; returns (spends, rounds), per row.
-
-        `boxes` holds a (lo, hi) array pair per player.  Each round A takes the
-        argmax of the row minima of A's payoff and B the argmin of the column
-        maxima, the first one on ties, so ties go to the smallest spend.  The
-        boxes then shrink to MARGIN grid steps around those spends.  A row
-        stops once its own boxes are narrower than `tolerance`, and the later
-        rounds run on the rows left.  A zero-width box pins a spend.
-        """
-        game, active = self, self._rows  # the rows left, as indices into self's
-        spends = [np.empty(active.size), np.empty(active.size)]
-        rounds = np.empty(active.size, dtype=int)
-        count = 0
-        while True:
-            count += 1
-            grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
-            # A's spends in pieces of at most ZOOM_POINTS: the row minima are
-            # per spend, and the column maxima are exact over the pieces
-            minima, maxima = [], None
-            for piece in np.array_split(grids[0], -(-grids[0].shape[1] // ZOOM_POINTS), axis=1):
-                piece = np.ascontiguousarray(piece)  # laid out as a whole grid is
-                values = game.payoff(piece[:, :, None], grids[1][:, None, :])
-                minima.append(values.min(axis=2))
-                high = values.max(axis=1)
-                maxima = high if maxima is None else np.maximum(maxima, high, out=maxima)
-            picks = (np.concatenate(minima, axis=1).argmax(axis=1), maxima.argmin(axis=1))
-            found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
-            steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
-            done = 2 * MARGIN * np.maximum(*steps) <= tolerance
-            if done.any():
-                for spend, w in zip(spends, found):
-                    spend[active[done]] = w[done]
-                rounds[active[done]] = count
-                if done.all():
-                    return spends, rounds
-                keep = np.flatnonzero(~done)
-                game, active = game.take(keep), active[keep]
-                found, steps = [w[keep] for w in found], [step[keep] for step in steps]
-            boxes = [
-                (np.maximum(w - MARGIN * step, 0.0), np.minimum(w + MARGIN * step, budget))
-                for w, step, budget in zip(found, steps, game.budgets)
-            ]
-            points = ZOOM_POINTS
-
-    def best_responses(self, player: int, opp: np.ndarray):
-        """Each row's best spend for `player` against the opponent spends `opp`.
+    def best_responses(self, players: np.ndarray, opp: np.ndarray):
+        """Each row's best spend for its player, players[row], against the
+        opponent spends `opp`.
 
         A scan of grid_points spends over the whole budget, in batches of at
         most CERTIFICATE_CELLS payoff cells, then the saddle search on the grid
         steps either side of the scan's best, with the opponent's box pinned at
         `opp`.  A flat scan plays the proportional spend.  Returns (spends, the
-        player's payoffs, flat flags).
+        players' payoffs, flat flags).
         """
+        view = _OwnView(self, np.asarray(players) == 1)
         points = self.settings.grid_points
-        boxes = [(opp, opp), (opp, opp)]
-        boxes[player] = lo, hi = np.empty_like(opp), np.empty_like(opp)
+        lo, hi = np.empty_like(opp), np.empty_like(opp)
         flat = np.empty(opp.size, dtype=bool)
         batches = _scan_batches(opp.size, self.settings)
         for rows in batches:
-            game = self.take(rows) if len(batches) > 1 else self
-            budget = game.budgets[player]
+            part = view.take(rows) if len(batches) > 1 else view
+            budget = part.budgets[0]
             grid = _grid(np.zeros_like(budget), budget, points)
-            values = game._own_payoff(player, grid[:, :, None], opp[rows, None, None])[:, :, 0]
+            values = part.own_payoff(grid[:, :, None], opp[rows, None, None])[:, :, 0]
             best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
-            top = values[game._rows, best]
+            top = values[part._rows, best]
             flat[rows] = ((top - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(top)))
                           & (budget > 0.0))
-            lo[rows] = grid[game._rows, np.maximum(best - 1, 0)]
-            hi[rows] = grid[game._rows, np.minimum(best + 1, points - 1)]
-        spend = self._zoom(boxes, ZOOM_POINTS)[0][player]
-        spend = np.where(flat, self.proportional[player], spend)
-        return spend, self._own_payoff(player, spend, opp), flat
+            lo[rows] = grid[part._rows, np.maximum(best - 1, 0)]
+            hi[rows] = grid[part._rows, np.minimum(best + 1, points - 1)]
+        spend = _zoom(view, [(lo, hi), (opp, opp)], ZOOM_POINTS)[0][0]
+        spend = np.where(flat, view.proportional, spend)
+        return spend, view.own_payoff(spend, opp), flat
 
     def _certificate(self, spends):
-        return self.best_responses(0, spends[1]), self.best_responses(1, spends[0])
+        """Both players' (spends, payoffs, flat flags) of their best responses
+        at `spends`: one batch of the rows stacked twice, A's and then B's."""
+        count = self._rows.size
+        both = self.take(np.concatenate((self._rows, self._rows)))
+        responses = both.best_responses(np.repeat([0, 1], count),
+                                        np.concatenate((spends[1], spends[0])))
+        return tuple(tuple(part[half] for part in responses)
+                     for half in (slice(None, count), slice(count, None)))
 
-    def search(self, tolerance=REFINE_TOLERANCE):
-        """Each row's saddle-search (spends, rounds), its boxes refined to `tolerance`."""
-        return self._zoom([(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS, tolerance)
+    def search(self, tolerance=REFINE_TOLERANCE, boxes=None):
+        """Each row's saddle-search (spends, rounds), its boxes refined to
+        `tolerance`: from the whole budgets, or from `boxes` on ZOOM_POINTS."""
+        if boxes is not None:
+            return _zoom(self, boxes, ZOOM_POINTS, tolerance)
+        return _zoom(self, [(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS, tolerance)
 
     def solve(self) -> _StagePoints:
         """Saddle points of every row, with their best-response certificates."""
@@ -630,6 +660,37 @@ class _StageGame:
             np.maximum(responses[1][1] - (1.0 - value), 0.0),
         )
         return _StagePoints(tuple(spends), value, gains, flats, rounds)
+
+
+class _OwnView:
+    """A stage game seen by one player per row, in (own spend, opponent
+    spend) coordinates, so that `_zoom` refines each row's best response as
+    its first player, with the opponent's box pinned.
+
+    The payoff is A's, negated at B's rows: there the first player's argmax
+    is B's argmin of A's payoff, exactly, since negation is exact.
+    """
+
+    def __init__(self, game: _StageGame, second: np.ndarray):
+        self.game, self.second, self._rows = game, second, game._rows
+        self.budgets = (np.where(second, *game.budgets[::-1]), np.where(second, *game.budgets))
+        self.proportional = np.where(second, *game.proportional[::-1])
+
+    def take(self, rows) -> "_OwnView":
+        return _OwnView(self.game.take(rows), self.second[rows])
+
+    def payoff(self, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+        """A's payoff at A's rows and minus it at B's; own and opp as in
+        `_StageGame.payoff`."""
+        second = self.second.reshape((-1,) + (1,) * (np.ndim(own) - 1))
+        value = self.game.payoff(np.where(second, opp, own), np.where(second, own, opp))
+        return np.negative(value, out=value, where=second)
+
+    def own_payoff(self, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+        """Each row's player's payoff: A's, or one minus A's at B's rows."""
+        value = self.payoff(own, opp)
+        value += self.second.reshape((-1,) + (1,) * (np.ndim(value) - 1))  # -p + 1 is 1 - p
+        return value
 
 
 def _path_solutions(game: _StageGame) -> list:
@@ -682,6 +743,7 @@ class _ValueTables:
         self._coin = {}
         self._worst_gap = 0.0
         self._level_blocks, self._level_batches, self._level_rows = [], [], []  # per level
+        self._level_warm, self._level_restarts = [], []
         decisive = 0
         start = time.perf_counter()
         self._levels = self._reachable_classes()
@@ -698,12 +760,13 @@ class _ValueTables:
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
             _log.debug("value tables: %d classes built (%d on half the nodes), %d decisive in "
                        "closed form, %d served by a mirror, %d stage batches, blocks per level "
-                       "%s, certificate batches per level %s, rows per level %s, worst bracket "
-                       "gap %.3e, %.3f s",
+                       "%s, certificate batches per level %s, rows per level %s, warm nodes "
+                       "per level %s, cold restarts per level %s, worst bracket gap %.3e, "
+                       "%.3f s",
                        built, sum(a == b for _, (a, b) in self.splines), decisive,
                        classes - built - decisive, sum(self._level_blocks), self._level_blocks,
-                       self._level_batches, self._level_rows, self._worst_gap,
-                       time.perf_counter() - start)
+                       self._level_batches, self._level_rows, self._level_warm,
+                       self._level_restarts, self._worst_gap, time.perf_counter() - start)
 
     _key = staticmethod(_standings_key)
 
@@ -783,10 +846,39 @@ class _ValueTables:
         budgets = _node_budgets(self.spec.csf.alpha, nodes)
         game = self.stage_game(played, classes, budgets, owner)
         spends, rounds = np.empty((2, owner.size)), np.empty(owner.size, dtype=int)
-        blocks = _row_batches(owner.size, ROW_BLOCK)
-        for block in blocks:
-            found, rounds[block] = game.take(block).search(NODE_TOLERANCE)
-            spends[:, block] = found
+
+        def search_rows(rows, boxes=None):  # returns the number of blocks searched
+            blocks = _row_batches(rows.size, ROW_BLOCK) if rows.size else []
+            for block in blocks:
+                box = None if boxes is None else [(low[block], high[block]) for low, high in boxes]
+                found, rounds[rows[block]] = game.take(rows[block]).search(NODE_TOLERANCE, box)
+                spends[:, rows[block]] = found
+            return len(blocks)
+
+        # every COLD_STRIDE-th node of a class and its last are searched from
+        # the whole budgets, the others from boxes around their cold
+        # neighbours' spend fractions, interpolated in node index
+        last = np.repeat(counts, counts) - 1
+        below = nodes % COLD_STRIDE  # rows down to the cold neighbour below
+        above = np.minimum(COLD_STRIDE - below, last - nodes)  # and up to the one above
+        cold = (below == 0) | (above == 0)
+        warm = np.flatnonzero(~cold)
+        blocks = search_rows(np.flatnonzero(cold))
+        budget = np.stack(budgets)
+        fractions = np.divide(spends, budget, out=np.full_like(spends, np.nan), where=budget > 0.0)
+        fraction = _interpolated_fractions(fractions[:, warm - below[warm]],
+                                           fractions[:, warm + above[warm]],
+                                           below[warm] / (below[warm] + above[warm]))
+        budget = budget[:, warm]
+        lo = np.clip((fraction - WARM_WIDTH) * budget, 0.0, budget)
+        hi = np.clip((fraction + WARM_WIDTH) * budget, 0.0, budget)
+        blocks += search_rows(warm, list(zip(lo, hi)))
+        # a warm search that ends by an edge of its box that is not an edge of
+        # the budget may have been cut off there: it is searched again cold
+        step, found = (hi - lo) / (ZOOM_POINTS - 1), spends[:, warm]
+        edge = ((lo > 0.0) & (found - lo <= step)) | ((hi < budget) & (hi - found <= step))
+        restart = warm[edge.any(axis=0)]
+        blocks += search_rows(restart)
         values, gaps = np.empty(owner.size), np.empty(owner.size)
 
         def store(rows, points):
@@ -802,9 +894,11 @@ class _ValueTables:
         wide = np.flatnonzero(gaps > BRACKET_BOUND)
         for block in _row_batches(wide.size, ROW_BLOCK) if wide.size else ():
             store(wide[block], game.take(wide[block]).solve())
-        self._level_blocks.append(len(blocks))
-        self._level_batches.append(len(_scan_batches(owner.size, self.settings)))
+        self._level_blocks.append(blocks)
+        self._level_batches.append(len(_scan_batches(2 * owner.size, self.settings)))
         self._level_rows.append(owner.size)
+        self._level_warm.append(warm.size)
+        self._level_restarts.append(restart.size)
         ends = np.cumsum(counts)
         for totals, count, end in zip(classes, counts, ends.tolist()):
             rows = slice(end - count, end)
@@ -907,7 +1001,7 @@ def best_response(
     if not 0.0 <= opp <= bound + BUDGET_TOLERANCE:
         raise InputError(f"opponents_allocation {opp} lies outside [0, {bound}]")
     game = _stage_game_at(spec, history, continuation, settings)
-    spend, value, flat = game.best_responses(player, np.array([opp]))
+    spend, value, flat = game.best_responses(np.array([player]), np.array([opp]))
     return BestResponseResult(float(spend[0]), float(value[0]), bool(flat[0]))
 
 

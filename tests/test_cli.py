@@ -365,6 +365,24 @@ class TestCommands:
         assert expected_payoffs(profile, spec) == pytest.approx(
             brute_force_payoffs(profile, spec), abs=1e-12)
 
+    def test_running_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # a valid 13-battle, 4-player expected-value check ran out of memory
+        # in a traceback; the refusal is faked here, no memory is allocated
+        path = write_config(tmp_path, {
+            "players": [{"budget": 10 + 10 * i} for i in range(4)],
+            "battles": [{"value": 1.0 + 0.1 * j} for j in range(13)],
+        })
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(dynblotto.cli, "check_proportionality", exhausted)
+        assert main(["check", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory in check on a contest of 13 battles "
+                                "and 4 players\n")
+
     def test_unreadable_config_is_an_error(self, capsys):
         assert main(["evaluate", "--config", "/nonexistent.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -125,7 +125,50 @@ class TestBestResponse:
         assert result.allocation == pytest.approx(remaining_budget(spec, h, 0), abs=1e-4)
 
 
+    # (history, player, opponent spend, allocation, value, flat): both players'
+    # best responses, pinned bit for bit; none reads a value table's spline
+    @pytest.mark.parametrize("history, player, opp, allocation, value, flat", [
+        (((30.0, 35.0), 0), 0, 20.0, "0x1.7bffff8901495p+5", "0x1.9add3c0ca4588p-1", False),
+        (((30.0, 35.0), 0), 1, 20.0, "0x1.b8ccbf90b93f0p+4", "0x1.fc26bbb5a48e8p-3", False),
+        # a player whose payoff is flat plays proportional, and a broke one nothing
+        (((40.0, 100.0), 0), 0, 0.0, "0x1.e000000000000p+4", "0x1.0000000000000p+0", True),
+        (((40.0, 100.0), 0), 1, 0.0, "0x0.0p+0", "0x0.0p+0", False),
+        (((100.0, 40.0), 1), 0, 0.0, "0x0.0p+0", "0x0.0p+0", False),
+        (((100.0, 40.0), 1), 1, 0.0, "0x1.e000000000000p+4", "0x1.0000000000000p+0", True),
+        # an opponent spend just over its budget, within BUDGET_TOLERANCE: the
+        # refinement reads it clipped to the budget, the reported value does not
+        (((30.0, 35.0), 0), 0, 65.0 + 1e-10, "0x0.0p+0", "0x1.0000000000000p+0", False),
+        (((30.0, 35.0), 0), 1, 70.0 + 1e-10, "0x1.03fffffbd07aep+6", "0x1.ed097b3e3fa8ap-2",
+         False),
+        (((30.0, 35.0), 0), 1, 70.0, "0x1.03fffffbd07aep+6", "0x1.ed097b3e413a2p-2", False),
+        (((0, 1),), 0, "bound", "0x1.0aaaaaaaaaaacp+5", "0x1.fffffffffcb39p-2", False),
+        (((0, 1),), 1, "bound", "0x1.0aaaaaaaaaaacp+5", "0x1.fffffffffcb38p-2", False),
+    ])
+    def test_results_are_pinned_bit_for_bit(self, history, player, opp, allocation, value, flat):
+        spec = three_battle_contest()
+        if len(history) == 1:
+            h = history_from_winners(spec, history[0])
+        else:
+            h = History().extend(*history)
+        bound = remaining_budget(spec, h, 1 - player)
+        if opp == "bound":  # the last battle: the whole budget left, and a little more
+            opp = bound + 1e-10
+        assert opp <= bound + 1e-10
+        result = best_response(spec, h, player, opp)
+        assert (result.allocation.hex(), result.value.hex(), result.flat) == (
+            float.fromhex(allocation).hex(), float.fromhex(value).hex(), flat)
+
+
 class TestStageEquilibrium:
+    def test_example3_stages_are_pinned_bit_for_bit(self):
+        spec = ContestSpec([1, 1, 1, 2], [100, 100], objective=WP)
+        split = history_from_winners(spec, (0, 1))
+        third = stage_equilibrium(spec, split)
+        fourth = stage_equilibrium(spec, split.extend(third.allocations, 0))
+        for solution, spends in ((third, "0x0.0p+0"), (fourth, "0x1.e000000000000p+5")):
+            assert [w.hex() for w in solution.allocations] == [spends] * 2
+            assert (solution.residual, solution.iterations, solution.flat) == (0.0, 9, (False,) * 2)
+
     def test_three_battle_root(self):
         solution = stage_equilibrium(three_battle_contest(), History())
         assert solution.allocations == pytest.approx((100 / 3, 100 / 3), abs=1e-3)
@@ -541,16 +584,25 @@ class TestSolverLogging:
         # level 2 searches 0-2 on all nodes and 1-1 on half of them, level 1 0-1
         rows = [equilibrium.VALUE_NODES + (equilibrium.VALUE_NODES + 1) // 2,
                 equilibrium.VALUE_NODES]
-        blocks = [-(-count // equilibrium.ROW_BLOCK) for count in rows]
-        # certificate scans in batches of 92 rows x 200 spends, about a search block's cells
+        # every fourth node and a class's last are searched cold, the others
+        # warm: 60 of 81 nodes and 30 of 41; a warm search that ends by an
+        # inner edge of its box is searched again cold
+        warm, restarts = [60 + 30, 60], [9, 6]
+        assert (tables._level_warm, tables._level_restarts) == (warm, restarts)
+        blocks = [sum(-(-count // equilibrium.ROW_BLOCK) for count in (total - hot, hot, again))
+                  for total, hot, again in zip(rows, warm, restarts)]
+        assert blocks == [4, 3]
+        # certificate scans in batches of 92 rows x 200 spends, about a search
+        # block's cells, over both players' rows at once
         certify = equilibrium.CERTIFICATE_CELLS // equilibrium.DEFAULT_SETTINGS.grid_points
         assert certify == 92
-        batches = [-(-count // certify) for count in rows]
-        assert batches == [2, 1]
+        batches = [-(-2 * count // certify) for count in rows]
+        assert batches == [3, 2]
         assert records[0].startswith(
             "value tables: 3 classes built (1 on half the nodes), 2 decisive in closed form, "
             f"2 served by a mirror, {sum(blocks)} stage batches, blocks per level {blocks}, "
             f"certificate batches per level {batches}, rows per level {rows}, "
+            f"warm nodes per level {warm}, cold restarts per level {restarts}, "
             "worst bracket gap ")
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
@@ -778,9 +830,13 @@ class TestLevelBlocks:
             built.append(equilibrium._ValueTables(spec, settings))
             sizes.append(max(1, cells // settings.grid_points))
         assert sizes == [92, equilibrium.ROW_BLOCK, 1]
-        for tables, size in zip(built, sizes):
-            assert tables._level_batches == [-(-rows // size) for rows in tables._level_rows]
-        assert built[1]._level_batches == built[1]._level_blocks  # one per search block
+        for tables, size in zip(built, sizes):  # A's rows and B's in one certificate
+            assert tables._level_batches == [-(-2 * rows // size) for rows in tables._level_rows]
+            # cold, warm and restarted nodes are searched in blocks of their own
+            counts = zip(tables._level_rows, tables._level_warm, tables._level_restarts)
+            assert tables._level_blocks == [
+                sum(-(-count // equilibrium.ROW_BLOCK) for count in (rows - warm, warm, again))
+                for rows, warm, again in counts]
         for tables in built[1:]:
             assert tables.splines.keys() == built[0].splines.keys()
             for key, spline in tables.splines.items():
@@ -813,6 +869,48 @@ class TestLevelBlocks:
             for alpha in (0.5, 0.8, 1.0):
                 worst = max(worst, _unit_tables(values, alpha)._worst_gap)
         assert 0.0 < worst <= 2e-8
+
+
+class TestWarmStartedNodes:
+    """Nodes between a class's cold ones start from boxes around their
+    neighbours' interpolated spends; a cold build searches every node from
+    the whole budgets, as `_searched_values` does."""
+
+    CASES = [([1, 2, 3, 4, 5], 1.0), ([1] * 5, 0.5), ([0.664, 0.533, 2.594, 1.148, 1.086], 0.5)]
+
+    @staticmethod
+    def _builds(monkeypatch, values, alpha):
+        spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+        warm = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibrium, "COLD_STRIDE", 1)  # every node cold
+            cold = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        assert sum(cold._level_warm) == 0 and sum(warm._level_warm) > 0
+        assert warm.splines.keys() == cold.splines.keys()
+        return warm, cold
+
+    @pytest.mark.parametrize("values, alpha", CASES)
+    def test_splines_are_within_1e_8_of_a_cold_build(self, monkeypatch, values, alpha):
+        warm, cold = self._builds(monkeypatch, values, alpha)
+        shares = np.linspace(0.0, 1.0, 2001)
+        for key, spline in warm.splines.items():
+            error = np.abs(spline.value_vec(shares) - cold.splines[key].value_vec(shares))
+            assert error.max() <= 1e-8, (key, error.max())
+
+    @pytest.mark.parametrize("values, alpha", CASES)
+    def test_boxes_far_off_are_all_searched_again_cold(self, monkeypatch, values, alpha):
+        interpolate = equilibrium._interpolated_fractions
+
+        def far_off(low, high, weight):  # 0.3 of the budget off, inside it
+            fraction = interpolate(low, high, weight)
+            return np.where(fraction < 0.5, fraction + 0.3, fraction - 0.3)
+
+        monkeypatch.setattr(equilibrium, "_interpolated_fractions", far_off)
+        warm, cold = self._builds(monkeypatch, values, alpha)
+        assert warm._level_restarts == warm._level_warm
+        for key, spline in warm.splines.items():
+            for field in "abcd":
+                assert np.array_equal(getattr(spline, field), getattr(cold.splines[key], field))
 
 
 def _unit_tables(values, alpha):
