@@ -1,0 +1,30 @@
+"""Fail when any test but the known red acceptance item fails or errors.
+
+    python .github/tier1_failures.py tier1.xml
+
+Tier-1 stays red by design on acceptance criterion 08 (README, "Known red
+acceptance item"), so the status of the pytest step cannot show a new
+failure.  This reads the JUnit XML that pytest wrote with --junitxml and
+exits 1, naming each test, when any other test failed or errored, a
+collection error included, or when the file holds no tests at all.
+"""
+
+import sys
+import xml.etree.ElementTree as ElementTree
+
+KNOWN = "tests.test_acceptance::test_criterion_08_general_exponents_with_budget_shocks"
+
+
+def main(path: str) -> int:
+    cases = list(ElementTree.parse(path).getroot().iter("testcase"))
+    bad = [f"{case.get('classname')}::{case.get('name')}" for case in cases
+           if case.find("failure") is not None or case.find("error") is not None]
+    bad = [name for name in bad if name != KNOWN]
+    for name in bad:
+        print(f"failed: {name}")
+    print(f"{len(cases)} tests in {path}; {len(bad)} failed or errored besides criterion 08")
+    return 1 if bad or not cases else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1]))

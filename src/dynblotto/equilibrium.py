@@ -30,8 +30,10 @@ as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows, a
 node only to NODE_TOLERANCE since it keeps only its certified bracket's
 midpoint, and then certified as one batch.  Every COLD_STRIDE-th node of a
 class is searched from the whole budgets and the nodes between from small
-boxes around their neighbours' spends.  The solver then walks the
-on-path states depth by depth, one batch of stage solves per depth.
+boxes around their neighbours' spends.  The solved profile plays, at any
+live state, the stage equilibrium that these tables give there: one batched
+stage solve per call over the states it is asked about, a class per distinct
+standings.  The solver itself solves only the trace, one stage per depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -64,7 +66,6 @@ from .core import (
     InputError,
     Objective,
     _distinct_rows,
-    _formal_budgets,
     _payoffs,
     _proportional_spend,
     _remaining_budgets,
@@ -75,8 +76,8 @@ from .core import (
 )
 from .evaluation import PART, DeviationReport, _closed_forms, _offset_grids, _sweeps
 from .strategies import (
+    Strategy,
     StrategyProfile,
-    Tabular,
     _every_winner,
     _levels,
     _standings_key,
@@ -173,7 +174,7 @@ class ProportionalityVerdict:
 class BackwardSolveResult:
     profile: StrategyProfile
     trace: tuple  # on-path allocations, one (w_A, w_B) pair per battle
-    solutions: dict  # winner schedule -> StageSolution
+    solutions: dict  # the trace's winner schedules -> StageSolution
     trace_winners: tuple
 
     @property
@@ -1022,63 +1023,58 @@ def stage_equilibrium(
     return _path_solutions(_stage_game_at(spec, history, continuation, settings))[0]
 
 
+class _StagePolicy(Strategy):
+    """The solved profile's strategy, for either player: at any live state,
+    the stage equilibrium of the contest's value tables, as `stage_equilibrium`
+    finds it there, so a residual above the tolerance raises ConvergenceError."""
+
+    def __init__(self, tables: _ValueTables):
+        self.tables = tables
+
+    def solve(self, played, standings, budgets) -> list:
+        """The stage solutions at live states, one per row of `standings` and
+        `budgets`: one batch, whose classes are the distinct standings."""
+        first, owner = _distinct_rows(standings)
+        classes = [tuple(totals) for totals in standings[first].tolist()]
+        return _path_solutions(self.tables.stage_game(played, classes, budgets.T, owner))
+
+    def spends(self, spec, played, standings, budgets, player):
+        return np.array([s.allocations[player] for s in self.solve(played, standings, budgets)])
+
+
 def solve_backward(
     spec: ContestSpec, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> BackwardSolveResult:
     """Backward-induction solve of a two-player win-probability contest.
 
-    Returns a tabular strategy profile covering every state reachable under
-    mutual equilibrium play, keyed by (battle, standings), plus the
-    deterministic on-path allocation trace.  The trace follows the path
-    where the currently trailing player wins each battle, which keeps the
-    contest alive as long as possible.  The states are solved a depth at a
-    time, one batch per depth; a residual above `settings.tolerance` raises
-    ConvergenceError for the shallowest such state, the first in the order
-    of the winner schedules.
+    Builds the contest's value tables, or reuses them, and returns a profile
+    that plays at any live state the stage equilibrium those tables give
+    there, plus the deterministic on-path allocation trace.  The trace
+    follows the path where the currently trailing player wins each battle,
+    which keeps the contest alive as long as possible, at the budgets its
+    History reads: one stage solve per depth, by the profile's own path.  A
+    residual above `settings.tolerance` raises ConvergenceError naming the
+    battle and the standings, here on the trace and in the profile anywhere.
     """
     misses = _tables_for.cache_info().misses
-    tables = _budget_free_tables(spec, settings)
-    tabulars = tuple(Tabular(player=i) for i in range(2))
-    solutions, batches = {}, []
-    # the live on-path states of a depth, (winners, totals, spent), in the
-    # order of their winner schedules; each depth is one batch of stage solves
-    states = [((), (0.0, 0.0), (0.0, 0.0))]
-    for played in range(spec.m):
-        states = [state for state in states
-                  if _terminal_value_from_totals(spec, played, state[1]) is None]
-        if not states:
-            break
-        # the budgets left as a History of this play reads them, so the
-        # tables answer its states exactly
-        budgets = _formal_budgets(spec, played, np.array([state[2] for state in states]))
-        game = tables.stage_game(played, [state[1] for state in states], budgets.T,
-                                 np.arange(len(states)))
-        batches.append(len(states))
-        children = []
-        for (winners, totals, spent), solution, left in zip(
-                states, _path_solutions(game), budgets.tolist()):
-            solutions[winners] = solution
-            for i in range(2):
-                tabulars[i].record(played + 1, totals, left, solution.allocations[i])
-            spent = tuple(s + w for s, w in zip(spent, solution.allocations))
-            children += [(winners + (winner,), child, spent)
-                         for winner, child in enumerate(tables._successors(played, totals))]
-        states = children
-
-    trace, trace_winners, totals = [], (), (0.0, 0.0)
-    while trace_winners in solutions:
-        trace.append(solutions[trace_winners].allocations)
-        trailing = 0 if totals[0] <= totals[1] else 1
-        totals = tables._successors(len(trace_winners), totals)[trailing]
-        trace_winners += (trailing,)
+    policy = _StagePolicy(_budget_free_tables(spec, settings))
+    history, solutions = History(), {}
+    while not terminal_status(spec, history).terminal:
+        (standings, spent, _), played = _state(spec, history), len(history)
+        budgets = _remaining_budgets(spec, played, standings, spent)
+        solution = policy.solve(played, standings, budgets)[0]
+        solutions[history.winner_schedule()] = solution
+        trailing = int(standings[0, 0] > standings[0, 1])
+        history = history.extend(solution.allocations, trailing)
 
     if _log.isEnabledFor(logging.DEBUG):
         how = "built" if _tables_for.cache_info().misses > misses else "reused"
-        _log.debug("backward solve: %d on-path stage solves in depth batches %s, worst residual "
-                   "%.3e, value tables %s", len(solutions), batches,
+        _log.debug("backward solve: %d stage solves along the trace, worst residual %.3e, "
+                   "value tables %s", len(solutions),
                    max(s.residual for s in solutions.values()), how)
-    profile = StrategyProfile(tabulars)
-    return BackwardSolveResult(profile, tuple(trace), solutions, trace_winners)
+    trace = tuple(solution.allocations for solution in solutions.values())
+    profile = StrategyProfile((policy, policy))
+    return BackwardSolveResult(profile, trace, solutions, history.winner_schedule())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ A strategy maps contest states (battles played, standings, budgets left) to
 one player's spends, so equal states play alike and the engines merge them.
 Three kinds are provided: the proportional rule (spend the remaining budget
 in proportion to the value of the upcoming battle relative to all remaining
-value), tabular strategies produced by the backward-induction solver, and
+value), tabular strategies that replay spends recorded by state, and
 one-shot deviation wrappers that override a base strategy at one history.
+The backward solver's profile is a strategy of its own (`equilibrium`).
 """
 
 from __future__ import annotations
@@ -86,12 +87,13 @@ def _standings_key(standings) -> tuple:
 
 @dataclass
 class Tabular(Strategy):
-    """Finite table of solved spends keyed by contest state, nearest-neighbor lookup.
+    """Finite table of recorded spends keyed by contest state, nearest-neighbor lookup.
 
-    Entries are keyed by (battle index, standings), the standings rounded by
-    `_standings_key`; within a key the entry whose recorded remaining-budget
-    vector is closest (Euclidean) to the queried one wins.  States with no
-    entry at all are played proportionally, so the map stays total.
+    A user strategy, filled one `record` at a time.  Entries are keyed by
+    (battle index, standings), the standings rounded by `_standings_key`;
+    within a key the entry whose recorded remaining-budget vector is closest
+    (Euclidean) to the queried one wins.  States with no entry at all are
+    played proportionally, so the map stays total.
     """
 
     player: int
@@ -109,35 +111,6 @@ class Tabular(Strategy):
                 nearest = min(bucket, key=lambda e: sum((a - b) ** 2 for a, b in zip(e[0], probe)))
                 out[row] = nearest[1]
         return out
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": "tabular",
-            "player": self.player,
-            "fallback": "proportional",
-            "entries": [
-                {
-                    "battle": battle,
-                    "standings": list(standings),
-                    "budgets": list(budgets),
-                    "allocation": allocation,
-                }
-                for (battle, standings), bucket in sorted(self.entries.items())
-                for budgets, allocation in bucket
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Tabular":
-        strategy = cls(player=payload["player"])
-        for entry in payload["entries"]:
-            strategy.record(
-                entry["battle"],
-                tuple(entry["standings"]),
-                tuple(entry["budgets"]),
-                entry["allocation"],
-            )
-        return strategy
 
 
 @dataclass(frozen=True)

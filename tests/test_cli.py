@@ -14,10 +14,9 @@ from dynblotto import (
     History,
     InputError,
     Objective,
-    StrategyProfile,
-    Tabular,
     allocations_at,
     expected_payoffs,
+    solve_backward,
 )
 from dynblotto.cli import format_report, load_config, main, parse_winner_schedule
 from conftest import brute_force_payoffs
@@ -105,6 +104,16 @@ class TestLoadConfig:
             pytest.param({"seed": float("inf")}, r"config field seed", id="seed-infinite"),
             pytest.param({"solver": {"grid_points": 2.9}}, r"solver\.grid_points",
                          id="grid-points-fraction"),
+            pytest.param({"players": [{"budget": True}, {"budget": 100}]},
+                         r"players\[0\]\.budget", id="budget-boolean"),
+            pytest.param({"solver": {"tolerance": "1e-3"}}, r"solver\.tolerance",
+                         id="tolerance-string"),
+            pytest.param({"shocks": [{"player": 0, "battle": 2, "amount": False}]},
+                         r"shocks\[0\]\.amount", id="shock-amount-boolean"),
+            pytest.param({"shocks": [{"player": "0", "battle": 2, "amount": 1.0}]},
+                         r"shocks\[0\]\.player", id="shock-player-string"),
+            pytest.param({"players": [{"budget": 10**400}, {"budget": 100}]},
+                         r"players\[0\]\.budget", id="budget-beyond-float"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
@@ -179,6 +188,15 @@ class TestWinnerScheduleFlag:
     def test_garbage_rejected(self):
         with pytest.raises(InputError):
             parse_winner_schedule("A,xyz")
+
+    @pytest.mark.parametrize("text", ["\u00b2", "A,\u00e9", "\u0661", "1,\uff21"])
+    def test_only_ascii_digits_and_letters_are_winners(self, tmp_path, capsys, text):
+        # a superscript two passed isdigit() and broke int(); an e-acute read as winner 136
+        with pytest.raises(InputError, match="cannot parse winner"):
+            parse_winner_schedule(text)
+        assert main(["evaluate", "--config", example2_config(tmp_path), "--history", text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse winner ") and err.count("\n") == 1
 
 
 class TestCommands:
@@ -347,16 +365,15 @@ class TestCommands:
         assert main(["solve", "--config", example2_config(tmp_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["trace"][0] == pytest.approx([50.0, 50.0], abs=1e-2)
-        assert len(report["profile"]) == 2
-        assert report["profile"][0]["kind"] == "tabular"
+        assert report["profile"] == "stage_equilibrium"
 
     def test_solve_report_replays_the_trace(self, tmp_path, capsys):
-        # the report's tables, loaded back, play the trace exactly along its
-        # winners, and their exact payoffs match enumeration
+        # the solved profile plays the report's trace exactly along its
+        # winners, and its exact payoffs match enumeration
         assert main(["solve", "--config", example2_config(tmp_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         spec, _ = load_config(example2_config(tmp_path))
-        profile = StrategyProfile(tuple(Tabular.from_payload(p) for p in report["profile"]))
+        profile = solve_backward(spec).profile
         history = History()
         for spends, winner in zip(report["trace"], report["trace_winners"]):
             allocations = allocations_at(profile, spec, history)

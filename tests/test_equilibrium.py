@@ -31,6 +31,7 @@ from dynblotto import (
     terminal_status,
 )
 from dynblotto import equilibrium, evaluation
+from dynblotto.core import _remaining_budgets, _state
 from dynblotto.cli import main
 from conftest import (
     history_bfs_histories,
@@ -259,13 +260,13 @@ class TestSolveBackward:
         for i, w in enumerate(stage4.allocations):
             assert w == pytest.approx(remaining_budget(spec, after3, i), abs=1e-2)
 
-    def test_tabular_profile_replays_the_solution(self):
+    def test_solved_profile_replays_the_trace(self):
         spec = ContestSpec([2, 1, 1, 1], [100, 100], objective=WP)
         result = solve_backward(spec)
         h = History()
         for step, winner in enumerate(result.trace_winners):
             allocations = allocations_at(result.profile, spec, h)
-            assert allocations == pytest.approx(result.trace[step], abs=1e-9)
+            assert allocations == result.trace[step]
             h = h.extend(allocations, winner)
 
     def test_a_class_without_a_pure_saddle_names_battle_and_standings(self, tmp_path, capsys):
@@ -296,18 +297,49 @@ class TestSolveBackward:
         ([2.0219, 2.598, 0.5708, 2.211], [67.59, 79.04]),
         ([1, 2, 3, 4, 5], [92.0, 99.31]),
     ])
-    def test_depth_batches_equal_one_node_solves(self, values, budgets):
-        """Each on-path state is solved in its depth's batch; a stage solve of
-        that state alone, at its History, gives the same solution."""
+    def test_the_profile_plays_the_stage_equilibrium_at_every_history(self, values, budgets):
+        """At every history of the solved profile's on-path tree, the profile
+        plays what a stage solve of that history alone finds, bit for bit,
+        whether asked one history at a time or a whole depth in one batch;
+        the trace's states are solved once each."""
         spec = ContestSpec(values, budgets, objective=WP)
         result = solve_backward(spec)
-        depths = {len(winners) for winners in result.solutions}
-        assert depths == set(range(spec.m))
-        for winners, solution in result.solutions.items():
-            history = History()
-            for depth, winner in enumerate(winners):
-                history = history.extend(result.solutions[winners[:depth]].allocations, winner)
-            assert stage_equilibrium(spec, history) == solution, winners
+        policy = result.profile.strategies[0]
+        assert len(result.solutions) == len(result.trace) == len(result.trace_winners)
+        assert list(result.solutions) == [result.trace_winners[:d] for d in range(len(result.trace))]
+        level = [History()]
+        while level:
+            stages = [stage_equilibrium(spec, history) for history in level]
+            played, states = len(level[0]), [_state(spec, history) for history in level]
+            standings = np.concatenate([state[0] for state in states])
+            spent = np.concatenate([state[1] for state in states])
+            budgets = _remaining_budgets(spec, played, standings, spent)
+            batched = [policy.spends(spec, played, standings, budgets, i) for i in range(2)]
+            deeper = []
+            for row, (history, stage) in enumerate(zip(level, stages)):
+                winners = history.winner_schedule()
+                allocations = allocations_at(result.profile, spec, history)
+                assert allocations == stage.allocations, winners
+                assert (batched[0][row], batched[1][row]) == stage.allocations, winners
+                if winners in result.solutions:
+                    assert result.solutions[winners] == stage
+                for winner in range(2):
+                    child = history.extend(allocations, winner)
+                    if not terminal_status(spec, child).terminal:
+                        deeper.append(child)
+            level = deeper
+
+    def test_after_a_root_deviation_the_profile_plays_that_stage(self):
+        # A spends half its root spend and wins: with (83.33, 66.67) left the
+        # stage equilibrium is (41.67, 33.33), not the (33.33, 33.33) solved
+        # at the nearest on-path budgets
+        spec = three_battle_contest()
+        result = solve_backward(spec)
+        root = result.root.allocations
+        history = History().extend((root[0] / 2, root[1]), 0)
+        allocations = allocations_at(result.profile, spec, history)
+        assert allocations == stage_equilibrium(spec, history).allocations
+        assert allocations == pytest.approx((250 / 6, 100 / 3), abs=1e-2)
 
     def test_guards(self):
         with pytest.raises(InputError):
@@ -606,12 +638,12 @@ class TestSolverLogging:
             "worst bracket gap ")
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
-            # one batch per depth: 3-0 and 0-3 after three battles are settled
-            depths = [sum(len(w) == d for w in result.solutions) for d in range(4)]
-            assert depths == [1, 2, 4, 6]
-            assert record == (f"backward solve: {len(result.solutions)} on-path stage "
-                              f"solves in depth batches {depths}, worst residual {worst:.3e}, "
-                              f"value tables {how}")
+            # one stage solve per battle: the trailing player wins each, so the
+            # trace ends level at 2-2 after the fourth
+            assert list(result.solutions) == [(), (0,), (0, 1), (0, 1, 0)]
+            assert result.trace_winners == (0, 1, 0, 1)
+            assert record == (f"backward solve: 4 stage solves along the trace, worst "
+                              f"residual {worst:.3e}, value tables {how}")
 
     def test_nothing_is_logged_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="dynblotto"):

@@ -224,9 +224,9 @@ class TestAgainstTheTerminalDistribution:
         profile = solve_backward(spec).profile
         for seed in (3, 4, 5, 6):
             assert_counts_follow_the_exact_distribution(profile, spec, seed)
-        # The solved tables spend proportionally to within 1e-7, so a walk that
-        # played them proportionally below the root would pass the above.  A
-        # table of other spends at every battle tells the two apart.
+        # The solved profile spends proportionally to within 1e-7, so a walk
+        # that played it proportionally below the root would pass the above.
+        # A table of other spends at every battle tells the two apart.
         rng = random.Random("simulate-tabular")
         for k, (objective, n, m) in enumerate(itertools.product((EV, WP), (2, 3), range(2, 6))):
             values = [float(rng.randint(1, 3)) for _ in range(m)]

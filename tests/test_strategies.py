@@ -207,16 +207,6 @@ class TestTabular:
         profile = StrategyProfile((Tabular(player=0), PROPORTIONAL))
         assert allocations_at(profile, spec, History())[0] == pytest.approx(20.0)
 
-    def test_payload_round_trip(self):
-        strategy = Tabular(player=1)
-        strategy.record(1, (0.0, 0.0), (10.0, 10.0), 3.25)
-        strategy.record(2, (0.0, 1.0), (6.75, 10.0), 2.0)
-        payload = strategy.to_payload()
-        assert payload["entries"][1]["standings"] == [0.0, 1.0]
-        clone = Tabular.from_payload(payload)
-        assert clone.player == 1
-        assert clone.entries == strategy.entries
-
 
 class TestHistoryFromWinners:
     def test_spends_follow_the_profile(self):
