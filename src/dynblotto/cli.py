@@ -102,8 +102,8 @@ def load_config(path: str):
     Defaults: Tullock success function (alpha=1, beta=1), no shocks,
     grid_points=200, tolerance=1e-6, seed=0 (read by simulate).  Malformed
     fields and fields the schema does not know raise InputError naming the
-    field; so do a file that is not UTF-8 text and JSON nested too deeply to
-    parse.
+    field; so do a file that is not UTF-8 text, JSON nested too deeply to
+    parse and an integer literal longer than Python reads.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -114,6 +114,8 @@ def load_config(path: str):
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"config parse failure at line {err.lineno}, column {err.colno}: {err.msg}")
+    except ValueError as err:  # an integer literal past int's digit limit
+        raise InputError(f"config parse failure: {err}") from None
     except RecursionError:
         raise InputError("config parse failure: JSON nested too deeply") from None
     _require(isinstance(raw, dict), "config must be a JSON object")

@@ -69,6 +69,18 @@ class Objective(Enum):
     WIN_PROBABILITY = "win_probability"
 
 
+def _is_real(value) -> bool:
+    """A real number; a boolean, a string or None is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, field: str) -> float:
+    """`value` as a float, or InputError naming the field if it is no real number."""
+    if not _is_real(value):
+        raise InputError(f"{field} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CsfParams:
     """Parameters of the ratio-form contest success function f(w) = beta * w**alpha.
@@ -80,10 +92,10 @@ class CsfParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise InputError(f"csf alpha must be a positive real, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise InputError(f"csf beta must be a positive real, got {self.beta}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0 and math.isfinite(value)):
+                raise InputError(f"csf {name} must be a positive real, got {value!r}")
 
 
 TULLOCK = CsfParams(1.0, 1.0)
@@ -102,7 +114,7 @@ def _as_shock_items(shocks) -> tuple:
         key = (int(player), int(battle))
         if key in out:
             raise InputError(f"shock key {key} repeats")
-        out[key] = float(amount)
+        out[key] = _real(amount, f"shock amount of {key}")
     return tuple(sorted(out.items()))
 
 
@@ -124,11 +136,17 @@ class ContestSpec:
     shocks: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "budgets", tuple(float(w) for w in self.budgets))
+        for name in ("values", "budgets"):
+            object.__setattr__(self, name, tuple(
+                _real(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name))))
         object.__setattr__(self, "shocks", _as_shock_items(self.shocks))
-        if isinstance(self.objective, str):
-            object.__setattr__(self, "objective", Objective(self.objective))
+        if not isinstance(self.objective, Objective):
+            try:
+                object.__setattr__(self, "objective", Objective(self.objective))
+            except (TypeError, ValueError):
+                choices = ", ".join(o.value for o in Objective)
+                raise InputError(
+                    f"objective must be one of {choices}, got {self.objective!r}") from None
         if len(self.budgets) < 2:
             raise InputError("a contest needs at least two players")
         if len(self.values) < 1:

@@ -29,11 +29,13 @@ level's classes read only the next level's splines, so each level is searched
 as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows, a
 node only to NODE_TOLERANCE since it keeps only its certified bracket's
 midpoint, and then certified as one batch.  Every COLD_STRIDE-th node of a
-class is searched from the whole budgets and the nodes between from small
-boxes around their neighbours' spends.  The solved profile plays, at any
-live state, the stage equilibrium that these tables give there: one batched
-stage solve per call over the states it is asked about, a class per distinct
-standings.  The solver itself solves only the trace, one stage per depth.
+class, and the nodes beside its ends, are searched from the whole budgets and
+the nodes between from small boxes around their neighbours' spends.  Every
+stage solve reads these tables.  The solved profile plays, at any live state,
+the stage equilibrium that they give there: one batched stage solve per
+level over the states it is asked about, a class per distinct standings, and
+both players read it.  The solver itself solves only the trace, one stage per
+depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -298,16 +300,11 @@ class _BranchValue:
     without an owner every row reads classes[0], at any array shape.  Rows
     fall into at most two groups, lines and splines, and a group is valued
     on its own rows from per-row arrays: a line's two ends, or an offset into
-    the classes' spline coefficients, stacked, a mirror flag and a coin.  A
-    user continuation `callback`, (b_a, b_b) -> (payoff_A, payoff_B), stands
-    in for the classes.
+    the classes' spline coefficients, stacked, a mirror flag and a coin.
     """
 
-    def __init__(self, classes=(), owner=None, callback=None):
-        self.classes, self.owner, self.callback = tuple(classes), owner, callback
-        self.groups = []
-        if callback is not None:
-            return
+    def __init__(self, classes, owner=None):
+        self.classes, self.owner = tuple(classes), owner
         count = len(self.classes)
         kinds, mirrored = np.zeros(count, bool), np.zeros(count, bool)  # spline classes, mirrored
         ends, offsets, coins = np.zeros((count, 2)), np.zeros(count, int), np.full(count, 0.5)
@@ -353,25 +350,13 @@ class _BranchValue:
         taken._group()
         return taken
 
-    @property
-    def constant(self) -> Optional[np.ndarray]:
-        """A's payoff per row (or one for all) if every row's line is flat, else None."""
-        if len(self.groups) == 1 and not self.groups[0][1] and self.groups[0][2][2]:
-            return self.groups[0][2][1]
-        return None
-
-    def payoff_vec(self, score_a: np.ndarray, score_b: np.ndarray, split: tuple, budgets=None):
+    def payoff_vec(self, score_a: np.ndarray, score_b: np.ndarray, split: tuple):
         """A's payoff at the budgets left, leading with the row axis.
 
         score_a, score_b are the budgets' success-function scores b^alpha and
-        split = _safe_sum(score_a, score_b), so every branch but a user
-        continuation, which reads the budgets themselves, is a function of
-        A's share q = score_a / (score_a + score_b).
+        split = _safe_sum(score_a, score_b): every class's value is a function
+        of A's share q = score_a / (score_a + score_b).
         """
-        if self.callback is not None:
-            b_a, b_b = np.broadcast_arrays(*budgets)
-            pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
-            return np.reshape([self.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
         total, broke = split
         if len(self.groups) == 1:  # every row of one kind: no gather, no scatter
             return self._value(*self.groups[0][1:], score_a, score_b, total, broke)
@@ -421,14 +406,14 @@ class _BranchValue:
 # in blocks of at most ROW_BLOCK (class, node) rows, and a round scans A's
 # spends in pieces of at most ZOOM_POINTS, so a block's first round, (row x
 # spend_A x spend_B), works on arrays that stay in cache.  Only every
-# COLD_STRIDE-th node of a class, and its last, starts from the whole
-# budgets; the nodes between start on ZOOM_POINTS from a box of WARM_WIDTH
-# of each budget either side of their cold neighbours' spend fractions,
-# interpolated, and one that ends within a first-round step of a box edge
-# inside the budget is searched again cold.  A level is then certified at
-# once, both players' best responses as one batch of stacked rows, their
-# scans, grid_points spends per row, in batches of at most CERTIFICATE_CELLS
-# payoff cells.
+# COLD_STRIDE-th node of a class, its last, and the nodes next to an end,
+# whose cold neighbour has a player broke, start from the whole budgets; the
+# nodes between start on ZOOM_POINTS from a box of WARM_WIDTH of each budget
+# either side of their cold neighbours' spend fractions, interpolated, and
+# one that ends within a first-round step of a box edge inside the budget is
+# searched again cold.  A level is then certified at once, both players' best
+# responses as one batch of stacked rows, their scans, grid_points spends
+# per row, in batches of at most CERTIFICATE_CELLS payoff cells.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
@@ -469,9 +454,7 @@ def _scan_batches(rows: int, settings: SolverSettings) -> list:
 
 def _interpolated_fractions(low: np.ndarray, high: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """low + weight (high - low): spend fractions on the line between two cold
-    nodes' ones, one row per player.  A fraction is nan where its budget is 0,
-    and the other node's stands in for it."""
-    low, high = np.where(np.isnan(low), high, low), np.where(np.isnan(high), low, high)
+    nodes' ones, one row per player."""
     return low + weight * (high - low)
 
 
@@ -572,16 +555,11 @@ class _StageGame:
     def payoff(self, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
         """Player A's payoff; w_a and w_b have equal rank and broadcast together."""
         shape = (-1,) + (1,) * (np.ndim(w_a) - 1)
-        win, lose = (branch.constant for branch in self.branches)
-        if win is not None and lose is not None:  # both successors terminal
-            win, lose = win.reshape(shape), lose.reshape(shape)
-        else:
-            b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
-            b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
-            scores = (b_a**self.alpha, b_b**self.alpha)
-            split = _safe_sum(*scores)  # shared by both branches
-            win, lose = (branch.payoff_vec(*scores, split, (b_a, b_b))
-                         for branch in self.branches)
+        b_a = np.maximum(self.budgets[0].reshape(shape) - w_a, 0.0)
+        b_b = np.maximum(self.budgets[1].reshape(shape) - w_b, 0.0)
+        scores = (b_a**self.alpha, b_b**self.alpha)
+        split = _safe_sum(*scores)  # shared by both branches
+        win, lose = (branch.payoff_vec(*scores, split) for branch in self.branches)
         score_a, score_b = w_a**self.alpha, w_b**self.alpha
         p_a = _share(score_a, _safe_sum(score_a, score_b))
         # p_a * win + (1 - p_a) * lose, with one temporary
@@ -724,7 +702,7 @@ class _ValueTables:
     """Equilibrium continuation values for a two-player win-probability contest.
 
     Every precondition of the built-in tables is checked here, so the backward
-    solver and table-backed stage solves share them.  A level's classes read
+    solver and the stage solves share them.  A level's classes read
     only the next level's splines, so a level is searched as one batch of
     (class, node) rows, in blocks of at most ROW_BLOCK rows.
     """
@@ -857,18 +835,21 @@ class _ValueTables:
             return len(blocks)
 
         # every COLD_STRIDE-th node of a class and its last are searched from
-        # the whole budgets, the others from boxes around their cold
-        # neighbours' spend fractions, interpolated in node index
+        # the whole budgets, and so is a node whose cold neighbour has a
+        # player broke (node 0's and node VALUE_NODES - 1's): a spend fraction
+        # of no budget says nothing.  The others start from boxes around their
+        # cold neighbours' spend fractions, interpolated in node index.
         last = np.repeat(counts, counts) - 1
         below = nodes % COLD_STRIDE  # rows down to the cold neighbour below
         above = np.minimum(COLD_STRIDE - below, last - nodes)  # and up to the one above
-        cold = (below == 0) | (above == 0)
+        budget, rows = np.stack(budgets), np.arange(owner.size)
+        broke = (budget <= 0.0).any(axis=0)
+        cold = (below == 0) | (above == 0) | broke[rows - below] | broke[rows + above]
         warm = np.flatnonzero(~cold)
         blocks = search_rows(np.flatnonzero(cold))
-        budget = np.stack(budgets)
-        fractions = np.divide(spends, budget, out=np.full_like(spends, np.nan), where=budget > 0.0)
-        fraction = _interpolated_fractions(fractions[:, warm - below[warm]],
-                                           fractions[:, warm + above[warm]],
+        low, high = warm - below[warm], warm + above[warm]
+        fraction = _interpolated_fractions(spends[:, low] / budget[:, low],
+                                           spends[:, high] / budget[:, high],
                                            below[warm] / (below[warm] + above[warm]))
         budget = budget[:, warm]
         lo = np.clip((fraction - WARM_WIDTH) * budget, 0.0, budget)
@@ -941,20 +922,7 @@ def _budget_free_tables(spec: ContestSpec, settings: SolverSettings) -> _ValueTa
 # public solver operations
 
 
-def _continuation_branches(spec, history, budgets, continuation):
-    """Wrap a user continuation (successor History -> payoff vector) as branches."""
-
-    def make(winner):
-        def callback(b_a, b_b):
-            allocations = (budgets[0] - b_a, budgets[1] - b_b)
-            return tuple(continuation(history.extend(allocations, winner)))
-
-        return _BranchValue(callback=callback)
-
-    return (make(0), make(1))
-
-
-def _stage_game_at(spec, history, continuation, settings) -> _StageGame:
+def _stage_game_at(spec, history, settings) -> _StageGame:
     if spec.n != 2:
         raise InputError("stage solves are available for two-player contests")
     if spec.objective is not Objective.WIN_PROBABILITY:
@@ -964,10 +932,7 @@ def _stage_game_at(spec, history, continuation, settings) -> _StageGame:
     played = len(history)
     budgets = (remaining_budget(spec, history, 0), remaining_budget(spec, history, 1))
     totals = history.won_values(spec)
-    if continuation is None:
-        return _budget_free_tables(spec, settings).stage_game(played, totals, budgets)
-    branches = _continuation_branches(spec, history, budgets, continuation)
-    return _StageGame(spec, played, totals, budgets, branches, settings)
+    return _budget_free_tables(spec, settings).stage_game(played, totals, budgets)
 
 
 def best_response(
@@ -975,7 +940,7 @@ def best_response(
     history: History,
     player: int,
     opponents_allocation,
-    continuation=None,
+    *,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> BestResponseResult:
     """Best spend for one player against a fixed opponent spend at this history.
@@ -984,9 +949,8 @@ def best_response(
     stage's saddle search with the opponent's spend pinned; ties go to the
     smallest spend.  A flat objective returns the proportional point, flagged.
     The opponent's spend, a real number or a sequence of one, must lie in
-    [0, the opponent's remaining budget].
-    A `continuation` maps a successor History to the payoff vector; the
-    stage reads player A's entry, since the two payoffs add up to one.
+    [0, the opponent's remaining budget].  Both successors are valued by
+    the contest's value tables, so the contest must be one they cover.
     """
     if not 0 <= player < 2:
         raise InputError(f"player index {player} out of range")
@@ -1001,7 +965,7 @@ def best_response(
     bound = remaining_budget(spec, history, 1 - player)
     if not 0.0 <= opp <= bound + BUDGET_TOLERANCE:
         raise InputError(f"opponents_allocation {opp} lies outside [0, {bound}]")
-    game = _stage_game_at(spec, history, continuation, settings)
+    game = _stage_game_at(spec, history, settings)
     spend, value, flat = game.best_responses(np.array([player]), np.array([opp]))
     return BestResponseResult(float(spend[0]), float(value[0]), bool(flat[0]))
 
@@ -1009,7 +973,7 @@ def best_response(
 def stage_equilibrium(
     spec: ContestSpec,
     history: History,
-    continuation=None,
+    *,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> StageSolution:
     """Equilibrium spends for one battle: the saddle point of the zero-sum stage.
@@ -1018,9 +982,10 @@ def stage_equilibrium(
     whose payoff is flat in the own spend plays proportional.  The residual
     is the largest best-response gain at the returned point; a residual above
     `settings.tolerance` raises ConvergenceError naming the battle and the
-    standings.  `continuation` is read as in `best_response`.
+    standings.  Both successors are valued by the contest's value tables,
+    built once per battle values, CSF and settings.
     """
-    return _path_solutions(_stage_game_at(spec, history, continuation, settings))[0]
+    return _path_solutions(_stage_game_at(spec, history, settings))[0]
 
 
 class _StagePolicy(Strategy):
@@ -1030,13 +995,21 @@ class _StagePolicy(Strategy):
 
     def __init__(self, tables: _ValueTables):
         self.tables = tables
+        self._last = (None, None)  # the last batch's (key, solutions)
 
     def solve(self, played, standings, budgets) -> list:
         """The stage solutions at live states, one per row of `standings` and
-        `budgets`: one batch, whose classes are the distinct standings."""
-        first, owner = _distinct_rows(standings)
-        classes = [tuple(totals) for totals in standings[first].tolist()]
-        return _path_solutions(self.tables.stage_game(played, classes, budgets.T, owner))
+        `budgets`: one batch, whose classes are the distinct standings.  The
+        engines ask both players' spends at the same states in turn, so the
+        last batch's solutions are kept and a repeated call reuses them."""
+        key = (played, standings.shape, standings.tobytes(), budgets.shape, budgets.tobytes())
+        last_key, solutions = self._last
+        if key != last_key:
+            first, owner = _distinct_rows(standings)
+            classes = [tuple(totals) for totals in standings[first].tolist()]
+            solutions = _path_solutions(self.tables.stage_game(played, classes, budgets.T, owner))
+            self._last = (key, solutions)
+        return solutions
 
     def spends(self, spec, played, standings, budgets, player):
         return np.array([s.allocations[player] for s in self.solve(played, standings, budgets)])

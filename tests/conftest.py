@@ -244,16 +244,12 @@ def random_ev_spec(rng, alphas=(1.0,), betas=(1.0,), with_shocks=False,
 def reference_payoff_vec(branch, b_a, b_b, alpha):
     """Reference for `equilibrium._BranchValue.payoff_vec` at budgets b_a, b_b.
 
-    For a branch whose rows all read one class, or a user continuation.  The
-    stage kernel shares the scores b^alpha and their total between branches,
-    writes the coin value only into both-broke cells and evaluates the spline
-    in place; this is the same arithmetic written out plainly, operation for
-    operation, so the two must agree bit for bit.  Returns a full array for
-    every branch.
+    For a branch whose rows all read one class.  The stage kernel shares the
+    scores b^alpha and their total between branches, writes the coin value
+    only into both-broke cells and evaluates the spline in place; this is the
+    same arithmetic written out plainly, operation for operation, so the two
+    must agree bit for bit.  Returns a full array for every branch.
     """
-    if branch.callback is not None:
-        pairs = zip(np.ravel(b_a).tolist(), np.ravel(b_b).tolist())
-        return np.reshape([branch.callback(x, y)[0] for x, y in pairs], np.shape(b_a))
     (class_value,) = branch.classes  # the one class every row reads
     if class_value.linear is not None and class_value.linear[0] == class_value.linear[1]:
         # a terminal class: the same payoff whoever wins

@@ -169,6 +169,11 @@ class TestLoadConfig:
     @pytest.mark.parametrize("content, message", [
         pytest.param(b'\xff\xfe{"players": []}', "not UTF-8", id="not-utf-8"),
         pytest.param(b"[" * 100_000, "nested too deeply", id="nested-100000-deep"),
+        pytest.param(b'{"players": [{"budget": 1' + b"0" * 5000 + b'}, {"budget": 1}], '
+                     b'"battles": [{"value": 1}, {"value": 1}, {"value": 1}]}',
+                     # a Python without int's digit limit reads the literal, too large for a float
+                     "parse failure" if hasattr(sys, "get_int_max_str_digits") else "must be a number",
+                     id="integer-of-5001-digits"),
     ])
     def test_unparsable_file_is_one_error_line(self, tmp_path, capsys, content, message):
         path = tmp_path / "contest.json"

@@ -1,6 +1,7 @@
 """Contest primitives: success function, budgets, terminal rules, histories."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,34 @@ class TestValidateSpec:
             ContestSpec([1, 1], [100, 100], shocks=[((1, 2), 2.0), ((np.int64(1), 2), 2.0)])
         spec = ContestSpec([1, 1], [100, 100], shocks=[((np.int64(0), 1), 2.0), ((1, 1), 3.0)])
         assert spec.shock_map() == {(0, 1): 2.0, (1, 1): 3.0}
+
+    @pytest.mark.parametrize("bad", [True, False, "1", None])
+    def test_a_field_that_is_no_real_number_is_named(self, bad):
+        # a string once read as its number and a boolean as 0 or 1
+        cases = [
+            (lambda: ContestSpec([1, bad, 1], [100, 100]), r"values\[1\]"),
+            (lambda: ContestSpec([1, 1, 1], [bad, 100]), r"budgets\[0\]"),
+            (lambda: ContestSpec([1, 1], [100, 100], shocks={(1, 2): bad}),
+             r"shock amount of \(1, 2\)"),
+            (lambda: CsfParams(alpha=bad), "csf alpha"),
+            (lambda: CsfParams(1.0, bad), "csf beta"),
+        ]
+        for build, field in cases:
+            with pytest.raises(InputError, match=f"^{field} must be a "):
+                build()
+
+    def test_numpy_and_fraction_numbers_are_real(self):
+        spec = ContestSpec(np.array([1, 2, 1.5]), [np.int64(3), Fraction(1, 2)],
+                           CsfParams(np.float64(0.5), np.int32(2)), shocks={(0, 1): np.float32(1)})
+        assert spec.values == (1.0, 2.0, 1.5) and spec.budgets == (3.0, 0.5)
+        assert spec.shock_map() == {(0, 1): 1.0}
+
+    @pytest.mark.parametrize("objective", ["foo", None, 1, "WIN_PROBABILITY"])
+    def test_an_unknown_objective_names_the_valid_ones(self, objective):
+        with pytest.raises(InputError, match="^objective must be one of expected_value, "
+                                             "win_probability, got "):
+            ContestSpec([1, 1], [100, 100], objective=objective)
+        assert ContestSpec([1, 1], [1, 1], objective="win_probability").objective is WP
 
     def test_budgets_whose_scores_overflow_raise(self):
         # the largest spends' success-function scores must add up to a float

@@ -22,10 +22,12 @@ from dynblotto import (
     allocations_at,
     best_response,
     check_proportionality,
+    csf_probability,
     expected_payoffs,
     history_from_winners,
     proportional_profile,
     remaining_budget,
+    simulate,
     solve_backward,
     stage_equilibrium,
     terminal_status,
@@ -197,31 +199,48 @@ class TestStageEquilibrium:
         assert solution.allocations[0] == pytest.approx(45.0, abs=1e-3)
         assert solution.allocations[1] == pytest.approx(20.0, abs=1e-3)
 
-    def test_custom_continuation_matches_tables(self):
+    def test_the_stage_payoff_is_the_exact_successor_payoffs(self):
+        """At battle 2, A's stage payoff is p_A E[win successor] + (1 - p_A)
+        E[lose successor], the successors' payoffs exact under proportional
+        play, which goes all in at the last battle: one successor is
+        terminal, the other decisive, and both table classes are lines."""
         spec = three_battle_contest()
-        h = History().extend((30.0, 30.0), 0)
         profile = proportional_profile(2)
+        for winner in (0, 1):
+            h = History().extend((30.0, 20.0), winner)
+            game = equilibrium._stage_game_at(spec, h, equilibrium.DEFAULT_SETTINGS)
+            grids = [np.linspace(0.0, remaining_budget(spec, h, i), 11) for i in range(2)]
+            value = game.payoff(grids[0][None, :, None], grids[1][None, None, :])[0]
+            for j, w_a in enumerate(grids[0].tolist()):
+                for k, w_b in enumerate(grids[1].tolist()):
+                    p_a = csf_probability((w_a, w_b), spec.csf, 0)
+                    win, lose = (expected_payoffs(profile, spec, h.extend((w_a, w_b), who))[0]
+                                 for who in (0, 1))
+                    assert value[j, k] == pytest.approx(p_a * win + (1.0 - p_a) * lose,
+                                                        rel=0.0, abs=1e-12), (winner, w_a, w_b)
 
-        def exact_continuation(successor):
-            # last battle: both sides are all-in, which is the proportional play
-            return expected_payoffs(profile, spec, successor)
-
-        via_tables = stage_equilibrium(spec, h)
-        via_callback = stage_equilibrium(spec, h, continuation=exact_continuation)
-        assert via_callback.allocations == pytest.approx(via_tables.allocations, abs=1e-3)
-
-    def test_a_stage_without_a_pure_saddle_names_battle_and_standings(self):
+    def test_a_residual_above_the_tolerance_names_battle_and_standings(self):
         spec = three_battle_contest()
         h = History().extend((30.0, 20.0), 0)
-
-        def matching(successor):
-            # A wants to keep as much budget as B does, B wants the opposite
-            gap = (successor.spent(0) - successor.spent(1)) / 100.0
-            return (1.0 - gap**2, gap**2)
-
         with pytest.raises(ConvergenceError,
                            match=r"battle 2, standings 1-0: best-response residual .* above"):
-            stage_equilibrium(spec, h, continuation=matching)
+            stage_equilibrium(spec, h, settings=SolverSettings(tolerance=1e-300))
+
+    def test_a_stale_positional_continuation_fails_at_once(self):
+        # every stage reads the value tables, and settings are keyword-only
+        spec = three_battle_contest()
+
+        def stale(successor):
+            return (0.5, 0.5)
+
+        with pytest.raises(TypeError):
+            stage_equilibrium(spec, History(), stale)
+        with pytest.raises(TypeError):
+            best_response(spec, History(), 0, 10.0, stale)
+        with pytest.raises(TypeError):
+            stage_equilibrium(spec, History(), continuation=stale)
+        settings = SolverSettings(tolerance=1e-5)
+        assert stage_equilibrium(spec, History(), settings=settings).residual <= 1e-5
 
     def test_rejects_unsupported_contests(self):
         with pytest.raises(InputError):
@@ -329,6 +348,22 @@ class TestSolveBackward:
                         deeper.append(child)
             level = deeper
 
+    def test_a_level_is_solved_once_for_both_players(self, monkeypatch):
+        """The engines ask both players' spends at one level's states in turn;
+        the second call reuses the first's batched stage solve.  Payoffs and
+        simulated means are those of one solve per call, bit for bit."""
+        spec = ContestSpec([1, 2, 3, 4, 5], [92.0, 99.31], objective=WP)
+        profile = solve_backward(spec).profile
+        rows, solve = [], equilibrium._path_solutions
+        monkeypatch.setattr(equilibrium, "_path_solutions",
+                            lambda game: rows.append(game._rows.size) or solve(game))
+        payoffs = expected_payoffs(profile, spec)
+        assert rows == [1, 2, 4, 8, 10]  # one batch per level, the root's included
+        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee5p-2", "0x1.0fe27ee8d8090p-1"]
+        for seed, means in ((0, ["0x1.e9fbe76c8b439p-2", "0x1.0b020c49ba5e3p-1"]),
+                            (7, ["0x1.e4dd2f1a9fbe7p-2", "0x1.0d916872b020cp-1"])):
+            assert [m.hex() for m in simulate(profile, spec, seed, 2000).means] == means
+
     def test_after_a_root_deviation_the_profile_plays_that_stage(self):
         # A spends half its root spend and wins: with (83.33, 66.67) left the
         # stage equilibrium is (41.67, 33.33), not the (33.33, 33.33) solved
@@ -405,7 +440,7 @@ def _branch_at(branch, b_a, b_b, alpha):
     if isinstance(branch, equilibrium._ClassValue):
         branch = equilibrium._BranchValue((branch,))
     scores = (b_a**alpha, b_b**alpha)
-    return branch.payoff_vec(*scores, equilibrium._safe_sum(*scores), (b_a, b_b))
+    return branch.payoff_vec(*scores, equilibrium._safe_sum(*scores))
 
 
 def _kernel_spline(seed):
@@ -432,11 +467,6 @@ class TestLeanStageKernel:
         "decisive": lambda alpha: (
             _one_class(linear=(1.0, 0.5)),
             _one_class(linear=(0.5, 0.0)),
-        ),
-        "continuation": lambda alpha: tuple(
-            equilibrium._BranchValue(callback=lambda b_a, b_b, k=k: (
-                (b_a + k) / (b_a + b_b + 1.0), 0.0))
-            for k in (1.0, 0.0)
         ),
     }
 
@@ -579,26 +609,6 @@ class TestLeanStageKernel:
                     assert batched[row] == lone[0], (field, row, k)
             assert points.value[row] == single.value[0]
 
-    def test_a_last_battle_stage_takes_the_constant_path(self, monkeypatch):
-        """Both successors of a last-battle stage are terminal, so its payoff
-        never values a branch over the budgets left."""
-        spec = ContestSpec([1, 1, 1, 2], [60, 80], objective=WP)
-        tables = equilibrium._budget_free_tables(spec, equilibrium.DEFAULT_SETTINGS)
-        classes = _live_classes(spec)
-        last = [totals for played, totals in classes if played == spec.m - 1]
-        assert last and any(played < spec.m - 1 for played, _ in classes)
-        monkeypatch.setattr(equilibrium._BranchValue, "payoff_vec", None)  # not called
-        budgets = (np.array([0.0, 7.0, 30.0]), np.array([0.0, 20.0, 5.0]))
-        for totals in last:
-            game = tables.stage_game(spec.m - 1, totals, budgets)
-            assert all(branch.constant is not None for branch in game.branches)
-            grids = [equilibrium._grid(np.zeros(3), b, 17) for b in game.budgets]
-            w_a, w_b = grids[0][:, :, None], grids[1][:, None, :]
-            assert np.array_equal(game.payoff(w_a, w_b), reference_stage_payoff(game, w_a, w_b))
-        history = history_from_winners(spec, (0, 1, 1))
-        assert len(history) == spec.m - 1 and not terminal_status(spec, history).terminal
-        stage_equilibrium(spec, history)
-
 
 class TestSolverLogging:
     def test_builds_and_solves_log_at_debug(self, caplog):
@@ -616,14 +626,15 @@ class TestSolverLogging:
         # level 2 searches 0-2 on all nodes and 1-1 on half of them, level 1 0-1
         rows = [equilibrium.VALUE_NODES + (equilibrium.VALUE_NODES + 1) // 2,
                 equilibrium.VALUE_NODES]
-        # every fourth node and a class's last are searched cold, the others
-        # warm: 60 of 81 nodes and 30 of 41; a warm search that ends by an
-        # inner edge of its box is searched again cold
-        warm, restarts = [60 + 30, 60], [9, 6]
+        # every fourth node, a class's last and the three next to a broke
+        # player's end are searched cold, the others warm: 54 of 81 nodes and
+        # 27 of 41; a warm search that ends by an inner edge of its box would
+        # be searched again cold
+        warm, restarts = [54 + 27, 54], [0, 0]
         assert (tables._level_warm, tables._level_restarts) == (warm, restarts)
         blocks = [sum(-(-count // equilibrium.ROW_BLOCK) for count in (total - hot, hot, again))
                   for total, hot, again in zip(rows, warm, restarts)]
-        assert blocks == [4, 3]
+        assert blocks == [3, 2]
         # certificate scans in batches of 92 rows x 200 spends, about a search
         # block's cells, over both players' rows at once
         certify = equilibrium.CERTIFICATE_CELLS // equilibrium.DEFAULT_SETTINGS.grid_points
@@ -924,6 +935,7 @@ class TestWarmStartedNodes:
     @pytest.mark.parametrize("values, alpha", CASES)
     def test_splines_are_within_1e_8_of_a_cold_build(self, monkeypatch, values, alpha):
         warm, cold = self._builds(monkeypatch, values, alpha)
+        assert not any(warm._level_restarts)  # no warm box cut its search off
         shares = np.linspace(0.0, 1.0, 2001)
         for key, spline in warm.splines.items():
             error = np.abs(spline.value_vec(shares) - cold.splines[key].value_vec(shares))
