@@ -265,7 +265,8 @@ class History:
         return len(self.records)
 
     def extend(self, allocations: Sequence[float], winner: int) -> "History":
-        record = BattleRecord(tuple(float(w) for w in allocations), int(winner))
+        spends = tuple(_real(w, f"allocation {i}") for i, w in enumerate(allocations))
+        record = BattleRecord(spends, int(winner))
         extended = History.__new__(History)
         object.__setattr__(extended, "records", self.records + (record,))
         if self.records:

@@ -3,16 +3,15 @@
 Two engines live here.  For two-player win-probability contests, a backward
 induction solver computes stage equilibria.  Such a stage is zero-sum (the
 two win probabilities add up to one), so its equilibrium is a saddle point
-of player A's payoff over the two spends, and one search finds it: grid
-minimax on shrinking boxes, where A takes the argmax of the row minima and
-B the argmin of the column maxima.  The search runs batched over (row x
-spend_A x spend_B), a row being one class at one budget pair, and each row
-stops once its own box is narrow enough, so a row's result does not depend
-on the rows it shares a batch with.  Each point it returns carries a
+of player A's payoff over the two spends.  The search is projected Newton on
+the two first-order conditions from the proportional spends, a spend at 0 or
+all in pinned there while its gradient points out; rows it does not settle
+go to the zoom, grid minimax on shrinking boxes.  Both run batched over
+rows, a row being one class at one budget pair, and a row's result does not
+depend on the rows beside it.  Each point carries a
 best-response certificate, the largest payoff gain either player finds by a
-scan over the whole budget refined by the same search with the opponent's
-spend pinned; both players' best responses are one batch, each row seen from
-its own player.
+scan over the whole budget refined by the zoom with the opponent's spend
+pinned; both players' best responses are one batch.
 
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
@@ -26,16 +25,11 @@ its battle settles the contest (both then go all in), or a spline read at A's
 share, or at B's share for a class that mirrors one with swapped standings.
 Equal standings are their own mirror, searched at shares up to 1/2.  A
 level's classes read only the next level's splines, so each level is searched
-as one batch of (class, node) rows, in blocks of at most ROW_BLOCK rows, a
-node only to NODE_TOLERANCE since it keeps only its certified bracket's
-midpoint, and then certified as one batch.  Every COLD_STRIDE-th node of a
-class, and the nodes beside its ends, are searched from the whole budgets and
-the nodes between from small boxes around their neighbours' spends.  Every
-stage solve reads these tables.  The solved profile plays, at any live state,
-the stage equilibrium that they give there: one batched stage solve per
-level over the states it is asked about, a class per distinct standings, and
-both players read it.  The solver itself solves only the trace, one stage per
-depth.
+and then certified as one batch of (class, node) rows.  Every stage solve
+reads these tables.  The solved profile plays, at any live state, the stage
+equilibrium that they give there: one batched stage solve per level over the
+states it is asked about, a class per distinct standings.  The solver itself
+solves only the trace, one stage per depth.
 Tables are cached per battle values, CSF, objective and settings, never per
 budgets: a budget sweep or mirrored pair builds them once.
 
@@ -121,7 +115,7 @@ class BestResponseResult:
 class StageSolution:
     allocations: tuple
     residual: float  # largest best-response improvement at the returned point
-    iterations: int  # rounds of the shrinking-box saddle search
+    iterations: int  # Newton steps, or the zoom's rounds if Newton did not settle
     flat: tuple  # per player: payoff flat in the own spend, so proportional is played
 
 
@@ -394,34 +388,27 @@ class _BranchValue:
 # ---------------------------------------------------------------------------
 # stage solves
 
-# The saddle search's first round scans each player's whole budget on a
-# coarse grid; each later round scans a box of MARGIN grid steps either side
-# of the previous round's spend.  A row stops once its own boxes are narrower
-# than its tolerance and leaves the later rounds, so its result does not
-# depend on the rows that share its batch.  A table node keeps only its
-# certified bracket's midpoint, whose error is second order in the spends',
-# so it is searched to NODE_TOLERANCE (at 1e-4 a self-mirrored class would
-# miss its full build by 1.3e-12); on-path solves and certificates refine to
-# REFINE_TOLERANCE.  A value table's classes are searched a level at a time,
-# in blocks of at most ROW_BLOCK (class, node) rows, and a round scans A's
-# spends in pieces of at most ZOOM_POINTS, so a block's first round, (row x
-# spend_A x spend_B), works on arrays that stay in cache.  Only every
-# COLD_STRIDE-th node of a class, its last, and the nodes next to an end,
-# whose cold neighbour has a player broke, start from the whole budgets; the
-# nodes between start on ZOOM_POINTS from a box of WARM_WIDTH of each budget
-# either side of their cold neighbours' spend fractions, interpolated, and
-# one that ends within a first-round step of a box edge inside the budget is
-# searched again cold.  A level is then certified at once, both players' best
-# responses as one batch of stacked rows, their scans, grid_points spends
-# per row, in batches of at most CERTIFICATE_CELLS payoff cells.
+# The saddle search runs projected Newton on dP/dw_a = 0 = dP/dw_b from the
+# proportional spends, by central differences on a 3 x 3 stencil of spends
+# NEWTON_WIDTH of each budget apart, inside the budgets.  A row settles once
+# its step is at most NEWTON_SETTLE of its larger budget, about the floor
+# the stencil's rounding sets, where P_aa < 0 < P_bb.  A row with a
+# broke player, without those signs or unsettled after NEWTON_STEPS steps
+# goes to the zoom, in blocks of at most ROW_BLOCK rows, its first round on
+# FIRST_POINTS spends per budget and the later ones on ZOOM_POINTS.  A table
+# node keeps only its certified bracket's midpoint, whose error is second
+# order in the spends', so the zoom searches it to NODE_TOLERANCE and other
+# stages to REFINE_TOLERANCE.  A certificate's scans run in batches of
+# CERTIFICATE_CELLS payoff cells.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
 REFINE_TOLERANCE = 1e-6
 NODE_TOLERANCE = 1e-5
 ROW_BLOCK = 64
-COLD_STRIDE = 4
-WARM_WIDTH = 0.02
+NEWTON_WIDTH = 1e-5
+NEWTON_SETTLE = 1e-9
+NEWTON_STEPS = 30
 CERTIFICATE_CELLS = ROW_BLOCK * ZOOM_POINTS**2
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
@@ -450,12 +437,6 @@ def _row_batches(rows: int, size: int) -> list:
 def _scan_batches(rows: int, settings: SolverSettings) -> list:
     """Slices of a best-response scan's rows of at most CERTIFICATE_CELLS cells."""
     return _row_batches(rows, max(1, CERTIFICATE_CELLS // settings.grid_points))
-
-
-def _interpolated_fractions(low: np.ndarray, high: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """low + weight (high - low): spend fractions on the line between two cold
-    nodes' ones, one row per player."""
-    return low + weight * (high - low)
 
 
 def _where(played, totals) -> str:
@@ -511,6 +492,53 @@ def _zoom(game, boxes, points, tolerance=REFINE_TOLERANCE):
         points = ZOOM_POINTS
 
 
+_ASCENT = np.array([[1.0], [-1.0]])  # A's payoff rises for A, falls for B
+
+
+def _newton(game):
+    """Projected Newton on the first-order conditions: per row, (spends,
+    steps, settled)."""
+    budgets, count = np.stack(game.budgets), game._rows.size
+    spends, steps = np.stack(game.proportional), np.zeros(count, dtype=int)
+    last = spends.copy()  # each row's previous spends
+    settled = np.zeros(count, dtype=bool)
+    width = NEWTON_WIDTH * budgets
+    live = np.flatnonzero((width > 0.0).all(axis=0))  # a broke player goes to the zoom
+    for step in range(1, NEWTON_STEPS + 1):
+        if not live.size:
+            break
+        w, budget, h = spends[:, live], budgets[:, live], width[:, live]
+        centre = np.minimum(np.maximum(w, h), budget - h)
+        grids = centre[:, :, None] + h[:, :, None] * np.array([-1.0, 0.0, 1.0])
+        part = game if live.size == count else game.take(live)
+        f = part.payoff(grids[0][:, :, None], grids[1][:, None, :])
+        # the stencil's quadratic model, in units of h, at the spends, from
+        # each player's two arms and the corners' cross term
+        plus, minus, shift = f[:, [2, 1], [1, 2]].T, f[:, [0, 1], [1, 0]].T, (w - centre) / h
+        d2 = plus - 2.0 * f[:, 1, 1] + minus
+        dab = (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / 4.0
+        g = (plus - minus) / 2.0 + d2 * shift + dab * shift[::-1]
+        # A maximises, B minimises: a spend at an end whose gradient points
+        # out is pinned, and the other's step solves its own condition
+        low, high, out = w <= 0.0, w >= budget, g * _ASCENT
+        pin = (low & (out <= 0.0)) | (high & (out >= 0.0))
+        g[pin], dab[pin.any(axis=0)] = 0.0, 0.0
+        d2 = np.where(pin, -_ASCENT, d2)
+        det = d2[0] * d2[1] - dab * dab
+        saddle = (d2[0] < 0.0) & (d2[1] > 0.0) & (det < 0.0)
+        moves = np.divide(g[::-1] * dab - g * d2[::-1], det, out=np.zeros_like(w), where=saddle)
+        found = np.minimum(np.maximum(w + moves * h, 0.0), budget)
+        # a step onto an end where the player is not pinned went too far:
+        # the row goes an eighth of the way back to its previous spends
+        back = ((low | high) & ~pin).any(axis=0) & (w != last[:, live]).any(axis=0)
+        found[:, back] += (last[:, live[back]] - w[:, back]) / 8.0
+        done = saddle & ~back & (np.abs(found - w).max(axis=0) <= NEWTON_SETTLE * budget.max(axis=0))
+        last[:, live] = w
+        spends[:, live], steps[live], settled[live] = found, step, done
+        live = live[(saddle | back) & ~done]
+    return spends, steps, settled
+
+
 @dataclass(frozen=True)
 class _StagePoints:
     """Saddle-search results at every row of a stage batch."""
@@ -519,7 +547,7 @@ class _StagePoints:
     value: np.ndarray  # A's payoff at the spends
     gains: tuple  # each player's best-response improvement at the spends
     flats: tuple  # each player's scan was flat and the proportional spend is played
-    rounds: np.ndarray  # rounds of the saddle search
+    rounds: np.ndarray  # Newton steps, or the zoom's rounds
 
 
 class _StageGame:
@@ -574,8 +602,8 @@ class _StageGame:
         opponent spends `opp`.
 
         A scan of grid_points spends over the whole budget, in batches of at
-        most CERTIFICATE_CELLS payoff cells, then the saddle search on the grid
-        steps either side of the scan's best, with the opponent's box pinned at
+        most CERTIFICATE_CELLS payoff cells, then the zoom on the grid steps
+        either side of the scan's best, with the opponent's box pinned at
         `opp`.  A flat scan plays the proportional spend.  Returns (spends, the
         players' payoffs, flat flags).
         """
@@ -609,16 +637,28 @@ class _StageGame:
         return tuple(tuple(part[half] for part in responses)
                      for half in (slice(None, count), slice(count, None)))
 
-    def search(self, tolerance=REFINE_TOLERANCE, boxes=None):
-        """Each row's saddle-search (spends, rounds), its boxes refined to
-        `tolerance`: from the whole budgets, or from `boxes` on ZOOM_POINTS."""
-        if boxes is not None:
-            return _zoom(self, boxes, ZOOM_POINTS, tolerance)
-        return _zoom(self, [(np.zeros_like(b), b) for b in self.budgets], FIRST_POINTS, tolerance)
+    def search(self, tolerance=REFINE_TOLERANCE):
+        """Each row's saddle (spends, rounds, settled): by Newton where it
+        settles, else by the zoom to `tolerance`."""
+        spends, rounds, settled = _newton(self)
+        rows = np.flatnonzero(~settled)
+        if rows.size:
+            spends[:, rows], rounds[rows] = self.take(rows).zoom(tolerance)
+        return spends, rounds, settled
+
+    def zoom(self, tolerance=REFINE_TOLERANCE):
+        """Each row's grid-minimax (spends, rounds) from the whole budgets,
+        in blocks of at most ROW_BLOCK rows."""
+        spends, rounds = np.empty((2, self._rows.size)), np.empty(self._rows.size, dtype=int)
+        for block in _row_batches(self._rows.size, ROW_BLOCK):
+            game = self.take(block)
+            boxes = [(np.zeros_like(b), b) for b in game.budgets]
+            spends[:, block], rounds[block] = _zoom(game, boxes, FIRST_POINTS, tolerance)
+        return spends, rounds
 
     def solve(self) -> _StagePoints:
         """Saddle points of every row, with their best-response certificates."""
-        return self.certify(*self.search())
+        return self.certify(*self.search()[:2])
 
     def certify(self, spends, rounds) -> _StagePoints:
         """The rows' points at the searched spends, with their certificates."""
@@ -702,9 +742,7 @@ class _ValueTables:
     """Equilibrium continuation values for a two-player win-probability contest.
 
     Every precondition of the built-in tables is checked here, so the backward
-    solver and the stage solves share them.  A level's classes read
-    only the next level's splines, so a level is searched as one batch of
-    (class, node) rows, in blocks of at most ROW_BLOCK rows.
+    solver and the stage solves share them.
     """
 
     def __init__(self, spec: ContestSpec, settings: SolverSettings):
@@ -721,8 +759,9 @@ class _ValueTables:
         self.splines = {}  # (played, totals) -> _Spline of player A's value over q
         self._coin = {}
         self._worst_gap = 0.0
-        self._level_blocks, self._level_batches, self._level_rows = [], [], []  # per level
-        self._level_warm, self._level_restarts = [], []
+        self._level_batches, self._level_rows = [], []  # per level
+        self._level_settled, self._level_steps = [], []  # Newton's, per level
+        self._seconds = np.zeros(2)  # in the search and in the certificate
         decisive = 0
         start = time.perf_counter()
         self._levels = self._reachable_classes()
@@ -738,14 +777,16 @@ class _ValueTables:
         if _log.isEnabledFor(logging.DEBUG):
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
             _log.debug("value tables: %d classes built (%d on half the nodes), %d decisive in "
-                       "closed form, %d served by a mirror, %d stage batches, blocks per level "
-                       "%s, certificate batches per level %s, rows per level %s, warm nodes "
-                       "per level %s, cold restarts per level %s, worst bracket gap %.3e, "
-                       "%.3f s",
+                       "closed form, %d served by a mirror, certificate batches per level %s, "
+                       "rows per level %s, Newton-settled rows per level %s, fallback rows per "
+                       "level %s, Newton steps per level %s, worst bracket gap %.3e, search "
+                       "%.3f s, certificate %.3f s, %.3f s",
                        built, sum(a == b for _, (a, b) in self.splines), decisive,
-                       classes - built - decisive, sum(self._level_blocks), self._level_blocks,
-                       self._level_batches, self._level_rows, self._level_warm,
-                       self._level_restarts, self._worst_gap, time.perf_counter() - start)
+                       classes - built - decisive, self._level_batches, self._level_rows,
+                       self._level_settled,
+                       [rows - done for rows, done in zip(self._level_rows, self._level_settled)],
+                       self._level_steps, self._worst_gap, *self._seconds,
+                       time.perf_counter() - start)
 
     _key = staticmethod(_standings_key)
 
@@ -824,43 +865,11 @@ class _ValueTables:
         nodes = np.concatenate([np.arange(count) for count in counts])
         budgets = _node_budgets(self.spec.csf.alpha, nodes)
         game = self.stage_game(played, classes, budgets, owner)
-        spends, rounds = np.empty((2, owner.size)), np.empty(owner.size, dtype=int)
-
-        def search_rows(rows, boxes=None):  # returns the number of blocks searched
-            blocks = _row_batches(rows.size, ROW_BLOCK) if rows.size else []
-            for block in blocks:
-                box = None if boxes is None else [(low[block], high[block]) for low, high in boxes]
-                found, rounds[rows[block]] = game.take(rows[block]).search(NODE_TOLERANCE, box)
-                spends[:, rows[block]] = found
-            return len(blocks)
-
-        # every COLD_STRIDE-th node of a class and its last are searched from
-        # the whole budgets, and so is a node whose cold neighbour has a
-        # player broke (node 0's and node VALUE_NODES - 1's): a spend fraction
-        # of no budget says nothing.  The others start from boxes around their
-        # cold neighbours' spend fractions, interpolated in node index.
-        last = np.repeat(counts, counts) - 1
-        below = nodes % COLD_STRIDE  # rows down to the cold neighbour below
-        above = np.minimum(COLD_STRIDE - below, last - nodes)  # and up to the one above
-        budget, rows = np.stack(budgets), np.arange(owner.size)
-        broke = (budget <= 0.0).any(axis=0)
-        cold = (below == 0) | (above == 0) | broke[rows - below] | broke[rows + above]
-        warm = np.flatnonzero(~cold)
-        blocks = search_rows(np.flatnonzero(cold))
-        low, high = warm - below[warm], warm + above[warm]
-        fraction = _interpolated_fractions(spends[:, low] / budget[:, low],
-                                           spends[:, high] / budget[:, high],
-                                           below[warm] / (below[warm] + above[warm]))
-        budget = budget[:, warm]
-        lo = np.clip((fraction - WARM_WIDTH) * budget, 0.0, budget)
-        hi = np.clip((fraction + WARM_WIDTH) * budget, 0.0, budget)
-        blocks += search_rows(warm, list(zip(lo, hi)))
-        # a warm search that ends by an edge of its box that is not an edge of
-        # the budget may have been cut off there: it is searched again cold
-        step, found = (hi - lo) / (ZOOM_POINTS - 1), spends[:, warm]
-        edge = ((lo > 0.0) & (found - lo <= step)) | ((hi < budget) & (hi - found <= step))
-        restart = warm[edge.any(axis=0)]
-        blocks += search_rows(restart)
+        start = time.perf_counter()
+        spends, rounds, settled = game.search(NODE_TOLERANCE)
+        searched = time.perf_counter()
+        points = game.certify(spends, rounds)
+        self._seconds += np.array([searched - start, time.perf_counter() - searched])
         values, gaps = np.empty(owner.size), np.empty(owner.size)
 
         def store(rows, points):
@@ -870,17 +879,17 @@ class _ValueTables:
             values[rows] = points.value + (points.gains[0] - points.gains[1]) / 2.0
             spends[:, rows] = points.spends
 
-        store(slice(None), game.certify(spends, rounds))
-        # a node without a pure saddle is solved again as an on-path stage, so
-        # a failure reports what a direct stage solve finds
+        store(slice(None), points)
+        # a node without a pure saddle is searched again by the zoom to the
+        # on-path tolerance, and a failure reports what it finds
         wide = np.flatnonzero(gaps > BRACKET_BOUND)
-        for block in _row_batches(wide.size, ROW_BLOCK) if wide.size else ():
-            store(wide[block], game.take(wide[block]).solve())
-        self._level_blocks.append(blocks)
+        if wide.size:
+            again = game.take(wide)
+            store(wide, again.certify(*again.zoom()))
         self._level_batches.append(len(_scan_batches(2 * owner.size, self.settings)))
         self._level_rows.append(owner.size)
-        self._level_warm.append(warm.size)
-        self._level_restarts.append(restart.size)
+        self._level_settled.append(int(settled.sum()))
+        self._level_steps.append(int(rounds[settled].sum()))
         ends = np.cumsum(counts)
         for totals, count, end in zip(classes, counts, ends.tolist()):
             rows = slice(end - count, end)
@@ -912,6 +921,8 @@ def _tables_for(spec: ContestSpec, settings: SolverSettings):
 
 def _budget_free_tables(spec: ContestSpec, settings: SolverSettings) -> _ValueTables:
     """The contest's value tables, cached under unit budgets: they never read the budgets."""
+    if not isinstance(settings, SolverSettings):
+        raise InputError(f"settings must be a SolverSettings, got {settings!r}")
     tables = _tables_for(replace(spec, budgets=(1.0,) * spec.n), settings)
     if isinstance(tables, ConvergenceError):
         raise ConvergenceError(str(tables), tables.allocations, tables.residual)
@@ -945,8 +956,8 @@ def best_response(
 ) -> BestResponseResult:
     """Best spend for one player against a fixed opponent spend at this history.
 
-    A scan of `grid_points` spends over the player's budget, refined by the
-    stage's saddle search with the opponent's spend pinned; ties go to the
+    A scan of `grid_points` spends over the player's budget, refined by
+    grid minimax with the opponent's spend pinned; ties go to the
     smallest spend.  A flat objective returns the proportional point, flagged.
     The opponent's spend, a real number or a sequence of one, must lie in
     [0, the opponent's remaining budget].  Both successors are valued by
@@ -978,12 +989,13 @@ def stage_equilibrium(
 ) -> StageSolution:
     """Equilibrium spends for one battle: the saddle point of the zero-sum stage.
 
-    Found by grid minimax on shrinking boxes over both spends.  A player
-    whose payoff is flat in the own spend plays proportional.  The residual
-    is the largest best-response gain at the returned point; a residual above
-    `settings.tolerance` raises ConvergenceError naming the battle and the
-    standings.  Both successors are valued by the contest's value tables,
-    built once per battle values, CSF and settings.
+    Found by Newton on the first-order conditions, or by grid minimax where
+    Newton does not settle.  A player whose payoff is flat in the own spend
+    plays proportional.  The residual is the largest best-response gain at
+    the returned point; a residual above `settings.tolerance` raises
+    ConvergenceError naming the battle and the standings.  Both successors
+    are valued by the contest's value tables, built once per battle values,
+    CSF and settings.
     """
     return _path_solutions(_stage_game_at(spec, history, settings))[0]
 

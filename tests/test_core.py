@@ -478,6 +478,16 @@ class TestHistory:
         assert a == b and hash(a) == hash(b)
         assert a != b.extend((0.5, 0.5), 1)
 
+    @pytest.mark.parametrize("bad", [True, "30", None])
+    def test_an_allocation_that_is_no_real_number_is_named(self, bad):
+        # a string was read as its number and a boolean as 0 or 1
+        with pytest.raises(InputError, match=r"^allocation 0 must be a real number, got "):
+            History().extend((bad, 20), 0)
+        with pytest.raises(InputError, match=r"^allocation 1 must be a real number, got "):
+            History().extend((30.0, 20.0), 0).extend((1.0, bad), 1)
+        h = History().extend((np.float64(30), Fraction(1, 2)), 0)
+        assert h.records[0].allocations == (30.0, 0.5)
+
 
 def test_random_battle_values_refuses_too_few_battles():
     # with one or two battles no values avoid a dictatorial battle, so the

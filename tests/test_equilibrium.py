@@ -3,6 +3,7 @@
 import json
 import logging
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -168,9 +169,12 @@ class TestStageEquilibrium:
         split = history_from_winners(spec, (0, 1))
         third = stage_equilibrium(spec, split)
         fourth = stage_equilibrium(spec, split.extend(third.allocations, 0))
-        for solution, spends in ((third, "0x0.0p+0"), (fourth, "0x1.e000000000000p+5")):
+        # Newton pins both at 0 on its second step and both all in on its first
+        for solution, spends, steps in ((third, "0x0.0p+0", 2),
+                                        (fourth, "0x1.e000000000000p+5", 1)):
             assert [w.hex() for w in solution.allocations] == [spends] * 2
-            assert (solution.residual, solution.iterations, solution.flat) == (0.0, 9, (False,) * 2)
+            assert (solution.residual, solution.iterations, solution.flat) == (
+                0.0, steps, (False,) * 2)
 
     def test_three_battle_root(self):
         solution = stage_equilibrium(three_battle_contest(), History())
@@ -221,7 +225,8 @@ class TestStageEquilibrium:
 
     def test_a_residual_above_the_tolerance_names_battle_and_standings(self):
         spec = three_battle_contest()
-        h = History().extend((30.0, 20.0), 0)
+        h = History().extend((10.0, 20.0), 0)  # a certified residual of 1.1e-16
+        assert stage_equilibrium(spec, h).residual > 0.0
         with pytest.raises(ConvergenceError,
                            match=r"battle 2, standings 1-0: best-response residual .* above"):
             stage_equilibrium(spec, h, settings=SolverSettings(tolerance=1e-300))
@@ -241,6 +246,17 @@ class TestStageEquilibrium:
             stage_equilibrium(spec, History(), continuation=stale)
         settings = SolverSettings(tolerance=1e-5)
         assert stage_equilibrium(spec, History(), settings=settings).residual <= 1e-5
+
+    @pytest.mark.parametrize("settings", ["x", None, {"grid_points": 50}])
+    def test_settings_that_are_no_solver_settings_are_refused(self, settings):
+        spec = three_battle_contest()
+        match = r"^settings must be a SolverSettings, got "
+        with pytest.raises(InputError, match=match):
+            stage_equilibrium(spec, History(), settings=settings)
+        with pytest.raises(InputError, match=match):
+            best_response(spec, History(), 0, 10.0, settings=settings)
+        with pytest.raises(InputError, match=match):
+            solve_backward(spec, settings)
 
     def test_rejects_unsupported_contests(self):
         with pytest.raises(InputError):
@@ -359,9 +375,9 @@ class TestSolveBackward:
                             lambda game: rows.append(game._rows.size) or solve(game))
         payoffs = expected_payoffs(profile, spec)
         assert rows == [1, 2, 4, 8, 10]  # one batch per level, the root's included
-        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee5p-2", "0x1.0fe27ee8d8090p-1"]
-        for seed, means in ((0, ["0x1.e9fbe76c8b439p-2", "0x1.0b020c49ba5e3p-1"]),
-                            (7, ["0x1.e4dd2f1a9fbe7p-2", "0x1.0d916872b020cp-1"])):
+        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee5p-2", "0x1.0fe27ee8d808dp-1"]
+        for seed, means in ((0, ["0x1.d26e978d4fdf4p-2", "0x1.16c8b43958106p-1"]),
+                            (7, ["0x1.ed916872b020cp-2", "0x1.09374bc6a7efap-1"])):
             assert [m.hex() for m in simulate(profile, spec, seed, 2000).means] == means
 
     def test_after_a_root_deviation_the_profile_plays_that_stage(self):
@@ -626,27 +642,23 @@ class TestSolverLogging:
         # level 2 searches 0-2 on all nodes and 1-1 on half of them, level 1 0-1
         rows = [equilibrium.VALUE_NODES + (equilibrium.VALUE_NODES + 1) // 2,
                 equilibrium.VALUE_NODES]
-        # every fourth node, a class's last and the three next to a broke
-        # player's end are searched cold, the others warm: 54 of 81 nodes and
-        # 27 of 41; a warm search that ends by an inner edge of its box would
-        # be searched again cold
-        warm, restarts = [54 + 27, 54], [0, 0]
-        assert (tables._level_warm, tables._level_restarts) == (warm, restarts)
-        blocks = [sum(-(-count // equilibrium.ROW_BLOCK) for count in (total - hot, hot, again))
-                  for total, hot, again in zip(rows, warm, restarts)]
-        assert blocks == [3, 2]
-        # certificate scans in batches of 92 rows x 200 spends, about a search
+        # Newton settles all but the nodes with a player broke (0 and 80 of a
+        # class, 0 of 1-1) and node 79 of 0-2, which go to the zoom; level 2's
+        # proportional spends are its saddles, found in one step
+        assert (tables._level_rows, tables._level_settled, tables._level_steps) == (
+            rows, [118, 79], [118, 100])
+        # certificate scans in batches of 92 rows x 200 spends, about a zoom
         # block's cells, over both players' rows at once
         certify = equilibrium.CERTIFICATE_CELLS // equilibrium.DEFAULT_SETTINGS.grid_points
         assert certify == 92
         batches = [-(-2 * count // certify) for count in rows]
         assert batches == [3, 2]
-        assert records[0].startswith(
-            "value tables: 3 classes built (1 on half the nodes), 2 decisive in closed form, "
-            f"2 served by a mirror, {sum(blocks)} stage batches, blocks per level {blocks}, "
-            f"certificate batches per level {batches}, rows per level {rows}, "
-            f"warm nodes per level {warm}, cold restarts per level {restarts}, "
-            "worst bracket gap ")
+        assert re.fullmatch(
+            r"value tables: 3 classes built \(1 on half the nodes\), 2 decisive in closed "
+            r"form, 2 served by a mirror, certificate batches per level \[3, 2\], rows per "
+            r"level \[122, 81\], Newton-settled rows per level \[118, 79\], fallback rows per "
+            r"level \[4, 2\], Newton steps per level \[118, 100\], worst bracket gap \S+, "
+            r"search \d+\.\d{3} s, certificate \d+\.\d{3} s, \d+\.\d{3} s", records[0])
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
             # one stage solve per battle: the trailing player wins each, so the
@@ -728,7 +740,7 @@ def _searched_values(game_at, played, totals):
     count, values = equilibrium.VALUE_NODES, []
     for nodes in np.array_split(np.arange(count), -(-count // equilibrium.ROW_BLOCK)):
         game = game_at(played, totals, equilibrium._node_budgets(alpha, nodes))
-        points = game.certify(*game.search(equilibrium.NODE_TOLERANCE))
+        points = game.certify(*game.search(equilibrium.NODE_TOLERANCE)[:2])
         values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
     return equilibrium._NODES, np.concatenate(values)
 
@@ -875,11 +887,8 @@ class TestLevelBlocks:
         assert sizes == [92, equilibrium.ROW_BLOCK, 1]
         for tables, size in zip(built, sizes):  # A's rows and B's in one certificate
             assert tables._level_batches == [-(-2 * rows // size) for rows in tables._level_rows]
-            # cold, warm and restarted nodes are searched in blocks of their own
-            counts = zip(tables._level_rows, tables._level_warm, tables._level_restarts)
-            assert tables._level_blocks == [
-                sum(-(-count // equilibrium.ROW_BLOCK) for count in (rows - warm, warm, again))
-                for rows, warm, again in counts]
+            # the search does not depend on how the certificate is batched
+            assert tables._level_steps == built[0]._level_steps
         for tables in built[1:]:
             assert tables.splines.keys() == built[0].splines.keys()
             for key, spline in tables.splines.items():
@@ -914,47 +923,108 @@ class TestLevelBlocks:
         assert 0.0 < worst <= 2e-8
 
 
-class TestWarmStartedNodes:
-    """Nodes between a class's cold ones start from boxes around their
-    neighbours' interpolated spends; a cold build searches every node from
-    the whole budgets, as `_searched_values` does."""
+class TestNewtonSearch:
+    """The saddle search: Newton on the first-order conditions, and the zoom
+    for the rows it does not settle."""
 
-    CASES = [([1, 2, 3, 4, 5], 1.0), ([1] * 5, 0.5), ([0.664, 0.533, 2.594, 1.148, 1.086], 0.5)]
-
-    @staticmethod
-    def _builds(monkeypatch, values, alpha):
+    @pytest.mark.parametrize("values, alpha", [
+        ([1, 2, 3, 4, 5], 1.0), ([1] * 5, 0.5), ([1, 1, 1, 1], 0.8),
+    ])
+    def test_splines_are_within_1e_9_of_a_zoom_build(self, monkeypatch, values, alpha):
         spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
-        warm = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-        with monkeypatch.context() as patch:
-            patch.setattr(equilibrium, "COLD_STRIDE", 1)  # every node cold
-            cold = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-        assert sum(cold._level_warm) == 0 and sum(warm._level_warm) > 0
-        assert warm.splines.keys() == cold.splines.keys()
-        return warm, cold
-
-    @pytest.mark.parametrize("values, alpha", CASES)
-    def test_splines_are_within_1e_8_of_a_cold_build(self, monkeypatch, values, alpha):
-        warm, cold = self._builds(monkeypatch, values, alpha)
-        assert not any(warm._level_restarts)  # no warm box cut its search off
+        newton = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 0)  # every row to the zoom
+        zoom = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        assert sum(zoom._level_settled) == 0
+        assert sum(newton._level_settled) > 0.9 * sum(newton._level_rows)
+        assert newton.splines.keys() == zoom.splines.keys()
         shares = np.linspace(0.0, 1.0, 2001)
-        for key, spline in warm.splines.items():
-            error = np.abs(spline.value_vec(shares) - cold.splines[key].value_vec(shares))
-            assert error.max() <= 1e-8, (key, error.max())
+        for key, spline in newton.splines.items():
+            error = np.abs(spline.value_vec(shares) - zoom.splines[key].value_vec(shares))
+            assert error.max() <= 1e-9, (key, error.max())
 
-    @pytest.mark.parametrize("values, alpha", CASES)
-    def test_boxes_far_off_are_all_searched_again_cold(self, monkeypatch, values, alpha):
-        interpolate = equilibrium._interpolated_fractions
+    def test_an_interior_saddle_is_found_exactly(self):
+        # with 70 and 80 left and two equal battles to go, each spends half
+        h = History().extend((30.0, 20.0), 0)
+        solution = stage_equilibrium(three_battle_contest(), h)
+        assert solution.allocations == pytest.approx((35.0, 40.0), rel=0.0, abs=1e-9)
 
-        def far_off(low, high, weight):  # 0.3 of the budget off, inside it
-            fraction = interpolate(low, high, weight)
-            return np.where(fraction < 0.5, fraction + 0.3, fraction - 0.3)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_equal_battles_spend_the_budget_left_evenly(self, m, alpha):
+        budgets = (30.0, 70.0)
+        spec = ContestSpec([1.0] * m, budgets, CsfParams(alpha), objective=WP)
+        left = list(budgets)
+        for t, spends in enumerate(solve_backward(spec).trace):
+            for i, w in enumerate(spends):
+                assert abs(w - left[i] / (m - t)) <= 1e-7 * budgets[i], (t, i, w)
+                left[i] -= w
 
-        monkeypatch.setattr(equilibrium, "_interpolated_fractions", far_off)
-        warm, cold = self._builds(monkeypatch, values, alpha)
-        assert warm._level_restarts == warm._level_warm
-        for key, spline in warm.splines.items():
-            for field in "abcd":
-                assert np.array_equal(getattr(spline, field), getattr(cold.splines[key], field))
+    class _Quadratic:
+        """A one-row stand-in for a stage game: A's payoff -(w_a - x)^2 +
+        (w_b - 0.3)^2 + 0.2 w_a w_b on unit budgets, whose saddle pins A at an
+        end for x outside [0, 1]; there B's spend solves 2 (w_b - 0.3) + 0.2
+        w_a = 0.  The stencil's quadratic model is exact for it."""
+
+        def __init__(self, x):
+            self.x, self._rows = x, np.arange(1)
+            self.budgets = (np.ones(1), np.ones(1))
+            self.proportional = (np.full(1, 0.5), np.full(1, 0.5))
+
+        def take(self, rows):
+            return self
+
+        def payoff(self, w_a, w_b):
+            return -(w_a - self.x) ** 2 + (w_b - 0.3) ** 2 + 0.2 * w_a * w_b
+
+    @pytest.mark.parametrize("x, pinned", [(2.0, 1.0), (-1.0, 0.0)])
+    def test_a_pinned_player_leaves_the_other_its_own_condition(self, x, pinned):
+        spends, steps, settled = equilibrium._newton(self._Quadratic(x))
+        assert settled[0]
+        assert spends[0, 0] == pinned
+        assert spends[1, 0] == pytest.approx(0.3 - 0.1 * pinned, rel=0.0, abs=1e-9)
+
+    def test_a_row_newton_leaves_gets_the_zooms_point(self, monkeypatch):
+        # the double opener's root spends half the budget, not the proportional 40
+        spec = ContestSpec([2, 1, 1, 1], [100, 100], objective=WP)
+        game = equilibrium._stage_game_at(spec, History(), equilibrium.DEFAULT_SETTINGS)
+        assert game.search()[2].all()
+        monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 1)  # too few to settle
+        spends, rounds, settled = game.search()
+        assert not settled.any()
+        zoomed = game.zoom()
+        assert np.array_equal(spends, zoomed[0]) and np.array_equal(rounds, zoomed[1])
+        assert rounds[0] > 1
+
+    @pytest.mark.parametrize("values", [[1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 3]])
+    def test_failures_are_the_zooms_whatever_newton_settles(self, monkeypatch, values):
+        spec = ContestSpec(values, [1, 1], CsfParams(2.0), objective=WP)
+        errors = []
+        for steps in (equilibrium.NEWTON_STEPS, 0):
+            monkeypatch.setattr(equilibrium, "NEWTON_STEPS", steps)
+            with pytest.raises(ConvergenceError) as caught:
+                equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+            errors.append(caught.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].residual == errors[1].residual
+        assert errors[0].allocations == errors[1].allocations
+
+    def test_the_five_battle_ramp_logs_its_layer_numbers(self, caplog):
+        spec = ContestSpec([1, 2, 3, 4, 5], [1, 1], objective=WP)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            tables = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        # the rows Newton leaves are the broke end nodes, node 79 of a class
+        # and, in the last level built, nodes 1-16, whose Hessian at the
+        # proportional spends lacks the saddle's signs
+        counts = ([284, 162, 81], [274, 157, 62], [10, 5, 19], [1013, 849, 406])
+        assert (tables._level_rows, tables._level_settled, tables._level_steps) == (
+            counts[0], counts[1], counts[3])
+        record = [r.getMessage() for r in caplog.records if r.name == "dynblotto"][-1]
+        assert (f"rows per level {counts[0]}, Newton-settled rows per level {counts[1]}, "
+                f"fallback rows per level {counts[2]}, Newton steps per level "
+                f"{counts[3]}, ") in record
+        search, certificate, total = map(float, re.findall(r"(\d+\.\d+) s", record))
+        assert 0.0 < search and 0.0 < certificate and search + certificate <= total
 
 
 def _unit_tables(values, alpha):
