@@ -9,16 +9,41 @@ exits 1, naming each test, when any other test failed or errored, a
 collection error included.  It also exits 1 when criterion 08 did not fail,
 so an empty file too: skipped, renamed, deleted, erroring or passing, the
 criterion no longer shows what it stands for.
+
+It also prints Tier-1's wall time and its five slowest tests, and appends
+them to the file that $GITHUB_STEP_SUMMARY names, the job summary, when
+that variable is set.
 """
 
+import os
 import sys
 import xml.etree.ElementTree as ElementTree
 
 KNOWN = "tests.test_acceptance::test_criterion_08_general_exponents_with_budget_shocks"
+SLOWEST = 5
+
+
+def timings(root, cases) -> str:
+    """A Markdown note of the run's wall time and its SLOWEST slowest tests."""
+    suites = [root] if root.tag == "testsuite" else root.findall("testsuite")
+    wall = sum(float(suite.get("time", 0.0)) for suite in suites)
+    lines = [f"Tier-1: {len(cases)} tests, wall time {wall:.1f} s", "",
+             f"| {SLOWEST} slowest tests | s |", "| --- | ---: |"]
+    slowest = sorted(cases, key=lambda case: float(case.get("time", 0.0)), reverse=True)
+    for case in slowest[:SLOWEST]:
+        name = f"{case.get('classname')}::{case.get('name')}"
+        lines.append(f"| `{name}` | {float(case.get('time', 0.0)):.2f} |")
+    return "\n".join(lines) + "\n"
 
 
 def main(path: str) -> int:
-    cases = list(ElementTree.parse(path).getroot().iter("testcase"))
+    root = ElementTree.parse(path).getroot()
+    cases = list(root.iter("testcase"))
+    note = timings(root, cases)
+    print(note)
+    if os.environ.get("GITHUB_STEP_SUMMARY"):
+        with open(os.environ["GITHUB_STEP_SUMMARY"], "a", encoding="utf-8") as summary:
+            summary.write(note)
     failed = [f"{case.get('classname')}::{case.get('name')}" for case in cases
               if case.find("failure") is not None or case.find("error") is not None]
     bad = [name for name in failed if name != KNOWN]

@@ -266,6 +266,8 @@ class History:
 
     def extend(self, allocations: Sequence[float], winner: int) -> "History":
         spends = tuple(_real(w, f"allocation {i}") for i, w in enumerate(allocations))
+        if isinstance(winner, bool) or not isinstance(winner, numbers.Integral):
+            raise InputError(f"winner must be an integer, got {winner!r}")
         record = BattleRecord(spends, int(winner))
         extended = History.__new__(History)
         object.__setattr__(extended, "records", self.records + (record,))
@@ -361,9 +363,10 @@ def _distinct_rows(array):
 def _state(spec: ContestSpec, history: History) -> tuple:
     """(standings, spends, their `_statuses`) at a history; the first two 1 x n, read-only.
 
-    Raises InfeasibleHistoryError for a history longer than the contest or
-    with another number of players.  The public rules read a history
-    several times, so the state is kept on it for the spec last asked.
+    Raises InfeasibleHistoryError for a history longer than the contest,
+    with another number of players or with a winner out of range.  The
+    public rules read a history several times, so the state is kept on it
+    for the spec last asked.
     """
     kept = history.__dict__.get("_state")
     if kept is not None and kept[0] is spec:
@@ -374,6 +377,9 @@ def _state(spec: ContestSpec, history: History) -> tuple:
     spent = history._spent or (0.0,) * len(spec.budgets)
     if len(spent) != len(spec.budgets):
         raise InfeasibleHistoryError(f"history has {len(spent)} players, the contest {spec.n}")
+    for t, record in enumerate(history.records, start=1):
+        if not 0 <= record.winner < spec.n:
+            raise InfeasibleHistoryError(f"battle {t}: winner {record.winner} out of range")
     state = np.array([history.won_values(spec), spent])
     state.flags.writeable = False
     kept = (spec, state[:1], state[1:], _statuses(spec, played, state[:1]))

@@ -5,13 +5,13 @@ induction solver computes stage equilibria.  Such a stage is zero-sum (the
 two win probabilities add up to one), so its equilibrium is a saddle point
 of player A's payoff over the two spends.  The search is projected Newton on
 the two first-order conditions from the proportional spends, a spend at 0 or
-all in pinned there while its gradient points out; rows it does not settle
-go to the zoom, grid minimax on shrinking boxes.  Both run batched over
-rows, a row being one class at one budget pair, and a row's result does not
-depend on the rows beside it.  Each point carries a
-best-response certificate, the largest payoff gain either player finds by a
-scan over the whole budget refined by the zoom with the opponent's spend
-pinned; both players' best responses are one batch.
+all in pinned there while its gradient points out; the rows it does not
+settle go, in one call, to the zoom, grid minimax on shrinking boxes from the
+whole budgets.  Both run batched over rows, a row being one class at one
+budget pair, and a row's result does not depend on the rows beside it.  Each
+point carries a best-response certificate, the largest payoff gain either
+player finds by a scan over the whole budget refined by the zoom with the
+opponent's spend pinned; both players' best responses are one batch.
 
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
@@ -25,13 +25,14 @@ its battle settles the contest (both then go all in), or a spline read at A's
 share, or at B's share for a class that mirrors one with swapped standings.
 Equal standings are their own mirror, searched at shares up to 1/2.  A
 level's classes read only the next level's splines, so each level is searched
-and then certified as one batch of (class, node) rows.  Every stage solve
-reads these tables.  The solved profile plays, at any live state, the stage
-equilibrium that they give there: one batched stage solve per level over the
-states it is asked about, a class per distinct standings.  The solver itself
-solves only the trace, one stage per depth.
-Tables are cached per battle values, CSF, objective and settings, never per
-budgets: a budget sweep or mirrored pair builds them once.
+once and certified once as one batch of (class, node) rows, and a class is
+judged on that certificate.  Every stage solve reads these tables.  The
+solved profile plays, at any live state, the stage equilibrium that they
+give there: one batched stage solve per level over the states it is asked
+about, a class per distinct standings.  The solver itself solves only the
+trace, one stage per depth.  Tables are cached per battle values, CSF,
+objective and settings, never per budgets: a budget sweep or mirrored pair
+builds them once.
 
 For arbitrary contests, `check_proportionality` sweeps one-shot deviations
 from proportional play over sampled histories and reports the first
@@ -67,6 +68,7 @@ from .core import (
     _remaining_budgets,
     _state,
     _statuses,
+    check_history,
     remaining_budget,
     terminal_status,
 )
@@ -392,24 +394,24 @@ class _BranchValue:
 # proportional spends, by central differences on a 3 x 3 stencil of spends
 # NEWTON_WIDTH of each budget apart, inside the budgets.  A row settles once
 # its step is at most NEWTON_SETTLE of its larger budget, about the floor
-# the stencil's rounding sets, where P_aa < 0 < P_bb.  A row with a
+# the stencil's rounding sets, where P_aa < 0 < P_bb.  The rows with a
 # broke player, without those signs or unsettled after NEWTON_STEPS steps
-# goes to the zoom, in blocks of at most ROW_BLOCK rows, its first round on
-# FIRST_POINTS spends per budget and the later ones on ZOOM_POINTS.  A table
-# node keeps only its certified bracket's midpoint, whose error is second
-# order in the spends', so the zoom searches it to NODE_TOLERANCE and other
-# stages to REFINE_TOLERANCE.  A certificate's scans run in batches of
-# CERTIFICATE_CELLS payoff cells.
+# go to the zoom in one call, its first round on FIRST_POINTS spends per
+# budget and the later ones on ZOOM_POINTS.  A table node keeps only its
+# certified bracket's midpoint, whose error is second order in the spends',
+# so the zoom searches it to NODE_TOLERANCE and other stages to
+# REFINE_TOLERANCE; a node whose bracket is wider than BRACKET_BOUND fails
+# its class.  A certificate's scans run in batches of CERTIFICATE_CELLS
+# payoff cells.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
 REFINE_TOLERANCE = 1e-6
 NODE_TOLERANCE = 1e-5
-ROW_BLOCK = 64
 NEWTON_WIDTH = 1e-5
 NEWTON_SETTLE = 1e-9
 NEWTON_STEPS = 30
-CERTIFICATE_CELLS = ROW_BLOCK * ZOOM_POINTS**2
+CERTIFICATE_CELLS = 64 * ZOOM_POINTS**2
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 
@@ -428,15 +430,12 @@ def _grid(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
     return lo[:, None] * rest + hi[:, None] * t
 
 
-def _row_batches(rows: int, size: int) -> list:
-    """Slices that split `rows` rows into the fewest batches of at most `size`."""
+def _scan_batches(rows: int, settings: SolverSettings) -> list:
+    """Slices that split a best-response scan's rows into the fewest batches
+    of at most CERTIFICATE_CELLS cells."""
+    size = max(1, CERTIFICATE_CELLS // settings.grid_points)
     return [slice(part[0], part[-1] + 1)
             for part in np.array_split(np.arange(rows), -(-rows // size))]
-
-
-def _scan_batches(rows: int, settings: SolverSettings) -> list:
-    """Slices of a best-response scan's rows of at most CERTIFICATE_CELLS cells."""
-    return _row_batches(rows, max(1, CERTIFICATE_CELLS // settings.grid_points))
 
 
 def _where(played, totals) -> str:
@@ -463,16 +462,8 @@ def _zoom(game, boxes, points, tolerance=REFINE_TOLERANCE):
     while True:
         count += 1
         grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
-        # the first player's spends in pieces of at most ZOOM_POINTS: the row
-        # minima are per spend, and the column maxima are exact over the pieces
-        minima, maxima = [], None
-        for piece in np.array_split(grids[0], -(-grids[0].shape[1] // ZOOM_POINTS), axis=1):
-            piece = np.ascontiguousarray(piece)  # laid out as a whole grid is
-            values = game.payoff(piece[:, :, None], grids[1][:, None, :])
-            minima.append(values.min(axis=2))
-            high = values.max(axis=1)
-            maxima = high if maxima is None else np.maximum(maxima, high, out=maxima)
-        picks = (np.concatenate(minima, axis=1).argmax(axis=1), maxima.argmin(axis=1))
+        values = game.payoff(grids[0][:, :, None], grids[1][:, None, :])
+        picks = (values.min(axis=2).argmax(axis=1), values.max(axis=1).argmin(axis=1))
         found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
         steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
         done = 2 * MARGIN * np.maximum(*steps) <= tolerance
@@ -642,19 +633,11 @@ class _StageGame:
         settles, else by the zoom to `tolerance`."""
         spends, rounds, settled = _newton(self)
         rows = np.flatnonzero(~settled)
-        if rows.size:
-            spends[:, rows], rounds[rows] = self.take(rows).zoom(tolerance)
-        return spends, rounds, settled
-
-    def zoom(self, tolerance=REFINE_TOLERANCE):
-        """Each row's grid-minimax (spends, rounds) from the whole budgets,
-        in blocks of at most ROW_BLOCK rows."""
-        spends, rounds = np.empty((2, self._rows.size)), np.empty(self._rows.size, dtype=int)
-        for block in _row_batches(self._rows.size, ROW_BLOCK):
-            game = self.take(block)
+        if rows.size:  # one zoom from the whole budgets
+            game = self.take(rows)
             boxes = [(np.zeros_like(b), b) for b in game.budgets]
-            spends[:, block], rounds[block] = _zoom(game, boxes, FIRST_POINTS, tolerance)
-        return spends, rounds
+            spends[:, rows], rounds[rows] = _zoom(game, boxes, FIRST_POINTS, tolerance)
+        return spends, rounds, settled
 
     def solve(self) -> _StagePoints:
         """Saddle points of every row, with their best-response certificates."""
@@ -870,22 +853,10 @@ class _ValueTables:
         searched = time.perf_counter()
         points = game.certify(spends, rounds)
         self._seconds += np.array([searched - start, time.perf_counter() - searched])
-        values, gaps = np.empty(owner.size), np.empty(owner.size)
-
-        def store(rows, points):
-            # The stage value lies in [value - B's gain, value + A's gain]: a
-            # wide bracket means the stage has no pure saddle at that node.
-            gaps[rows] = points.gains[0] + points.gains[1]
-            values[rows] = points.value + (points.gains[0] - points.gains[1]) / 2.0
-            spends[:, rows] = points.spends
-
-        store(slice(None), points)
-        # a node without a pure saddle is searched again by the zoom to the
-        # on-path tolerance, and a failure reports what it finds
-        wide = np.flatnonzero(gaps > BRACKET_BOUND)
-        if wide.size:
-            again = game.take(wide)
-            store(wide, again.certify(*again.zoom()))
+        # The stage value lies in [value - B's gain, value + A's gain]: a
+        # wide bracket means the stage has no pure saddle at that node.
+        gains = points.gains
+        gaps, values = gains[0] + gains[1], points.value + (gains[0] - gains[1]) / 2.0
         self._level_batches.append(len(_scan_batches(2 * owner.size, self.settings)))
         self._level_rows.append(owner.size)
         self._level_settled.append(int(settled.sum()))
@@ -899,7 +870,7 @@ class _ValueTables:
                 raise ConvergenceError(
                     f"{_where(played, totals)}: minimax bracket gap {gaps[worst]:.3e} above "
                     f"{BRACKET_BOUND:.0e} at A's budget share {share:.4g}",
-                    allocations=tuple(spends[:, worst].tolist()),
+                    allocations=tuple(float(w[worst]) for w in points.spends),
                     residual=float(gaps[worst]),
                 )
             ys = values[rows]
@@ -1108,13 +1079,17 @@ def check_proportionality(
     Sweeps the feasible deviation grid for every player at every sampled
     history, history after history and player after player; returns Fails
     on the first gain above tolerance, otherwise Holds with the largest gain
-    observed.  States of one depth that a sweep reads alike, equal in spent
-    under expected value and in (standings, spent) under win probability,
-    gain alike, so only the first of them is swept and its gains stand for
-    all.  Each batch of sweeps is one walk (`evaluation._sweeps`) of at most
-    PART rows: a depth's first sweep alone, so a refutation there costs one
-    sweep, then 2, 4, 8, ... sweeps, doubling on from depth to depth.
+    observed.  The plan's own histories must pass `check_history`, else
+    InfeasibleHistoryError is raised before any sweep.  States of one depth
+    that a sweep reads alike, equal in spent under expected value and in
+    (standings, spent) under win probability, gain alike, so only the first
+    of them is swept and its gains stand for all.  Each batch of sweeps is
+    one walk (`evaluation._sweeps`) of at most PART rows: a depth's first
+    sweep alone, so a refutation there costs one sweep, then 2, 4, 8, ...
+    sweeps, doubling on from depth to depth.
     """
+    for history in plan.histories:
+        check_history(spec, history)
     n, checked, max_gain, verdict = spec.n, 0, -math.inf, None
     states, distinct, sweeps, walks, rows, size = [0] * spec.m, [0] * spec.m, 0, 0, 0, 2
     for played, standings, spent, sources in _swept_states(spec, plan):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,6 +45,72 @@ def brute_force_payoffs(profile, spec, history=None):
         for i in range(spec.n):
             out[i] += p * sub[i]
     return out
+
+
+def exact_payoffs(spec, history=None, deviation=None):
+    """Exact payoff oracle: proportional play from `history`, in Fractions.
+
+    For integer alpha, where every step is rational.  Built from the rules
+    alone, with no code of the package: before battle t a player holds the
+    starting budget plus its shocks through battle t minus its spends, at
+    least 0, and under win probability nothing once even winning all value
+    left cannot reach a tie.  Proportional play spends that budget times
+    battle t's share of the value left.  Player i wins the battle with
+    probability f(w_i) / sum f(w), f(w) = beta w^alpha, or 1/n when no one
+    scores.  The contest ends after the last battle, or under win
+    probability once a total exceeds every rival's plus all value left; the
+    payoff is the won value, or one unit split by the top totals.
+    `deviation` = (player, delta) moves that player's spend at `history` by
+    delta, clamped into [0, budget].  Returns one Fraction per player.
+    """
+    alpha = int(spec.csf.alpha)
+    if alpha != spec.csf.alpha:
+        raise ValueError(f"the exact oracle takes integer exponents, got {spec.csf.alpha}")
+    beta, values = Fraction(spec.csf.beta), [Fraction(v) for v in spec.values]
+    n, m = len(spec.budgets), len(values)
+    wp = spec.objective is Objective.WIN_PROBABILITY
+    ceilings = []  # each player's budget plus shocks through battle t + 1, before battle t + 1
+    for t in range(m):
+        ceilings.append([Fraction(b) + sum((Fraction(a) for (i, battle), a in spec.shocks
+                                            if i == player and battle <= t + 1), Fraction(0))
+                         for player, b in enumerate(spec.budgets)])
+
+    def walk(t, standings, spent, deviation):
+        rest = sum(values[t:], Fraction(0))
+        if t == m:
+            top = max(standings)
+            winners = [i for i, s in enumerate(standings) if s == top]
+        else:
+            winners = [i for i, s in enumerate(standings) if wp and all(
+                s > r + rest for j, r in enumerate(standings) if j != i)]
+        if winners:
+            if not wp:
+                return list(standings)
+            return [Fraction(1, len(winners)) if i in winners else Fraction(0) for i in range(n)]
+        budgets = [max(c - s, Fraction(0)) for c, s in zip(ceilings[t], spent)]
+        if wp:
+            budgets = [Fraction(0) if s + rest < max(standings) else b
+                       for s, b in zip(standings, budgets)]
+        spends = [b * values[t] / rest for b in budgets]
+        if deviation is not None:
+            player, delta = deviation
+            spends[player] = min(max(spends[player] + Fraction(delta), 0), budgets[player])
+        scores = [beta * w**alpha for w in spends]
+        total = sum(scores, Fraction(0))
+        odds = [score / total for score in scores] if total else [Fraction(1, n)] * n
+        out = [Fraction(0)] * n
+        for winner, p in enumerate(odds):
+            if p:
+                won = [s + values[t] * (i == winner) for i, s in enumerate(standings)]
+                below = walk(t + 1, won, [s + w for s, w in zip(spent, spends)], None)
+                out = [o + p * v for o, v in zip(out, below)]
+        return out
+
+    standings, spent = [Fraction(0)] * n, [Fraction(0)] * n
+    for t, record in enumerate(() if history is None else history.records):
+        standings[record.winner] += values[t]
+        spent = [s + Fraction(w) for s, w in zip(spent, record.allocations)]
+    return walk(0 if history is None else len(history.records), standings, spent, deviation)
 
 
 def terminal_distribution(profile, spec, history=None, weight=1.0, out=None):

@@ -14,13 +14,17 @@ from dynblotto import (
     InfeasibleHistoryError,
     InputError,
     Objective,
+    SamplingPlan,
     allocations_at,
     check_history,
+    check_proportionality,
     csf_probability,
+    expected_payoffs,
     history_from_winners,
     is_guaranteed_loser,
     proportional_profile,
     remaining_budget,
+    stage_equilibrium,
     terminal_payoff,
     terminal_status,
     validate_spec,
@@ -253,6 +257,19 @@ class TestHistoriesThePublicRulesRefuse:
         spec = ContestSpec([1, 2, 1.5], [40, 60])
         with pytest.raises(InfeasibleHistoryError, match="3 players"):
             remaining_budget(spec, History().extend((1.0, 1.0, 1.0), 0), 0)
+
+    @pytest.mark.parametrize("winner", [-1, 2, 5])
+    def test_a_winner_out_of_range(self, winner):
+        # -1 credited the last player, and 2 or 5 ended in an IndexError
+        spec = ContestSpec([1, 2, 1.5], [40, 60], objective=WP)
+        h = History().extend((1.0, 1.0), winner)
+        rules = [lambda: remaining_budget(spec, h, 0), lambda: terminal_status(spec, h),
+                 lambda: expected_payoffs(proportional_profile(2), spec, h),
+                 lambda: stage_equilibrium(spec, h),
+                 lambda: check_proportionality(spec, SamplingPlan(histories=(h,)))]
+        for rule in rules:
+            with pytest.raises(InfeasibleHistoryError, match=f"battle 1: winner {winner} out"):
+                rule()
 
     def test_guaranteed_loser_player_out_of_range(self):
         spec = ContestSpec([3, 3, 1, 1], [90, 90, 90], objective=WP)
@@ -487,6 +504,14 @@ class TestHistory:
             History().extend((30.0, 20.0), 0).extend((1.0, bad), 1)
         h = History().extend((np.float64(30), Fraction(1, 2)), 0)
         assert h.records[0].allocations == (30.0, 0.5)
+
+
+    @pytest.mark.parametrize("bad", [True, "1", 1.7, None])
+    def test_a_winner_that_is_no_integer_is_refused(self, bad):
+        # 1.7 was read as 1, "1" as 1 and a boolean as 0 or 1
+        with pytest.raises(InputError, match=r"^winner must be an integer, got "):
+            History().extend((1.0, 1.0), bad)
+        assert History().extend((1.0, 1.0), np.int64(1)).winner_schedule() == (1,)
 
 
 def test_random_battle_values_refuses_too_few_battles():

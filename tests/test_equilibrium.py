@@ -16,6 +16,7 @@ from dynblotto import (
     CsfParams,
     EnumerationCapError,
     History,
+    InfeasibleHistoryError,
     InputError,
     Objective,
     SamplingPlan,
@@ -731,18 +732,15 @@ def _live_classes(spec):
 
 
 def _searched_values(game_at, played, totals):
-    """The saddle search's bracket midpoints at the table nodes, searched to
-    the tables' node tolerance in blocks of the table's size, all of one class.
+    """The saddle search's bracket midpoints at every table node of one
+    class, searched to the tables' node tolerance as one batch.
 
     Returns the nodes, A's success-function shares q, and the values there.
     """
     alpha = game_at(played, totals, (np.ones(1), np.ones(1))).alpha
-    count, values = equilibrium.VALUE_NODES, []
-    for nodes in np.array_split(np.arange(count), -(-count // equilibrium.ROW_BLOCK)):
-        game = game_at(played, totals, equilibrium._node_budgets(alpha, nodes))
-        points = game.certify(*game.search(equilibrium.NODE_TOLERANCE)[:2])
-        values.append(points.value + (points.gains[0] - points.gains[1]) / 2.0)
-    return equilibrium._NODES, np.concatenate(values)
+    game = game_at(played, totals, equilibrium._node_budgets(alpha))
+    points = game.certify(*game.search(equilibrium.NODE_TOLERANCE)[:2])
+    return equilibrium._NODES, points.value + (points.gains[0] - points.gains[1]) / 2.0
 
 
 def _decisive_family():
@@ -815,7 +813,7 @@ class TestValueTablesSkipKnownClasses:
         with pytest.raises(ConvergenceError) as caught:
             solve_backward(spec)
         assert str(caught.value) == (
-            "stage solve at battle 3, standings 1-1: minimax bracket gap 6.642e-02 above "
+            "stage solve at battle 3, standings 1-1: minimax bracket gap 6.638e-02 above "
             "1e-03 at A's budget share 0.006156")
 
     @pytest.mark.parametrize("values, message", [
@@ -834,7 +832,7 @@ class TestValueTablesSkipKnownClasses:
 
 
 class TestLevelBlocks:
-    """A level's classes are searched together, in blocks of at most ROW_BLOCK rows."""
+    """A level's classes are searched together, and certified in batches."""
 
     @pytest.mark.parametrize("values, alpha", [
         ([1, 2, 3, 4, 5], 1.0), ([1, 1, 1, 1, 1], 0.5), ([1, 1, 1, 1], 0.8),
@@ -842,15 +840,13 @@ class TestLevelBlocks:
     def test_splines_are_equal_however_a_level_is_blocked(self, monkeypatch, values, alpha):
         spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
         settings = equilibrium.DEFAULT_SETTINGS
-        built = [equilibrium._ValueTables(spec, settings)]  # the default blocks
-        monkeypatch.setattr(equilibrium, "ROW_BLOCK", 10**6)
-        built.append(equilibrium._ValueTables(spec, settings))  # each level at once
+        built = [equilibrium._ValueTables(spec, settings)]  # each level at once
         level = equilibrium._ValueTables._build_level
         monkeypatch.setattr(equilibrium._ValueTables, "_build_level",
                             lambda self, played, classes: [level(self, played, [totals])
                                                            for totals in classes])
-        built.append(equilibrium._ValueTables(spec, settings))  # one class per block
-        assert max(built[1]._level_rows) > equilibrium.VALUE_NODES  # a level shares a block
+        built.append(equilibrium._ValueTables(spec, settings))  # one class per build
+        assert max(built[0]._level_rows) > equilibrium.VALUE_NODES  # a level shares a batch
         for tables in built[1:]:
             assert tables.splines.keys() == built[0].splines.keys()
             for key, spline in tables.splines.items():
@@ -858,10 +854,7 @@ class TestLevelBlocks:
                     assert np.array_equal(getattr(spline, field),
                                           getattr(built[0].splines[key], field)), key
 
-    @pytest.mark.parametrize("block", [7, 27, 64, 10**6])
-    def test_a_failing_class_names_its_worst_node_whatever_the_block_size(
-            self, monkeypatch, block):
-        monkeypatch.setattr(equilibrium, "ROW_BLOCK", block)
+    def test_a_failing_class_names_its_worst_node(self):
         spec = ContestSpec([1, 1, 1], [100, 100], CsfParams(2.0), objective=WP)
         equilibrium._tables_for.cache_clear()
         with pytest.raises(ConvergenceError) as caught:
@@ -870,7 +863,7 @@ class TestLevelBlocks:
         assert str(caught.value) == (
             "stage solve at battle 2, standings 0-1: minimax bracket gap 1.415e-01 above "
             "1e-03 at A's budget share 0.6734")
-        assert caught.value.residual == pytest.approx(0.14154426750124394, abs=1e-15)
+        assert caught.value.residual == pytest.approx(0.1415394430493696, abs=1e-15)
 
     @pytest.mark.parametrize("values, alpha", [
         ([1, 2, 3, 4, 5], 1.0), ([1, 1, 1, 1, 1], 0.5), ([1, 1, 1, 1], 0.8),
@@ -880,11 +873,11 @@ class TestLevelBlocks:
         settings = equilibrium.DEFAULT_SETTINGS
         built = [equilibrium._ValueTables(spec, settings)]  # batches sized by cells
         sizes = [equilibrium.CERTIFICATE_CELLS // settings.grid_points]
-        for cells in (equilibrium.ROW_BLOCK * settings.grid_points, 1):  # per block, one row
+        for cells in (64 * settings.grid_points, 1):  # 64 rows, one row
             monkeypatch.setattr(equilibrium, "CERTIFICATE_CELLS", cells)
             built.append(equilibrium._ValueTables(spec, settings))
             sizes.append(max(1, cells // settings.grid_points))
-        assert sizes == [92, equilibrium.ROW_BLOCK, 1]
+        assert sizes == [92, 64, 1]
         for tables, size in zip(built, sizes):  # A's rows and B's in one certificate
             assert tables._level_batches == [-(-2 * rows // size) for rows in tables._level_rows]
             # the search does not depend on how the certificate is batched
@@ -895,22 +888,6 @@ class TestLevelBlocks:
                 for field in "abcd":
                     assert np.array_equal(getattr(spline, field),
                                           getattr(built[0].splines[key], field)), key
-
-    @pytest.mark.parametrize("values, alpha", [([1, 1, 1, 1], 2.0), ([1, 1, 2, 1, 1], 1.0)])
-    def test_a_failure_does_not_depend_on_the_node_tolerance(self, monkeypatch, values, alpha):
-        """A node without a pure saddle is solved again at REFINE_TOLERANCE, so
-        a failing class reports what a search to that tolerance finds; only the
-        levels built before it, searched to the node tolerance, differ."""
-        spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
-        errors = []
-        for tolerance in (equilibrium.NODE_TOLERANCE, equilibrium.REFINE_TOLERANCE):
-            monkeypatch.setattr(equilibrium, "NODE_TOLERANCE", tolerance)
-            with pytest.raises(ConvergenceError) as caught:
-                equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-            errors.append(caught.value)
-        assert str(errors[0]) == str(errors[1])
-        assert errors[0].residual == pytest.approx(errors[1].residual, abs=1e-12)
-        assert errors[0].allocations == pytest.approx(errors[1].allocations, abs=1e-12)
 
     def test_the_worst_bracket_gap_stays_small(self):
         """Nodes searched to NODE_TOLERANCE keep their certified brackets narrow:
@@ -992,7 +969,8 @@ class TestNewtonSearch:
         monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 1)  # too few to settle
         spends, rounds, settled = game.search()
         assert not settled.any()
-        zoomed = game.zoom()
+        boxes = [(np.zeros_like(b), b) for b in game.budgets]
+        zoomed = equilibrium._zoom(game, boxes, equilibrium.FIRST_POINTS)
         assert np.array_equal(spends, zoomed[0]) and np.array_equal(rounds, zoomed[1])
         assert rounds[0] > 1
 
@@ -1101,6 +1079,13 @@ class TestCheckProportionality:
         assert verdict.holds
         assert verdict.max_gain <= 1e-6
         assert verdict.histories_checked > 0
+
+    def test_an_infeasible_plan_history_is_refused(self):
+        # the overspent history was swept, and the verdict held over 8 histories
+        spec = ContestSpec([1, 1, 1], [10, 20])
+        overspent = History().extend((500, 0), 0)
+        with pytest.raises(InfeasibleHistoryError, match="player 0 spent 500.0, over the budget"):
+            check_proportionality(spec, SamplingPlan(histories=(overspent,)))
 
     def test_decisive_last_battle_fails_at_the_alternating_history(self):
         spec = ContestSpec([1, 1, 1, 3], [100, 100], objective=WP)

@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from dynblotto import (
 )
 from dynblotto import evaluation
 from dynblotto.evaluation import _level_walk
-from conftest import brute_force_payoffs, random_ev_spec, random_table
+from conftest import brute_force_payoffs, exact_payoffs, random_ev_spec, random_table
+from test_acceptance import _random_suite_spec
 
 WP = Objective.WIN_PROBABILITY
 EV = Objective.EXPECTED_VALUE
@@ -279,6 +281,52 @@ class TestStateWalkAgainstOracle:
             closed = [sum(values) * s / sum(scores) for s in scores]
             assert payoffs == pytest.approx(closed, abs=1e-12)
             assert elapsed < 0.5
+
+
+def known_at(spec, history):
+    """The contest as known at `history`: shocks after its upcoming battle dropped."""
+    shocks = [item for item in spec.shocks if item[0][1] <= len(history) + 1]
+    return ContestSpec(spec.values, spec.budgets, spec.csf, spec.objective, shocks)
+
+
+class TestExactRationalOracle:
+    """The float engines against `exact_payoffs`, which computes in Fractions."""
+
+    def test_payoffs_and_deviation_gains_are_exact_to_1e_12(self):
+        rng = random.Random("exact-oracle")
+        for k in range(24):
+            objective, shocked = (EV, WP)[k % 2], k % 4 < 2
+            n, m, alpha = rng.choice((2, 3, 4)), rng.choice((3, 4, 5)), rng.choice((1.0, 2.0, 3.0))
+            spec = oracle_spec(rng, objective, n, m, alpha, shocked, k % 8 < 4)
+            profile = proportional_profile(n)
+            for want, got in zip(exact_payoffs(spec), expected_payoffs(profile, spec)):
+                assert abs(want - Fraction(got)) <= 1e-12, spec
+            h = open_history(rng, spec, profile, rng.randrange(m))
+            known, player = known_at(spec, h), rng.randrange(n)
+            baseline = exact_payoffs(known, h)[player]
+            for report in deviation_gains(spec, h, player, deviation_grid(spec, h, player, 5)):
+                gain = exact_payoffs(known, h, (player, report.delta))[player] - baseline
+                assert abs(gain - Fraction(report.gain)) <= 1e-12, (spec, h, report)
+
+    def test_criterion_08s_deviations_gain_in_exact_arithmetic(self):
+        """Criterion 08's three reported deviations, at alpha 2, gain exactly
+        what they report: the failure is the game's, not rounding."""
+        rng = random.Random(80_2026)  # criterion 08's draw; the deviations are in its 14th contest
+        for _ in range(14):
+            spec = _random_suite_spec(rng, alphas=(0.5, 1.0, 2.0), betas=(1.0, 5.0),
+                                      with_shocks=True)
+        root = History()
+        reports = [r for r in deviation_gains(spec, root, 0, deviation_grid(spec, root, 0))
+                   if r.gain > 1e-9][:3]
+        assert [f"alpha={spec.csf.alpha} budgets={tuple(round(b, 1) for b in spec.budgets)} "
+                f"player={r.player} delta={r.delta:.2f} gain={r.gain:.4f}" for r in reports] == [
+            f"alpha=2.0 budgets=(7.7, 84.3, 86.0, 33.7) player=0 {deviation}" for deviation in
+            ("delta=-2.01 gain=0.0086", "delta=-1.63 gain=0.0056", "delta=-1.24 gain=0.0033")]
+        known = known_at(spec, root)
+        baseline = exact_payoffs(known)[0]
+        for report in reports:
+            gain = exact_payoffs(known, root, (0, report.delta))[0] - baseline
+            assert gain > 0 and abs(gain - Fraction(report.gain)) <= 1e-12, report
 
 
 def walk_records(caplog):
