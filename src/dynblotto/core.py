@@ -286,8 +286,8 @@ class History:
 
     def won_values(self, spec: ContestSpec) -> tuple:
         totals = [0.0] * spec.n
-        for t, record in enumerate(self.records):
-            totals[record.winner] += spec.values[t]
+        for t, winner in enumerate(_winners(spec, self)):
+            totals[winner] += spec.values[t]
         return tuple(totals)
 
 
@@ -377,14 +377,20 @@ def _state(spec: ContestSpec, history: History) -> tuple:
     spent = history._spent or (0.0,) * len(spec.budgets)
     if len(spent) != len(spec.budgets):
         raise InfeasibleHistoryError(f"history has {len(spent)} players, the contest {spec.n}")
-    for t, record in enumerate(history.records, start=1):
-        if not 0 <= record.winner < spec.n:
-            raise InfeasibleHistoryError(f"battle {t}: winner {record.winner} out of range")
     state = np.array([history.won_values(spec), spent])
     state.flags.writeable = False
     kept = (spec, state[:1], state[1:], _statuses(spec, played, state[:1]))
     object.__setattr__(history, "_state", kept)
     return kept[1:]
+
+
+def _winners(spec: ContestSpec, history: History) -> tuple:
+    """The history's winners; InfeasibleHistoryError names a battle whose
+    winner is no player of the spec."""
+    for t, record in enumerate(history.records, start=1):
+        if not 0 <= record.winner < spec.n:
+            raise InfeasibleHistoryError(f"battle {t}: winner {record.winner} out of range")
+    return history.winner_schedule()
 
 
 def _formal_budgets(spec: ContestSpec, played: int, spent):
@@ -520,7 +526,7 @@ def check_history(spec: ContestSpec, history: History) -> None:
     """
     if len(history) > spec.m:
         raise InfeasibleHistoryError("history longer than the contest")
-    prefix = History()
+    standings, spent = np.zeros((1, spec.n)), np.zeros((1, spec.n))  # the state before battle t
     for t, record in enumerate(history.records, start=1):
         if len(record.allocations) != spec.n:
             raise InfeasibleHistoryError(
@@ -528,14 +534,15 @@ def check_history(spec: ContestSpec, history: History) -> None:
             )
         if not 0 <= record.winner < spec.n:
             raise InfeasibleHistoryError(f"battle {t}: winner {record.winner} out of range")
-        if terminal_status(spec, prefix).terminal:
+        if _statuses(spec, t - 1, standings) is not None:
             raise InfeasibleHistoryError(f"battle {t} fought after the contest ended")
-        for i, w in enumerate(record.allocations):
+        budgets = _remaining_budgets(spec, t - 1, standings, spent)[0].tolist()
+        for i, (w, bound) in enumerate(zip(record.allocations, budgets)):
             if not math.isfinite(w) or w < -BUDGET_TOLERANCE:
                 raise InfeasibleHistoryError(f"battle {t}: bad allocation {w} for player {i}")
-            bound = remaining_budget(spec, prefix, i)
             if w > bound + BUDGET_TOLERANCE:
                 raise InfeasibleHistoryError(
                     f"battle {t}: player {i} spent {w}, over the budget {bound}"
                 )
-        prefix = prefix.extend(record.allocations, record.winner)
+        spent += record.allocations
+        standings[0, record.winner] += spec.values[t - 1]

@@ -10,8 +10,10 @@ settle go, in one call, to the zoom, grid minimax on shrinking boxes from the
 whole budgets.  Both run batched over rows, a row being one class at one
 budget pair, and a row's result does not depend on the rows beside it.  Each
 point carries a best-response certificate, the largest payoff gain either
-player finds by a scan over the whole budget refined by the zoom with the
-opponent's spend pinned; both players' best responses are one batch.
+player finds by a scan over the whole budget, refined by Newton on the
+player's own first-order condition with the opponent's spend pinned; the rows
+Newton leaves go, in one call, to the zoom around the scan's best.  Both
+players' best responses are one batch.
 
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
@@ -402,7 +404,11 @@ class _BranchValue:
 # so the zoom searches it to NODE_TOLERANCE and other stages to
 # REFINE_TOLERANCE; a node whose bracket is wider than BRACKET_BOUND fails
 # its class.  A certificate's scans run in batches of CERTIFICATE_CELLS
-# payoff cells.
+# payoff cells.  Its best responses are refined by Newton on the player's
+# own condition, on the 3-point stencil NEWTON_WIDTH of the budget wide,
+# inside the grid steps either side of the scan's best; a row settles at
+# NEWTON_SETTLE, or once the gain its model predicts is at most
+# NEWTON_FLOOR, and the rows left go to the zoom on those steps.
 FIRST_POINTS = 33
 ZOOM_POINTS = 17
 MARGIN = 2
@@ -411,6 +417,7 @@ NODE_TOLERANCE = 1e-5
 NEWTON_WIDTH = 1e-5
 NEWTON_SETTLE = 1e-9
 NEWTON_STEPS = 30
+NEWTON_FLOOR = 2.0**-52  # a payoff gain below this is rounding
 CERTIFICATE_CELLS = 64 * ZOOM_POINTS**2
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
@@ -530,6 +537,48 @@ def _newton(game):
     return spends, steps, settled
 
 
+def _ascend(view, spends, lo, hi, opp):
+    """Newton on each row's own first-order condition, the opponent's spend
+    `opp` fixed: per row, (spends, settled).
+
+    `view` is an `_OwnView`, whose first player maximises the payoff, and
+    `spends` the starts, inside the brackets [lo, hi].  A start at 0 or all
+    in whose gradient points out is pinned there.  A row settles once its
+    step is at most NEWTON_SETTLE of its budget, or once the gain its
+    quadratic model predicts, g^2 / (2 |f''|), is at most NEWTON_FLOOR, the
+    payoff's rounding.  A row whose model is not concave, whose step leaves
+    its bracket or grows the way its last went, or that has not settled
+    after NEWTON_STEPS steps, is left unsettled for the zoom.
+    """
+    budgets, count = view.budgets[0], spends.size
+    settled, last = np.zeros(count, dtype=bool), np.zeros(count)  # last: each row's last step
+    live = np.arange(count)
+    for _ in range(NEWTON_STEPS):
+        if not live.size:
+            break
+        w, budget = spends[live], budgets[live]
+        h = NEWTON_WIDTH * budget
+        centre = np.minimum(np.maximum(w, h), budget - h)
+        part = view if live.size == count else view.take(live)
+        f = part.payoff(centre[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), opp[live, None])
+        d2 = f[:, 2] - 2.0 * f[:, 1] + f[:, 0]  # in units of h, like g
+        g = (f[:, 2] - f[:, 0]) / 2.0 + d2 * ((w - centre) / h)
+        pin = ((w <= 0.0) & (g <= 0.0)) | ((w >= budget) & (g >= 0.0))
+        step = np.divide(g, d2, out=np.zeros_like(g), where=d2 < 0.0) * -h
+        found = w + step
+        moves = (d2 < 0.0) & ~pin & (found >= lo[live]) & (found <= hi[live])
+        done = pin | (moves & ((np.abs(step) <= NEWTON_SETTLE * budget)
+                               | (g * g <= -2.0 * NEWTON_FLOOR * d2)))
+        # a step longer than the last one the same way: Newton creeps up a
+        # bend sharper than the peak's, and the row goes to the zoom
+        creep = (step * last[live] > 0.0) & (np.abs(step) > np.abs(last[live]))
+        last[live] = step
+        spends[live] = np.where(moves, found, w)
+        settled[live] = done
+        live = live[moves & ~done & ~creep]
+    return spends, settled
+
+
 @dataclass(frozen=True)
 class _StagePoints:
     """Saddle-search results at every row of a stage batch."""
@@ -539,6 +588,7 @@ class _StagePoints:
     gains: tuple  # each player's best-response improvement at the spends
     flats: tuple  # each player's scan was flat and the proportional spend is played
     rounds: np.ndarray  # Newton steps, or the zoom's rounds
+    refined: tuple  # certificate rows settled by Newton, and rows left to the zoom
 
 
 class _StageGame:
@@ -593,34 +643,58 @@ class _StageGame:
         opponent spends `opp`.
 
         A scan of grid_points spends over the whole budget, in batches of at
-        most CERTIFICATE_CELLS payoff cells, then the zoom on the grid steps
-        either side of the scan's best, with the opponent's box pinned at
-        `opp`.  A flat scan plays the proportional spend.  Returns (spends, the
-        players' payoffs, flat flags).
+        most CERTIFICATE_CELLS payoff cells, then Newton on the player's own
+        first-order condition from the vertex of the parabola through the
+        scan's best and its neighbours, inside the grid steps either side of
+        it.  The rows Newton leaves go to the zoom on those steps, with the
+        opponent's box pinned at `opp`, in one call.  No row ends below its
+        scan's best, and a flat scan plays the proportional spend.  Returns
+        (spends, the players' payoffs, flat flags, Newton-settled rows,
+        zoomed rows).
         """
         view = _OwnView(self, np.asarray(players) == 1)
         points = self.settings.grid_points
-        lo, hi = np.empty_like(opp), np.empty_like(opp)
+        lo, hi, start, scanned, top = (np.empty_like(opp) for _ in range(5))
         flat = np.empty(opp.size, dtype=bool)
         batches = _scan_batches(opp.size, self.settings)
         for rows in batches:
             part = view.take(rows) if len(batches) > 1 else view
-            budget = part.budgets[0]
+            budget, index = part.budgets[0], part._rows
             grid = _grid(np.zeros_like(budget), budget, points)
             values = part.own_payoff(grid[:, :, None], opp[rows, None, None])[:, :, 0]
             best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
-            top = values[part._rows, best]
-            flat[rows] = ((top - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(top)))
+            left, right = np.maximum(best - 1, 0), np.minimum(best + 1, points - 1)
+            peak, below, above = (values[index, k] for k in (best, left, right))
+            flat[rows] = ((peak - values.min(axis=1) <= FLAT * np.maximum(1.0, np.abs(peak)))
                           & (budget > 0.0))
-            lo[rows] = grid[part._rows, np.maximum(best - 1, 0)]
-            hi[rows] = grid[part._rows, np.minimum(best + 1, points - 1)]
-        spend = _zoom(view, [(lo, hi), (opp, opp)], ZOOM_POINTS)[0][0]
-        spend = np.where(flat, view.proportional, spend)
-        return spend, view.own_payoff(spend, opp), flat
+            lo[rows], scanned[rows], hi[rows] = (grid[index, k] for k in (left, best, right))
+            top[rows] = peak
+            # the vertex lies within half a grid step of an inner best
+            bend = below - 2.0 * peak + above
+            shift = np.divide(below - above, 2.0 * bend, out=np.zeros_like(bend),
+                              where=(bend < 0.0) & (left < best) & (best < right))
+            start[rows] = scanned[rows] + shift * (budget / (points - 1))
+        spend = np.where(flat, view.proportional, scanned)
+        settled, zoomed = np.zeros_like(flat), np.zeros_like(flat)
+        rows = np.flatnonzero(~flat & (view.budgets[0] > 0.0))  # a broke player spends 0
+        if rows.size:
+            part = view if rows.size == opp.size else view.take(rows)
+            found, settled[rows] = _ascend(part, start[rows], lo[rows], hi[rows], opp[rows])
+            spend[rows] = found
+            left = rows[~settled[rows]]
+            if left.size:  # one zoom, on the scan's bracket
+                zoomed[left] = True
+                boxes = [(lo[left], hi[left]), (opp[left], opp[left])]
+                spend[left] = _zoom(view.take(left), boxes, ZOOM_POINTS)[0][0]
+        value = view.own_payoff(spend, opp)
+        short = ~flat & (value < top)
+        if short.any():
+            spend[short], value[short] = scanned[short], top[short]
+        return spend, value, flat, settled, zoomed
 
     def _certificate(self, spends):
-        """Both players' (spends, payoffs, flat flags) of their best responses
-        at `spends`: one batch of the rows stacked twice, A's and then B's."""
+        """Both players' `best_responses` at `spends`: one batch of the rows
+        stacked twice, A's and then B's."""
         count = self._rows.size
         both = self.take(np.concatenate((self._rows, self._rows)))
         responses = both.best_responses(np.repeat([0, 1], count),
@@ -647,6 +721,7 @@ class _StageGame:
         """The rows' points at the searched spends, with their certificates."""
         responses = self._certificate(spends)
         flats = tuple(response[2] for response in responses)
+        refined = _refined(responses)
         rows = np.flatnonzero(flats[0] | flats[1])
         if rows.size:
             # a player whose payoff is flat in the own spend plays proportional;
@@ -656,18 +731,24 @@ class _StageGame:
             for response, new in zip(responses, again):
                 for part, fresh in zip(response[:2], new[:2]):
                     part[rows] = fresh
+            refined = tuple(map(sum, zip(refined, _refined(again))))
         value = self.payoff(*spends)
         gains = (
             np.maximum(responses[0][1] - value, 0.0),
             np.maximum(responses[1][1] - (1.0 - value), 0.0),
         )
-        return _StagePoints(tuple(spends), value, gains, flats, rounds)
+        return _StagePoints(tuple(spends), value, gains, flats, rounds, refined)
+
+
+def _refined(responses) -> tuple:
+    """A certificate's rows settled by Newton and its rows zoomed, over both players."""
+    return tuple(sum(int(response[k].sum()) for response in responses) for k in (3, 4))
 
 
 class _OwnView:
     """A stage game seen by one player per row, in (own spend, opponent
-    spend) coordinates, so that `_zoom` refines each row's best response as
-    its first player, with the opponent's box pinned.
+    spend) coordinates, so that `_ascend` and `_zoom` refine each row's best
+    response as its first player, with the opponent's spend pinned.
 
     The payoff is A's, negated at B's rows: there the first player's argmax
     is B's argmin of A's payoff, exactly, since negation is exact.
@@ -744,6 +825,7 @@ class _ValueTables:
         self._worst_gap = 0.0
         self._level_batches, self._level_rows = [], []  # per level
         self._level_settled, self._level_steps = [], []  # Newton's, per level
+        self._level_refined = []  # the certificate's (Newton-settled, zoomed) rows, per level
         self._seconds = np.zeros(2)  # in the search and in the certificate
         decisive = 0
         start = time.perf_counter()
@@ -762,14 +844,15 @@ class _ValueTables:
             _log.debug("value tables: %d classes built (%d on half the nodes), %d decisive in "
                        "closed form, %d served by a mirror, certificate batches per level %s, "
                        "rows per level %s, Newton-settled rows per level %s, fallback rows per "
-                       "level %s, Newton steps per level %s, worst bracket gap %.3e, search "
-                       "%.3f s, certificate %.3f s, %.3f s",
+                       "level %s, Newton steps per level %s, certificate rows settled by Newton "
+                       "per level %s, certificate zoom rows per level %s, worst bracket gap "
+                       "%.3e, search %.3f s, certificate %.3f s, %.3f s",
                        built, sum(a == b for _, (a, b) in self.splines), decisive,
                        classes - built - decisive, self._level_batches, self._level_rows,
                        self._level_settled,
                        [rows - done for rows, done in zip(self._level_rows, self._level_settled)],
-                       self._level_steps, self._worst_gap, *self._seconds,
-                       time.perf_counter() - start)
+                       self._level_steps, *map(list, zip(*self._level_refined)), self._worst_gap,
+                       *self._seconds, time.perf_counter() - start)
 
     _key = staticmethod(_standings_key)
 
@@ -861,6 +944,7 @@ class _ValueTables:
         self._level_rows.append(owner.size)
         self._level_settled.append(int(settled.sum()))
         self._level_steps.append(int(rounds[settled].sum()))
+        self._level_refined.append(points.refined)
         ends = np.cumsum(counts)
         for totals, count, end in zip(classes, counts, ends.tolist()):
             rows = slice(end - count, end)
@@ -927,15 +1011,20 @@ def best_response(
 ) -> BestResponseResult:
     """Best spend for one player against a fixed opponent spend at this history.
 
-    A scan of `grid_points` spends over the player's budget, refined by
-    grid minimax with the opponent's spend pinned; ties go to the
-    smallest spend.  A flat objective returns the proportional point, flagged.
-    The opponent's spend, a real number or a sequence of one, must lie in
-    [0, the opponent's remaining budget].  Both successors are valued by
-    the contest's value tables, so the contest must be one they cover.
+    A scan of `grid_points` spends over the player's budget, ties going to
+    the smallest spend, refined by Newton on the player's own first-order
+    condition within the grid steps either side of the scan's best; where
+    Newton does not settle, grid minimax on those steps refines it, with the
+    opponent's spend pinned.  The payoff returned is never below the scan's
+    best.  A flat objective returns the proportional point, flagged.  The
+    history must pass `check_history`, else InfeasibleHistoryError is
+    raised.  The opponent's spend, a real number or a sequence of one, must
+    lie in [0, the opponent's remaining budget].  Both successors are valued
+    by the contest's value tables, so the contest must be one they cover.
     """
     if not 0 <= player < 2:
         raise InputError(f"player index {player} out of range")
+    check_history(spec, history)
     spend = opponents_allocation
     if isinstance(spend, (Sequence, np.ndarray)) and not isinstance(spend, (str, bytes)):
         if getattr(spend, "ndim", 1) != 1 or len(spend) != 1:
@@ -948,7 +1037,7 @@ def best_response(
     if not 0.0 <= opp <= bound + BUDGET_TOLERANCE:
         raise InputError(f"opponents_allocation {opp} lies outside [0, {bound}]")
     game = _stage_game_at(spec, history, settings)
-    spend, value, flat = game.best_responses(np.array([player]), np.array([opp]))
+    spend, value, flat = game.best_responses(np.array([player]), np.array([opp]))[:3]
     return BestResponseResult(float(spend[0]), float(value[0]), bool(flat[0]))
 
 
@@ -963,11 +1052,13 @@ def stage_equilibrium(
     Found by Newton on the first-order conditions, or by grid minimax where
     Newton does not settle.  A player whose payoff is flat in the own spend
     plays proportional.  The residual is the largest best-response gain at
-    the returned point; a residual above `settings.tolerance` raises
-    ConvergenceError naming the battle and the standings.  Both successors
-    are valued by the contest's value tables, built once per battle values,
-    CSF and settings.
+    the returned point (see `best_response`); a residual above
+    `settings.tolerance` raises ConvergenceError naming the battle and the
+    standings.  The history must pass `check_history`, else
+    InfeasibleHistoryError is raised.  Both successors are valued by the
+    contest's value tables, built once per battle values, CSF and settings.
     """
+    check_history(spec, history)
     return _path_solutions(_stage_game_at(spec, history, settings))[0]
 
 

@@ -36,6 +36,7 @@ from .core import (
     _proportional_spend,
     _remaining_budgets,
     _state,
+    check_history,
     remaining_budget,
     terminal_payoff,
     terminal_status,
@@ -85,9 +86,11 @@ def expected_payoffs(
     p_t along one budget path.  Every other walk branches on who wins each
     battle with its contest success probability, skips zero-probability
     branches, ends a win-probability state as soon as someone clinches,
-    and is capped at LEAF_CAP winner sequences.
+    and is capped at LEAF_CAP winner sequences.  The history must pass
+    `check_history`, else InfeasibleHistoryError is raised.
     """
     root = history if history is not None else History()
+    check_history(spec, root)
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
     if terminal_status(spec, root).terminal:
         return terminal_payoff(spec, root)
@@ -197,8 +200,10 @@ def deviation_gains(
 
     Payoffs are evaluated in the contest as known at the history: shocks
     announced for later battles are not visible when the deviation is chosen,
-    so they do not enter either side of the comparison.
+    so they do not enter either side of the comparison.  The history must
+    pass `check_history`, else InfeasibleHistoryError is raised.
     """
+    check_history(spec, history)
     if terminal_status(spec, history).terminal:
         raise ContractError("deviations are undefined at terminal histories")
     if not 0 <= player < spec.n:

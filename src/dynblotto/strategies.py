@@ -29,6 +29,7 @@ from .core import (
     _remaining_budgets,
     _state,
     _statuses,
+    _winners,
     remaining_budget,
     terminal_status,
 )
@@ -321,6 +322,9 @@ def history_from_winners(spec: ContestSpec, winners: Sequence[int]) -> History:
 
 
 def reach_probability(spec: ContestSpec, history: History) -> float:
-    """Probability of this exact winner sequence given its recorded spends."""
-    return math.prod((_csf_row(r.allocations, spec.csf)[r.winner] for r in history.records),
-                     start=1.0)
+    """Probability of this exact winner sequence given its recorded spends.
+
+    A winner out of range raises InfeasibleHistoryError naming its battle.
+    """
+    return math.prod((_csf_row(r.allocations, spec.csf)[winner]
+                      for r, winner in zip(history.records, _winners(spec, history))), start=1.0)

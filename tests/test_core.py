@@ -16,13 +16,16 @@ from dynblotto import (
     Objective,
     SamplingPlan,
     allocations_at,
+    best_response,
     check_history,
     check_proportionality,
     csf_probability,
+    deviation_gains,
     expected_payoffs,
     history_from_winners,
     is_guaranteed_loser,
     proportional_profile,
+    reach_probability,
     remaining_budget,
     stage_equilibrium,
     terminal_payoff,
@@ -269,6 +272,32 @@ class TestHistoriesThePublicRulesRefuse:
                  lambda: check_proportionality(spec, SamplingPlan(histories=(h,)))]
         for rule in rules:
             with pytest.raises(InfeasibleHistoryError, match=f"battle 1: winner {winner} out"):
+                rule()
+
+    @pytest.mark.parametrize("winner", [-1, 2, 5])
+    def test_a_winner_out_of_range_in_the_history_readers(self, winner):
+        # -1 credited the last player, won values (0, 1) and a reach of B's
+        # 0.75, and 5 ended in an IndexError
+        spec = ContestSpec([1, 1, 1], [10, 20])
+        h = History().extend((1.0, 3.0), 0).extend((1.0, 3.0), winner)
+        for rule in (lambda: h.won_values(spec), lambda: reach_probability(spec, h)):
+            with pytest.raises(InfeasibleHistoryError, match=f"^battle 2: winner {winner} out of"):
+                rule()
+
+    @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
+    def test_an_overspent_history(self, objective):
+        # A spent 500 of 10: the ledger clamped A's budget to 0, and the
+        # evaluator returned (1.0, 2.0), a deviation gain of 0 and, under win
+        # probability, stage spends (0.0, 1.8e-7)
+        spec = ContestSpec([1, 1, 1], [10, 20], objective=objective)
+        h = History().extend((500, 0), 0)
+        rules = [lambda: expected_payoffs(proportional_profile(2), spec, h),
+                 lambda: deviation_gains(spec, h, 0, [0.0])]
+        if objective is WP:
+            rules += [lambda: stage_equilibrium(spec, h), lambda: best_response(spec, h, 1, 1.0)]
+        for rule in rules:
+            with pytest.raises(InfeasibleHistoryError,
+                               match=r"^battle 1: player 0 spent 500\.0, over the budget 10\.0$"):
                 rule()
 
     def test_guaranteed_loser_player_out_of_range(self):

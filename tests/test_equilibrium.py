@@ -40,6 +40,7 @@ from dynblotto.cli import main
 from conftest import (
     history_bfs_histories,
     per_history_check,
+    random_battle_values,
     random_ev_spec,
     reference_payoff_vec,
     reference_stage_payoff,
@@ -133,8 +134,8 @@ class TestBestResponse:
     # (history, player, opponent spend, allocation, value, flat): both players'
     # best responses, pinned bit for bit; none reads a value table's spline
     @pytest.mark.parametrize("history, player, opp, allocation, value, flat", [
-        (((30.0, 35.0), 0), 0, 20.0, "0x1.7bffff8901495p+5", "0x1.9add3c0ca4588p-1", False),
-        (((30.0, 35.0), 0), 1, 20.0, "0x1.b8ccbf90b93f0p+4", "0x1.fc26bbb5a48e8p-3", False),
+        (((30.0, 35.0), 0), 0, 20.0, "0x1.7c0000000447ep+5", "0x1.9add3c0ca4588p-1", False),
+        (((30.0, 35.0), 0), 1, 20.0, "0x1.b8ccc039b4bf4p+4", "0x1.fc26bbb5a48e8p-3", False),
         # a player whose payoff is flat plays proportional, and a broke one nothing
         (((40.0, 100.0), 0), 0, 0.0, "0x1.e000000000000p+4", "0x1.0000000000000p+0", True),
         (((40.0, 100.0), 0), 1, 0.0, "0x0.0p+0", "0x0.0p+0", False),
@@ -226,10 +227,10 @@ class TestStageEquilibrium:
 
     def test_a_residual_above_the_tolerance_names_battle_and_standings(self):
         spec = three_battle_contest()
-        h = History().extend((10.0, 20.0), 0)  # a certified residual of 1.1e-16
+        h = History().extend((30.0, 50.0), 1)  # a certified residual of 2.2e-16
         assert stage_equilibrium(spec, h).residual > 0.0
         with pytest.raises(ConvergenceError,
-                           match=r"battle 2, standings 1-0: best-response residual .* above"):
+                           match=r"battle 2, standings 0-1: best-response residual .* above"):
             stage_equilibrium(spec, h, settings=SolverSettings(tolerance=1e-300))
 
     def test_a_stale_positional_continuation_fails_at_once(self):
@@ -376,8 +377,8 @@ class TestSolveBackward:
                             lambda game: rows.append(game._rows.size) or solve(game))
         payoffs = expected_payoffs(profile, spec)
         assert rows == [1, 2, 4, 8, 10]  # one batch per level, the root's included
-        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee5p-2", "0x1.0fe27ee8d808dp-1"]
-        for seed, means in ((0, ["0x1.d26e978d4fdf4p-2", "0x1.16c8b43958106p-1"]),
+        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee4p-2", "0x1.0fe27ee8d808dp-1"]
+        for seed, means in ((0, ["0x1.e978d4fdf3b64p-2", "0x1.0b4395810624ep-1"]),
                             (7, ["0x1.ed916872b020cp-2", "0x1.09374bc6a7efap-1"])):
             assert [m.hex() for m in simulate(profile, spec, seed, 2000).means] == means
 
@@ -658,7 +659,9 @@ class TestSolverLogging:
             r"value tables: 3 classes built \(1 on half the nodes\), 2 decisive in closed "
             r"form, 2 served by a mirror, certificate batches per level \[3, 2\], rows per "
             r"level \[122, 81\], Newton-settled rows per level \[118, 79\], fallback rows per "
-            r"level \[4, 2\], Newton steps per level \[118, 100\], worst bracket gap \S+, "
+            r"level \[4, 2\], Newton steps per level \[118, 100\], certificate rows settled "
+            r"by Newton per level \[237, 159\], certificate zoom rows per level \[3, 1\], "
+            r"worst bracket gap \S+, "
             r"search \d+\.\d{3} s, certificate \d+\.\d{3} s, \d+\.\d{3} s", records[0])
         for record, result, how in zip(records[1:], results, ("built", "reused")):
             worst = max(s.residual for s in result.solutions.values())
@@ -863,7 +866,7 @@ class TestLevelBlocks:
         assert str(caught.value) == (
             "stage solve at battle 2, standings 0-1: minimax bracket gap 1.415e-01 above "
             "1e-03 at A's budget share 0.6734")
-        assert caught.value.residual == pytest.approx(0.1415394430493696, abs=1e-15)
+        assert caught.value.residual == pytest.approx(0.14153944304937982, abs=1e-15)
 
     @pytest.mark.parametrize("values, alpha", [
         ([1, 2, 3, 4, 5], 1.0), ([1, 1, 1, 1, 1], 0.5), ([1, 1, 1, 1], 0.8),
@@ -977,9 +980,14 @@ class TestNewtonSearch:
     @pytest.mark.parametrize("values", [[1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 3]])
     def test_failures_are_the_zooms_whatever_newton_settles(self, monkeypatch, values):
         spec = ContestSpec(values, [1, 1], CsfParams(2.0), objective=WP)
-        errors = []
-        for steps in (equilibrium.NEWTON_STEPS, 0):
-            monkeypatch.setattr(equilibrium, "NEWTON_STEPS", steps)
+        newton, errors = equilibrium._newton, []
+
+        def unsettled(game):  # the search's Newton settles no row; the certificate is unchanged
+            spends, steps, settled = newton(game)
+            return spends, steps, np.zeros_like(settled)
+
+        for search in (newton, unsettled):
+            monkeypatch.setattr(equilibrium, "_newton", search)
             with pytest.raises(ConvergenceError) as caught:
                 equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
             errors.append(caught.value)
@@ -994,15 +1002,104 @@ class TestNewtonSearch:
         # the rows Newton leaves are the broke end nodes, node 79 of a class
         # and, in the last level built, nodes 1-16, whose Hessian at the
         # proportional spends lacks the saddle's signs
-        counts = ([284, 162, 81], [274, 157, 62], [10, 5, 19], [1013, 849, 406])
+        counts = ([284, 162, 81], [274, 157, 62], [10, 5, 19], [1013, 848, 406])
         assert (tables._level_rows, tables._level_settled, tables._level_steps) == (
             counts[0], counts[1], counts[3])
+        # Newton settles the certificate's rows but the flat and broke ones and
+        # the 17 it leaves to the zoom
+        refined = ([552, 317, 152], [6, 3, 8])
+        assert tables._level_refined == list(zip(*refined))
         record = [r.getMessage() for r in caplog.records if r.name == "dynblotto"][-1]
         assert (f"rows per level {counts[0]}, Newton-settled rows per level {counts[1]}, "
                 f"fallback rows per level {counts[2]}, Newton steps per level "
-                f"{counts[3]}, ") in record
+                f"{counts[3]}, certificate rows settled by Newton per level {refined[0]}, "
+                f"certificate zoom rows per level {refined[1]}, ") in record
         search, certificate, total = map(float, re.findall(r"(\d+\.\d+) s", record))
         assert 0.0 < search and 0.0 < certificate and search + certificate <= total
+
+
+class TestNewtonBestResponses:
+    """The certificate's refinement: Newton on each row's own first-order
+    condition from the scan's best, and the zoom for the rows it leaves."""
+
+    def test_no_row_falls_below_the_zoom(self, monkeypatch):
+        # every certificate of a seeded family of builds, failing ones too,
+        # against the same rows refined by the zoom alone; at alpha 2, a row
+        # of (3, 2, 2, 1) whose Newton step overshoots the all-in end would
+        # be pinned there 2.3e-6 below the zoom, but for the bracket
+        rng, certified = random.Random(39), []
+        certificate = equilibrium._StageGame._certificate
+        monkeypatch.setattr(equilibrium._StageGame, "_certificate", lambda game, spends: (
+            certified.append((game, spends, certificate(game, spends))) or certified[-1][2]))
+        family = [(random_battle_values(rng, m), alpha)
+                  for m, alpha in ((3, 0.5), (4, 1.0), (4, 2.0), (5, 0.8), (5, 1.0))]
+        for values, alpha in family + [([3, 2, 2, 1], 2.0)]:
+            spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
+            try:
+                equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+            except ConvergenceError:
+                pass
+        monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 0)  # every row Newton would refine
+        rows = settled = 0
+        for game, spends, responses in certified:
+            for newton, zoom in zip(responses, certificate(game, spends)):
+                assert np.all(newton[1] >= zoom[1] - 4.4e-16)
+                assert not zoom[3].any() and np.array_equal(zoom[2], newton[2])
+                rows, settled = rows + newton[1].size, settled + int(newton[3].sum())
+        assert settled > 0.9 * rows
+
+    def test_no_row_ends_below_its_scan(self, monkeypatch):
+        # a refinement that settles every row at its bracket's low end: each
+        # row keeps its scan's best spend and payoff instead
+        spec = three_battle_contest()
+        game = equilibrium._stage_game_at(spec, History().extend((30.0, 35.0), 0),
+                                          equilibrium.DEFAULT_SETTINGS).take([0, 0])
+        players, opp = np.array([0, 1]), np.array([20.0, 20.0])
+        monkeypatch.setattr(equilibrium, "_ascend", lambda view, spends, lo, hi, opp: (
+            lo.copy(), np.ones(lo.size, dtype=bool)))
+        spends, values = game.best_responses(players, opp)[:2]
+        view = equilibrium._OwnView(game, players == 1)
+        grid = equilibrium._grid(np.zeros(2), view.budgets[0], 200)
+        scan = view.own_payoff(grid[:, :, None], opp[:, None, None])[:, :, 0]
+        best = scan.argmax(axis=1)
+        assert np.array_equal(spends, grid[[0, 1], best])
+        assert np.array_equal(values, scan[[0, 1], best])
+
+    def test_a_row_newton_leaves_gets_the_zooms_point(self):
+        # B's best response to A all in: Newton's step leaves the scan's bracket
+        spec = three_battle_contest()
+        game = equilibrium._stage_game_at(spec, History().extend((30.0, 35.0), 0),
+                                          equilibrium.DEFAULT_SETTINGS).take([0, 0])
+        players, opp = np.array([1, 0]), np.array([70.0, 20.0])
+        spends, values, _, settled, zoomed = game.best_responses(players, opp)
+        assert settled.tolist() == [False, True] and zoomed.tolist() == [True, False]
+        view = equilibrium._OwnView(game.take([0]), players[:1] == 1)
+        points = equilibrium.DEFAULT_SETTINGS.grid_points
+        grid = equilibrium._grid(np.zeros(1), view.budgets[0], points)
+        best = int(view.own_payoff(grid[:, :, None], opp[:1, None, None]).argmax())
+        boxes = [(grid[:, best - 1], grid[:, min(best + 1, points - 1)]), (opp[:1], opp[:1])]
+        point = equilibrium._zoom(view, boxes, equilibrium.ZOOM_POINTS)[0][0]
+        assert spends[0] == point[0] and values[0] == view.own_payoff(point, opp[:1])[0]
+
+    def test_a_row_at_the_rounding_floor_settles_at_once(self, monkeypatch):
+        # B's best response at node 77 of standings 0-6, where B holds 0.35%
+        # of the budgets: the stencil's second difference is about -1e-14, so
+        # one rounding in its first difference moves Newton's step by 1.7e-7
+        # of the budget, above NEWTON_SETTLE, while the gain it predicts,
+        # 1.4e-18, is below NEWTON_FLOOR
+        game = _unit_tables([1, 2, 3, 4, 5], 1.0).stage_game(
+            3, (0.0, 6.0), equilibrium._node_budgets(1.0, [77]))
+        opp = game.search()[0][0]
+        steps, payoff = [], equilibrium._OwnView.payoff
+        monkeypatch.setattr(equilibrium._OwnView, "payoff", lambda view, own, other: (
+            steps.append(own.shape) or payoff(view, own, other)))
+        settled = game.best_responses(np.array([1]), opp)[3]
+        assert settled[0] and steps.count((1, 3)) == 1
+        monkeypatch.setattr(equilibrium, "NEWTON_FLOOR", 0.0)
+        steps.clear()
+        settled, zoomed = game.best_responses(np.array([1]), opp)[3:]
+        assert not settled[0] and zoomed[0]
+        assert steps.count((1, 3)) == equilibrium.NEWTON_STEPS
 
 
 def _unit_tables(values, alpha):
