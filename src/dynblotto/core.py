@@ -9,6 +9,10 @@ probability of finishing with the most value (``WinProbability``).  Under the
 win-probability objective the contest ends early once some player's lead
 strictly exceeds all value still on the table.
 
+A History is checked against a contest in one place, `_state`: every
+function that reads a history in a contest, here and in the other modules,
+raises InfeasibleHistoryError on one that is no feasible play of it.
+
 Everything in this module is an immutable value object or a pure function, so
 instances are safe to share between threads; the caches a History and
 `_csf_row` keep only ever hold the one value their key determines.
@@ -23,6 +27,7 @@ from typing import Mapping, Sequence
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -79,6 +84,29 @@ def _real(value, field: str) -> float:
     if not _is_real(value):
         raise InputError(f"{field} must be a real number, got {value!r}")
     return float(value)
+
+
+def _finite(value, what: str, low: float = -math.inf) -> float:
+    """`value` as a float if it is a finite real number of at least `low`,
+    else InputError: `what`, then the value; a boolean, a string or None is
+    no real number, and an integer beyond the float range is not finite."""
+    if not (_is_real(value) and low <= value and abs(value) <= sys.float_info.max):
+        raise InputError(f"{what}, got {value!r}")
+    return float(value)
+
+
+def _battle_spends(allocations: Sequence[float], player: int) -> tuple:
+    """Caller-supplied spends of one battle as floats; InputError unless each
+    is a nonnegative finite real number and `player` indexes one of them."""
+    spends = tuple(_finite(w, "allocations must be nonnegative reals", 0.0) for w in allocations)
+    if not 0 <= player < len(spends):
+        raise InputError(f"player index {player} out of range")
+    return spends
+
+
+def _count(value) -> bool:
+    """A nonnegative integer; a boolean is not a count."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -251,16 +279,6 @@ class History:
 
     records: tuple = ()
 
-    def __post_init__(self):
-        totals = ()
-        if self.records:
-            totals = [0.0] * len(self.records[0].allocations)
-            for record in self.records:
-                for i, w in enumerate(record.allocations):
-                    totals[i] += w
-            totals = tuple(totals)
-        object.__setattr__(self, "_spent", totals)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -268,27 +286,19 @@ class History:
         spends = tuple(_real(w, f"allocation {i}") for i, w in enumerate(allocations))
         if isinstance(winner, bool) or not isinstance(winner, numbers.Integral):
             raise InputError(f"winner must be an integer, got {winner!r}")
-        record = BattleRecord(spends, int(winner))
-        extended = History.__new__(History)
-        object.__setattr__(extended, "records", self.records + (record,))
-        if self.records:
-            spent = tuple(s + w for s, w in zip(self._spent, record.allocations))
-        else:
-            spent = record.allocations
-        object.__setattr__(extended, "_spent", spent)
+        extended = History(self.records + (BattleRecord(spends, int(winner)),))
+        if "_state" in self.__dict__:  # `_state` goes on from it
+            object.__setattr__(extended, "_parent_state", self._state)
         return extended
 
     def winner_schedule(self) -> tuple:
         return tuple(record.winner for record in self.records)
 
     def spent(self, player: int) -> float:
-        return self._spent[player] if self.records else 0.0
+        return sum((record.allocations[player] for record in self.records), 0.0)
 
     def won_values(self, spec: ContestSpec) -> tuple:
-        totals = [0.0] * spec.n
-        for t, winner in enumerate(_winners(spec, self)):
-            totals[winner] += spec.values[t]
-        return tuple(totals)
+        return tuple(_state(spec, self)[0][0].tolist())
 
 
 @dataclass(frozen=True)
@@ -308,13 +318,7 @@ def csf_probability(allocations: Sequence[float], params: CsfParams, i: int) -> 
     Ratio of f(w_i) to the sum of f over all players; a uniform 1/n draw when
     that sum is 0 (nobody spends anything, or every f(w) underflows).
     """
-    allocations = tuple(float(w) for w in allocations)
-    if not 0 <= i < len(allocations):
-        raise InputError(f"player index {i} out of range")
-    for w in allocations:
-        if not math.isfinite(w) or w < 0:
-            raise InputError(f"allocations must be nonnegative reals, got {w}")
-    return _csf_row(allocations, params)[i]
+    return _csf_row(_battle_spends(allocations, i), params)[i]
 
 
 @lru_cache(maxsize=64)  # callers ask for each player's probability in turn
@@ -361,36 +365,57 @@ def _distinct_rows(array):
 
 
 def _state(spec: ContestSpec, history: History) -> tuple:
-    """(standings, spends, their `_statuses`) at a history; the first two 1 x n, read-only.
+    """(standings, spends, their `_statuses`, budgets) at a history; the arrays 1 x n, read-only.
 
-    Raises InfeasibleHistoryError for a history longer than the contest,
-    with another number of players or with a winner out of range.  The
-    public rules read a history several times, so the state is kept on it
-    for the spec last asked.
+    The one place where a history meets a spec: it raises
+    InfeasibleHistoryError, naming the first fault, unless the history is a
+    feasible play of the contest.  The budgets are the
+    next battle's (`_remaining_budgets`), or the formal ones once the
+    contest has ended.  The state is kept on the history for the spec last
+    asked, and a history extended from one with a state kept for the spec
+    checks only its last battle.
     """
     kept = history.__dict__.get("_state")
     if kept is not None and kept[0] is spec:
         return kept[1:]
-    played = len(history.records)
-    if played > len(spec.values):
+    records = history.records
+    if len(records) > len(spec.values):
         raise InfeasibleHistoryError("history longer than the contest")
-    spent = history._spent or (0.0,) * len(spec.budgets)
-    if len(spent) != len(spec.budgets):
-        raise InfeasibleHistoryError(f"history has {len(spent)} players, the contest {spec.n}")
-    state = np.array([history.won_values(spec), spent])
-    state.flags.writeable = False
-    kept = (spec, state[:1], state[1:], _statuses(spec, played, state[:1]))
+    kept, start = history.__dict__.get("_parent_state"), len(records) - 1
+    if kept is None or kept[0] is not spec:  # walk from the root
+        zero, start = np.zeros((1, spec.n)), 0
+        kept = (spec, zero, zero, None, _remaining_budgets(spec, 0, zero, zero))
+    _, standings, spent, status, budgets = kept
+    for t, record in enumerate(records[start:], start=start + 1):
+        spends, winner = record.allocations, record.winner
+        if len(spends) != spec.n:
+            raise InfeasibleHistoryError(
+                f"history has {len(spends)} players, the contest {spec.n}" if t == 1
+                else f"battle {t}: expected {spec.n} allocations, got {len(spends)}")
+        if not 0 <= winner < spec.n:
+            raise InfeasibleHistoryError(f"battle {t}: winner {winner} out of range")
+        if status is not None:
+            raise InfeasibleHistoryError(f"battle {t} fought after the contest ended")
+        for i, (w, bound) in enumerate(zip(spends, budgets[0].tolist())):
+            if not math.isfinite(w) or w < -BUDGET_TOLERANCE:
+                raise InfeasibleHistoryError(f"battle {t}: bad allocation {w} for player {i}")
+            if w > bound + BUDGET_TOLERANCE:
+                raise InfeasibleHistoryError(
+                    f"battle {t}: player {i} spent {w}, over the budget {bound}"
+                )
+        standings = standings.copy()
+        standings[0, winner] += spec.values[t - 1]
+        spent = spent + spends
+        status = _statuses(spec, t, standings)
+        if status is None:
+            budgets = _remaining_budgets(spec, t, standings, spent)
+        else:  # no one is hopeless at the end
+            budgets = _formal_budgets(spec, t, spent)
+    for array in (standings, spent, budgets):
+        array.flags.writeable = False
+    kept = (spec, standings, spent, status, budgets)
     object.__setattr__(history, "_state", kept)
     return kept[1:]
-
-
-def _winners(spec: ContestSpec, history: History) -> tuple:
-    """The history's winners; InfeasibleHistoryError names a battle whose
-    winner is no player of the spec."""
-    for t, record in enumerate(history.records, start=1):
-        if not 0 <= record.winner < spec.n:
-            raise InfeasibleHistoryError(f"battle {t}: winner {record.winner} out of range")
-    return history.winner_schedule()
 
 
 def _formal_budgets(spec: ContestSpec, played: int, spent):
@@ -469,7 +494,7 @@ def is_guaranteed_loser(spec: ContestSpec, history: History, player: int) -> boo
         raise InputError(f"player index {player} out of range")
     if spec.objective is not Objective.WIN_PROBABILITY:
         raise ContractError("guaranteed-loser rule applies to win-probability contests only")
-    standings, _, status = _state(spec, history)
+    standings, _, status, _ = _state(spec, history)
     if status is not None:
         raise ContractError("guaranteed-loser rule applies to nonterminal histories only")
     return bool(_hopeless(spec, len(history), standings)[0, player])
@@ -485,10 +510,7 @@ def remaining_budget(spec: ContestSpec, history: History, player: int) -> float:
     """
     if not 0 <= player < spec.n:
         raise InputError(f"player index {player} out of range")
-    standings, spent, status = _state(spec, history)
-    if status is not None:  # no one is hopeless at the end
-        return float(_formal_budgets(spec, len(history), spent)[0, player])
-    return float(_remaining_budgets(spec, len(history), standings, spent)[0, player])
+    return float(_state(spec, history)[3][0, player])
 
 
 def terminal_status(spec: ContestSpec, history: History) -> TerminalStatus:
@@ -511,7 +533,7 @@ def terminal_payoff(spec: ContestSpec, history: History) -> tuple:
     Expected value: each player banks the value of the battles they won.
     Win probability: the leaders split one unit of prize equally.
     """
-    standings, _, status = _state(spec, history)
+    standings, _, status, _ = _state(spec, history)
     if status is None:
         raise ContractError("terminal_payoff called on a nonterminal history")
     return tuple(_payoffs(spec, standings, status[1])[0].tolist())
@@ -520,29 +542,10 @@ def terminal_payoff(spec: ContestSpec, history: History) -> tuple:
 def check_history(spec: ContestSpec, history: History) -> None:
     """Raise InfeasibleHistoryError unless the history is feasible for the spec.
 
-    Checks per-battle budget bounds (with floating-point slack), allocation
-    shape, winner validity, and that no battle was fought after the contest
-    had already ended.
+    Checks the length first, then, battle by battle, the allocation count
+    (at the first battle, as the history's player count), the winner, that
+    the contest had not already ended, and each spend: finite, nonnegative
+    and within the remaining budget, with floating-point slack.  The error
+    names the first fault found.
     """
-    if len(history) > spec.m:
-        raise InfeasibleHistoryError("history longer than the contest")
-    standings, spent = np.zeros((1, spec.n)), np.zeros((1, spec.n))  # the state before battle t
-    for t, record in enumerate(history.records, start=1):
-        if len(record.allocations) != spec.n:
-            raise InfeasibleHistoryError(
-                f"battle {t}: expected {spec.n} allocations, got {len(record.allocations)}"
-            )
-        if not 0 <= record.winner < spec.n:
-            raise InfeasibleHistoryError(f"battle {t}: winner {record.winner} out of range")
-        if _statuses(spec, t - 1, standings) is not None:
-            raise InfeasibleHistoryError(f"battle {t} fought after the contest ended")
-        budgets = _remaining_budgets(spec, t - 1, standings, spent)[0].tolist()
-        for i, (w, bound) in enumerate(zip(record.allocations, budgets)):
-            if not math.isfinite(w) or w < -BUDGET_TOLERANCE:
-                raise InfeasibleHistoryError(f"battle {t}: bad allocation {w} for player {i}")
-            if w > bound + BUDGET_TOLERANCE:
-                raise InfeasibleHistoryError(
-                    f"battle {t}: player {i} spent {w}, over the budget {bound}"
-                )
-        spent += record.allocations
-        standings[0, record.winner] += spec.values[t - 1]
+    _state(spec, history)

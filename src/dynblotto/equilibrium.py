@@ -64,6 +64,7 @@ from .core import (
     History,
     InputError,
     Objective,
+    _count,
     _distinct_rows,
     _payoffs,
     _proportional_spend,
@@ -155,11 +156,6 @@ class SamplingPlan:
             refuse("histories", "a sequence of History objects")
         if not isinstance(self.seed, numbers.Integral):
             refuse("seed", "an integer")
-
-
-def _count(value) -> bool:
-    """A nonnegative integer; a boolean is not a count."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -989,16 +985,15 @@ def _budget_free_tables(spec: ContestSpec, settings: SolverSettings) -> _ValueTa
 
 
 def _stage_game_at(spec, history, settings) -> _StageGame:
+    standings, _, status, budgets = _state(spec, history)
     if spec.n != 2:
         raise InputError("stage solves are available for two-player contests")
     if spec.objective is not Objective.WIN_PROBABILITY:
         raise InputError("stage solves apply to win-probability contests")
-    if terminal_status(spec, history).terminal:
+    if status is not None:
         raise ContractError("stage solve requested at a terminal history")
-    played = len(history)
-    budgets = (remaining_budget(spec, history, 0), remaining_budget(spec, history, 1))
-    totals = history.won_values(spec)
-    return _budget_free_tables(spec, settings).stage_game(played, totals, budgets)
+    totals, budgets = tuple(standings[0].tolist()), tuple(budgets[0].tolist())
+    return _budget_free_tables(spec, settings).stage_game(len(history), totals, budgets)
 
 
 def best_response(
@@ -1017,14 +1012,12 @@ def best_response(
     Newton does not settle, grid minimax on those steps refines it, with the
     opponent's spend pinned.  The payoff returned is never below the scan's
     best.  A flat objective returns the proportional point, flagged.  The
-    history must pass `check_history`, else InfeasibleHistoryError is
-    raised.  The opponent's spend, a real number or a sequence of one, must
+    opponent's spend, a real number or a sequence of one, must
     lie in [0, the opponent's remaining budget].  Both successors are valued
     by the contest's value tables, so the contest must be one they cover.
     """
     if not 0 <= player < 2:
         raise InputError(f"player index {player} out of range")
-    check_history(spec, history)
     spend = opponents_allocation
     if isinstance(spend, (Sequence, np.ndarray)) and not isinstance(spend, (str, bytes)):
         if getattr(spend, "ndim", 1) != 1 or len(spend) != 1:
@@ -1054,11 +1047,9 @@ def stage_equilibrium(
     plays proportional.  The residual is the largest best-response gain at
     the returned point (see `best_response`); a residual above
     `settings.tolerance` raises ConvergenceError naming the battle and the
-    standings.  The history must pass `check_history`, else
-    InfeasibleHistoryError is raised.  Both successors are valued by the
-    contest's value tables, built once per battle values, CSF and settings.
+    standings.  Both successors are valued by the contest's value tables,
+    built once per battle values, CSF and settings.
     """
-    check_history(spec, history)
     return _path_solutions(_stage_game_at(spec, history, settings))[0]
 
 
@@ -1107,9 +1098,8 @@ def solve_backward(
     policy = _StagePolicy(_budget_free_tables(spec, settings))
     history, solutions = History(), {}
     while not terminal_status(spec, history).terminal:
-        (standings, spent, _), played = _state(spec, history), len(history)
-        budgets = _remaining_budgets(spec, played, standings, spent)
-        solution = policy.solve(played, standings, budgets)[0]
+        standings, _, _, budgets = _state(spec, history)
+        solution = policy.solve(len(history), standings, budgets)[0]
         solutions[history.winner_schedule()] = solution
         trailing = int(standings[0, 0] > standings[0, 1])
         history = history.extend(solution.allocations, trailing)
@@ -1170,11 +1160,10 @@ def check_proportionality(
     Sweeps the feasible deviation grid for every player at every sampled
     history, history after history and player after player; returns Fails
     on the first gain above tolerance, otherwise Holds with the largest gain
-    observed.  The plan's own histories must pass `check_history`, else
-    InfeasibleHistoryError is raised before any sweep.  States of one depth
-    that a sweep reads alike, equal in spent under expected value and in
-    (standings, spent) under win probability, gain alike, so only the first
-    of them is swept and its gains stand for all.  Each batch of sweeps is
+    observed.  The plan's own histories are checked before any sweep.
+    States of one depth that a sweep reads alike, equal in spent under
+    expected value and in (standings, spent) under win probability, gain
+    alike, so only the first of them is swept and its gains stand for all.  Each batch of sweeps is
     one walk (`evaluation._sweeps`) of at most PART rows: a depth's first
     sweep alone, so a refutation there costs one sweep, then 2, 4, 8, ...
     sweeps, doubling on from depth to depth.

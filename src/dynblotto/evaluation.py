@@ -18,7 +18,6 @@ proportional play.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,11 +31,13 @@ from .core import (
     History,
     InputError,
     Objective,
+    _battle_spends,
+    _count,
     _csf_distributions,
+    _finite,
     _proportional_spend,
     _remaining_budgets,
     _state,
-    check_history,
     remaining_budget,
     terminal_payoff,
     terminal_status,
@@ -86,13 +87,12 @@ def expected_payoffs(
     p_t along one budget path.  Every other walk branches on who wins each
     battle with its contest success probability, skips zero-probability
     branches, ends a win-probability state as soon as someone clinches,
-    and is capped at LEAF_CAP winner sequences.  The history must pass
-    `check_history`, else InfeasibleHistoryError is raised.
+    and is capped at LEAF_CAP winner sequences.
     """
     root = history if history is not None else History()
-    check_history(spec, root)
+    terminal = terminal_status(spec, root).terminal
     below = tuple(_below_root(s, len(root)) for s in profile.strategies)
-    if terminal_status(spec, root).terminal:
+    if terminal:
         return terminal_payoff(spec, root)
     spends = np.array([allocations_at(profile, spec, root)])
     walk = _level_walk(spec, len(root), *_state(spec, root)[:2], spends, below)
@@ -164,8 +164,10 @@ def deviation_grid(spec: ContestSpec, history: History, player: int, points: int
 
     Feasibility: the deviated spend must stay inside [0, remaining budget], so
     with budget a and proportional spend a/k the offsets range over
-    [-a/k, a - a/k].
+    [-a/k, a - a/k].  `points`, a nonnegative integer, below 2 gives (0.0,).
     """
+    if not _count(points):
+        raise InputError(f"points must be a nonnegative integer, got {points!r}")
     if terminal_status(spec, history).terminal:
         raise ContractError("deviations are undefined at terminal histories")
     budget = remaining_budget(spec, history, player)
@@ -200,16 +202,15 @@ def deviation_gains(
 
     Payoffs are evaluated in the contest as known at the history: shocks
     announced for later battles are not visible when the deviation is chosen,
-    so they do not enter either side of the comparison.  The history must
-    pass `check_history`, else InfeasibleHistoryError is raised.
+    so they do not enter either side of the comparison.  Each offset must be
+    a finite real number.
     """
-    check_history(spec, history)
     if terminal_status(spec, history).terminal:
         raise ContractError("deviations are undefined at terminal histories")
     if not 0 <= player < spec.n:
         raise InputError(f"player index {player} out of range")
     known = spec.truncate_shocks(len(history) + 1)
-    deltas = [float(delta) for delta in deltas]
+    deltas = [_finite(d, f"delta {j} must be a finite real number") for j, d in enumerate(deltas)]
     gains = _sweeps(known, len(history), *_state(known, history)[:2], np.array([player]),
                     np.array([deltas]))[0]
     closed = _closed_forms(known, history, player, deltas)
@@ -251,7 +252,7 @@ def _closed_forms(known: ContestSpec, history: History, player: int, deltas) -> 
     if known.csf.alpha != 1.0 or known.objective is not Objective.EXPECTED_VALUE:
         return [None] * len(deltas)
     played = len(history)
-    budgets = _remaining_budgets(known, played, *_state(known, history)[:2])[0].tolist()
+    budgets = _state(known, history)[3][0].tolist()
     opponents = sum(b for j, b in enumerate(budgets) if j != player)
     x_next = known.values[played]
     k = known.suffix_value(played) / x_next
@@ -299,12 +300,7 @@ def marginal_gain(spec: ContestSpec, allocations: Sequence[float], player: int, 
 
     and the scale parameter beta cancels.
     """
-    allocations = tuple(float(w) for w in allocations)
-    if not 0 <= player < len(allocations):
-        raise InputError(f"player index {player} out of range")
-    for w in allocations:
-        if not math.isfinite(w) or w < 0:
-            raise InputError(f"allocations must be nonnegative reals, got {w}")
+    allocations = _battle_spends(allocations, player)
     if sum(allocations) <= 0.0:
         raise InputError("marginal gain is singular when nobody spends")
     alpha = spec.csf.alpha

@@ -25,11 +25,11 @@ from .core import (
     _csf_distributions,
     _csf_row,
     _distinct_rows,
+    _finite,
     _proportional_spend,
     _remaining_budgets,
     _state,
     _statuses,
-    _winners,
     remaining_budget,
     terminal_status,
 )
@@ -162,8 +162,7 @@ def allocations_at(profile: StrategyProfile, spec: ContestSpec, history: History
         raise InputError(f"profile has {profile.n} strategies for {spec.n} players")
     if terminal_status(spec, history).terminal:
         raise ContractError("allocations_at called at a terminal history")
-    (standings, spent, _), played = _state(spec, history), len(history)
-    budgets = _remaining_budgets(spec, played, standings, spent)
+    (standings, _, _, budgets), played = _state(spec, history), len(history)
     proportional = _proportional_spend(spec, played, budgets[0]).tolist()  # within [0, budget]
     out = []
     for i, (strategy, budget) in enumerate(zip(profile.strategies, budgets[0].tolist())):
@@ -296,11 +295,16 @@ def _take(arrays, index) -> tuple:
 def one_shot_deviation(
     base: StrategyProfile, player: int, history: History, amount: float
 ) -> StrategyProfile:
-    """Profile equal to `base` except `player` spends `amount` at `history`."""
+    """Profile equal to `base` except `player` spends `amount` at `history`.
+
+    `amount` must be a finite real number; where it is played, it is clamped
+    into [0, the remaining budget].
+    """
     if not 0 <= player < base.n:
         raise InputError(f"player index {player} out of range")
+    amount = _finite(amount, "amount must be a finite real number")
     strategies = list(base.strategies)
-    strategies[player] = Deviation(strategies[player], history, player, float(amount))
+    strategies[player] = Deviation(strategies[player], history, player, amount)
     return StrategyProfile(tuple(strategies))
 
 
@@ -322,9 +326,7 @@ def history_from_winners(spec: ContestSpec, winners: Sequence[int]) -> History:
 
 
 def reach_probability(spec: ContestSpec, history: History) -> float:
-    """Probability of this exact winner sequence given its recorded spends.
-
-    A winner out of range raises InfeasibleHistoryError naming its battle.
-    """
-    return math.prod((_csf_row(r.allocations, spec.csf)[winner]
-                      for r, winner in zip(history.records, _winners(spec, history))), start=1.0)
+    """Probability of this exact winner sequence given its recorded spends."""
+    _state(spec, history)
+    return math.prod((_csf_row(r.allocations, spec.csf)[r.winner] for r in history.records),
+                     start=1.0)

@@ -21,9 +21,11 @@ from dynblotto import (
     check_proportionality,
     csf_probability,
     deviation_gains,
+    deviation_grid,
     expected_payoffs,
     history_from_winners,
     is_guaranteed_loser,
+    proportional_allocation,
     proportional_profile,
     reach_probability,
     remaining_budget,
@@ -32,7 +34,7 @@ from dynblotto import (
     terminal_status,
     validate_spec,
 )
-from dynblotto.core import _csf_distributions, _hopeless, _remaining_budgets, _statuses
+from dynblotto.core import _csf_distributions, _hopeless, _remaining_budgets, _state, _statuses
 from conftest import (
     random_battle_values,
     reference_budget,
@@ -177,6 +179,13 @@ class TestCsfProbability:
         with pytest.raises(InputError):
             csf_probability((1.0, 2.0), CsfParams(), 5)
 
+    @pytest.mark.parametrize("spends", [("1", True), (True, 2.0), (1.0, None)])
+    def test_a_spend_that_is_no_real_number_is_refused(self, spends):
+        # ("1", True) was read as (1.0, 1.0), and None ended in a TypeError
+        with pytest.raises(InputError, match=r"^allocations must be nonnegative reals, got "):
+            csf_probability(spends, CsfParams(), 0)
+        assert csf_probability((np.float64(1.0), Fraction(3)), CsfParams(), 0) == 0.25
+
     def test_bad_params_raise(self):
         with pytest.raises(InputError):
             CsfParams(0.0, 1.0)
@@ -240,65 +249,111 @@ class TestRemainingBudget:
             previous = current
 
 
+def infeasible(*battles) -> History:
+    history = History()
+    for allocations, winner in battles:
+        history = history.extend(allocations, winner)
+    return history
+
+
+EVEN = ((1.0, 1.0), 0)
+
+# Each kind of infeasible history of ContestSpec([1, 1, 1], [10, 20]), and
+# the message every reader refuses it with.
+INFEASIBLE = {
+    "too-long": (infeasible(EVEN, EVEN, EVEN, EVEN), "history longer than the contest"),
+    "three-players": (infeasible(((1.0, 1.0, 1.0), 0)), "history has 3 players, the contest 2"),
+    "mixed-counts": (infeasible(EVEN, ((1.0, 1.0, 1.0), 1)),
+                     "battle 2: expected 2 allocations, got 3"),
+    "winner-minus-1": (infeasible(((1.0, 1.0), -1)), "battle 1: winner -1 out of range"),
+    "winner-2": (infeasible(((1.0, 3.0), 0), ((1.0, 3.0), 2)), "battle 2: winner 2 out of range"),
+    "winner-5": (infeasible(((1.0, 1.0), 5)), "battle 1: winner 5 out of range"),
+    "nan-spend": (infeasible(((np.nan, 1.0), 0)), "battle 1: bad allocation nan for player 0"),
+    "overspent": (infeasible(((500, 0), 0)),
+                  "battle 1: player 0 spent 500.0, over the budget 10.0"),
+    # A has clinched after two battles under win probability only
+    "after-the-end": (infeasible(EVEN, EVEN, ((1.0, 1.0), 1)),
+                      "battle 3 fought after the contest ended"),
+}
+
+# Every public function that reads a History in a contest.
+READERS = {
+    "terminal_status": lambda spec, h: terminal_status(spec, h),
+    "remaining_budget": lambda spec, h: remaining_budget(spec, h, 0),
+    "terminal_payoff": lambda spec, h: terminal_payoff(spec, h),
+    "check_history": lambda spec, h: check_history(spec, h),
+    "History.won_values": lambda spec, h: h.won_values(spec),
+    "allocations_at": lambda spec, h: allocations_at(proportional_profile(2), spec, h),
+    "proportional_allocation": lambda spec, h: proportional_allocation(spec, h, 0),
+    "reach_probability": lambda spec, h: reach_probability(spec, h),
+    "expected_payoffs": lambda spec, h: expected_payoffs(proportional_profile(2), spec, h),
+    "deviation_grid": lambda spec, h: deviation_grid(spec, h, 0),
+    "deviation_gains": lambda spec, h: deviation_gains(spec, h, 0, [0.0]),
+    "check_proportionality": lambda spec, h: check_proportionality(
+        spec, SamplingPlan(histories=(h,))),
+}
+WIN_PROBABILITY_READERS = {
+    "is_guaranteed_loser": lambda spec, h: is_guaranteed_loser(spec, h, 0),
+    "best_response": lambda spec, h: best_response(spec, h, 1, 1.0),
+    "stage_equilibrium": lambda spec, h: stage_equilibrium(spec, h),
+}
+
+
 class TestHistoriesThePublicRulesRefuse:
+    @pytest.mark.parametrize("kind", list(INFEASIBLE))
     @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
-    def test_a_history_longer_than_the_contest(self, objective):
-        spec = ContestSpec([1, 2, 1.5], [40, 60], objective=objective)
-        long = History()
-        for winner in (0, 1, 1, 0):
-            long = long.extend((1.0, 1.0), winner)
-        rules = [lambda: remaining_budget(spec, long, 0), lambda: terminal_status(spec, long),
-                 lambda: terminal_payoff(spec, long),
-                 lambda: allocations_at(proportional_profile(2), spec, long)]
-        if objective is WP:
-            rules.append(lambda: is_guaranteed_loser(spec, long, 0))
-        for rule in rules:
-            with pytest.raises(InfeasibleHistoryError, match="longer than the contest"):
-                rule()
-
-    def test_a_history_of_another_player_count(self):
-        spec = ContestSpec([1, 2, 1.5], [40, 60])
-        with pytest.raises(InfeasibleHistoryError, match="3 players"):
-            remaining_budget(spec, History().extend((1.0, 1.0, 1.0), 0), 0)
-
-    @pytest.mark.parametrize("winner", [-1, 2, 5])
-    def test_a_winner_out_of_range(self, winner):
-        # -1 credited the last player, and 2 or 5 ended in an IndexError
-        spec = ContestSpec([1, 2, 1.5], [40, 60], objective=WP)
-        h = History().extend((1.0, 1.0), winner)
-        rules = [lambda: remaining_budget(spec, h, 0), lambda: terminal_status(spec, h),
-                 lambda: expected_payoffs(proportional_profile(2), spec, h),
-                 lambda: stage_equilibrium(spec, h),
-                 lambda: check_proportionality(spec, SamplingPlan(histories=(h,)))]
-        for rule in rules:
-            with pytest.raises(InfeasibleHistoryError, match=f"battle 1: winner {winner} out"):
-                rule()
-
-    @pytest.mark.parametrize("winner", [-1, 2, 5])
-    def test_a_winner_out_of_range_in_the_history_readers(self, winner):
-        # -1 credited the last player, won values (0, 1) and a reach of B's
-        # 0.75, and 5 ended in an IndexError
-        spec = ContestSpec([1, 1, 1], [10, 20])
-        h = History().extend((1.0, 3.0), 0).extend((1.0, 3.0), winner)
-        for rule in (lambda: h.won_values(spec), lambda: reach_probability(spec, h)):
-            with pytest.raises(InfeasibleHistoryError, match=f"^battle 2: winner {winner} out of"):
-                rule()
-
-    @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
-    def test_an_overspent_history(self, objective):
-        # A spent 500 of 10: the ledger clamped A's budget to 0, and the
-        # evaluator returned (1.0, 2.0), a deviation gain of 0 and, under win
-        # probability, stage spends (0.0, 1.8e-7)
+    def test_every_reader_refuses_every_infeasible_kind(self, objective, kind):
+        # A NaN spend gave allocations (nan, 9.5) and a reach of nan, an
+        # overspent history a terminal status, budgets and allocations, and
+        # a battle after the end a payoff of (1.0, 0.0); a history longer
+        # than the contest ended won_values in an IndexError.
+        history, message = INFEASIBLE[kind]
         spec = ContestSpec([1, 1, 1], [10, 20], objective=objective)
-        h = History().extend((500, 0), 0)
-        rules = [lambda: expected_payoffs(proportional_profile(2), spec, h),
-                 lambda: deviation_gains(spec, h, 0, [0.0])]
+        readers = dict(READERS)
         if objective is WP:
-            rules += [lambda: stage_equilibrium(spec, h), lambda: best_response(spec, h, 1, 1.0)]
-        for rule in rules:
-            with pytest.raises(InfeasibleHistoryError,
-                               match=r"^battle 1: player 0 spent 500\.0, over the budget 10\.0$"):
-                rule()
+            readers.update(WIN_PROBABILITY_READERS)
+        elif kind == "after-the-end":  # an expected-value contest runs every battle
+            check_history(spec, history)
+            return
+        answers = {}
+        for name, read in readers.items():
+            try:
+                answers[name] = read(spec, history)
+            except InfeasibleHistoryError as error:
+                if str(error) != message:
+                    answers[name] = str(error)
+        assert answers == {}
+
+    def test_an_extended_history_checks_its_last_battle_from_its_parents_state(self):
+        spec = ContestSpec([1, 1, 1], [10, 20], objective=WP)
+        parent = history_from_winners(spec, (0, 1))
+        assert not terminal_status(spec, parent).terminal
+        child = parent.extend((8.0, 0.0), 0)
+        assert child._parent_state[0] is spec
+        with pytest.raises(InfeasibleHistoryError,
+                           match=r"^battle 3: player 0 spent 8\.0, over the budget 3\.3333"):
+            terminal_status(spec, child)
+        # the parent's state is kept for one spec object; another spec
+        # walks from the first battle
+        smaller = ContestSpec([1, 1, 1], [1, 20], objective=WP)
+        with pytest.raises(InfeasibleHistoryError, match=r"^battle 1: player 0 spent 3\.33"):
+            terminal_status(smaller, parent.extend((0.0, 0.0), 0))
+
+    @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
+    def test_an_extended_history_has_the_state_of_a_fresh_walk(self, objective):
+        rng = random.Random(3)
+        for _ in range(20):
+            spec = ContestSpec(random_battle_values(rng, 5), [rng.uniform(1, 50) for _ in range(3)],
+                               objective=objective, shocks={(1, 3): rng.uniform(-5, 5)})
+            history = History()
+            while not terminal_status(spec, history).terminal:
+                spends = [rng.uniform(0, remaining_budget(spec, history, i)) for i in range(3)]
+                history = history.extend(spends, rng.randrange(3))
+                fresh = History(history.records)
+                for kept, walked in zip(_state(spec, history), _state(spec, fresh)):
+                    if isinstance(kept, np.ndarray):
+                        assert kept.tobytes() == walked.tobytes()
+                assert terminal_status(spec, history) == terminal_status(spec, fresh)
 
     def test_guaranteed_loser_player_out_of_range(self):
         spec = ContestSpec([3, 3, 1, 1], [90, 90, 90], objective=WP)

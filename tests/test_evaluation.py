@@ -587,6 +587,24 @@ class TestDeviationGain:
         spec = ContestSpec([1, 1], [0.0, 10.0])
         assert deviation_grid(spec, History(), 0) == (0.0,)
 
+    @pytest.mark.parametrize("points", [2.5, True, -5, "3", None])
+    def test_grid_points_must_be_a_count(self, points):
+        # 2.5 gave (-3.33, 3.33, 10.0), whose last offset spends 13.33 of a
+        # budget of 10; True and -5 gave (0.0,)
+        spec = ContestSpec([1, 1, 1], [10, 20])
+        with pytest.raises(InputError, match=r"^points must be a nonnegative integer, got "):
+            deviation_grid(spec, History(), 0, points)
+        for few in (0, 1):
+            assert deviation_grid(spec, History(), 0, few) == (0.0,)
+        assert len(deviation_grid(spec, History(), 0, np.int64(3))) == 3
+
+    @pytest.mark.parametrize("delta", ["1", True, math.nan, math.inf, None])
+    def test_a_delta_that_is_no_finite_real_number_is_named(self, delta):
+        # "1" was read as 1.0
+        spec = ContestSpec([1, 1, 1], [10, 20])
+        with pytest.raises(InputError, match=r"^delta 1 must be a finite real number, got "):
+            deviation_gains(spec, History(), 0, [0.5, delta])
+
 
 class TestClosedFormGain:
     def test_reference_point(self):
@@ -726,7 +744,7 @@ class TestMarginalGain:
             marginal_gain(half, (0.0, 1.0), 0, 1.0)
 
     @pytest.mark.parametrize("spends", [(-1.0, 2.0), (1.0, -0.5), (1.0, math.inf),
-                                        (math.nan, 1.0)])
+                                        (math.nan, 1.0), ("1", True), (1.0, None)])
     def test_spends_must_be_finite_and_nonnegative(self, spends):
         spec = ContestSpec([1, 1], [10, 10])
         with pytest.raises(InputError, match="allocations must be nonnegative reals"):

@@ -162,6 +162,16 @@ class TestOneShotDeviation:
         with pytest.raises(InputError):
             one_shot_deviation(proportional_profile(2), 5, History(), 1.0)
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"), -10**400, "3", True, None])
+    def test_an_amount_that_is_no_finite_real_number_is_named(self, amount):
+        # NaN made the root allocation NaN and the payoffs (nan, nan); "3"
+        # was read as 3.0 and True as 1.0
+        with pytest.raises(InputError, match=r"^amount must be a finite real number, got "):
+            one_shot_deviation(proportional_profile(2), 0, History(), amount)
+        spec = ContestSpec([1, 1, 1], [10, 20])
+        deviated = one_shot_deviation(proportional_profile(2), 0, History(), np.float64(-1.0))
+        assert allocations_at(deviated, spec, History())[0] == 0.0  # clamped into the budget
+
 
 class TestTabular:
     def test_recorded_allocation_wins_over_fallback(self):
