@@ -55,7 +55,6 @@ from .strategies import (
     PROPORTIONAL,
     Strategy,
     StrategyProfile,
-    Tabular,
     allocations_at,
     history_from_winners,
     one_shot_deviation,

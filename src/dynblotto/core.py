@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -79,10 +78,22 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _in_range(value) -> bool:
+    """A real number no larger in magnitude than the largest float, compared
+    as a float: an infinity or an integer beyond the float range is not, nan is."""
+    try:
+        return not math.isinf(float(value))
+    except OverflowError:
+        return False
+
+
 def _real(value, field: str) -> float:
-    """`value` as a float, or InputError naming the field if it is no real number."""
+    """`value` as a float, or InputError naming the field if it is no real
+    number or lies beyond the float range."""
     if not _is_real(value):
         raise InputError(f"{field} must be a real number, got {value!r}")
+    if not _in_range(value):
+        raise InputError(f"{field} must lie within the float range, got {value!r}")
     return float(value)
 
 
@@ -90,7 +101,7 @@ def _finite(value, what: str, low: float = -math.inf) -> float:
     """`value` as a float if it is a finite real number of at least `low`,
     else InputError: `what`, then the value; a boolean, a string or None is
     no real number, and an integer beyond the float range is not finite."""
-    if not (_is_real(value) and low <= value and abs(value) <= sys.float_info.max):
+    if not (_is_real(value) and low <= value and _in_range(value)):
         raise InputError(f"{what}, got {value!r}")
     return float(value)
 
@@ -142,7 +153,7 @@ def _as_shock_items(shocks) -> tuple:
         key = (int(player), int(battle))
         if key in out:
             raise InputError(f"shock key {key} repeats")
-        out[key] = _real(amount, f"shock amount of {key}")
+        out[key] = _finite(amount, f"shock amount of {key} must be a finite real number")
     return tuple(sorted(out.items()))
 
 
@@ -166,7 +177,8 @@ class ContestSpec:
     def __post_init__(self):
         for name in ("values", "budgets"):
             object.__setattr__(self, name, tuple(
-                _real(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name))))
+                _finite(v, f"{name}[{i}] must be a finite real number")
+                for i, v in enumerate(getattr(self, name))))
         object.__setattr__(self, "shocks", _as_shock_items(self.shocks))
         if not isinstance(self.objective, Objective):
             try:
@@ -179,16 +191,11 @@ class ContestSpec:
             raise InputError("a contest needs at least two players")
         if len(self.values) < 1:
             raise InputError("a contest needs at least one battle")
-        for seq in (self.values, self.budgets):
-            if any(not math.isfinite(v) for v in seq):
-                raise InputError("values and budgets must be finite")
         for (player, battle), amount in self.shocks:
             if not 0 <= player < len(self.budgets):
                 raise InputError(f"shock references unknown player {player}")
             if not 1 <= battle <= len(self.values):
                 raise InputError(f"shock references unknown battle {battle}")
-            if not math.isfinite(amount):
-                raise InputError("shock amounts must be finite")
 
         # Derived lookup tables (not part of equality/hash).
         m, n = len(self.values), len(self.budgets)
@@ -269,8 +276,19 @@ def validate_spec(spec: ContestSpec) -> list:
 
 @dataclass(frozen=True)
 class BattleRecord:
+    """One battle: each player's spend, a real number, and the winner's index,
+    an integer.  A field of the wrong type raises InputError naming it; the
+    values are checked against a contest where a History meets one."""
+
     allocations: tuple
     winner: int
+
+    def __post_init__(self):
+        spends = tuple(_real(w, f"allocation {i}") for i, w in enumerate(self.allocations))
+        if isinstance(self.winner, bool) or not isinstance(self.winner, numbers.Integral):
+            raise InputError(f"winner must be an integer, got {self.winner!r}")
+        object.__setattr__(self, "allocations", spends)
+        object.__setattr__(self, "winner", int(self.winner))
 
 
 @dataclass(frozen=True)
@@ -283,10 +301,7 @@ class History:
         return len(self.records)
 
     def extend(self, allocations: Sequence[float], winner: int) -> "History":
-        spends = tuple(_real(w, f"allocation {i}") for i, w in enumerate(allocations))
-        if isinstance(winner, bool) or not isinstance(winner, numbers.Integral):
-            raise InputError(f"winner must be an integer, got {winner!r}")
-        extended = History(self.records + (BattleRecord(spends, int(winner)),))
+        extended = History(self.records + (BattleRecord(allocations, winner),))
         if "_state" in self.__dict__:  # `_state` goes on from it
             object.__setattr__(extended, "_parent_state", self._state)
         return extended

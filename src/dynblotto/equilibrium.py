@@ -3,17 +3,17 @@
 Two engines live here.  For two-player win-probability contests, a backward
 induction solver computes stage equilibria.  Such a stage is zero-sum (the
 two win probabilities add up to one), so its equilibrium is a saddle point
-of player A's payoff over the two spends.  The search is projected Newton on
-the two first-order conditions from the proportional spends, a spend at 0 or
-all in pinned there while its gradient points out; the rows it does not
-settle go, in one call, to the zoom, grid minimax on shrinking boxes from the
-whole budgets.  Both run batched over rows, a row being one class at one
-budget pair, and a row's result does not depend on the rows beside it.  Each
-point carries a best-response certificate, the largest payoff gain either
-player finds by a scan over the whole budget, refined by Newton on the
-player's own first-order condition with the opponent's spend pinned; the rows
-Newton leaves go, in one call, to the zoom around the scan's best.  Both
-players' best responses are one batch.
+of player A's payoff over the two spends.  Newton is the one algorithm, its
+derivatives in closed form: the search is projected Newton on the two
+first-order conditions from the proportional spends, a spend at 0 or all in
+pinned there while its gradient points out, and a row it does not settle
+starts again from a settled point.  It runs batched over rows, a row being
+one class at one budget pair, and a row's result outside a table build does
+not depend on the rows beside it.  Each point carries a best-response
+certificate, the largest payoff gain either player finds by a scan over the
+whole budget, refined by Newton on the player's own first-order condition
+with the opponent's spend pinned.  Both players' best responses are one
+batch.
 
 Continuation values come from per-stage value tables.  A continuation value
 depends only on the battle index, the standings (won-value totals), and the
@@ -120,7 +120,7 @@ class BestResponseResult:
 class StageSolution:
     allocations: tuple
     residual: float  # largest best-response improvement at the returned point
-    iterations: int  # Newton steps, or the zoom's rounds if Newton did not settle
+    iterations: int  # Newton steps, over every start
     flat: tuple  # per player: payoff flat in the own spend, so proportional is played
 
 
@@ -222,10 +222,12 @@ class _Spline:
         return _spline_values((self.a, self.b, self.c, self.d), None, np.array(qs, dtype=float))
 
 
-def _spline_values(coefficients, base, qs: np.ndarray) -> np.ndarray:
+def _spline_values(coefficients, base, qs: np.ndarray, slopes=False):
     """Stacked splines at shares qs, which are overwritten.  Each coefficient
     array (a, b, c, d) holds VALUE_NODES - 1 intervals per spline; `base` is
-    each row's offset into them, broadcast against qs, or None for one spline."""
+    each row's offset into them, broadcast against qs, or None for one spline.
+    Given `slopes`, at one share per row, with the first two derivatives in
+    the share: (value, b + 2 c s + 3 d s^2, 2 c + 6 d s), s = q - node."""
     idx = np.multiply(qs, -2.0)  # 1 - 2 q, bit for bit, in place
     idx += 1.0
     np.arccos(idx, out=idx)
@@ -235,6 +237,10 @@ def _spline_values(coefficients, base, qs: np.ndarray) -> np.ndarray:
     s = np.subtract(qs, np.take(_NODES, idx), out=qs)
     if base is not None:
         idx += base
+    if slopes:
+        a, b, c, d = (coefficient.take(idx) for coefficient in coefficients)
+        ds = d * s
+        return (((ds + c) * s + b) * s + a, (3.0 * ds + 2.0 * c) * s + b, 6.0 * ds + 2.0 * c)
     # Horner's rule in place: ((d * s + c) * s + b) * s + a
     a, b, c, d = coefficients
     value = np.take(d, idx)
@@ -243,6 +249,26 @@ def _spline_values(coefficients, base, qs: np.ndarray) -> np.ndarray:
         value *= s
         value += np.take(coefficient, idx, out=term, mode="clip")  # idx lies in range
     return value
+
+
+_SIGNS = np.array([[[1.0]], [[-1.0]]])  # a share rises with x, falls with y
+
+
+def _share_slopes(z: np.ndarray, alpha: float) -> tuple:
+    """s = x^alpha / (x^alpha + y^alpha) for (x, y) = z, x, y >= 0 not both 0,
+    with its derivatives, as (s, (s_x, s_y), (s_xx, s_yy), s_xy).
+
+    With k = alpha s (1 - s) and t = alpha (1 - 2 s): s_x = k / x, s_y =
+    -k / y, s_xx = k (t - 1) / x^2, s_yy = k (t + 1) / y^2 and s_xy =
+    -k t / (x y).  Those of a variable at 0 are nan, without a warning:
+    callers read them only at variables above 0.
+    """
+    scores = z**alpha
+    s, rest = scores / (scores[0] + scores[1])
+    k, t = alpha * s * rest, alpha * (rest - s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = k / z * _SIGNS
+        return s, first, first * (_SIGNS * t - 1.0) / z, first[0] * -t / z[1]
 
 
 @lru_cache(maxsize=4096)  # the solver asks about each class many times
@@ -384,37 +410,42 @@ class _BranchValue:
             np.copyto(value, coins.reshape(shape), where=broke)
         return value
 
+    def slopes(self, q: np.ndarray) -> np.ndarray:
+        """A's payoff at each row's successor class and its first two
+        derivatives in A's share q, one share per row, stacked."""
+        value = np.zeros((3, q.size))
+        for rows, spline, data in self.groups:
+            if spline:  # a mirrored row reads 1 - S(1 - q): slope S'(1 - q), bend -S''(1 - q)
+                flip, sign = data[1], np.where(data[1], -1.0, 1.0)
+                v, slope, bend = _spline_values(self._coefficients, data[0],
+                                                np.where(flip, 1.0 - q[rows], q[rows]), slopes=True)
+                value[:, rows] = sign * v + (sign < 0.0), slope, sign * bend
+            else:  # lose + (win - lose) q
+                value[1, rows] = data[0] - data[1]
+                value[0, rows] = value[1, rows] * q[rows] + data[1]
+        return value
+
 
 # ---------------------------------------------------------------------------
 # stage solves
 
-# The saddle search runs projected Newton on dP/dw_a = 0 = dP/dw_b from the
-# proportional spends, by central differences on a 3 x 3 stencil of spends
-# NEWTON_WIDTH of each budget apart, inside the budgets.  A row settles once
-# its step is at most NEWTON_SETTLE of its larger budget, about the floor
-# the stencil's rounding sets, where P_aa < 0 < P_bb.  The rows with a
-# broke player, without those signs or unsettled after NEWTON_STEPS steps
-# go to the zoom in one call, its first round on FIRST_POINTS spends per
-# budget and the later ones on ZOOM_POINTS.  A table node keeps only its
-# certified bracket's midpoint, whose error is second order in the spends',
-# so the zoom searches it to NODE_TOLERANCE and other stages to
-# REFINE_TOLERANCE; a node whose bracket is wider than BRACKET_BOUND fails
-# its class.  A certificate's scans run in batches of CERTIFICATE_CELLS
-# payoff cells.  Its best responses are refined by Newton on the player's
-# own condition, on the 3-point stencil NEWTON_WIDTH of the budget wide,
-# inside the grid steps either side of the scan's best; a row settles at
-# NEWTON_SETTLE, or once the gain its model predicts is at most
-# NEWTON_FLOOR, and the rows left go to the zoom on those steps.
-FIRST_POINTS = 33
-ZOOM_POINTS = 17
-MARGIN = 2
-REFINE_TOLERANCE = 1e-6
-NODE_TOLERANCE = 1e-5
-NEWTON_WIDTH = 1e-5
+# The saddle search runs projected Newton on dP/dw_a = 0 = dP/dw_b, its
+# derivatives in closed form (`_StageGame.slopes`) at the spends moved
+# NEWTON_SETTLE of each budget inside the budgets, where every derivative is
+# finite.  A row settles once its step is at most NEWTON_SETTLE of its larger
+# budget, where P_aa < 0 < P_bb; a row with a broke player settles at once at
+# its start, since any positive spend of the other player wins every battle
+# left.  A row without those signs, or unsettled after NEWTON_STEPS steps,
+# starts again from a settled point (`_StageGame.search`).  A table node whose
+# certified bracket is wider than BRACKET_BOUND fails its class.  A
+# certificate's scans run in batches of CERTIFICATE_CELLS payoff cells.  Its
+# best responses are refined by Newton on the player's own condition, inside
+# the grid steps either side of the scan's best; a row settles once the gain
+# its model predicts is at most NEWTON_FLOOR.
 NEWTON_SETTLE = 1e-9
 NEWTON_STEPS = 30
 NEWTON_FLOOR = 2.0**-52  # a payoff gain below this is rounding
-CERTIFICATE_CELLS = 64 * ZOOM_POINTS**2
+CERTIFICATE_CELLS = 18_496  # 92 rows of a 200-spend scan
 BRACKET_BOUND = 1e-3  # largest minimax bracket gap accepted at a table node
 FLAT = 1e-12  # relative payoff spread below which a best-response scan is flat
 
@@ -446,133 +477,100 @@ def _where(played, totals) -> str:
     return f"stage solve at battle {played + 1}, standings {a:.6g}-{b:.6g}"
 
 
-def _zoom(game, boxes, points, tolerance=REFINE_TOLERANCE):
-    """Grid minimax on shrinking boxes; returns (spends, rounds), per row.
-
-    `game` is a `_StageGame`, or an `_OwnView` of one, whose payoff the
-    first player maximises.  `boxes` holds a (lo, hi) array pair per player.
-    Each round the first player takes the argmax of the row minima of the
-    payoff and the second the argmin of the column maxima, the first one on
-    ties, so ties go to the smallest spend.  The boxes then shrink to MARGIN
-    grid steps around those spends.  A row stops once its own boxes are
-    narrower than `tolerance`, and the later rounds run on the rows left.  A
-    zero-width box pins a spend.
-    """
-    active = game._rows  # the rows left, as indices into the first game's
-    spends = [np.empty(active.size), np.empty(active.size)]
-    rounds = np.empty(active.size, dtype=int)
-    count = 0
-    while True:
-        count += 1
-        grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
-        values = game.payoff(grids[0][:, :, None], grids[1][:, None, :])
-        picks = (values.min(axis=2).argmax(axis=1), values.max(axis=1).argmin(axis=1))
-        found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
-        steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
-        done = 2 * MARGIN * np.maximum(*steps) <= tolerance
-        if done.any():
-            for spend, w in zip(spends, found):
-                spend[active[done]] = w[done]
-            rounds[active[done]] = count
-            if done.all():
-                return spends, rounds
-            keep = np.flatnonzero(~done)
-            game, active = game.take(keep), active[keep]
-            found, steps = [w[keep] for w in found], [step[keep] for step in steps]
-        boxes = [
-            (np.maximum(w - MARGIN * step, 0.0), np.minimum(w + MARGIN * step, budget))
-            for w, step, budget in zip(found, steps, game.budgets)
-        ]
-        points = ZOOM_POINTS
+def _inside(spends: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """The spends moved NEWTON_SETTLE of the budgets inside [0, budgets]."""
+    inner = NEWTON_SETTLE * budgets
+    return np.minimum(np.maximum(spends, inner), budgets - inner)
 
 
 _ASCENT = np.array([[1.0], [-1.0]])  # A's payoff rises for A, falls for B
 
 
-def _newton(game):
-    """Projected Newton on the first-order conditions: per row, (spends,
-    steps, settled)."""
-    budgets, count = np.stack(game.budgets), game._rows.size
-    spends, steps = np.stack(game.proportional), np.zeros(count, dtype=int)
-    last = spends.copy()  # each row's previous spends
-    settled = np.zeros(count, dtype=bool)
-    width = NEWTON_WIDTH * budgets
-    live = np.flatnonzero((width > 0.0).all(axis=0))  # a broke player goes to the zoom
+def _newton(game, spends):
+    """Projected Newton on the first-order conditions from `spends`, a (2,
+    rows) array that it overwrites: per row, (spends, steps, settled).
+
+    Each step reads the derivatives at the spends moved inside the budgets
+    and extends them to the spends by the Hessian.  A spend at 0 or all in
+    whose gradient points out is pinned there, and the other's step solves
+    its own condition.  A row with a broke player settles at its start.
+    Every step reads every row, so a row's result does not depend on the
+    rows beside it, and a row that leaves keeps its last spends.
+    """
+    budgets, count = np.stack(game.budgets), spends.shape[1]
+    steps, settled = np.zeros(count, dtype=int), (budgets <= 0.0).any(axis=0)
+    rows = np.flatnonzero(~settled)
+    if rows.size < count:
+        game, budgets = game.take(rows), budgets[:, rows]
+    w = spends[:, rows]
+    last, live, done = w.copy(), np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
     for step in range(1, NEWTON_STEPS + 1):
-        if not live.size:
+        if not live.any():
             break
-        w, budget, h = spends[:, live], budgets[:, live], width[:, live]
-        centre = np.minimum(np.maximum(w, h), budget - h)
-        grids = centre[:, :, None] + h[:, :, None] * np.array([-1.0, 0.0, 1.0])
-        part = game if live.size == count else game.take(live)
-        f = part.payoff(grids[0][:, :, None], grids[1][:, None, :])
-        # the stencil's quadratic model, in units of h, at the spends, from
-        # each player's two arms and the corners' cross term
-        plus, minus, shift = f[:, [2, 1], [1, 2]].T, f[:, [0, 1], [1, 0]].T, (w - centre) / h
-        d2 = plus - 2.0 * f[:, 1, 1] + minus
-        dab = (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / 4.0
-        g = (plus - minus) / 2.0 + d2 * shift + dab * shift[::-1]
+        centre = _inside(w, budgets)
+        g, (d2, dab) = game.slopes(centre)
+        shift = w - centre
+        g += d2 * shift + dab * shift[::-1]
         # A maximises, B minimises: a spend at an end whose gradient points
         # out is pinned, and the other's step solves its own condition
-        low, high, out = w <= 0.0, w >= budget, g * _ASCENT
+        low, high, out = w <= 0.0, w >= budgets, g * _ASCENT
         pin = (low & (out <= 0.0)) | (high & (out >= 0.0))
         g[pin], dab[pin.any(axis=0)] = 0.0, 0.0
         d2 = np.where(pin, -_ASCENT, d2)
         det = d2[0] * d2[1] - dab * dab
         saddle = (d2[0] < 0.0) & (d2[1] > 0.0) & (det < 0.0)
         moves = np.divide(g[::-1] * dab - g * d2[::-1], det, out=np.zeros_like(w), where=saddle)
-        found = np.minimum(np.maximum(w + moves * h, 0.0), budget)
+        found = np.minimum(np.maximum(w + moves, 0.0), budgets)
         # a step onto an end where the player is not pinned went too far:
         # the row goes an eighth of the way back to its previous spends
-        back = ((low | high) & ~pin).any(axis=0) & (w != last[:, live]).any(axis=0)
-        found[:, back] += (last[:, live[back]] - w[:, back]) / 8.0
-        done = saddle & ~back & (np.abs(found - w).max(axis=0) <= NEWTON_SETTLE * budget.max(axis=0))
-        last[:, live] = w
-        spends[:, live], steps[live], settled[live] = found, step, done
-        live = live[(saddle | back) & ~done]
+        back = ((low | high) & ~pin).any(axis=0) & (w != last).any(axis=0)
+        found[:, back] += (last[:, back] - w[:, back]) / 8.0
+        close = np.abs(found - w).max(axis=0) <= NEWTON_SETTLE * budgets.max(axis=0)
+        done |= live & saddle & ~back & close
+        steps[rows[live]] = step
+        last, w = np.where(live, w, last), np.where(live, found, w)
+        live &= (saddle | back) & ~done
+    spends[:, rows], settled[rows] = w, done
     return spends, steps, settled
 
 
-def _ascend(view, spends, lo, hi, opp):
+def _respond(view, spends, lo, hi, opp):
     """Newton on each row's own first-order condition, the opponent's spend
-    `opp` fixed: per row, (spends, settled).
+    `opp` fixed, from `spends` inside the brackets [lo, hi]: per row,
+    (spends, settled).
 
-    `view` is an `_OwnView`, whose first player maximises the payoff, and
-    `spends` the starts, inside the brackets [lo, hi].  A start at 0 or all
-    in whose gradient points out is pinned there.  A row settles once its
-    step is at most NEWTON_SETTLE of its budget, or once the gain its
-    quadratic model predicts, g^2 / (2 |f''|), is at most NEWTON_FLOOR, the
-    payoff's rounding.  A row whose model is not concave, whose step leaves
-    its bracket or grows the way its last went, or that has not settled
-    after NEWTON_STEPS steps, is left unsettled for the zoom.
+    `view` is an `_OwnView`, whose first player maximises the payoff.  The
+    condition's sign at each step narrows the bracket, and a step that would
+    leave it, or a model that is not concave, bisects it instead.  A row
+    settles once the gain its quadratic model predicts, g^2 / (2 |f''|), is
+    at most NEWTON_FLOOR, the payoff's rounding, or at a bracket end whose
+    condition points out.  Every step reads every row.
     """
-    budgets, count = view.budgets[0], spends.size
-    settled, last = np.zeros(count, dtype=bool), np.zeros(count)  # last: each row's last step
-    live = np.arange(count)
+    budgets, settled = view.budgets[0], np.zeros(spends.size, dtype=bool)
     for _ in range(NEWTON_STEPS):
-        if not live.size:
+        centre = _inside(spends, budgets)
+        g, d2 = view.slopes(centre, opp)
+        g += d2 * (spends - centre)
+        settled |= ((g * g <= -2.0 * NEWTON_FLOOR * d2)
+                    | ((spends <= lo) & (g <= 0.0)) | ((spends >= hi) & (g >= 0.0)))
+        if settled.all():
             break
-        w, budget = spends[live], budgets[live]
-        h = NEWTON_WIDTH * budget
-        centre = np.minimum(np.maximum(w, h), budget - h)
-        part = view if live.size == count else view.take(live)
-        f = part.payoff(centre[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), opp[live, None])
-        d2 = f[:, 2] - 2.0 * f[:, 1] + f[:, 0]  # in units of h, like g
-        g = (f[:, 2] - f[:, 0]) / 2.0 + d2 * ((w - centre) / h)
-        pin = ((w <= 0.0) & (g <= 0.0)) | ((w >= budget) & (g >= 0.0))
-        step = np.divide(g, d2, out=np.zeros_like(g), where=d2 < 0.0) * -h
-        found = w + step
-        moves = (d2 < 0.0) & ~pin & (found >= lo[live]) & (found <= hi[live])
-        done = pin | (moves & ((np.abs(step) <= NEWTON_SETTLE * budget)
-                               | (g * g <= -2.0 * NEWTON_FLOOR * d2)))
-        # a step longer than the last one the same way: Newton creeps up a
-        # bend sharper than the peak's, and the row goes to the zoom
-        creep = (step * last[live] > 0.0) & (np.abs(step) > np.abs(last[live]))
-        last[live] = step
-        spends[live] = np.where(moves, found, w)
-        settled[live] = done
-        live = live[moves & ~done & ~creep]
+        up = g > 0.0  # the condition's root lies above the spend
+        lo, hi = np.where(up, spends, lo), np.where(up, hi, spends)
+        found = spends - np.divide(g, d2, out=np.zeros_like(g), where=d2 < 0.0)
+        found = np.where((d2 < 0.0) & (lo < found) & (found < hi), found, (lo + hi) / 2.0)
+        spends = np.where(settled, spends, found)
     return spends, settled
+
+
+def _nearest(ok: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Each row's nearest row of the same owner where `ok`, the lower one on a
+    tie, or -1; rows of one owner are consecutive."""
+    index, classes = np.arange(owner.size), np.append(owner, -1)  # rows -1 and size: no owner
+    below = np.maximum.accumulate(np.where(ok, index, -1))
+    above = np.minimum.accumulate(np.where(ok, index, owner.size)[::-1])[::-1]
+    below, above = (np.where(classes[near] == owner, near, -1) for near in (below, above))
+    return np.where((above >= 0) & ((below < 0) | (above - index < index - below)), above, below)
 
 
 @dataclass(frozen=True)
@@ -583,8 +581,8 @@ class _StagePoints:
     value: np.ndarray  # A's payoff at the spends
     gains: tuple  # each player's best-response improvement at the spends
     flats: tuple  # each player's scan was flat and the proportional spend is played
-    rounds: np.ndarray  # Newton steps, or the zoom's rounds
-    refined: tuple  # certificate rows settled by Newton, and rows left to the zoom
+    rounds: np.ndarray  # Newton steps, over every start
+    refined: int  # certificate rows settled by Newton
 
 
 class _StageGame:
@@ -634,19 +632,40 @@ class _StageGame:
         value += p_a
         return value
 
+    def slopes(self, spends: np.ndarray) -> tuple:
+        """A's payoff's gradient (P_a, P_b) and Hessian, as ((P_aa, P_bb),
+        P_ab), at the spends (w_a, w_b), one pair per row, in closed form.
+
+        P = lose(q) + p (win(q) - lose(q)) in the battle's share p =
+        s(w_a, w_b) and the successors' share q = s(b_a, b_b), b = budget - w,
+        so a derivative of q in a spend is minus its derivative in that
+        budget.  Every derivative is finite where a row's player has a spend
+        and a budget left above 0; the other player's may not be.
+        """
+        z = np.empty((2, 2, spends.shape[1]))  # (player, (spend, budget left), row)
+        z[:, 0] = spends
+        np.maximum(np.subtract(self.budgets, spends, out=z[:, 1]), 0.0, out=z[:, 1])
+        (p, q), first, second, cross = _share_slopes(z, self.alpha)
+        (win, win1, win2), (lose, lose1, lose2) = (branch.slopes(q) for branch in self.branches)
+        gap, gap1 = win - lose, win1 - lose1
+        q1, q2 = gap1 * p + lose1, (win2 - lose2) * p + lose2  # dP/dq, d2P/dq2
+        spend, left = first[:, 0], first[:, 1]  # p's and q's derivatives, in the budgets' terms
+        gradient = spend * gap - left * q1
+        bend = second[:, 0] * gap - 2.0 * spend * left * gap1 + left * left * q2 + second[:, 1] * q1
+        twist = (cross[0] * gap - (spend[0] * left[1] + spend[1] * left[0]) * gap1
+                 + left[0] * left[1] * q2 + cross[1] * q1)
+        return gradient, (bend, twist)
+
     def best_responses(self, players: np.ndarray, opp: np.ndarray):
         """Each row's best spend for its player, players[row], against the
         opponent spends `opp`.
 
         A scan of grid_points spends over the whole budget, in batches of at
-        most CERTIFICATE_CELLS payoff cells, then Newton on the player's own
-        first-order condition from the vertex of the parabola through the
-        scan's best and its neighbours, inside the grid steps either side of
-        it.  The rows Newton leaves go to the zoom on those steps, with the
-        opponent's box pinned at `opp`, in one call.  No row ends below its
-        scan's best, and a flat scan plays the proportional spend.  Returns
-        (spends, the players' payoffs, flat flags, Newton-settled rows,
-        zoomed rows).
+        most CERTIFICATE_CELLS payoff cells, then `_respond` from the vertex
+        of the parabola through the scan's best and its neighbours, inside
+        the grid steps either side of it.  No row ends below its scan's best,
+        and a flat scan plays the proportional spend.  Returns (spends, the
+        players' payoffs, flat flags, Newton-settled rows).
         """
         view = _OwnView(self, np.asarray(players) == 1)
         points = self.settings.grid_points
@@ -657,7 +676,7 @@ class _StageGame:
             part = view.take(rows) if len(batches) > 1 else view
             budget, index = part.budgets[0], part._rows
             grid = _grid(np.zeros_like(budget), budget, points)
-            values = part.own_payoff(grid[:, :, None], opp[rows, None, None])[:, :, 0]
+            values = part.payoff(grid[:, :, None], opp[rows, None, None])[:, :, 0]
             best = values.argmax(axis=1)  # first maximum: smallest spend wins ties
             left, right = np.maximum(best - 1, 0), np.minimum(best + 1, points - 1)
             peak, below, above = (values[index, k] for k in (best, left, right))
@@ -670,23 +689,16 @@ class _StageGame:
             shift = np.divide(below - above, 2.0 * bend, out=np.zeros_like(bend),
                               where=(bend < 0.0) & (left < best) & (best < right))
             start[rows] = scanned[rows] + shift * (budget / (points - 1))
-        spend = np.where(flat, view.proportional, scanned)
-        settled, zoomed = np.zeros_like(flat), np.zeros_like(flat)
+        spend, settled = np.where(flat, view.proportional, scanned), np.zeros_like(flat)
         rows = np.flatnonzero(~flat & (view.budgets[0] > 0.0))  # a broke player spends 0
         if rows.size:
             part = view if rows.size == opp.size else view.take(rows)
-            found, settled[rows] = _ascend(part, start[rows], lo[rows], hi[rows], opp[rows])
-            spend[rows] = found
-            left = rows[~settled[rows]]
-            if left.size:  # one zoom, on the scan's bracket
-                zoomed[left] = True
-                boxes = [(lo[left], hi[left]), (opp[left], opp[left])]
-                spend[left] = _zoom(view.take(left), boxes, ZOOM_POINTS)[0][0]
-        value = view.own_payoff(spend, opp)
+            spend[rows], settled[rows] = _respond(part, start[rows], lo[rows], hi[rows], opp[rows])
+        value = view.payoff(spend, opp)
         short = ~flat & (value < top)
         if short.any():
             spend[short], value[short] = scanned[short], top[short]
-        return spend, value, flat, settled, zoomed
+        return spend, value, flat, settled
 
     def _certificate(self, spends):
         """Both players' `best_responses` at `spends`: one batch of the rows
@@ -698,16 +710,41 @@ class _StageGame:
         return tuple(tuple(part[half] for part in responses)
                      for half in (slice(None, count), slice(count, None)))
 
-    def search(self, tolerance=REFINE_TOLERANCE):
-        """Each row's saddle (spends, rounds, settled): by Newton where it
-        settles, else by the zoom to `tolerance`."""
-        spends, rounds, settled = _newton(self)
+    def search(self, owner=None):
+        """Each row's saddle (spends, steps, settled, restarts) by `_newton`
+        from the proportional spends; restarts counts the rows started again.
+
+        Given `owner`, each row's class, whose rows are its table nodes in
+        order, a row Newton leaves starts again from the spend shares of the
+        nearest settled row of its class, sweep after sweep until a sweep
+        settles none.  Then every row left starts again from both players'
+        best responses to its point, in one certificate.  A restart that
+        settles replaces the row's point; a row none settles keeps the point
+        Newton left it at from the proportional spends.
+        """
+        spends, steps, settled = _newton(self, np.stack(self.proportional))
+        budgets, restarts = np.stack(self.budgets), [0, 0]
+        while owner is not None:
+            near = _nearest(settled & (budgets > 0.0).all(axis=0), owner)
+            rows = np.flatnonzero(~settled & (near >= 0))
+            restarts[0] += rows.size
+            start = spends[:, near[rows]] / budgets[:, near[rows]] * budgets[:, rows]
+            if not (rows.size and self._restart(rows, start, spends, steps, settled)):
+                break
         rows = np.flatnonzero(~settled)
-        if rows.size:  # one zoom from the whole budgets
-            game = self.take(rows)
-            boxes = [(np.zeros_like(b), b) for b in game.budgets]
-            spends[:, rows], rounds[rows] = _zoom(game, boxes, FIRST_POINTS, tolerance)
-        return spends, rounds, settled
+        if rows.size:
+            responses = self.take(rows)._certificate(spends[:, rows])
+            self._restart(rows, np.stack((responses[0][0], responses[1][0])),
+                          spends, steps, settled)
+            restarts[1] = rows.size
+        return spends, steps, settled, tuple(restarts)
+
+    def _restart(self, rows, start, spends, steps, settled) -> int:
+        """`_newton` at `rows` from `start`, its settled rows written back:
+        how many settled."""
+        found, more, done = _newton(self.take(rows), start)
+        spends[:, rows[done]], settled[rows], steps[rows] = found[:, done], done, steps[rows] + more
+        return int(done.sum())
 
     def solve(self) -> _StagePoints:
         """Saddle points of every row, with their best-response certificates."""
@@ -717,7 +754,7 @@ class _StageGame:
         """The rows' points at the searched spends, with their certificates."""
         responses = self._certificate(spends)
         flats = tuple(response[2] for response in responses)
-        refined = _refined(responses)
+        refined = sum(int(response[3].sum()) for response in responses)  # Newton-settled rows
         rows = np.flatnonzero(flats[0] | flats[1])
         if rows.size:
             # a player whose payoff is flat in the own spend plays proportional;
@@ -727,7 +764,7 @@ class _StageGame:
             for response, new in zip(responses, again):
                 for part, fresh in zip(response[:2], new[:2]):
                     part[rows] = fresh
-            refined = tuple(map(sum, zip(refined, _refined(again))))
+            refined += sum(int(response[3].sum()) for response in again)
         value = self.payoff(*spends)
         gains = (
             np.maximum(responses[0][1] - value, 0.0),
@@ -736,18 +773,13 @@ class _StageGame:
         return _StagePoints(tuple(spends), value, gains, flats, rounds, refined)
 
 
-def _refined(responses) -> tuple:
-    """A certificate's rows settled by Newton and its rows zoomed, over both players."""
-    return tuple(sum(int(response[k].sum()) for response in responses) for k in (3, 4))
-
-
 class _OwnView:
     """A stage game seen by one player per row, in (own spend, opponent
-    spend) coordinates, so that `_ascend` and `_zoom` refine each row's best
+    spend) coordinates, so that `best_responses` refines each row's best
     response as its first player, with the opponent's spend pinned.
 
-    The payoff is A's, negated at B's rows: there the first player's argmax
-    is B's argmin of A's payoff, exactly, since negation is exact.
+    The payoff is each row's player's: A's, or one minus A's at B's rows,
+    whose argmax is B's argmin of A's payoff.
     """
 
     def __init__(self, game: _StageGame, second: np.ndarray):
@@ -759,17 +791,18 @@ class _OwnView:
         return _OwnView(self.game.take(rows), self.second[rows])
 
     def payoff(self, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-        """A's payoff at A's rows and minus it at B's; own and opp as in
-        `_StageGame.payoff`."""
+        """Each row's player's payoff: A's, or one minus A's at B's rows; own
+        and opp as in `_StageGame.payoff`."""
         second = self.second.reshape((-1,) + (1,) * (np.ndim(own) - 1))
         value = self.game.payoff(np.where(second, opp, own), np.where(second, own, opp))
-        return np.negative(value, out=value, where=second)
+        return np.subtract(1.0, value, out=value, where=second)
 
-    def own_payoff(self, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-        """Each row's player's payoff: A's, or one minus A's at B's rows."""
-        value = self.payoff(own, opp)
-        value += self.second.reshape((-1,) + (1,) * (np.ndim(value) - 1))  # -p + 1 is 1 - p
-        return value
+    def slopes(self, own: np.ndarray, opp: np.ndarray) -> tuple:
+        """The first derivative and the second of `payoff` in the own spend,
+        at one spend pair per row, the own spend inside its budget."""
+        second = self.second
+        gradient, (bend, _) = self.game.slopes(np.where(second, (opp, own), (own, opp)))
+        return np.where(second, -gradient[1], gradient[0]), np.where(second, -bend[1], bend[0])
 
 
 def _path_solutions(game: _StageGame) -> list:
@@ -820,8 +853,10 @@ class _ValueTables:
         self._coin = {}
         self._worst_gap = 0.0
         self._level_batches, self._level_rows = [], []  # per level
-        self._level_settled, self._level_steps = [], []  # Newton's, per level
-        self._level_refined = []  # the certificate's (Newton-settled, zoomed) rows, per level
+        self._level_settled, self._level_steps = [], []  # the search's, per level
+        # the search's (neighbour, best-response) restarts and the certificate's
+        # Newton-settled rows, per level
+        self._level_restarts, self._level_refined = [], []
         self._seconds = np.zeros(2)  # in the search and in the certificate
         decisive = 0
         start = time.perf_counter()
@@ -839,15 +874,14 @@ class _ValueTables:
             built, classes = len(self.splines), sum(map(len, self._levels.values())) - 1
             _log.debug("value tables: %d classes built (%d on half the nodes), %d decisive in "
                        "closed form, %d served by a mirror, certificate batches per level %s, "
-                       "rows per level %s, Newton-settled rows per level %s, fallback rows per "
-                       "level %s, Newton steps per level %s, certificate rows settled by Newton "
-                       "per level %s, certificate zoom rows per level %s, worst bracket gap "
+                       "rows per level %s, settled rows per level %s, neighbour restarts per "
+                       "level %s, best-response restarts per level %s, Newton steps per level "
+                       "%s, certificate rows settled by Newton per level %s, worst bracket gap "
                        "%.3e, search %.3f s, certificate %.3f s, %.3f s",
                        built, sum(a == b for _, (a, b) in self.splines), decisive,
                        classes - built - decisive, self._level_batches, self._level_rows,
-                       self._level_settled,
-                       [rows - done for rows, done in zip(self._level_rows, self._level_settled)],
-                       self._level_steps, *map(list, zip(*self._level_refined)), self._worst_gap,
+                       self._level_settled, *map(list, zip(*self._level_restarts)),
+                       self._level_steps, self._level_refined, self._worst_gap,
                        *self._seconds, time.perf_counter() - start)
 
     _key = staticmethod(_standings_key)
@@ -928,7 +962,7 @@ class _ValueTables:
         budgets = _node_budgets(self.spec.csf.alpha, nodes)
         game = self.stage_game(played, classes, budgets, owner)
         start = time.perf_counter()
-        spends, rounds, settled = game.search(NODE_TOLERANCE)
+        spends, rounds, settled, restarts = game.search(owner)
         searched = time.perf_counter()
         points = game.certify(spends, rounds)
         self._seconds += np.array([searched - start, time.perf_counter() - searched])
@@ -939,7 +973,8 @@ class _ValueTables:
         self._level_batches.append(len(_scan_batches(2 * owner.size, self.settings)))
         self._level_rows.append(owner.size)
         self._level_settled.append(int(settled.sum()))
-        self._level_steps.append(int(rounds[settled].sum()))
+        self._level_steps.append(int(rounds.sum()))
+        self._level_restarts.append(restarts)
         self._level_refined.append(points.refined)
         ends = np.cumsum(counts)
         for totals, count, end in zip(classes, counts, ends.tolist()):
@@ -1008,8 +1043,7 @@ def best_response(
 
     A scan of `grid_points` spends over the player's budget, ties going to
     the smallest spend, refined by Newton on the player's own first-order
-    condition within the grid steps either side of the scan's best; where
-    Newton does not settle, grid minimax on those steps refines it, with the
+    condition within the grid steps either side of the scan's best, with the
     opponent's spend pinned.  The payoff returned is never below the scan's
     best.  A flat objective returns the proportional point, flagged.  The
     opponent's spend, a real number or a sequence of one, must
@@ -1042,8 +1076,9 @@ def stage_equilibrium(
 ) -> StageSolution:
     """Equilibrium spends for one battle: the saddle point of the zero-sum stage.
 
-    Found by Newton on the first-order conditions, or by grid minimax where
-    Newton does not settle.  A player whose payoff is flat in the own spend
+    Found by Newton on the first-order conditions, started again from both
+    players' best responses where it does not settle from the proportional
+    spends.  A player whose payoff is flat in the own spend
     plays proportional.  The residual is the largest best-response gain at
     the returned point (see `best_response`); a residual above
     `settings.tolerance` raises ConvergenceError naming the battle and the

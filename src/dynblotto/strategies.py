@@ -2,17 +2,17 @@
 
 A strategy maps contest states (battles played, standings, budgets left) to
 one player's spends, so equal states play alike and the engines merge them.
-Three kinds are provided: the proportional rule (spend the remaining budget
+Two kinds are provided: the proportional rule (spend the remaining budget
 in proportion to the value of the upcoming battle relative to all remaining
-value), tabular strategies that replay spends recorded by state, and
-one-shot deviation wrappers that override a base strategy at one history.
+value), and one-shot deviation wrappers that override a base strategy at
+one history.
 The backward solver's profile is a strategy of its own (`equilibrium`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -84,34 +84,6 @@ class Deviation(Strategy):
 def _standings_key(standings) -> tuple:
     """Standings rounded to 9 decimals, so float noise keeps one key per class."""
     return tuple(round(v, 9) for v in standings)
-
-
-@dataclass
-class Tabular(Strategy):
-    """Finite table of recorded spends keyed by contest state, nearest-neighbor lookup.
-
-    A user strategy, filled one `record` at a time.  Entries are keyed by
-    (battle index, standings), the standings rounded by `_standings_key`;
-    within a key the entry whose recorded remaining-budget vector is closest
-    (Euclidean) to the queried one wins.  States with no entry at all are
-    played proportionally, so the map stays total.
-    """
-
-    player: int
-    entries: dict = field(default_factory=dict)
-
-    def record(self, battle: int, standings: tuple, budgets: tuple, allocation: float):
-        key = (battle, _standings_key(standings))
-        self.entries.setdefault(key, []).append((tuple(map(float, budgets)), float(allocation)))
-
-    def spends(self, spec, played, standings, budgets, player):
-        out = _proportional_spend(spec, played, budgets[:, player])
-        for row, (totals, probe) in enumerate(zip(standings.tolist(), budgets.tolist())):
-            bucket = self.entries.get((played + 1, _standings_key(totals)))
-            if bucket:
-                nearest = min(bucket, key=lambda e: sum((a - b) ** 2 for a, b in zip(e[0], probe)))
-                out[row] = nearest[1]
-        return out
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from dynblotto import (
     History,
     Objective,
     ProportionalityVerdict,
-    Tabular,
     allocations_at,
     csf_probability,
     deviation_gains,
@@ -23,6 +23,7 @@ from dynblotto import (
     terminal_status,
 )
 from dynblotto.equilibrium import VALUE_NODES
+from dynblotto.strategies import Strategy, _proportional_spend, _standings_key
 
 
 def brute_force_payoffs(profile, spec, history=None):
@@ -258,6 +259,35 @@ def per_history_check(spec, plan):
     return ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
 
 
+@dataclass
+class Tabular(Strategy):
+    """Finite table of recorded spends keyed by contest state, nearest-neighbor
+    lookup: a strategy that is not proportional, for the tests.
+
+    Filled one `record` at a time.  Entries are keyed by
+    (battle index, standings), the standings rounded by `_standings_key`;
+    within a key the entry whose recorded remaining-budget vector is closest
+    (Euclidean) to the queried one wins.  States with no entry at all are
+    played proportionally, so the map stays total.
+    """
+
+    player: int
+    entries: dict = field(default_factory=dict)
+
+    def record(self, battle: int, standings: tuple, budgets: tuple, allocation: float):
+        key = (battle, _standings_key(standings))
+        self.entries.setdefault(key, []).append((tuple(map(float, budgets)), float(allocation)))
+
+    def spends(self, spec, played, standings, budgets, player):
+        out = _proportional_spend(spec, played, budgets[:, player])
+        for row, (totals, probe) in enumerate(zip(standings.tolist(), budgets.tolist())):
+            bucket = self.entries.get((played + 1, _standings_key(totals)))
+            if bucket:
+                nearest = min(bucket, key=lambda e: sum((a - b) ** 2 for a, b in zip(e[0], probe)))
+                out[row] = nearest[1]
+        return out
+
+
 def random_table(rng, spec, player, root=None):
     """A `Tabular` for `player` with a random spend at every state below `root`.
 
@@ -361,3 +391,54 @@ def reference_stage_payoff(game, w_a, w_b):
     denom = score_a + w_b**game.alpha
     p_a = np.divide(score_a, denom, out=np.full(denom.shape, 0.5), where=denom > 0.0)
     return p_a * win + (1.0 - p_a) * lose
+
+
+def zoom(game, boxes, points, tolerance, margin=2, later_points=17):
+    """Grid minimax on shrinking boxes, a reference for the stage solver's
+    Newton: per row, (spends, rounds).
+
+    `game` is a stage game, or a one-player view of one, whose payoff the
+    first player maximises; `boxes` holds a (lo, hi) array pair per player.
+    Each round the first player takes the argmax of the row minima of the
+    payoff and the second the argmin of the column maxima, the first one on
+    ties.  The boxes then shrink to `margin` grid steps around those spends,
+    on `later_points` spends per box.  A row stops once its boxes are
+    narrower than `tolerance`.  A zero-width box pins a spend.
+    """
+    from dynblotto.equilibrium import _grid
+
+    active = game._rows  # the rows left, as indices into the first game's
+    spends = [np.empty(active.size), np.empty(active.size)]
+    rounds = np.empty(active.size, dtype=int)
+    count = 0
+    while True:
+        count += 1
+        grids = [_grid(lo, hi, points if np.any(hi > lo) else 1) for lo, hi in boxes]
+        values = game.payoff(grids[0][:, :, None], grids[1][:, None, :])
+        picks = (values.min(axis=2).argmax(axis=1), values.max(axis=1).argmin(axis=1))
+        found = [grid[game._rows, pick] for grid, pick in zip(grids, picks)]
+        steps = [(hi - lo) / (points - 1) for lo, hi in boxes]
+        done = 2 * margin * np.maximum(*steps) <= tolerance
+        if done.any():
+            for spend, w in zip(spends, found):
+                spend[active[done]] = w[done]
+            rounds[active[done]] = count
+            if done.all():
+                return spends, rounds
+            keep = np.flatnonzero(~done)
+            game, active = game.take(keep), active[keep]
+            found, steps = [w[keep] for w in found], [step[keep] for step in steps]
+        boxes = [
+            (np.maximum(w - margin * step, 0.0), np.minimum(w + margin * step, budget))
+            for w, step, budget in zip(found, steps, game.budgets)
+        ]
+        points = later_points
+
+
+def zoom_search(game, owner=None):
+    """A stand-in for `_StageGame.search` by `zoom` alone, from the whole
+    budgets on 33 spends per budget to 1e-5, as the table nodes were once
+    searched: (spends, rounds, settled, restarts)."""
+    boxes = [(np.zeros_like(b), b) for b in game.budgets]
+    spends, rounds = zoom(game, boxes, 33, 1e-5)
+    return np.stack(spends), rounds, np.zeros(rounds.size, dtype=bool), (0, 0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dynblotto import (
+    BattleRecord,
     ContestSpec,
     ContractError,
     CsfParams,
@@ -589,6 +590,35 @@ class TestHistory:
         h = History().extend((np.float64(30), Fraction(1, 2)), 0)
         assert h.records[0].allocations == (30.0, 0.5)
 
+
+    @pytest.mark.parametrize("big", [10**400, -10**400, Fraction(10**400, 3), float("inf")],
+                             ids=["integer", "negative-integer", "fraction", "inf"])
+    def test_a_number_beyond_the_float_range_is_named(self, big):
+        # an integer too large for a float ended in a bare OverflowError
+        with pytest.raises(InputError, match=r"^allocation 0 must lie within the float range"):
+            History().extend((big, 1), 0)
+        for build, field in (
+            (lambda: ContestSpec([big, 1, 1], [10, 20]), r"values\[0\]"),
+            (lambda: ContestSpec([1, 1, 1], [10, big]), r"budgets\[1\]"),
+            (lambda: ContestSpec([1, 1, 1], [10, 20], shocks={(0, 1): big}),
+             r"shock amount of \(0, 1\)"),
+        ):
+            with pytest.raises(InputError, match=f"^{field} must be a finite real number, got "):
+                build()
+        # nan is a float: a History holds it, and its readers refuse it
+        assert History().extend((float("nan"), 1), 0).records[0].allocations[1] == 1.0
+
+    def test_every_record_is_checked_when_it_is_made(self):
+        # a History built from records once reached its readers unchecked: a
+        # string spend raised TypeError there, and a winner of 0.5 an IndexError
+        spec = ContestSpec([1, 1, 1], [10, 20])
+        with pytest.raises(InputError, match=r"^allocation 0 must be a real number, got '1'"):
+            terminal_status(spec, History((BattleRecord(("1", 2.0), 0),)))
+        with pytest.raises(InputError, match=r"^winner must be an integer, got 0\.5"):
+            terminal_status(spec, History((BattleRecord((1.0, 2.0), 0.5),)))
+        record = BattleRecord([np.float32(1.5), Fraction(1, 2)], np.int64(1))
+        assert (record.allocations, type(record.winner)) == ((1.5, 0.5), int)
+        assert History((record,)) == History().extend((1.5, 0.5), 1)
 
     @pytest.mark.parametrize("bad", [True, "1", 1.7, None])
     def test_a_winner_that_is_no_integer_is_refused(self, bad):

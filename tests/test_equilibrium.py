@@ -44,6 +44,8 @@ from conftest import (
     random_ev_spec,
     reference_payoff_vec,
     reference_stage_payoff,
+    zoom,
+    zoom_search,
 )
 
 EV, WP = Objective.EXPECTED_VALUE, Objective.WIN_PROBABILITY
@@ -134,8 +136,8 @@ class TestBestResponse:
     # (history, player, opponent spend, allocation, value, flat): both players'
     # best responses, pinned bit for bit; none reads a value table's spline
     @pytest.mark.parametrize("history, player, opp, allocation, value, flat", [
-        (((30.0, 35.0), 0), 0, 20.0, "0x1.7c0000000447ep+5", "0x1.9add3c0ca4588p-1", False),
-        (((30.0, 35.0), 0), 1, 20.0, "0x1.b8ccc039b4bf4p+4", "0x1.fc26bbb5a48e8p-3", False),
+        (((30.0, 35.0), 0), 0, 20.0, "0x1.7c00002d8efcbp+5", "0x1.9add3c0ca4587p-1", False),
+        (((30.0, 35.0), 0), 1, 20.0, "0x1.b8ccc038b31f3p+4", "0x1.fc26bbb5a48e8p-3", False),
         # a player whose payoff is flat plays proportional, and a broke one nothing
         (((40.0, 100.0), 0), 0, 0.0, "0x1.e000000000000p+4", "0x1.0000000000000p+0", True),
         (((40.0, 100.0), 0), 1, 0.0, "0x0.0p+0", "0x0.0p+0", False),
@@ -144,9 +146,9 @@ class TestBestResponse:
         # an opponent spend just over its budget, within BUDGET_TOLERANCE: the
         # refinement reads it clipped to the budget, the reported value does not
         (((30.0, 35.0), 0), 0, 65.0 + 1e-10, "0x0.0p+0", "0x1.0000000000000p+0", False),
-        (((30.0, 35.0), 0), 1, 70.0 + 1e-10, "0x1.03fffffbd07aep+6", "0x1.ed097b3e3fa8ap-2",
+        (((30.0, 35.0), 0), 1, 70.0 + 1e-10, "0x1.03fffffff8303p+6", "0x1.ed097b425590ap-2",
          False),
-        (((30.0, 35.0), 0), 1, 70.0, "0x1.03fffffbd07aep+6", "0x1.ed097b3e413a2p-2", False),
+        (((30.0, 35.0), 0), 1, 70.0, "0x1.03fffffff8303p+6", "0x1.ed097b4257224p-2", False),
         (((0, 1),), 0, "bound", "0x1.0aaaaaaaaaaacp+5", "0x1.fffffffffcb39p-2", False),
         (((0, 1),), 1, "bound", "0x1.0aaaaaaaaaaacp+5", "0x1.fffffffffcb38p-2", False),
     ])
@@ -377,9 +379,9 @@ class TestSolveBackward:
                             lambda game: rows.append(game._rows.size) or solve(game))
         payoffs = expected_payoffs(profile, spec)
         assert rows == [1, 2, 4, 8, 10]  # one batch per level, the root's included
-        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee4p-2", "0x1.0fe27ee8d808dp-1"]
-        for seed, means in ((0, ["0x1.e978d4fdf3b64p-2", "0x1.0b4395810624ep-1"]),
-                            (7, ["0x1.ed916872b020cp-2", "0x1.09374bc6a7efap-1"])):
+        assert [p.hex() for p in payoffs] == ["0x1.e03b022e4fee7p-2", "0x1.0fe27ee8d808ep-1"]
+        for seed, means in ((0, ["0x1.d78d4fdf3b646p-2", "0x1.14395810624ddp-1"]),
+                            (7, ["0x1.e4dd2f1a9fbe7p-2", "0x1.0d916872b020cp-1"])):
             assert [m.hex() for m in simulate(profile, spec, seed, 2000).means] == means
 
     def test_after_a_root_deviation_the_profile_plays_that_stage(self):
@@ -644,13 +646,14 @@ class TestSolverLogging:
         # level 2 searches 0-2 on all nodes and 1-1 on half of them, level 1 0-1
         rows = [equilibrium.VALUE_NODES + (equilibrium.VALUE_NODES + 1) // 2,
                 equilibrium.VALUE_NODES]
-        # Newton settles all but the nodes with a player broke (0 and 80 of a
-        # class, 0 of 1-1) and node 79 of 0-2, which go to the zoom; level 2's
+        # Newton settles every row from the proportional spends, the nodes with
+        # a player broke (0 and 80 of a class, 0 of 1-1) at once; level 2's
         # proportional spends are its saddles, found in one step
         assert (tables._level_rows, tables._level_settled, tables._level_steps) == (
-            rows, [118, 79], [118, 100])
-        # certificate scans in batches of 92 rows x 200 spends, about a zoom
-        # block's cells, over both players' rows at once
+            rows, rows, [119, 98])
+        assert tables._level_restarts == [(0, 0), (0, 0)]
+        # certificate scans in batches of 92 rows x 200 spends, over both
+        # players' rows at once
         certify = equilibrium.CERTIFICATE_CELLS // equilibrium.DEFAULT_SETTINGS.grid_points
         assert certify == 92
         batches = [-(-2 * count // certify) for count in rows]
@@ -658,9 +661,9 @@ class TestSolverLogging:
         assert re.fullmatch(
             r"value tables: 3 classes built \(1 on half the nodes\), 2 decisive in closed "
             r"form, 2 served by a mirror, certificate batches per level \[3, 2\], rows per "
-            r"level \[122, 81\], Newton-settled rows per level \[118, 79\], fallback rows per "
-            r"level \[4, 2\], Newton steps per level \[118, 100\], certificate rows settled "
-            r"by Newton per level \[237, 159\], certificate zoom rows per level \[3, 1\], "
+            r"level \[122, 81\], settled rows per level \[122, 81\], neighbour restarts per "
+            r"level \[0, 0\], best-response restarts per level \[0, 0\], Newton steps per "
+            r"level \[119, 98\], certificate rows settled by Newton per level \[240, 160\], "
             r"worst bracket gap \S+, "
             r"search \d+\.\d{3} s, certificate \d+\.\d{3} s, \d+\.\d{3} s", records[0])
         for record, result, how in zip(records[1:], results, ("built", "reused")):
@@ -736,13 +739,13 @@ def _live_classes(spec):
 
 def _searched_values(game_at, played, totals):
     """The saddle search's bracket midpoints at every table node of one
-    class, searched to the tables' node tolerance as one batch.
+    class, searched as one batch.
 
     Returns the nodes, A's success-function shares q, and the values there.
     """
     alpha = game_at(played, totals, (np.ones(1), np.ones(1))).alpha
     game = game_at(played, totals, equilibrium._node_budgets(alpha))
-    points = game.certify(*game.search(equilibrium.NODE_TOLERANCE)[:2])
+    points = game.certify(*game.search()[:2])
     return equilibrium._NODES, points.value + (points.gains[0] - points.gains[1]) / 2.0
 
 
@@ -816,15 +819,15 @@ class TestValueTablesSkipKnownClasses:
         with pytest.raises(ConvergenceError) as caught:
             solve_backward(spec)
         assert str(caught.value) == (
-            "stage solve at battle 3, standings 1-1: minimax bracket gap 6.638e-02 above "
-            "1e-03 at A's budget share 0.006156")
+            "stage solve at battle 3, standings 1-1: minimax bracket gap 2.201e-02 above "
+            "1e-03 at A's budget share 0.0003855")
 
     @pytest.mark.parametrize("values, message", [
-        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.415e-01 above 1e-03 "
+        ([1, 1, 1], "battle 2, standings 0-1: minimax bracket gap 1.402e-01 above 1e-03 "
                     "at A's budget share 0.6734"),
-        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 7.077e-02 above 1e-03 "
+        ([1, 1, 1, 1], "battle 3, standings 0-2: minimax bracket gap 7.009e-02 above 1e-03 "
                        "at A's budget share 0.6734"),
-        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 1.417e-01 above 1e-03 "
+        ([1, 1, 1, 3], "battle 3, standings 0-2: minimax bracket gap 1.765e-01 above 1e-03 "
                        "at A's budget share 0.7548"),
     ])
     def test_alpha_two_failures_keep_their_messages(self, values, message):
@@ -864,9 +867,9 @@ class TestLevelBlocks:
             solve_backward(spec)
         equilibrium._tables_for.cache_clear()
         assert str(caught.value) == (
-            "stage solve at battle 2, standings 0-1: minimax bracket gap 1.415e-01 above "
+            "stage solve at battle 2, standings 0-1: minimax bracket gap 1.402e-01 above "
             "1e-03 at A's budget share 0.6734")
-        assert caught.value.residual == pytest.approx(0.14153944304937982, abs=1e-15)
+        assert caught.value.residual == pytest.approx(0.14017726367843342, abs=1e-15)
 
     @pytest.mark.parametrize("values, alpha", [
         ([1, 2, 3, 4, 5], 1.0), ([1, 1, 1, 1, 1], 0.5), ([1, 1, 1, 1], 0.8),
@@ -904,8 +907,8 @@ class TestLevelBlocks:
 
 
 class TestNewtonSearch:
-    """The saddle search: Newton on the first-order conditions, and the zoom
-    for the rows it does not settle."""
+    """The saddle search: Newton on the first-order conditions, its derivatives
+    in closed form, and its restarts from settled points."""
 
     @pytest.mark.parametrize("values, alpha", [
         ([1, 2, 3, 4, 5], 1.0), ([1] * 5, 0.5), ([1, 1, 1, 1], 0.8),
@@ -913,15 +916,22 @@ class TestNewtonSearch:
     def test_splines_are_within_1e_9_of_a_zoom_build(self, monkeypatch, values, alpha):
         spec = ContestSpec(values, [1, 1], CsfParams(alpha), objective=WP)
         newton = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-        monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 0)  # every row to the zoom
-        zoom = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-        assert sum(zoom._level_settled) == 0
-        assert sum(newton._level_settled) > 0.9 * sum(newton._level_rows)
-        assert newton.splines.keys() == zoom.splines.keys()
+        monkeypatch.setattr(equilibrium._StageGame, "search", zoom_search)  # grid minimax alone
+        zoomed = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        assert sum(zoomed._level_settled) == 0
+        assert newton._level_settled == newton._level_rows
+        assert newton.splines.keys() == zoomed.splines.keys()
         shares = np.linspace(0.0, 1.0, 2001)
         for key, spline in newton.splines.items():
-            error = np.abs(spline.value_vec(shares) - zoom.splines[key].value_vec(shares))
+            error = np.abs(spline.value_vec(shares) - zoomed.splines[key].value_vec(shares))
             assert error.max() <= 1e-9, (key, error.max())
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_the_five_battle_ramp_settles_every_row(self, alpha):
+        tables = equilibrium._ValueTables(ContestSpec([1, 2, 3, 4, 5], [1, 1], CsfParams(alpha),
+                                                      objective=WP), equilibrium.DEFAULT_SETTINGS)
+        assert tables._level_settled == tables._level_rows
+        assert tables._worst_gap <= 1e-12
 
     def test_an_interior_saddle_is_found_exactly(self):
         # with 70 and 80 left and two equal battles to go, each spends half
@@ -944,7 +954,7 @@ class TestNewtonSearch:
         """A one-row stand-in for a stage game: A's payoff -(w_a - x)^2 +
         (w_b - 0.3)^2 + 0.2 w_a w_b on unit budgets, whose saddle pins A at an
         end for x outside [0, 1]; there B's spend solves 2 (w_b - 0.3) + 0.2
-        w_a = 0.  The stencil's quadratic model is exact for it."""
+        w_a = 0.  Its derivatives are the exact ones."""
 
         def __init__(self, x):
             self.x, self._rows = x, np.arange(1)
@@ -954,79 +964,141 @@ class TestNewtonSearch:
         def take(self, rows):
             return self
 
-        def payoff(self, w_a, w_b):
-            return -(w_a - self.x) ** 2 + (w_b - 0.3) ** 2 + 0.2 * w_a * w_b
+        def slopes(self, spends):
+            w_a, w_b = spends
+            gradient = np.stack((-2.0 * (w_a - self.x) + 0.2 * w_b, 2.0 * (w_b - 0.3) + 0.2 * w_a))
+            return gradient, (np.array([[-2.0], [2.0]]), np.array([0.2]))
 
     @pytest.mark.parametrize("x, pinned", [(2.0, 1.0), (-1.0, 0.0)])
     def test_a_pinned_player_leaves_the_other_its_own_condition(self, x, pinned):
-        spends, steps, settled = equilibrium._newton(self._Quadratic(x))
+        game = self._Quadratic(x)
+        spends, steps, settled = equilibrium._newton(game, np.stack(game.proportional))
         assert settled[0]
         assert spends[0, 0] == pinned
         assert spends[1, 0] == pytest.approx(0.3 - 0.1 * pinned, rel=0.0, abs=1e-9)
 
-    def test_a_row_newton_leaves_gets_the_zooms_point(self, monkeypatch):
+    def test_a_row_with_a_broke_player_settles_at_its_start(self):
+        # B is broke: A's proportional spend wins every battle left
+        spec = three_battle_contest()
+        game = equilibrium._stage_game_at(spec, History().extend((40.0, 100.0), 0),
+                                          equilibrium.DEFAULT_SETTINGS)
+        spends, steps, settled, restarts = game.search()
+        assert spends[:, 0].tolist() == [30.0, 0.0]
+        assert (steps[0], settled[0], restarts) == (0, True, (0, 0))
+
+    def test_a_row_newton_leaves_restarts_from_both_best_responses(self, monkeypatch):
         # the double opener's root spends half the budget, not the proportional 40
         spec = ContestSpec([2, 1, 1, 1], [100, 100], objective=WP)
         game = equilibrium._stage_game_at(spec, History(), equilibrium.DEFAULT_SETTINGS)
-        assert game.search()[2].all()
-        monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 1)  # too few to settle
-        spends, rounds, settled = game.search()
-        assert not settled.any()
-        boxes = [(np.zeros_like(b), b) for b in game.budgets]
-        zoomed = equilibrium._zoom(game, boxes, equilibrium.FIRST_POINTS)
-        assert np.array_equal(spends, zoomed[0]) and np.array_equal(rounds, zoomed[1])
-        assert rounds[0] > 1
+        newton, starts = equilibrium._newton, []
+
+        def first_leaves(part, start):  # the first run leaves the row where it started
+            starts.append(start.copy())
+            if len(starts) == 1:
+                return start, np.zeros(start.shape[1], dtype=int), np.zeros(start.shape[1], bool)
+            return newton(part, start)
+
+        monkeypatch.setattr(equilibrium, "_newton", first_leaves)
+        spends, steps, settled, restarts = game.search()
+        assert settled.all() and restarts == (0, 1) and steps[0] > 0
+        assert starts[0].tolist() == [[40.0], [40.0]]
+        responses = game._certificate(starts[0])
+        assert np.array_equal(starts[1], [responses[0][0], responses[1][0]])
+        assert spends[:, 0] == pytest.approx((50.0, 50.0), rel=0.0, abs=1e-7)
+
+    def test_a_build_restarts_rows_from_their_settled_neighbours(self, monkeypatch):
+        # from the proportional spends, Newton leaves nodes 1-16 of standings
+        # 0-1 at the last level built; each sweep restarts the rows left from
+        # the spend shares of their nearest settled node of the class
+        newton, runs = equilibrium._newton, []
+
+        def spy(game, start):
+            found = newton(game, start.copy())
+            runs.append((game.budgets, start, tuple(part.copy() for part in found)))
+            return found
+
+        monkeypatch.setattr(equilibrium, "_newton", spy)
+        tables = equilibrium._ValueTables(ContestSpec([1, 2, 3, 4, 5], [1, 1], objective=WP),
+                                          equilibrium.DEFAULT_SETTINGS)
+        assert tables._level_restarts == [(0, 0), (0, 0), (25, 0)]
+        budgets, _, (spends, _, settled) = runs[2]  # the last level's first run
+        budgets = np.stack(budgets)
+        assert np.flatnonzero(~settled).tolist() == list(range(1, 17))
+        assert [run[1].shape[1] for run in runs[3:]] == [16, 6, 2, 1]
+        shares = spends[:, 17] / budgets[:, 17]  # the first sweep starts every row from node 17's
+        assert np.array_equal(runs[3][1], shares[:, None] * budgets[:, 1:17])
+
+    def test_a_row_restarts_from_the_nearest_settled_row_of_its_class(self):
+        # rows of one class are consecutive; a tie goes to the lower row, and
+        # a class with no settled row gets -1
+        owner = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 3, 3])
+        ok = np.array([0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0], dtype=bool)
+        assert equilibrium._nearest(ok, owner).tolist() == [
+            1, 1, 1, 1, 6, 6, 6, 6, 8, 8, 10, -1, -1]
 
     @pytest.mark.parametrize("values", [[1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 3]])
-    def test_failures_are_the_zooms_whatever_newton_settles(self, monkeypatch, values):
+    def test_failures_name_the_class_of_a_zoom_build(self, monkeypatch, values):
+        # no pure saddle at alpha 2: the build fails at the class where grid
+        # minimax fails too, each reporting the gap at its own point
         spec = ContestSpec(values, [1, 1], CsfParams(2.0), objective=WP)
-        newton, errors = equilibrium._newton, []
-
-        def unsettled(game):  # the search's Newton settles no row; the certificate is unchanged
-            spends, steps, settled = newton(game)
-            return spends, steps, np.zeros_like(settled)
-
-        for search in (newton, unsettled):
-            monkeypatch.setattr(equilibrium, "_newton", search)
+        errors = []
+        for search in (equilibrium._StageGame.search, zoom_search):
+            monkeypatch.setattr(equilibrium._StageGame, "search", search)
             with pytest.raises(ConvergenceError) as caught:
                 equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-            errors.append(caught.value)
-        assert str(errors[0]) == str(errors[1])
-        assert errors[0].residual == errors[1].residual
-        assert errors[0].allocations == errors[1].allocations
+            errors.append(str(caught.value))
+        assert errors[0].split(":")[0] == errors[1].split(":")[0]
 
     def test_the_five_battle_ramp_logs_its_layer_numbers(self, caplog):
         spec = ContestSpec([1, 2, 3, 4, 5], [1, 1], objective=WP)
         with caplog.at_level(logging.DEBUG, logger="dynblotto"):
             tables = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
-        # the rows Newton leaves are the broke end nodes, node 79 of a class
-        # and, in the last level built, nodes 1-16, whose Hessian at the
-        # proportional spends lacks the saddle's signs
-        counts = ([284, 162, 81], [274, 157, 62], [10, 5, 19], [1013, 848, 406])
+        # every row settles: Newton from the proportional spends leaves nodes
+        # 1-16 of a class in the last level built, and four neighbour sweeps
+        # of 16, 6, 2 and 1 rows settle them
+        rows, steps, restarts = [284, 162, 81], [1028, 845, 544], [(0, 0), (0, 0), (25, 0)]
         assert (tables._level_rows, tables._level_settled, tables._level_steps) == (
-            counts[0], counts[1], counts[3])
-        # Newton settles the certificate's rows but the flat and broke ones and
-        # the 17 it leaves to the zoom
-        refined = ([552, 317, 152], [6, 3, 8])
-        assert tables._level_refined == list(zip(*refined))
+            rows, rows, steps)
+        assert tables._level_restarts == restarts
+        # Newton settles the certificate's rows but the flat and broke ones
+        refined = [558, 320, 160]
+        assert tables._level_refined == refined
         record = [r.getMessage() for r in caplog.records if r.name == "dynblotto"][-1]
-        assert (f"rows per level {counts[0]}, Newton-settled rows per level {counts[1]}, "
-                f"fallback rows per level {counts[2]}, Newton steps per level "
-                f"{counts[3]}, certificate rows settled by Newton per level {refined[0]}, "
-                f"certificate zoom rows per level {refined[1]}, ") in record
+        assert (f"rows per level {rows}, settled rows per level {rows}, neighbour restarts "
+                f"per level [0, 0, 25], best-response restarts per level [0, 0, 0], Newton "
+                f"steps per level {steps}, certificate rows settled by Newton per level "
+                f"{refined}, ") in record
         search, certificate, total = map(float, re.findall(r"(\d+\.\d+) s", record))
         assert 0.0 < search and 0.0 < certificate and search + certificate <= total
 
 
+class _Parabola:
+    """A one-player stand-in for `_OwnView` on unit budgets: the payoff
+    -(w - peak)^2, with its exact derivatives, whatever the opponent spends."""
+
+    def __init__(self, peak):
+        self.peak, self.budgets, self.calls = peak, (np.ones(1),), 0
+
+    def slopes(self, own, opp):
+        self.calls += 1
+        return -2.0 * (own - self.peak), np.full(own.shape, -2.0)
+
+
+def _respond_at(view, start, lo, hi):
+    return equilibrium._respond(view, np.array([start]), np.array([lo]), np.array([hi]),
+                                np.zeros(1))
+
+
 class TestNewtonBestResponses:
     """The certificate's refinement: Newton on each row's own first-order
-    condition from the scan's best, and the zoom for the rows it leaves."""
+    condition from the scan's best, inside the scan's bracket."""
 
     def test_no_row_falls_below_the_zoom(self, monkeypatch):
         # every certificate of a seeded family of builds, failing ones too,
-        # against the same rows refined by the zoom alone; at alpha 2, a row
-        # of (3, 2, 2, 1) whose Newton step overshoots the all-in end would
-        # be pinned there 2.3e-6 below the zoom, but for the bracket
+        # against the same rows refined by grid minimax alone on the scan's
+        # bracket; at alpha 2, a row of (3, 2, 2, 1) whose Newton step
+        # overshoots the all-in end would be pinned there 2.3e-6 below the
+        # zoom, but for the bracket
         rng, certified = random.Random(39), []
         certificate = equilibrium._StageGame._certificate
         monkeypatch.setattr(equilibrium._StageGame, "_certificate", lambda game, spends: (
@@ -1039,12 +1111,13 @@ class TestNewtonBestResponses:
                 equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
             except ConvergenceError:
                 pass
-        monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 0)  # every row Newton would refine
+        monkeypatch.setattr(equilibrium, "_respond", lambda view, spends, lo, hi, opp: (
+            zoom(view, [(lo, hi), (opp, opp)], 17, 1e-6)[0][0], np.zeros(spends.size, bool)))
         rows = settled = 0
         for game, spends, responses in certified:
-            for newton, zoom in zip(responses, certificate(game, spends)):
-                assert np.all(newton[1] >= zoom[1] - 4.4e-16)
-                assert not zoom[3].any() and np.array_equal(zoom[2], newton[2])
+            for newton, zoomed in zip(responses, certificate(game, spends)):
+                assert np.all(newton[1] >= zoomed[1] - 4.4e-16)
+                assert not zoomed[3].any() and np.array_equal(zoomed[2], newton[2])
                 rows, settled = rows + newton[1].size, settled + int(newton[3].sum())
         assert settled > 0.9 * rows
 
@@ -1055,51 +1128,98 @@ class TestNewtonBestResponses:
         game = equilibrium._stage_game_at(spec, History().extend((30.0, 35.0), 0),
                                           equilibrium.DEFAULT_SETTINGS).take([0, 0])
         players, opp = np.array([0, 1]), np.array([20.0, 20.0])
-        monkeypatch.setattr(equilibrium, "_ascend", lambda view, spends, lo, hi, opp: (
+        monkeypatch.setattr(equilibrium, "_respond", lambda view, spends, lo, hi, opp: (
             lo.copy(), np.ones(lo.size, dtype=bool)))
         spends, values = game.best_responses(players, opp)[:2]
         view = equilibrium._OwnView(game, players == 1)
         grid = equilibrium._grid(np.zeros(2), view.budgets[0], 200)
-        scan = view.own_payoff(grid[:, :, None], opp[:, None, None])[:, :, 0]
+        scan = view.payoff(grid[:, :, None], opp[:, None, None])[:, :, 0]
         best = scan.argmax(axis=1)
         assert np.array_equal(spends, grid[[0, 1], best])
         assert np.array_equal(values, scan[[0, 1], best])
 
-    def test_a_row_newton_leaves_gets_the_zooms_point(self):
-        # B's best response to A all in: Newton's step leaves the scan's bracket
+    def test_a_best_response_without_a_maximum_bisects_towards_it(self):
+        # B's best response to A all in: B's payoff rises up to B all in, where
+        # both are broke and it drops to the coin value, so each Newton step
+        # would leave the scan's bracket; the bisections end above the zoom
         spec = three_battle_contest()
         game = equilibrium._stage_game_at(spec, History().extend((30.0, 35.0), 0),
                                           equilibrium.DEFAULT_SETTINGS).take([0, 0])
         players, opp = np.array([1, 0]), np.array([70.0, 20.0])
-        spends, values, _, settled, zoomed = game.best_responses(players, opp)
-        assert settled.tolist() == [False, True] and zoomed.tolist() == [True, False]
+        spends, values, _, settled = game.best_responses(players, opp)
+        assert settled.tolist() == [False, True]
         view = equilibrium._OwnView(game.take([0]), players[:1] == 1)
         points = equilibrium.DEFAULT_SETTINGS.grid_points
         grid = equilibrium._grid(np.zeros(1), view.budgets[0], points)
-        best = int(view.own_payoff(grid[:, :, None], opp[:1, None, None]).argmax())
+        best = int(view.payoff(grid[:, :, None], opp[:1, None, None]).argmax())
         boxes = [(grid[:, best - 1], grid[:, min(best + 1, points - 1)]), (opp[:1], opp[:1])]
-        point = equilibrium._zoom(view, boxes, equilibrium.ZOOM_POINTS)[0][0]
-        assert spends[0] == point[0] and values[0] == view.own_payoff(point, opp[:1])[0]
+        point = zoom(view, boxes, 17, 1e-6)[0][0]
+        assert point[0] < spends[0] < 65.0 and values[0] > view.payoff(point, opp[:1])[0]
 
-    def test_a_row_at_the_rounding_floor_settles_at_once(self, monkeypatch):
-        # B's best response at node 77 of standings 0-6, where B holds 0.35%
-        # of the budgets: the stencil's second difference is about -1e-14, so
-        # one rounding in its first difference moves Newton's step by 1.7e-7
-        # of the budget, above NEWTON_SETTLE, while the gain it predicts,
-        # 1.4e-18, is below NEWTON_FLOOR
-        game = _unit_tables([1, 2, 3, 4, 5], 1.0).stage_game(
-            3, (0.0, 6.0), equilibrium._node_budgets(1.0, [77]))
-        opp = game.search()[0][0]
-        steps, payoff = [], equilibrium._OwnView.payoff
-        monkeypatch.setattr(equilibrium._OwnView, "payoff", lambda view, own, other: (
-            steps.append(own.shape) or payoff(view, own, other)))
-        settled = game.best_responses(np.array([1]), opp)[3]
-        assert settled[0] and steps.count((1, 3)) == 1
-        monkeypatch.setattr(equilibrium, "NEWTON_FLOOR", 0.0)
-        steps.clear()
-        settled, zoomed = game.best_responses(np.array([1]), opp)[3:]
-        assert not settled[0] and zoomed[0]
-        assert steps.count((1, 3)) == equilibrium.NEWTON_STEPS
+    def test_a_row_stops_once_its_predicted_gain_is_rounding(self, monkeypatch):
+        # 1e-9 from the peak the model predicts a gain of 1e-18, below
+        # NEWTON_FLOOR: the row settles where it starts, after one reading
+        view = _Parabola(0.5 + 1e-9)
+        spends, settled = _respond_at(view, 0.5, 0.4, 0.6)
+        assert (spends[0], settled[0], view.calls) == (0.5, True, 1)
+        monkeypatch.setattr(equilibrium, "NEWTON_FLOOR", 0.0)  # on to the peak
+        view = _Parabola(0.5 + 1e-9)
+        spends, settled = _respond_at(view, 0.5, 0.4, 0.6)
+        assert (spends[0], settled[0], view.calls) == (view.peak, True, 2)
+
+    def test_a_step_out_of_the_bracket_bisects_it(self):
+        # the peak lies above the bracket: each Newton step would leave it, so
+        # each step halves the distance to its end, never reaching it
+        view = _Parabola(0.9)
+        spends, settled = _respond_at(view, 0.5, 0.4, 0.6)
+        assert not settled[0] and view.calls == equilibrium.NEWTON_STEPS
+        assert 0.6 - spends[0] == pytest.approx(0.1 / 2**equilibrium.NEWTON_STEPS, rel=1e-6)
+        # started at the bracket's end, where the condition points out, it stays
+        view = _Parabola(0.9)
+        assert _respond_at(view, 0.6, 0.4, 0.6) == (np.array([0.6]), np.array([True]))
+        assert view.calls == 1
+
+
+class TestSlopes:
+    """The closed-form derivatives against central differences of the payoff."""
+
+    STEP = 1e-5  # of each budget
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_the_kernel_matches_central_differences(self, alpha):
+        # rows of every class kind, a line flat or sloped and a built spline
+        # read at A's share or, mirrored, at B's, at random spends inside
+        # random budgets
+        spec = ContestSpec([1, 1, 1], [1, 1], CsfParams(alpha), objective=WP)
+        tables = _unit_tables([1, 1, 1, 1], 1.0)
+        kinds = [equilibrium._ClassValue(linear=(0.7, 0.7)),
+                 equilibrium._ClassValue(linear=(1.0, 0.25))]
+        kinds += [tables.branch(2, totals) for totals in ((0.0, 2.0), (2.0, 0.0), (1.0, 1.0))]
+        assert [(kind.linear is None, kind.mirrored) for kind in kinds] == [
+            (False, False), (False, False), (True, False), (True, True), (True, False)]
+        rng = np.random.default_rng(13)
+        owner = rng.integers(0, len(kinds), (2, 200))
+        budgets = rng.uniform(0.5, 3.0, (2, 200))
+        spends = budgets * rng.uniform(0.05, 0.95, (2, 200))
+        game = equilibrium._StageGame(spec, 1, (0.0, 0.0), budgets, tuple(
+            equilibrium._BranchValue(kinds, row) for row in owner), equilibrium.DEFAULT_SETTINGS)
+        gradient, (bend, twist) = game.slopes(spends)
+        h = self.STEP * budgets
+        grids = spends[:, :, None] + h[:, :, None] * np.array([-1.0, 0.0, 1.0])
+        f = game.payoff(grids[0][:, :, None], grids[1][:, None, :])
+        differences = (
+            np.stack(((f[:, 2, 1] - f[:, 0, 1]) / (2 * h[0]),
+                      (f[:, 1, 2] - f[:, 1, 0]) / (2 * h[1]))),
+            np.stack(((f[:, 2, 1] - 2 * f[:, 1, 1] + f[:, 0, 1]) / h[0] ** 2,
+                      (f[:, 1, 2] - 2 * f[:, 1, 1] + f[:, 1, 0]) / h[1] ** 2)),
+            (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / (4 * h[0] * h[1]),
+        )
+        # a central difference errs by about h^2 times the third derivative,
+        # up to 1e-8 here, plus the payoff's rounding over h, or over h^2 for
+        # a second difference: 1e-11 and 2e-5 at budgets down to 0.5
+        for exact, difference, bound in zip((gradient, bend, twist), differences,
+                                            (1e-7, 1e-4, 1e-4)):
+            assert np.max(np.abs(exact - difference)) <= bound
 
 
 def _unit_tables(values, alpha):

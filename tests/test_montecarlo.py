@@ -19,7 +19,6 @@ from dynblotto import (
     PROPORTIONAL,
     Proportional,
     StrategyProfile,
-    Tabular,
     expected_payoffs,
     history_from_winners,
     one_shot_deviation,
@@ -28,7 +27,7 @@ from dynblotto import (
     solve_backward,
 )
 from dynblotto import montecarlo
-from conftest import chi_square_sf, random_table, terminal_distribution
+from conftest import Tabular, chi_square_sf, random_table, terminal_distribution
 
 WP = Objective.WIN_PROBABILITY
 EV = Objective.EXPECTED_VALUE

@@ -1,4 +1,4 @@
-"""Strategies: proportional rule, deviations, tabular lookup, profiles."""
+"""Strategies: proportional rule, deviations, profiles, and the tests' tabular lookup."""
 
 import random
 
@@ -14,7 +14,6 @@ from dynblotto import (
     Objective,
     PROPORTIONAL,
     StrategyProfile,
-    Tabular,
     allocations_at,
     csf_probability,
     expected_payoffs,
@@ -25,6 +24,7 @@ from dynblotto import (
     reach_probability,
     remaining_budget,
 )
+from conftest import Tabular
 
 WP = Objective.WIN_PROBABILITY
 
