@@ -454,6 +454,11 @@ def _proportional_spend(spec: ContestSpec, played: int, budget):
     return budget * (spec.values[played] / spec._suffix[played])
 
 
+def _proportional_spends(spec: ContestSpec, played, budgets):
+    """`_proportional_spend` of each row of `budgets`, row r after `played[r]` battles."""
+    return budgets * np.divide(spec.values, spec._suffix[:-1])[played][:, None]
+
+
 def _hopeless(spec: ContestSpec, played: int, standings):
     """True for each player who cannot reach even a tie by winning everything left.
 

@@ -66,8 +66,10 @@ from .core import (
     Objective,
     _count,
     _distinct_rows,
+    _formal_budgets,
     _payoffs,
     _proportional_spend,
+    _proportional_spends,
     _remaining_budgets,
     _state,
     _statuses,
@@ -75,7 +77,14 @@ from .core import (
     remaining_budget,
     terminal_status,
 )
-from .evaluation import PART, DeviationReport, _closed_forms, _offset_grids, _sweeps
+from .evaluation import (
+    PART,
+    DeviationReport,
+    _closed_forms,
+    _offset_grids,
+    _path_depths,
+    _sweeps,
+)
 from .strategies import (
     Strategy,
     StrategyProfile,
@@ -755,11 +764,12 @@ class _StageGame:
         responses = self._certificate(spends)
         flats = tuple(response[2] for response in responses)
         refined = sum(int(response[3].sum()) for response in responses)  # Newton-settled rows
-        rows = np.flatnonzero(flats[0] | flats[1])
+        # a player whose payoff is flat in the own spend plays proportional;
+        # only the rows where that moves a spend are certified again
+        moved = [np.where(f, p, w) for f, p, w in zip(flats, self.proportional, spends)]
+        rows = np.flatnonzero((moved[0] != spends[0]) | (moved[1] != spends[1]))
+        spends = moved
         if rows.size:
-            # a player whose payoff is flat in the own spend plays proportional;
-            # only those rows' certificates are taken again
-            spends = [np.where(f, p, w) for f, p, w in zip(flats, self.proportional, spends)]
             again = self.take(rows)._certificate([w[rows] for w in spends])
             for response, new in zip(responses, again):
                 for part, fresh in zip(response[:2], new[:2]):
@@ -1187,6 +1197,55 @@ def _swept_states(spec: ContestSpec, plan: SamplingPlan):
             return
 
 
+def _check_expected_value(spec: ContestSpec, plan: SamplingPlan) -> ProportionalityVerdict:
+    """`check_proportionality` under expected value: every sweep in one walk.
+
+    A state is a plan history or a depth of `_path_depths`, which stands for
+    its states.  Sweeps go state after state, player after player, into
+    walks of at most PART rows (`evaluation._sweeps`), each row from its
+    own state's battle in the contest as known there, whose budgets are
+    `spec`'s formal ones: the ceilings before a battle count the shocks
+    through it.
+    """
+    histories = [h for h in plan.histories if len(h) < spec.m]  # the rest have ended
+    path, counts, first = _path_depths(spec, plan.max_per_depth, plan.seed)
+    starts = np.array([len(h) for h in histories] + list(range(len(counts))))
+    spent = np.concatenate([_state(spec, h)[1] for h in histories] + [path])
+    counts = [1] * len(histories) + counts
+    n, budgets = spec.n, _formal_budgets(spec, starts, spent)
+    grids = _offset_grids(budgets.ravel(), _proportional_spends(spec, starts, budgets).ravel(),
+                          plan.delta_points)
+    fit, max_gain, verdict, walks = max(1, PART // (grids.shape[1] + 1)), -math.inf, None, 0
+    for begin in range(0, len(grids), fit):
+        sweep = np.arange(begin, min(begin + fit, len(grids)))
+        state = sweep // n
+        gains = _sweeps(spec, starts[state], np.zeros_like(spent[state]), spent[state], sweep % n,
+                        grids[sweep])
+        walks += 1
+        over = np.flatnonzero(gains > plan.tolerance)
+        if over.size:
+            k, j = divmod(int(over[0]), gains.shape[1])
+            state, player = divmod(begin + k, n)
+            history = (histories[state] if state < len(histories)
+                       else history_from_winners(spec, first(state - len(histories))))
+            delta, gain = float(grids[begin + k, j]), float(gains[k, j])
+            closed = _closed_forms(spec.truncate_shocks(len(history) + 1), history, player, [delta])
+            report = DeviationReport(history, player, delta, gain, closed[0])
+            verdict = ProportionalityVerdict(False, sum(counts[:state]) + 1, gain, report)
+            break
+        max_gain = max(max_gain, float(gains.max()))
+    if _log.isEnabledFor(logging.DEBUG):
+        swept, states, distinct = int(sweep[-1]) + 1, [0] * spec.m, [0] * spec.m
+        for played, count in zip(starts[:-(-swept // n)].tolist(), counts):
+            states[played] += count
+            distinct[played] += 1
+        _log.debug("proportionality check: states per depth %s, distinct per depth %s, "
+                   "%d sweeps, %d walks, %d rows, refuted at depth %s", states, distinct,
+                   swept, walks, swept * (grids.shape[1] + 1),
+                   None if verdict is None else int(starts[state]))
+    return verdict or ProportionalityVerdict(True, sum(counts), max_gain)
+
+
 def check_proportionality(
     spec: ContestSpec, plan: SamplingPlan = SamplingPlan()
 ) -> ProportionalityVerdict:
@@ -1196,28 +1255,35 @@ def check_proportionality(
     history, history after history and player after player; returns Fails
     on the first gain above tolerance, otherwise Holds with the largest gain
     observed.  The plan's own histories are checked before any sweep.
-    States of one depth that a sweep reads alike, equal in spent under
-    expected value and in (standings, spent) under win probability, gain
-    alike, so only the first of them is swept and its gains stand for all.  Each batch of sweeps is
-    one walk (`evaluation._sweeps`) of at most PART rows: a depth's first
-    sweep alone, so a refutation there costs one sweep, then 2, 4, 8, ...
-    sweeps, doubling on from depth to depth.
+    States of one depth that a sweep reads alike gain alike, so only the
+    first of them is swept and its gains stand for all.  Under expected
+    value a sweep reads spent alone, which the states of a depth share, so
+    one walk of the proportional path gives every depth, and every sweep
+    goes into one walk of at most PART rows, or as many as they fill
+    (`_check_expected_value`).  Under win probability a sweep reads
+    (standings, spent); each batch of sweeps is one walk
+    (`evaluation._sweeps`) of at most PART rows: a depth's first sweep
+    alone, so a refutation there costs one sweep, then 2, 4, 8, ... sweeps,
+    doubling on from depth to depth.
     """
     for history in plan.histories:
         check_history(spec, history)
+    if spec.objective is Objective.EXPECTED_VALUE:
+        return _check_expected_value(spec, plan)
     n, checked, max_gain, verdict = spec.n, 0, -math.inf, None
     states, distinct, sweeps, walks, rows, size = [0] * spec.m, [0] * spec.m, 0, 0, 0, 2
     for played, standings, spent, sources in _swept_states(spec, plan):
         if isinstance(sources[0], History) and terminal_status(spec, sources[0]).terminal:
             continue
-        read = (standings, spent) if spec.objective is Objective.WIN_PROBABILITY else (spent,)
-        first = np.sort(_distinct_rows(np.column_stack(read))[0])  # in order of first occurrence
+        # in order of first occurrence
+        first = np.sort(_distinct_rows(np.column_stack((standings, spent)))[0])
         states[played] += len(sources)
         distinct[played] += first.size
         standings, spent = standings[first], spent[first]
         known = spec.truncate_shocks(played + 1)
         budgets = _remaining_budgets(known, played, standings, spent).ravel()
-        grids = _offset_grids(known, played, budgets, plan.delta_points)
+        grids = _offset_grids(budgets, _proportional_spend(known, played, budgets),
+                              plan.delta_points)
         fit, start = max(1, PART // (grids.shape[1] + 1)), 0  # sweeps in a walk of PART rows
         while start < len(grids) and verdict is None:
             stop = min(start + min(size if start else 1, fit), len(grids))

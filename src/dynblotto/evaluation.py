@@ -9,15 +9,17 @@ contest states (row, standings, spent, mass): each battle branches on
 every winner, weighted by the contest success function, in one set of
 array operations over the live states of every row, and children with
 equal (row, standings, spent) merge.  A one-shot deviation sweep is rows
-too, the proportional baseline and one per offset, and many sweeps at
-states of one depth share one walk.  On top sit the Tullock closed form for
-the deviation gain and the per-battle marginal gain used to characterize
-proportional play.
+too, the proportional baseline and one per offset, and many sweeps
+share one walk: at states of one depth, or under expected value at
+states of any depths, each row from its own battle.  On top sit the
+Tullock closed form for the deviation gain and the per-battle marginal
+gain used to characterize proportional play.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +37,9 @@ from .core import (
     _count,
     _csf_distributions,
     _finite,
+    _formal_budgets,
     _proportional_spend,
+    _proportional_spends,
     _remaining_budgets,
     _state,
     remaining_budget,
@@ -99,8 +103,7 @@ def expected_payoffs(
     return tuple(walk[0].tolist())
 
 
-def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
-                below) -> np.ndarray:
+def _level_walk(spec: ContestSpec, played, standings, spent, root_spends, below) -> np.ndarray:
     """Exact payoffs of R ways to play a battle: an R x n array.
 
     Row r starts at the nonterminal state after `played` battles with
@@ -108,7 +111,13 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
     at the next battle and plays the strategies `below` after it.  Under
     expected value with proportional play below, spends never depend on who
     won, so a row follows one budget path: each battle adds v_t times its
-    success probabilities to the root standings.  Every other walk, capped
+    success probabilities to the root standings.  There `played` may also
+    be one start per row, each row reading the contest as known at its
+    start, as `deviation_gains` does: its budget ceilings stay `spec`'s
+    after `played[r]` battles, which are those of
+    `spec.truncate_shocks(played[r] + 1)` at every battle left.  A row that
+    starts later than another is walked alongside from the first start and
+    set to its own state at its own start.  Every other walk, capped
     at LEAF_CAP winner sequences, goes through `strategies._levels` with
     the row as key and probability mass as weight, and ended states bank
     their payoffs.  Levels of more than PART states are finished in parts
@@ -116,17 +125,27 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
     it pays alone.
     """
     win_prob = spec.objective is Objective.WIN_PROBABILITY
-    count, depth, tally = len(root_spends), played, {"merged": 0, "parts": 0}
+    count, tally = len(root_spends), {"merged": 0, "parts": 0}
     if not win_prob and all(type(s) is Proportional for s in below):
-        out, spends = standings.copy(), root_spends
+        if np.ndim(played):  # rows begun by each battle; a later one joins at its own start
+            depth, ceilings = int(played.min()), spec._ceilings[played]
+            joins = {t: np.flatnonzero(played == t) for t in set(played.tolist()) - {depth}}
+            states = np.searchsorted(np.sort(played), np.arange(depth, spec.m), "right").tolist()
+            states.append(count)
+        else:
+            depth, joins, states, ceilings = played, {}, [count] * (spec.m - played + 1), None
+        out, spends, given = standings.copy(), root_spends, spent
         for played in range(depth, spec.m):
-            if played > depth:
-                budgets = _remaining_budgets(spec, played, standings, spent)
-                spends = _proportional_spend(spec, played, budgets)
+            if played > depth:  # formal budgets, which are the remaining ones under expected value
+                ceiling = spec._ceilings[played] if ceilings is None else ceilings
+                spends = _proportional_spend(spec, played, np.maximum(ceiling - spent, 0.0))
+            rows = joins.get(played)
+            if rows is not None:
+                out[rows], spent[rows], spends[rows] = standings[rows], given[rows], root_spends[rows]
             out += _csf_distributions(spends, spec.csf) * spec.values[played]
             spent = spent + spends
-        states = [count] * (spec.m - depth + 1)
     else:
+        depth = played
         _check_cap(spec, depth, LEAF_CAP)
         out, states = np.zeros((count, spec.n)), [0] * (spec.m - depth + 1)
         root = (standings, spent, np.ones(count), np.arange(count))
@@ -146,6 +165,42 @@ def _level_walk(spec: ContestSpec, played: int, standings, spent, root_spends,
             count, states, tally["merged"], tally["parts"],
         )
     return out
+
+
+def _path_depths(spec: ContestSpec, cap: Optional[int], seed: int):
+    """The depths an expected-value check sweeps, from one walk of the proportional path.
+
+    Under expected value proportional spends never read who won, so every
+    state of a depth reached under proportional play has spent alike, and
+    the path is walked as one row with `strategies._levels`' arithmetic.
+    Returns the spends before each depth (a D x n array), each depth's
+    count of winner sequences of positive probability, cut to `cap` by a
+    sorted sample of one `random.Random(seed)` draw per depth as
+    `equilibrium._swept_states` cuts them, and a function that gives the
+    winner schedule of a depth's first state.
+    """
+    rng = random.Random(seed)
+    spent, counts, winners, picks = [np.zeros((1, spec.n))], [1], [], []
+    for played in range(spec.m - 1):  # the formal budgets are the remaining ones
+        spends = _proportional_spend(spec, played, _formal_budgets(spec, played, spent[-1]))
+        winners.append(np.flatnonzero(_csf_distributions(spends, spec.csf)[0] > 0.0).tolist())
+        count = counts[-1] * len(winners[-1])  # children: parent-major, winners ascending
+        pick = sorted(rng.sample(range(count), cap)) if cap is not None and count > cap else None
+        if pick == []:  # a cap of 0: the root alone
+            break
+        picks.append(pick)
+        counts.append(count if pick is None else cap)
+        spent.append(spent[-1] + spends)
+
+    def first(depth: int) -> list:
+        schedule, index = [], 0
+        for played in reversed(range(depth)):
+            index = index if picks[played] is None else picks[played][index]
+            index, j = divmod(index, len(winners[played]))
+            schedule.append(winners[played][j])
+        return schedule[::-1]
+
+    return np.concatenate(spent), counts, first
 
 
 @dataclass(frozen=True)
@@ -171,15 +226,16 @@ def deviation_grid(spec: ContestSpec, history: History, player: int, points: int
     if terminal_status(spec, history).terminal:
         raise ContractError("deviations are undefined at terminal histories")
     budget = remaining_budget(spec, history, player)
-    grid = _offset_grids(spec, len(history), np.array([budget]), points)[0]
+    budgets = np.array([budget])
+    grid = _offset_grids(budgets, _proportional_spend(spec, len(history), budgets), points)[0]
     return tuple(grid.tolist()) if budget > 0.0 else (0.0,)
 
 
-def _offset_grids(spec: ContestSpec, played: int, budgets, points: int) -> np.ndarray:
-    """`deviation_grid` at many budgets, one row each; zeros where it is (0.0,)."""
+def _offset_grids(budgets, spends, points: int) -> np.ndarray:
+    """`deviation_grid` at many budgets, given the proportional spends there,
+    one row each; zeros where it is (0.0,)."""
     if points < 2:
         return np.zeros((budgets.size, 1))
-    spends = _proportional_spend(spec, played, budgets)
     lo, hi = -spends, budgets - spends
     grids = lo[:, None] + (hi - lo)[:, None] * np.arange(points) / (points - 1)
     grids[budgets <= 0.0] = 0.0
@@ -217,7 +273,7 @@ def deviation_gains(
     return [DeviationReport(history, player, *r) for r in zip(deltas, gains.tolist(), closed)]
 
 
-def _sweeps(spec: ContestSpec, played: int, standings, spent, players, deltas) -> np.ndarray:
+def _sweeps(spec: ContestSpec, played, standings, spent, players, deltas) -> np.ndarray:
     """The K x P gains of K sweeps of P offsets after `played` battles, from one walk.
 
     Sweep k has the rows of `deviation_gains` for player `players[k]` at the
@@ -225,12 +281,20 @@ def _sweeps(spec: ContestSpec, played: int, standings, spent, players, deltas) -
     not touch each other in the walk, so a sweep gains bit for bit what it
     gains alone.  Under expected value the walk starts from zero standings,
     which nothing in it reads, so sweeps with equal spends gain alike.
+    There `played` may also be one battle count per sweep, and sweep k then
+    reads the contest as known at its state, as `deviation_gains` does
+    (see `_level_walk`).
     """
     if spec.objective is Objective.EXPECTED_VALUE:
         standings = np.zeros_like(standings)
     (count, width), n = deltas.shape, spec.n
-    budgets = _remaining_budgets(spec, played, standings, spent)
-    baseline = _proportional_spend(spec, played, budgets)
+    if np.ndim(played):  # the formal budgets, which are the remaining ones under expected value
+        budgets = _formal_budgets(spec, played, spent)
+        baseline = _proportional_spends(spec, played, budgets)
+        played = np.repeat(played, width + 1)
+    else:
+        budgets = _remaining_budgets(spec, played, standings, spent)
+        baseline = _proportional_spend(spec, played, budgets)
     sweep = np.arange(count)
     budget = budgets[sweep, players][:, None]
     deviated = baseline[sweep, players][:, None] + deltas

@@ -4,6 +4,7 @@ import json
 import logging
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -1071,6 +1072,23 @@ class TestNewtonSearch:
         search, certificate, total = map(float, re.findall(r"(\d+\.\d+) s", record))
         assert 0.0 < search and 0.0 < certificate and search + certificate <= total
 
+    @pytest.mark.parametrize("values", [[1, 2, 3, 4, 5], [2, 1, 1, 1], [1, 1, 1, 2]])
+    def test_a_flat_scan_at_its_proportional_spend_is_certified_once(self, monkeypatch, values):
+        # at a class's end node where A is broke, Newton settles the row at
+        # its proportional start and B's scan is flat: the flat rule moves no
+        # spend, so each level's certificate is one batch of its rows
+        certificate, calls = equilibrium._StageGame._certificate, []
+
+        def counted(game, spends):
+            responses = certificate(game, spends)
+            calls.append((game._rows.size, bool(responses[1][2].any())))
+            return responses
+
+        monkeypatch.setattr(equilibrium._StageGame, "_certificate", counted)
+        spec = ContestSpec(values, [1, 1], objective=WP)
+        tables = equilibrium._ValueTables(spec, equilibrium.DEFAULT_SETTINGS)
+        assert [rows for rows, _ in calls] == tables._level_rows and any(f for _, f in calls)
+
 
 class _Parabola:
     """A one-player stand-in for `_OwnView` on unit budgets: the payoff
@@ -1454,6 +1472,62 @@ class TestBatchedCheck:
         if objective is WP:  # refutations at first sweeps and deep inside batches
             assert len(refuted) >= 4 and min(refuted) == 1 and max(refuted) > 3
 
+    def test_long_expected_value_checks_with_a_broke_player(self, monkeypatch):
+        # up to 7 battles, one player broke before any shock; a check that
+        # holds is refuted where its largest gain is, or before, with a
+        # tolerance just below that gain or at half of it
+        rng = random.Random("long-ev-checks")
+        for k in range(12):
+            n, m = rng.choice((2, 3, 4)), rng.randint(5, 7)
+            budgets = [rng.uniform(1.0, 100.0) for _ in range(n)]
+            budgets[rng.randrange(n)] = 0.0
+            shocks = {(rng.randrange(n), rng.randint(1, m)): rng.uniform(-40.0, 20.0)
+                      for _ in range(rng.randint(0, n))}
+            csf = CsfParams((0.5, 1.0, 2.0)[k % 3], rng.choice((1.0, 5.0)))
+            spec = ContestSpec([float(rng.randint(1, 3)) for _ in range(m)], budgets, csf, EV,
+                               shocks)
+            plan = SamplingPlan(max_per_depth=None if n ** (m - 1) <= 256 else 3,
+                                delta_points=rng.choice((2, 21)), seed=k)
+            with monkeypatch.context() as patch:
+                if k % 2:
+                    patch.setattr(equilibrium, "PART", 50)
+                verdict = check_proportionality(spec, plan)
+                assert verdict == per_history_check(spec, plan), (spec, plan)
+                for share in (0.999, 0.5) if verdict.holds and verdict.max_gain > 0.0 else ():
+                    low = replace(plan, tolerance=verdict.max_gain * share)
+                    assert check_proportionality(spec, low) == per_history_check(spec, low)
+
+    @pytest.mark.parametrize("part", [None, 50], ids=["one-walk", "parts-of-50"])
+    def test_an_expected_value_check_walks_one_path(self, monkeypatch, caplog, part):
+        # the four-player contest of 13 battles: 4**12 winner sequences at
+        # the last depth, none of them enumerated
+        def refuse(*args, **kwargs):
+            raise AssertionError("winner sequences enumerated")
+
+        monkeypatch.setattr(equilibrium, "_swept_states", refuse)
+        monkeypatch.setattr(evaluation, "_levels", refuse)
+        if part is not None:
+            monkeypatch.setattr(equilibrium, "PART", part)
+        spec = ContestSpec([1.0 + 0.1 * t for t in range(13)], [10, 20, 30, 40])
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+                verdict = check_proportionality(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds and verdict.histories_checked == (4**13 - 1) // 3 == 22_369_621
+        assert peak < 10 * 2**20
+        ((states, distinct, sweeps, walks, rows, depth),) = check_records(caplog)
+        assert states == [4**d for d in range(13)] and distinct == [1] * 13 and depth is None
+        fit = (part or equilibrium.PART) // 22  # whole sweeps of 22 rows in a walk
+        assert (sweeps, rows, walks) == (4 * 13, 4 * 13 * 22, -(-4 * 13 // fit))
+
+    def test_histories_checked_are_exact_beyond_int64(self):
+        spec = ContestSpec([1.0 + 0.1 * t for t in range(40)], [10, 20, 30, 40])
+        checked = check_proportionality(spec).histories_checked
+        assert type(checked) is int and checked == sum(4**d for d in range(40)) > 2**63
+
     def test_a_win_probability_check_over_the_cap_walks_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("walked")
@@ -1477,7 +1551,7 @@ class TestBatchedCheck:
         assert refuted == ([0, 0, 1, 0], [0, 0, 1, 0], 1, 1, 22, 2)
         states, distinct, sweeps, walks, rows, depth = held
         assert states == [1, 3, 9, 27] and distinct == [1] * 4 and depth is None
-        assert sweeps == 3 * 4 and rows == sweeps * 22 and walks == 2 * 4
+        assert sweeps == 3 * 4 and rows == sweeps * 22 and walks == 1  # every depth in one walk
 
     @pytest.mark.parametrize("values, budgets", [([1] * 6, [30, 20, 10]), ([1, 2] * 3, [37, 81])],
                              ids=["ones-n3", "one-two-n2"])

@@ -411,6 +411,41 @@ class TestLevelWalk:
                 else:  # the sweep starts from zero standings, the payoffs from h's
                     assert abs(report.gain - want) <= last_bits(spec, baseline)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_sweeps_from_many_battles_gain_what_they_gain_alone(self, caplog, alpha):
+        # expected value: one walk of sweeps at histories of any length, in
+        # any order, each sweep bit for bit its own walk in the contest as
+        # known at its history, and each row walked from its own battle on
+        caplog.set_level(logging.DEBUG, logger="dynblotto")
+        rng = random.Random(f"many-starts-{alpha}")
+        for _ in range(10):
+            n = rng.choice([2, 3, 4])
+            spec = oracle_spec(rng, EV, n, rng.randint(2, 6), alpha, True)
+            roots = [open_history(rng, spec, proportional_profile(n), rng.randrange(spec.m))
+                     for _ in range(6)]
+            if spec.m > 1:  # a state off the proportional path
+                roots[0] = History().extend((0.0,) * n, 0)
+            played = np.array([len(h) for h in roots])
+            states = [evaluation._state(spec, h)[:2] for h in roots]
+            standings, spent = (np.concatenate(arrays) for arrays in zip(*states))
+            players = np.array([rng.randrange(n) for _ in roots])
+            deltas = []
+            for h, player in zip(roots, players.tolist()):
+                grid = deviation_grid(spec.truncate_shocks(len(h) + 1), h, player, 5)
+                deltas.append(grid if len(grid) == 5 else grid * 5)  # a broke player's (0.0,)
+            caplog.clear()
+            together = evaluation._sweeps(spec, played, standings, spent, players,
+                                          np.array(deltas))
+            ((rows, per_battle, _, _),) = walk_records(caplog)
+            start = int(played.min())
+            assert rows == 6 * 6 and per_battle == [
+                6 * int(np.sum(played <= t)) for t in range(start, spec.m)] + [rows]
+            for k, h in enumerate(roots):
+                alone = evaluation._sweeps(spec.truncate_shocks(len(h) + 1), len(h),
+                                           standings[k:k + 1], spent[k:k + 1],
+                                           players[k:k + 1], np.array(deltas[k:k + 1]))
+                assert np.array_equal(together[k], alone[0]), (spec, h)
+
     def test_large_levels_are_finished_in_parts(self, monkeypatch, caplog):
         # 2**20 winner sequences with generic values: nothing merges, and the
         # last four battles hold over 100,000 states each
