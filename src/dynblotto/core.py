@@ -361,16 +361,71 @@ def _csf_distributions(spends, params):
     return probs
 
 
-def _distinct_rows(array):
+def _distinct_rows(*arrays):
     """The first occurrence of each distinct row, and each row's distinct row.
 
-    Rows compare by their bytes, so 0.0 and -0.0 differ; that can only keep
-    two equal states apart.
+    A row is the arrays' rows side by side.  Rows compare by their bytes,
+    so 0.0 and -0.0 differ; that can only keep two equal states apart.
+    The distinct rows come in the order of their bytes, which simulation's
+    draws follow (`strategies._byte_merge`).
     """
-    rows = np.ascontiguousarray(array)
+    rows = np.ascontiguousarray(arrays[0]) if len(arrays) == 1 else np.column_stack(arrays)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first, inverse
+
+
+# Mixing constants of `_hashed_rows`: an odd multiplier, and a shift that
+# brings the high bits, where small floats differ, down to the low ones.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(29)
+
+# Fewer rows than this are grouped by the byte sort: the hash's fixed cost,
+# some twenty numpy calls, exceeds what the byte sort of so few rows costs.
+HASH_MIN_ROWS = 128
+
+
+def _hashed_rows(*arrays):
+    """`_distinct_rows` of arrays of 8-byte items, in order of first occurrence.
+
+    From HASH_MIN_ROWS rows on, rows are grouped by a 64-bit hash of their
+    words (`_hash_groups`); on a hash collision, and below that size, the
+    byte sort of `_distinct_rows` groups them.  Either way rows compare by
+    their bits, and the distinct rows come in the order they first occur.
+    """
+    mine = _hash_groups(*arrays) if len(arrays[0]) >= HASH_MIN_ROWS else None
+    if mine is None:
+        first, inverse = _distinct_rows(*arrays)
+        mine = first[inverse]
+    own = mine == np.arange(mine.size)
+    return own.nonzero()[0], (own.cumsum() - 1)[mine]
+
+
+def _hash_groups(*arrays):
+    """Each row's first equal row, or None on a hash collision.
+
+    Rows are sorted by a 64-bit hash of their words with numpy's default
+    argsort, and every row is checked word for word against the first row
+    of its hash group.
+    """
+    words = [(a if a.ndim == 2 else a[:, None]).view(np.uint64) for a in arrays]
+    columns = [w[:, j] for w in words for j in range(w.shape[1])]
+    code = columns[0] * _HASH_MULTIPLIER
+    for column in columns[1:]:
+        code ^= code >> _HASH_SHIFT
+        code ^= column
+        code *= _HASH_MULTIPLIER
+    order = np.argsort(code)
+    code = code[order]
+    new = code[1:] != code[:-1]
+    if new.all():  # no two rows hash alike, so no two are equal
+        return np.arange(code.size)
+    new = np.concatenate(([True], new))  # where each hash group starts
+    mine = np.empty_like(order)
+    mine[order] = np.minimum.reduceat(order, new.nonzero()[0])[new.cumsum() - 1]
+    other = (mine != np.arange(mine.size)).nonzero()[0]
+    twin = mine[other]
+    return mine if all((w[other] == w[twin]).all() for w in words) else None
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +514,42 @@ def _proportional_spends(spec: ContestSpec, played, budgets):
     return budgets * np.divide(spec.values, spec._suffix[:-1])[played][:, None]
 
 
+def _top(standings):
+    """Each state's highest total, taken column by column."""
+    top = np.maximum(standings[:, 0], standings[:, 1])
+    for j in range(2, standings.shape[1]):
+        np.maximum(top, standings[:, j], out=top)
+    return top
+
+
+def _top_two(standings):
+    """Each state's highest and second-highest totals, taken column by column.
+
+    Max and min are exact, so these are the last two of a sorted row.
+    """
+    top = np.maximum(standings[:, 0], standings[:, 1])
+    second = np.minimum(standings[:, 0], standings[:, 1])
+    for j in range(2, standings.shape[1]):
+        np.maximum(second, np.minimum(top, standings[:, j]), out=second)
+        np.maximum(top, standings[:, j], out=top)
+    return top, second
+
+
+def _winner_counts(winners):
+    """Each state's number of winners, counted column by column."""
+    count = np.add(winners[:, 0], winners[:, 1], dtype=np.intp)
+    for j in range(2, winners.shape[1]):
+        count += winners[:, j]
+    return count
+
+
 def _hopeless(spec: ContestSpec, played: int, standings):
     """True for each player who cannot reach even a tie by winning everything left.
 
     A player's best rival total is the highest total whenever that is out of
     the player's reach, so the highest total stands for it.
     """
-    return standings + spec._suffix[played] < np.maximum.reduce(standings, axis=1, keepdims=True)
+    return standings + spec._suffix[played] < _top(standings)[:, None]
 
 
 def _remaining_budgets(spec: ContestSpec, played: int, standings, spent):
@@ -487,21 +571,20 @@ def _statuses(spec: ContestSpec, played: int, standings):
     the top total can, and its best rival is the second highest.
     """
     if played == len(spec.values):
-        top = np.maximum.reduce(standings, axis=1, keepdims=True)
-        return np.ones(len(standings), bool), standings == top
+        return np.ones(len(standings), bool), standings == _top(standings)[:, None]
     if spec.objective is Objective.EXPECTED_VALUE:
         return None
-    second = np.sort(standings, axis=1)[:, -2:-1]
-    clinched = standings > second + spec._suffix[played]
-    ended = clinched.any(axis=1)
-    return (ended, clinched) if np.count_nonzero(ended) else None
+    top, second = _top_two(standings)
+    bar = second + spec._suffix[played]
+    ended = top > bar
+    return (ended, standings > bar[:, None]) if np.count_nonzero(ended) else None
 
 
 def _payoffs(spec: ContestSpec, standings, winners):
     """Payoff rows of ended states (see `terminal_payoff`)."""
     if spec.objective is Objective.EXPECTED_VALUE:
         return standings
-    return winners / winners.sum(axis=1, keepdims=True)
+    return winners / _winner_counts(winners)[:, None]
 
 
 def is_guaranteed_loser(spec: ContestSpec, history: History, player: int) -> bool:

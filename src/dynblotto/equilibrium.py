@@ -67,6 +67,7 @@ from .core import (
     _count,
     _distinct_rows,
     _formal_budgets,
+    _hashed_rows,
     _payoffs,
     _proportional_spend,
     _proportional_spends,
@@ -1188,7 +1189,7 @@ def _swept_states(spec: ContestSpec, plan: SamplingPlan):
     root = (np.zeros((1, spec.n)), np.zeros((1, spec.n)), np.ones(1), np.zeros((1, 0), int))
     below = proportional_profile(spec.n).strategies
     for played, (standings, spent, _, winners), _ in _levels(
-        spec, below, 0, root, branch, merge=False, select=sample
+        spec, below, 0, root, branch, select=sample
     ):
         if not len(winners):
             return
@@ -1275,8 +1276,7 @@ def check_proportionality(
     for played, standings, spent, sources in _swept_states(spec, plan):
         if isinstance(sources[0], History) and terminal_status(spec, sources[0]).terminal:
             continue
-        # in order of first occurrence
-        first = np.sort(_distinct_rows(np.column_stack((standings, spent)))[0])
+        first = _hashed_rows(standings, spent)[0]  # in order of first occurrence
         states[played] += len(sources)
         distinct[played] += first.size
         standings, spent = standings[first], spent[first]

@@ -7,8 +7,9 @@ its value times its success probabilities.  Every other walk plays the
 contest through the per-battle loop of `strategies` (`_levels`) over
 contest states (row, standings, spent, mass): each battle branches on
 every winner, weighted by the contest success function, in one set of
-array operations over the live states of every row, and children with
-equal (row, standings, spent) merge.  A one-shot deviation sweep is rows
+array operations over the live states of every row; ended children bank
+their payoffs as they are born, and live children with equal (row,
+standings, spent) merge.  A one-shot deviation sweep is rows
 too, the proportional baseline and one per offset, and many sweeps
 share one walk: at states of one depth, or under expected value at
 states of any depths, each row from its own battle.  On top sit the
@@ -42,6 +43,7 @@ from .core import (
     _proportional_spends,
     _remaining_budgets,
     _state,
+    _winner_counts,
     remaining_budget,
     terminal_payoff,
     terminal_status,
@@ -52,6 +54,7 @@ from .strategies import (
     StrategyProfile,
     _below_root,
     _every_winner,
+    _hash_merge,
     _levels,
     allocations_at,
 )
@@ -119,8 +122,9 @@ def _level_walk(spec: ContestSpec, played, standings, spent, root_spends, below)
     starts later than another is walked alongside from the first start and
     set to its own state at its own start.  Every other walk, capped
     at LEAF_CAP winner sequences, goes through `strategies._levels` with
-    the row as key and probability mass as weight, and ended states bank
-    their payoffs.  Levels of more than PART states are finished in parts
+    the row as key, probability mass as weight and `_hash_merge`, and
+    ended states bank their payoffs unmerged: `np.add.at` adds up repeats.
+    Levels of more than PART states are finished in parts
     that end where a row's states end, so every row pays bit for bit what
     it pays alone.
     """
@@ -150,12 +154,12 @@ def _level_walk(spec: ContestSpec, played, standings, spent, root_spends, below)
         out, states = np.zeros((count, spec.n)), [0] * (spec.m - depth + 1)
         root = (standings, spent, np.ones(count), np.arange(count))
         for played, live, ended in _levels(spec, below, depth, root, _every_winner, root_spends,
-                                           part=PART, tally=tally):
+                                           merge=_hash_merge, part=PART, tally=tally):
             states[played - depth] += len(live[0]) + (0 if ended is None else len(ended[0]))
             if ended is not None:
                 totals, _, mass, rows, won = ended
                 if win_prob:  # the leaders split the prize
-                    np.add.at(out, rows, won * (mass / won.sum(axis=1))[:, None])
+                    np.add.at(out, rows, won * (mass / _winner_counts(won))[:, None])
                 else:
                     np.add.at(out, rows, totals * mass[:, None])
     if _log.isEnabledFor(logging.DEBUG):
@@ -231,6 +235,14 @@ def deviation_grid(spec: ContestSpec, history: History, player: int, points: int
     return tuple(grid.tolist()) if budget > 0.0 else (0.0,)
 
 
+def _spend_slack(budget):
+    """How far outside [0, budget] a deviated spend may lie and still be
+    feasible: BUDGET_TOLERANCE plus 8 ulps of the budget.  A grid's top
+    point and the spend it gives round by up to about 3 ulps, more than
+    BUDGET_TOLERANCE once budgets run into the millions."""
+    return BUDGET_TOLERANCE + 8 * np.spacing(budget)
+
+
 def _offset_grids(budgets, spends, points: int) -> np.ndarray:
     """`deviation_grid` at many budgets, given the proportional spends there,
     one row each; zeros where it is (0.0,)."""
@@ -298,7 +310,8 @@ def _sweeps(spec: ContestSpec, played, standings, spent, players, deltas) -> np.
     sweep = np.arange(count)
     budget = budgets[sweep, players][:, None]
     deviated = baseline[sweep, players][:, None] + deltas
-    outside = ~((deviated >= -BUDGET_TOLERANCE) & (deviated <= budget + BUDGET_TOLERANCE))
+    slack = _spend_slack(budget)
+    outside = ~((deviated >= -slack) & (deviated <= budget + slack))
     if outside.any():
         k, j = divmod(int(np.argmax(outside)), width)
         raise InputError(f"deviation {deltas[k, j]} puts the spend {deviated[k, j]} "
@@ -344,8 +357,8 @@ def closed_form_gain(a: float, b: float, k: float, delta: float, x_next: float) 
         raise InputError("budgets must be nonnegative")
     if k < 1.0 - 1e-12:
         raise InputError(f"value ratio k must be at least 1, got {k}")
-    spend = (a / k if a else 0.0) + delta
-    if not -BUDGET_TOLERANCE <= spend <= a + BUDGET_TOLERANCE:
+    spend, slack = (a / k if a else 0.0) + delta, float(_spend_slack(a))
+    if not -slack <= spend <= a + slack:
         raise InputError(f"deviated spend {spend} outside [0, {a}]")
     if delta == 0.0 or b == 0.0:
         return 0.0

@@ -12,10 +12,11 @@ battle over its distinct live states (standings, spends), each carrying the
 number of trials that reached it, through the per-battle loop of
 `strategies` (`_levels`) that exact evaluation plays too.  A battle splits
 each state's count over the winners by a chain of binomial draws, j-major
-(`strategies._binomial_split`), in the order the loop gives the states;
-equal children merge and their counts add up, and ended states bank their
-payoff with their count.  So the work grows with the distinct states per
-battle, not with the trials.
+(`strategies._binomial_split`), in the order the loop gives the states:
+equal children merge in the byte order of their rows
+(`strategies._byte_merge`) and their counts add up, and then ended states
+bank their payoff with their count.  So the work grows with the distinct
+states per battle, not with the trials.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from functools import partial
 import numpy as np
 
 from .core import ContestSpec, History, InputError, _payoffs
-from .strategies import StrategyProfile, _below_root, _binomial_split, _levels, allocations_at
+from .strategies import (
+    StrategyProfile,
+    _below_root,
+    _binomial_split,
+    _byte_merge,
+    _levels,
+    allocations_at,
+)
 
 _log = logging.getLogger("dynblotto")
 
@@ -83,7 +91,8 @@ def _terminal_counts(profile, spec, seed, trials):
     root = (np.zeros((1, n)), np.zeros((1, n)), np.array([trials]), None)
     split = partial(_binomial_split, np.random.default_rng(seed))
     banked, states, tally = [], [], {"merged": 0, "parts": 0}
-    for _, live, ended in _levels(spec, below, 0, root, split, spends, tally=tally):
+    for _, live, ended in _levels(spec, below, 0, root, split, spends, merge=_byte_merge,
+                                  tally=tally):
         if ended is not None:
             banked.append(ended)
         if len(live[0]):

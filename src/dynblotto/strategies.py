@@ -26,6 +26,7 @@ from .core import (
     _csf_row,
     _distinct_rows,
     _finite,
+    _hashed_rows,
     _proportional_spend,
     _remaining_budgets,
     _state,
@@ -180,45 +181,42 @@ def _binomial_split(rng, played, probs, counts, key):
     return parent, winner, cells[parent, winner], key
 
 
-def _levels(spec, below, played, state, branch, spends=None, merge=True, part=None,
+def _levels(spec, below, played, state, branch, spends=None, merge=None, part=None,
             select=None, tally=None):
     """Play the contest on from the given states: the one per-battle loop.
 
     A level is (standings, spent, weight, key) after `played` battles, one
     state per row; the weight is a float mass or an integer count, the key
-    None or a column that keeps states apart.  A level without given
-    `spends` is status-tested, its ended states set aside and its live ones
-    indexed by `select(played, count)` when given.  Then (played, live,
-    ended) is yielded, `ended` with a winner mask appended or None, and the
-    live states get spends and probabilities.  `branch(played, probs,
-    weight, key)` returns the children's (parent, winner, weight, key);
-    children equal in (key, standings, spent) merge unless `merge` is
-    false.  Levels go depth first; with `part`, larger levels are played
-    in parts cut where the ascending key changes.  `tally`, a dict, counts
-    "merged" states and "parts" added.
+    None or a column that keeps states apart.  The given states are live
+    if `spends` are given for them, else status-tested.  Each level is
+    yielded as (played, live, ended), `ended` with a winner mask appended
+    or None, its live states first indexed by `select(played, count)` when
+    given and no spends were.  Then the live states get spends and
+    probabilities, and `branch(played, probs, weight, key)` returns the
+    children's (parent, winner, weight, key).  The merge rule
+    `merge(spec, played, children, tally)` status-tests the children and
+    merges equal ones in (key, standings, spent), returning the next
+    level's (live, ended): `_byte_merge` merges first, `_hash_merge` tests
+    first; with no rule, nothing merges.  Levels go depth first; with
+    `part`, larger levels are played in parts cut where the key changes,
+    the level's ended states coming with the first.  `tally`, a dict,
+    counts "merged" states and "parts" added.
     """
-    stack = [(played, state, spends)]
+    live, ended = (state, None) if spends is not None else _split(spec, played, state)
+    stack = [(played, live, ended, spends)]
     tally = {"merged": 0, "parts": 0} if tally is None else tally
     proportional = all(type(s) is Proportional for s in below)
     while stack:
-        played, state, spends = stack.pop()
+        played, state, ended, spends = stack.pop()
         if part is not None and len(state[0]) > part:
             cuts = _cuts(state[3], part)
             tally["parts"] += len(cuts) - 1
             pieces = [_take(state + (spends,), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-            stack.extend((played, piece[:4], piece[4]) for piece in reversed(pieces))
+            stack.extend((played, piece[:4], None, piece[4]) for piece in reversed(pieces[1:]))
+            stack.append((played, pieces[0][:4], ended, pieces[0][4]))
             continue
-        ended = None
-        if spends is None:
-            status = _statuses(spec, played, state[0])
-            if status is not None:
-                over, winners = status
-                if over.all():  # every state ended: no copies
-                    ended, state = state + (winners,), _take(state, slice(0))
-                else:
-                    ended, state = _take(state, over) + (winners[over],), _take(state, ~over)
-            if select is not None:
-                state = _take(state, select(played, len(state[0])))
+        if select is not None and spends is None:
+            state = _take(state, select(played, len(state[0])))
         yield played, state, ended
         standings, spent, weight, key = state
         if not len(standings):
@@ -237,16 +235,55 @@ def _levels(spec, below, played, state, branch, spends=None, merge=True, part=No
         parent, winner, weight, key = branch(played, probs, weight, key)
         standings = standings[parent]
         standings[np.arange(parent.size), winner] += spec.values[played]
-        spent = spent[parent] + spends[parent]
-        if merge:
-            columns = (standings, spent) if key is None else (key, standings, spent)
-            first, group = _distinct_rows(np.column_stack(columns))
-            tally["merged"] += parent.size - first.size
-            standings, spent = standings[first], spent[first]
-            key = None if key is None else key[first]
-            # integer counts come back from float sums, exact below 2^53
-            weight = np.bincount(group, weights=weight).astype(weight.dtype, copy=False)
-        stack.append((played + 1, (standings, spent, weight, key), None))
+        children = (standings, spent[parent] + spends[parent], weight, key)
+        live, ended = (_split(spec, played + 1, children) if merge is None
+                       else merge(spec, played + 1, children, tally))
+        stack.append((played + 1, live, ended, None))
+
+
+def _split(spec, played, level) -> tuple:
+    """The level's (live, ended) states by `core._statuses`, `ended` with a
+    winner mask appended, or None when no state has ended."""
+    status = _statuses(spec, played, level[0])
+    if status is None:
+        return level, None
+    over, winners = status
+    if over.all():  # every state ended: no copies
+        return _take(level, slice(0)), level + (winners,)
+    live, over = np.flatnonzero(~over), np.flatnonzero(over)
+    return _take(level, live), _take(level, over) + (winners[over],)
+
+
+def _merged(level, rows, tally) -> tuple:
+    """The level with states equal in (key, standings, spent) merged and
+    their weights added up, grouped by `rows` (`core._distinct_rows` or
+    `core._hashed_rows`)."""
+    standings, spent, weight, key = level
+    columns = (standings, spent) if key is None else (key, standings, spent)
+    first, group = rows(*columns)
+    tally["merged"] += standings.shape[0] - first.size
+    # integer counts come back from float sums, exact below 2^53
+    weight = np.bincount(group, weights=weight).astype(weight.dtype, copy=False)
+    return standings[first], spent[first], weight, None if key is None else key[first]
+
+
+def _byte_merge(spec, played, children, tally) -> tuple:
+    """Merge rule of simulation: every child merges, in the byte order of
+    `core._distinct_rows`, and then the status test splits them, so ended
+    and live states alike come out merged in that order.  The next
+    battle's binomial draws follow it, so a seed's stream rests on it."""
+    return _split(spec, played, _merged(children, _distinct_rows, tally))
+
+
+def _hash_merge(spec, played, children, tally) -> tuple:
+    """Merge rule of exact walks: the status test first, so ended children
+    go to the walk unmerged (its `np.add.at` adds up repeats) and only live
+    ones merge, by `core._hashed_rows`.  Its order of first occurrence keeps
+    a row's states together, as the part cuts need, and in the order they
+    have when the row is walked alone.  Every child of the last battle
+    ends, so a walk's largest level is never merged."""
+    live, ended = _split(spec, played, children)
+    return (_merged(live, _hashed_rows, tally) if len(live[0]) else live), ended
 
 
 def _cuts(keys, part: int) -> list:

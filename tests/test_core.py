@@ -35,7 +35,18 @@ from dynblotto import (
     terminal_status,
     validate_spec,
 )
-from dynblotto.core import _csf_distributions, _hopeless, _remaining_budgets, _state, _statuses
+from dynblotto import core
+from dynblotto.core import (
+    _csf_distributions,
+    _hashed_rows,
+    _hopeless,
+    _remaining_budgets,
+    _state,
+    _statuses,
+    _top,
+    _top_two,
+    _winner_counts,
+)
 from conftest import (
     random_battle_values,
     reference_budget,
@@ -456,6 +467,90 @@ class TestArrayRulesAgainstTheDefinitions:
                     assert got == want, row
                 else:
                     assert got == pytest.approx(want, rel=1e-15, abs=0.0), row
+
+
+def first_occurrence_rows(*arrays):
+    """Reference for `core._hashed_rows`: `np.unique` on void rows, its groups
+    put in order of first occurrence."""
+    rows = np.column_stack(arrays)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
+def planted_rows(rng, count, n, generic):
+    """(key, standings, spent) with a third of the rows copied over others;
+    the non-generic ones take few values, 0.0 and -0.0 among them."""
+    key = rng.integers(0, 4, count)
+    if generic:
+        standings, spent = rng.random((count, n)), rng.random((count, n))
+    else:
+        standings = rng.choice([0.0, -0.0, 1.0, 2.5, 1e-300], size=(count, n))
+        spent = rng.choice([0.0, -0.0, 3.0, 7.25], size=(count, n))
+    copies, into = rng.integers(0, count, (2, count // 3))
+    key[into], standings[into], spent[into] = key[copies], standings[copies], spent[copies]
+    return key, standings, spent
+
+
+class TestRowKernels:
+    """The hash merge and the column-wise reductions against the forms they replace."""
+
+    @pytest.fixture
+    def byte_sorts(self, monkeypatch):
+        """A list that grows by one each time the byte sort is called."""
+        calls, byte_rows = [], core._distinct_rows
+        monkeypatch.setattr(core, "_distinct_rows", lambda *a: calls.append(1) or byte_rows(*a))
+        return calls
+
+    @pytest.mark.parametrize("least", [0, core.HASH_MIN_ROWS], ids=["hash-always", "default"])
+    @pytest.mark.parametrize("generic", [True, False], ids=["generic", "few-values"])
+    def test_the_hash_merge_is_the_byte_merge_in_first_occurrence_order(
+            self, monkeypatch, byte_sorts, generic, least):
+        monkeypatch.setattr(core, "HASH_MIN_ROWS", least)
+        rng = np.random.default_rng(23)
+        counts = (1, 2, 7, 300, 5000)
+        for count in counts:
+            for n in (2, 3, 5):
+                arrays = planted_rows(rng, count, n, generic)
+                first, group = _hashed_rows(*arrays)
+                want_first, want_group = first_occurrence_rows(*arrays)
+                assert np.array_equal(first, want_first) and np.array_equal(group, want_group)
+        # no collision: the hash grouped every level of HASH_MIN_ROWS rows or more
+        assert len(byte_sorts) == 3 * sum(count < least for count in counts)
+
+    @pytest.mark.parametrize("least", [0, core.HASH_MIN_ROWS], ids=["hash-always", "default"])
+    def test_zero_and_negative_zero_stay_apart(self, monkeypatch, least):
+        monkeypatch.setattr(core, "HASH_MIN_ROWS", least)
+        spent = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        first, group = _hashed_rows(np.zeros(3, int), spent)
+        assert first.tolist() == [0, 1] and group.tolist() == [0, 1, 0]
+
+    def test_a_hash_collision_falls_back_to_the_byte_sort(self, monkeypatch, byte_sorts):
+        monkeypatch.setattr(core, "_HASH_MULTIPLIER", np.uint64(0))  # every row hashes to 0
+        for generic in (True, False):
+            arrays = planted_rows(np.random.default_rng(24), 300, 3, generic)
+            first, group = _hashed_rows(*arrays)
+            want_first, want_group = first_occurrence_rows(*arrays)
+            assert np.array_equal(first, want_first) and np.array_equal(group, want_group)
+        assert byte_sorts == [1, 1]
+
+    def test_column_reductions_equal_the_axis_forms(self):
+        rng = np.random.default_rng(25)
+        tied = 0
+        for n in range(2, 7):
+            for count in (1, 2, 500):
+                standings = rng.integers(0, 4, size=(count, n)).astype(float)
+                top, second = _top_two(standings)
+                assert np.array_equal(_top(standings), np.maximum.reduce(standings, axis=1))
+                assert np.array_equal(top, np.maximum.reduce(standings, axis=1))
+                assert np.array_equal(second, np.sort(standings, axis=1)[:, -2])
+                winners = standings == top[:, None]
+                assert np.array_equal(_winner_counts(winners), winners.sum(axis=1))
+                tied += np.count_nonzero(top == second)
+        assert tied > 0
 
 
 class TestTerminalPayoff:

@@ -1472,6 +1472,38 @@ class TestBatchedCheck:
         if objective is WP:  # refutations at first sweeps and deep inside batches
             assert len(refuted) >= 4 and min(refuted) == 1 and max(refuted) > 3
 
+    def test_large_budgets_give_the_unit_verdict(self):
+        # budgets and shocks scaled by c leave every payoff as it is; from
+        # about c = 1e7 an ulp of a budget exceeds BUDGET_TOLERANCE, and the
+        # top point of a deviation grid must still pass its own sweep's test
+        rng = random.Random("scaled-checks")
+        refuted = 0
+        for _ in range(60):
+            n, m = rng.randint(2, 4), rng.randint(2, 4)
+            objective, alpha = rng.choice((EV, WP)), rng.choice((0.5, 1.0, 2.0))
+            values = [round(rng.uniform(0.5, 3.0), 4) for _ in range(m)]
+            budgets = [round(rng.uniform(0.5, 1.0), 6) for _ in range(n)]
+            shocks = {}
+            if rng.random() < 0.5:
+                shocks[(rng.randrange(n), rng.randint(1, m))] = round(rng.uniform(-0.3, 0.3), 6)
+            unit = None
+            for c in (1.0, 1e4, 1e7, 1e8, 1e11, 1e15):
+                spec = ContestSpec(values, [b * c for b in budgets], CsfParams(alpha), objective,
+                                   {key: amount * c for key, amount in shocks.items()})
+                verdict = check_proportionality(spec)
+                unit = unit or verdict
+                assert (verdict.holds, verdict.histories_checked) == (
+                    unit.holds, unit.histories_checked), (spec, verdict, unit)
+                if verdict.holds:
+                    assert verdict.max_gain == pytest.approx(unit.max_gain, abs=1e-12)
+                    continue
+                got, want = verdict.counterexample, unit.counterexample
+                assert (got.player, got.history.winner_schedule()) == (
+                    want.player, want.history.winner_schedule()), (spec, got, want)
+                assert got.gain == pytest.approx(want.gain, abs=1e-12)
+            refuted += not unit.holds
+        assert refuted >= 10
+
     def test_long_expected_value_checks_with_a_broke_player(self, monkeypatch):
         # up to 7 battles, one player broke before any shock; a check that
         # holds is refuted where its largest gain is, or before, with a

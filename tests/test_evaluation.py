@@ -512,6 +512,17 @@ class TestLevelWalk:
         assert len(states) == 4 and merged >= 0
         assert sweep[0] == 3  # the baseline and two offsets
 
+    def test_the_last_battle_is_banked_unmerged(self, caplog):
+        # after two battles the live states (1, 1, 0), (1, 0, 1) and (0, 1, 1),
+        # each merged from two children with equal spends, have nine children,
+        # three of them (1, 1, 1); all of them end and are banked as they are
+        spec = ContestSpec([1, 1, 1], [30, 20, 10], objective=WP)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            payoffs = expected_payoffs(proportional_profile(3), spec)
+        assert walk_records(caplog) == [(1, [1, 3, 6, 9], 3, 0)]
+        assert payoffs == pytest.approx(brute_force_payoffs(proportional_profile(3), spec),
+                                        abs=1e-12)
+
     def test_a_budget_path_logs_its_rows_at_every_battle(self, caplog):
         spec = ContestSpec([1, 1, 2], [30, 20, 10])
         with caplog.at_level(logging.DEBUG, logger="dynblotto"):
@@ -617,6 +628,21 @@ class TestDeviationGain:
         assert grid[0] == pytest.approx(-40.0)  # spend 0
         assert grid[-1] == pytest.approx(60.0)  # spend everything
         assert grid[2] == pytest.approx(-30.0)  # evenly spaced
+
+    def test_every_grid_point_is_feasible_at_large_budgets(self):
+        # from budgets of about 1e7 an ulp exceeds BUDGET_TOLERANCE; the grid's
+        # top point rounds a few ulps above the budget and must still pass,
+        # in the sweep and in the Tullock closed form alike
+        unit = ContestSpec([1, 2, 1, 1.5], [1.0, 3.3, 0.7])
+        for c in (1e7, 1e15):
+            spec = ContestSpec(unit.values, [b * c for b in unit.budgets])
+            for player in range(spec.n):
+                want, got = (deviation_gains(s, History(), player,
+                                             deviation_grid(s, History(), player))
+                             for s in (unit, spec))
+                for a, b in zip(got, want):
+                    assert a.gain == pytest.approx(b.gain, abs=1e-12)
+                    assert a.closed_form == pytest.approx(b.closed_form, abs=1e-12)
 
     def test_broke_player_has_no_deviations(self):
         spec = ContestSpec([1, 1], [0.0, 10.0])
