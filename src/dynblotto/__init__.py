@@ -29,6 +29,9 @@ from .core import (
 )
 from .evaluation import (
     DeviationReport,
+    ProportionalityVerdict,
+    SamplingPlan,
+    check_proportionality,
     closed_form_gain,
     deviation_gain,
     deviation_gains,
@@ -39,12 +42,9 @@ from .evaluation import (
 from .equilibrium import (
     BackwardSolveResult,
     BestResponseResult,
-    ProportionalityVerdict,
-    SamplingPlan,
     SolverSettings,
     StageSolution,
     best_response,
-    check_proportionality,
     solve_backward,
     stage_equilibrium,
 )

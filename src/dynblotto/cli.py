@@ -26,14 +26,8 @@ from .core import (
     Objective,
     validate_spec,
 )
-from .equilibrium import (
-    SamplingPlan,
-    SolverSettings,
-    check_proportionality,
-    solve_backward,
-    stage_equilibrium,
-)
-from .evaluation import expected_payoffs
+from .equilibrium import SolverSettings, solve_backward, stage_equilibrium
+from .evaluation import SamplingPlan, check_proportionality, expected_payoffs
 from .montecarlo import simulate
 from .strategies import history_from_winners, proportional_profile
 

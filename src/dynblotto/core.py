@@ -31,7 +31,10 @@ import numbers
 import numpy as np
 
 # Feasibility slack for floating-point allocations: spends up to this much
-# above the remaining budget are accepted and clamped.
+# above the remaining budget are accepted and clamped.  A contest whose
+# scale, its largest budget plus that player's positive shocks, is below 1
+# takes this times its scale (`ContestSpec._slack`), so a spend far over a
+# tiny budget is refused.
 BUDGET_TOLERANCE = 1e-9
 
 
@@ -212,6 +215,9 @@ class ContestSpec:
         ceilings = [[b + row[min(t + 1, m)] for b, row in zip(self.budgets, cum)]
                     for t in range(m + 1)]  # shocks through the upcoming battle, none after m
         object.__setattr__(self, "_ceilings", np.array(ceilings))
+        scale = max(b + sum(max(a, 0.0) for (i, _), a in self.shocks if i == player)
+                    for player, b in enumerate(self.budgets))
+        object.__setattr__(self, "_slack", BUDGET_TOLERANCE * min(1.0, max(scale, 0.0)))
 
         # Success-function scores of the largest spends the budgets and
         # shocks allow must add up to a finite number, or the win
@@ -467,9 +473,9 @@ def _state(spec: ContestSpec, history: History) -> tuple:
         if status is not None:
             raise InfeasibleHistoryError(f"battle {t} fought after the contest ended")
         for i, (w, bound) in enumerate(zip(spends, budgets[0].tolist())):
-            if not math.isfinite(w) or w < -BUDGET_TOLERANCE:
+            if not math.isfinite(w) or w < -spec._slack:
                 raise InfeasibleHistoryError(f"battle {t}: bad allocation {w} for player {i}")
-            if w > bound + BUDGET_TOLERANCE:
+            if w > bound + spec._slack:
                 raise InfeasibleHistoryError(
                     f"battle {t}: player {i} spent {w}, over the budget {bound}"
                 )

@@ -1,6 +1,6 @@
 """Numerical equilibrium analysis.
 
-Two engines live here.  For two-player win-probability contests, a backward
+One engine lives here: for two-player win-probability contests, a backward
 induction solver computes stage equilibria.  Such a stage is zero-sum (the
 two win probabilities add up to one), so its equilibrium is a saddle point
 of player A's payoff over the two spends.  Newton is the one algorithm, its
@@ -35,11 +35,6 @@ about, a class per distinct standings.  The solver itself solves only the
 trace, one stage per depth.  Tables are cached per battle values, CSF,
 objective and settings, never per budgets: a budget sweep or mirrored pair
 builds them once.
-
-For arbitrary contests, `check_proportionality` sweeps one-shot deviations
-from proportional play over sampled histories and reports the first
-profitable one.  It relies only on the exact evaluator, never on the solver,
-so the two engines stay independent checks of each other.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ import copy
 import logging
 import math
 import numbers
-import random
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -57,44 +51,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    BUDGET_TOLERANCE,
     ContestSpec,
     ContractError,
     ConvergenceError,
     History,
     InputError,
     Objective,
-    _count,
     _distinct_rows,
-    _formal_budgets,
-    _hashed_rows,
     _payoffs,
     _proportional_spend,
-    _proportional_spends,
-    _remaining_budgets,
     _state,
     _statuses,
-    check_history,
     remaining_budget,
     terminal_status,
 )
-from .evaluation import (
-    PART,
-    DeviationReport,
-    _closed_forms,
-    _offset_grids,
-    _path_depths,
-    _sweeps,
-)
-from .strategies import (
-    Strategy,
-    StrategyProfile,
-    _every_winner,
-    _levels,
-    _standings_key,
-    history_from_winners,
-    proportional_profile,
-)
+# The proportionality check lives in `evaluation`; it is bound here too,
+# because bench/tracer.py times it as `equilibrium.check_proportionality`.
+from .evaluation import check_proportionality  # noqa: F401
+from .strategies import Strategy, StrategyProfile, _standings_key
 
 _log = logging.getLogger("dynblotto")
 
@@ -132,48 +106,6 @@ class StageSolution:
     residual: float  # largest best-response improvement at the returned point
     iterations: int  # Newton steps, over every start
     flat: tuple  # per player: payoff flat in the own spend, so proportional is played
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Which histories and deviations check_proportionality sweeps.
-
-    User-supplied histories are checked first (so a known counterexample is
-    the one reported), then all winner sequences reachable under proportional
-    play, breadth-first through battle m - 1, subsampled per depth when a
-    level exceeds max_per_depth.  A field of the wrong type or range raises
-    InputError naming it.
-    """
-
-    max_per_depth: Optional[int] = None
-    histories: tuple = ()
-    delta_points: int = 21
-    tolerance: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        def refuse(name, what):
-            raise InputError(f"sampling plan {name} must be {what}, got {getattr(self, name)!r}")
-
-        if self.max_per_depth is not None and not _count(self.max_per_depth):
-            refuse("max_per_depth", "None or a nonnegative integer")
-        if not _count(self.delta_points):
-            refuse("delta_points", "a nonnegative integer")
-        if not (isinstance(self.tolerance, numbers.Real) and self.tolerance >= 0):  # not nan
-            refuse("tolerance", "a nonnegative number")
-        if not (isinstance(self.histories, Sequence)
-                and all(isinstance(h, History) for h in self.histories)):
-            refuse("histories", "a sequence of History objects")
-        if not isinstance(self.seed, numbers.Integral):
-            refuse("seed", "an integer")
-
-
-@dataclass(frozen=True)
-class ProportionalityVerdict:
-    holds: bool
-    histories_checked: int
-    max_gain: float
-    counterexample: Optional[DeviationReport] = None
 
 
 @dataclass(frozen=True)
@@ -1072,7 +1004,7 @@ def best_response(
         raise InputError(f"opponents_allocation must be a real number, got {spend!r}")
     opp = float(spend)
     bound = remaining_budget(spec, history, 1 - player)
-    if not 0.0 <= opp <= bound + BUDGET_TOLERANCE:
+    if not 0.0 <= opp <= bound + spec._slack:
         raise InputError(f"opponents_allocation {opp} lies outside [0, {bound}]")
     game = _stage_game_at(spec, history, settings)
     spend, value, flat = game.best_responses(np.array([player]), np.array([opp]))[:3]
@@ -1158,161 +1090,3 @@ def solve_backward(
     trace = tuple(solution.allocations for solution in solutions.values())
     profile = StrategyProfile((policy, policy))
     return BackwardSolveResult(profile, trace, solutions, history.winner_schedule())
-
-
-# ---------------------------------------------------------------------------
-# proportionality checking (any player count, any objective)
-
-
-def _swept_states(spec: ContestSpec, plan: SamplingPlan):
-    """Yields (battles played, standings, spent, sources) of the states to sweep.
-
-    One state per row; a source is the state's History or winner schedule.
-    The plan's histories come one by one, then the states reachable under
-    proportional play, a depth at a time from `strategies._levels` with
-    equal ones kept apart, each depth cut to `plan.max_per_depth` by a
-    sorted sample of one seeded draw.
-    """
-    for history in plan.histories:
-        yield len(history), *_state(spec, history)[:2], (history,)
-    rng, cap = random.Random(plan.seed), plan.max_per_depth
-
-    def sample(played, count):
-        if played and cap is not None and count > cap:
-            return sorted(rng.sample(range(count), cap))
-        return slice(None)
-
-    def branch(played, probs, weight, winners):
-        parent, winner, weight, winners = _every_winner(played, probs, weight, winners)
-        return parent, winner, weight, np.column_stack((winners, winner))
-
-    root = (np.zeros((1, spec.n)), np.zeros((1, spec.n)), np.ones(1), np.zeros((1, 0), int))
-    below = proportional_profile(spec.n).strategies
-    for played, (standings, spent, _, winners), _ in _levels(
-        spec, below, 0, root, branch, select=sample
-    ):
-        if not len(winners):
-            return
-        yield played, standings, spent, winners
-        if played == spec.m - 1:
-            return
-
-
-def _check_expected_value(spec: ContestSpec, plan: SamplingPlan) -> ProportionalityVerdict:
-    """`check_proportionality` under expected value: every sweep in one walk.
-
-    A state is a plan history or a depth of `_path_depths`, which stands for
-    its states.  Sweeps go state after state, player after player, into
-    walks of at most PART rows (`evaluation._sweeps`), each row from its
-    own state's battle in the contest as known there, whose budgets are
-    `spec`'s formal ones: the ceilings before a battle count the shocks
-    through it.
-    """
-    histories = [h for h in plan.histories if len(h) < spec.m]  # the rest have ended
-    path, counts, first = _path_depths(spec, plan.max_per_depth, plan.seed)
-    starts = np.array([len(h) for h in histories] + list(range(len(counts))))
-    spent = np.concatenate([_state(spec, h)[1] for h in histories] + [path])
-    counts = [1] * len(histories) + counts
-    n, budgets = spec.n, _formal_budgets(spec, starts, spent)
-    grids = _offset_grids(budgets.ravel(), _proportional_spends(spec, starts, budgets).ravel(),
-                          plan.delta_points)
-    fit, max_gain, verdict, walks = max(1, PART // (grids.shape[1] + 1)), -math.inf, None, 0
-    for begin in range(0, len(grids), fit):
-        sweep = np.arange(begin, min(begin + fit, len(grids)))
-        state = sweep // n
-        gains = _sweeps(spec, starts[state], np.zeros_like(spent[state]), spent[state], sweep % n,
-                        grids[sweep])
-        walks += 1
-        over = np.flatnonzero(gains > plan.tolerance)
-        if over.size:
-            k, j = divmod(int(over[0]), gains.shape[1])
-            state, player = divmod(begin + k, n)
-            history = (histories[state] if state < len(histories)
-                       else history_from_winners(spec, first(state - len(histories))))
-            delta, gain = float(grids[begin + k, j]), float(gains[k, j])
-            closed = _closed_forms(spec.truncate_shocks(len(history) + 1), history, player, [delta])
-            report = DeviationReport(history, player, delta, gain, closed[0])
-            verdict = ProportionalityVerdict(False, sum(counts[:state]) + 1, gain, report)
-            break
-        max_gain = max(max_gain, float(gains.max()))
-    if _log.isEnabledFor(logging.DEBUG):
-        swept, states, distinct = int(sweep[-1]) + 1, [0] * spec.m, [0] * spec.m
-        for played, count in zip(starts[:-(-swept // n)].tolist(), counts):
-            states[played] += count
-            distinct[played] += 1
-        _log.debug("proportionality check: states per depth %s, distinct per depth %s, "
-                   "%d sweeps, %d walks, %d rows, refuted at depth %s", states, distinct,
-                   swept, walks, swept * (grids.shape[1] + 1),
-                   None if verdict is None else int(starts[state]))
-    return verdict or ProportionalityVerdict(True, sum(counts), max_gain)
-
-
-def check_proportionality(
-    spec: ContestSpec, plan: SamplingPlan = SamplingPlan()
-) -> ProportionalityVerdict:
-    """Is the proportional profile robust to one-shot deviations?
-
-    Sweeps the feasible deviation grid for every player at every sampled
-    history, history after history and player after player; returns Fails
-    on the first gain above tolerance, otherwise Holds with the largest gain
-    observed.  The plan's own histories are checked before any sweep.
-    States of one depth that a sweep reads alike gain alike, so only the
-    first of them is swept and its gains stand for all.  Under expected
-    value a sweep reads spent alone, which the states of a depth share, so
-    one walk of the proportional path gives every depth, and every sweep
-    goes into one walk of at most PART rows, or as many as they fill
-    (`_check_expected_value`).  Under win probability a sweep reads
-    (standings, spent); each batch of sweeps is one walk
-    (`evaluation._sweeps`) of at most PART rows: a depth's first sweep
-    alone, so a refutation there costs one sweep, then 2, 4, 8, ... sweeps,
-    doubling on from depth to depth.
-    """
-    for history in plan.histories:
-        check_history(spec, history)
-    if spec.objective is Objective.EXPECTED_VALUE:
-        return _check_expected_value(spec, plan)
-    n, checked, max_gain, verdict = spec.n, 0, -math.inf, None
-    states, distinct, sweeps, walks, rows, size = [0] * spec.m, [0] * spec.m, 0, 0, 0, 2
-    for played, standings, spent, sources in _swept_states(spec, plan):
-        if isinstance(sources[0], History) and terminal_status(spec, sources[0]).terminal:
-            continue
-        first = _hashed_rows(standings, spent)[0]  # in order of first occurrence
-        states[played] += len(sources)
-        distinct[played] += first.size
-        standings, spent = standings[first], spent[first]
-        known = spec.truncate_shocks(played + 1)
-        budgets = _remaining_budgets(known, played, standings, spent).ravel()
-        grids = _offset_grids(budgets, _proportional_spend(known, played, budgets),
-                              plan.delta_points)
-        fit, start = max(1, PART // (grids.shape[1] + 1)), 0  # sweeps in a walk of PART rows
-        while start < len(grids) and verdict is None:
-            stop = min(start + min(size if start else 1, fit), len(grids))
-            sweep = np.arange(start, stop)
-            gains = _sweeps(known, played, standings[sweep // n], spent[sweep // n], sweep % n,
-                            grids[start:stop])
-            sweeps, walks, rows = sweeps + sweep.size, walks + 1, rows + gains.size + sweep.size
-            over = np.flatnonzero(gains > plan.tolerance)
-            if over.size:
-                k, j = divmod(int(over[0]), gains.shape[1])
-                state, player = divmod(start + k, n)
-                state = int(first[state])  # the first state that gains alike
-                history = sources[state]
-                if not isinstance(history, History):
-                    history = history_from_winners(spec, history.tolist())
-                delta, gain = float(grids[start + k, j]), float(gains[k, j])
-                closed = _closed_forms(known, history, player, [delta])[0]
-                report = DeviationReport(history, player, delta, gain, closed)
-                verdict = ProportionalityVerdict(False, checked + state + 1, gain, report)
-            elif gains.max() > max_gain:
-                max_gain = float(gains.max())
-            size, start = 2 * size if start else size, stop
-        if verdict is not None:
-            break
-        checked += len(sources)
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("proportionality check: states per depth %s, distinct per depth %s, "
-                   "%d sweeps, %d walks, %d rows, refuted at depth %s", states, distinct,
-                   sweeps, walks, rows, None if verdict is None else played)
-    if verdict is None:
-        verdict = ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
-    return verdict

@@ -15,13 +15,23 @@ share one walk: at states of one depth, or under expected value at
 states of any depths, each row from its own battle.  On top sit the
 Tullock closed form for the deviation gain and the per-battle marginal
 gain used to characterize proportional play.
+
+For arbitrary contests, `check_proportionality` sweeps one-shot deviations
+from proportional play over sampled histories and reports the first
+profitable one, with one verdict loop over groups of states for both
+objectives.  It relies only on this exact evaluator, never on the backward
+solver of `equilibrium`, so the two engines stay independent checks of
+each other.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,11 +49,13 @@ from .core import (
     _csf_distributions,
     _finite,
     _formal_budgets,
+    _hashed_rows,
     _proportional_spend,
     _proportional_spends,
     _remaining_budgets,
     _state,
     _winner_counts,
+    check_history,
     remaining_budget,
     terminal_payoff,
     terminal_status,
@@ -57,6 +69,7 @@ from .strategies import (
     _hash_merge,
     _levels,
     allocations_at,
+    history_from_winners,
 )
 
 # Most winner sequences an exact evaluation may enumerate.
@@ -179,9 +192,9 @@ def _path_depths(spec: ContestSpec, cap: Optional[int], seed: int):
     the path is walked as one row with `strategies._levels`' arithmetic.
     Returns the spends before each depth (a D x n array), each depth's
     count of winner sequences of positive probability, cut to `cap` by a
-    sorted sample of one `random.Random(seed)` draw per depth as
-    `equilibrium._swept_states` cuts them, and a function that gives the
-    winner schedule of a depth's first state.
+    sorted sample of one `random.Random(seed)` draw per depth as `_swept_states`
+    cuts them, and a function that gives the winner schedule of a depth's
+    first state.
     """
     rng = random.Random(seed)
     spent, counts, winners, picks = [np.zeros((1, spec.n))], [1], [], []
@@ -285,6 +298,17 @@ def deviation_gains(
     return [DeviationReport(history, player, *r) for r in zip(deltas, gains.tolist(), closed)]
 
 
+def _baselines(spec: ContestSpec, played, standings, spent) -> tuple:
+    """(budgets, proportional spends) at states after `played` battles, one
+    row each: the remaining budgets, or with one start per state the formal
+    ones, which are the remaining ones under expected value."""
+    if np.ndim(played):
+        budgets = _formal_budgets(spec, played, spent)
+        return budgets, _proportional_spends(spec, played, budgets)
+    budgets = _remaining_budgets(spec, played, standings, spent)
+    return budgets, _proportional_spend(spec, played, budgets)
+
+
 def _sweeps(spec: ContestSpec, played, standings, spent, players, deltas) -> np.ndarray:
     """The K x P gains of K sweeps of P offsets after `played` battles, from one walk.
 
@@ -300,13 +324,9 @@ def _sweeps(spec: ContestSpec, played, standings, spent, players, deltas) -> np.
     if spec.objective is Objective.EXPECTED_VALUE:
         standings = np.zeros_like(standings)
     (count, width), n = deltas.shape, spec.n
-    if np.ndim(played):  # the formal budgets, which are the remaining ones under expected value
-        budgets = _formal_budgets(spec, played, spent)
-        baseline = _proportional_spends(spec, played, budgets)
+    budgets, baseline = _baselines(spec, played, standings, spent)
+    if np.ndim(played):
         played = np.repeat(played, width + 1)
-    else:
-        budgets = _remaining_budgets(spec, played, standings, spent)
-        baseline = _proportional_spend(spec, played, budgets)
     sweep = np.arange(count)
     budget = budgets[sweep, players][:, None]
     deviated = baseline[sweep, players][:, None] + deltas
@@ -334,6 +354,203 @@ def _closed_forms(known: ContestSpec, history: History, player: int, deltas) -> 
     x_next = known.values[played]
     k = known.suffix_value(played) / x_next
     return [closed_form_gain(budgets[player], opponents, k, delta, x_next) for delta in deltas]
+
+
+# ---------------------------------------------------------------------------
+# proportionality checking (any player count, any objective)
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Which histories and deviations check_proportionality sweeps.
+
+    User-supplied histories are checked first (so a known counterexample is
+    the one reported), then all winner sequences reachable under proportional
+    play, breadth-first through battle m - 1, subsampled per depth when a
+    level exceeds max_per_depth.  A field of the wrong type or range raises
+    InputError naming it.
+    """
+
+    max_per_depth: Optional[int] = None
+    histories: tuple = ()
+    delta_points: int = 21
+    tolerance: float = 1e-6
+    seed: int = 0
+
+    def __post_init__(self):
+        def refuse(name, what):
+            raise InputError(f"sampling plan {name} must be {what}, got {getattr(self, name)!r}")
+
+        if self.max_per_depth is not None and not _count(self.max_per_depth):
+            refuse("max_per_depth", "None or a nonnegative integer")
+        if not _count(self.delta_points):
+            refuse("delta_points", "a nonnegative integer")
+        if not (isinstance(self.tolerance, numbers.Real) and self.tolerance >= 0):  # not nan
+            refuse("tolerance", "a nonnegative number")
+        if not (isinstance(self.histories, Sequence)
+                and all(isinstance(h, History) for h in self.histories)):
+            refuse("histories", "a sequence of History objects")
+        if not isinstance(self.seed, numbers.Integral):
+            refuse("seed", "an integer")
+
+
+@dataclass(frozen=True)
+class ProportionalityVerdict:
+    holds: bool
+    histories_checked: int
+    max_gain: float
+    counterexample: Optional[DeviationReport] = None
+
+
+def _swept_states(spec: ContestSpec, plan: SamplingPlan):
+    """Yields (battles played, standings, spent, sources) of the states to sweep.
+
+    One state per row; a source is the state's History or winner schedule.
+    The plan's histories come one by one, then the states reachable under
+    proportional play, a depth at a time from `strategies._levels` with
+    equal ones kept apart, each depth cut to `plan.max_per_depth` by a
+    sorted sample of one seeded draw.  A contest of more than LEAF_CAP
+    winner sequences raises EnumerationCapError before that walk, as the
+    root's sweep would.
+    """
+    for history in plan.histories:
+        yield len(history), *_state(spec, history)[:2], (history,)
+    _check_cap(spec, 0, LEAF_CAP)
+    rng, cap = random.Random(plan.seed), plan.max_per_depth
+
+    def sample(played, count):
+        if played and cap is not None and count > cap:
+            return sorted(rng.sample(range(count), cap))
+        return slice(None)
+
+    def branch(played, probs, weight, winners):
+        parent, winner, weight, winners = _every_winner(played, probs, weight, winners)
+        return parent, winner, weight, np.column_stack((winners, winner))
+
+    root = (np.zeros((1, spec.n)), np.zeros((1, spec.n)), np.ones(1), np.zeros((1, 0), int))
+    for played, (standings, spent, _, winners), _ in _levels(
+        spec, (PROPORTIONAL,) * spec.n, 0, root, branch, select=sample
+    ):
+        if not len(winners):
+            return
+        yield played, standings, spent, winners
+        if played == spec.m - 1:
+            return
+
+
+def _checked_groups(spec: ContestSpec, plan: SamplingPlan):
+    """Yields the groups of states `check_proportionality` sweeps, in order.
+
+    A group is (the spec as known there, battles played, standings, spent,
+    first, tallies, history), one row per distinct state: `first[k]` is the
+    number of the group's winner sequences before state k's first,
+    `history(k)` builds state k's History, and a tally is (depth, states,
+    distinct states) of the check's DEBUG record.  Under expected value one
+    group holds every state, the plan's histories that have not ended and
+    then the depths of `_path_depths`: battles played are one start per
+    state, read in `spec` itself, whose formal budgets are the ones as
+    known there, and each state has its tally, (start, winner sequences it
+    stands for, 1).  Under win probability a group is a plan history or a
+    depth of `_swept_states`, its distinct (standings, spent) in order of
+    first occurrence, with one tally for the whole depth.
+    """
+    if spec.objective is Objective.EXPECTED_VALUE:
+        histories = [h for h in plan.histories if len(h) < spec.m]  # the rest have ended
+        path, counts, schedule = _path_depths(spec, plan.max_per_depth, plan.seed)
+        starts = np.array([len(h) for h in histories] + list(range(len(counts))))
+        spent = np.concatenate([_state(spec, h)[1] for h in histories] + [path])
+        counts = [1] * len(histories) + counts
+
+        def history(k):
+            if k < len(histories):
+                return histories[k]
+            return history_from_winners(spec, schedule(k - len(histories)))
+
+        first = [0, *accumulate(counts[:-1])]
+        tallies = [(start, count, 1) for start, count in zip(starts.tolist(), counts)]
+        yield spec, starts, np.zeros_like(spent), spent, first, tallies, history
+        return
+    for played, standings, spent, sources in _swept_states(spec, plan):
+        if isinstance(sources[0], History) and terminal_status(spec, sources[0]).terminal:
+            continue
+        first = _hashed_rows(standings, spent)[0]  # in order of first occurrence
+
+        def history(k, sources=sources, first=first):
+            source = sources[first[k]]
+            return source if isinstance(source, History) else history_from_winners(
+                spec, source.tolist())
+
+        yield (spec.truncate_shocks(played + 1), played, standings[first], spent[first], first,
+               [(played, len(sources), first.size)], history)
+
+
+def check_proportionality(
+    spec: ContestSpec, plan: SamplingPlan = SamplingPlan()
+) -> ProportionalityVerdict:
+    """Is the proportional profile robust to one-shot deviations?
+
+    Sweeps the feasible deviation grid for every player at every sampled
+    history, history after history and player after player; returns Fails
+    on the first gain above tolerance, otherwise Holds with the largest gain
+    observed.  The plan's own histories are checked before any sweep.
+    States of one depth that a sweep reads alike gain alike, so only the
+    first of them is swept and its gains stand for all.  Under expected
+    value a sweep reads spent alone, which the states of a depth share, so
+    one walk of the proportional path gives every depth, and the sweeps of
+    every state, each row from its own state's battle, go into walks of
+    PART rows.  Under win probability a sweep reads (standings, spent), and
+    the sweeps of a depth's distinct states go into walks of at most PART
+    rows: its first sweep alone, so a refutation there costs one sweep,
+    then 2, 4, 8, ... sweeps, doubling on from depth to depth.  Each group
+    of `_checked_groups` is swept by the one loop below, in batches of
+    `_sweeps`.
+    """
+    for history in plan.histories:
+        check_history(spec, history)
+    ev = spec.objective is Objective.EXPECTED_VALUE
+    n, checked, max_gain, verdict, size = spec.n, 0, -math.inf, None, 2
+    states, distinct, sweeps, walks, rows = [0] * spec.m, [0] * spec.m, 0, 0, 0
+    for known, played, standings, spent, first, tallies, history_of in _checked_groups(spec, plan):
+        budgets, baseline = _baselines(known, played, standings, spent)
+        grids = _offset_grids(budgets.ravel(), baseline.ravel(), plan.delta_points)
+        fit, start = max(1, PART // (grids.shape[1] + 1)), 0  # sweeps in a walk of PART rows
+        while start < len(grids) and verdict is None:
+            # expected value fills walks; win probability sweeps a depth's first state alone
+            stop = min(start + (fit if ev else min(size if start else 1, fit)), len(grids))
+            sweep = np.arange(start, stop)
+            state = sweep // n
+            gains = _sweeps(known, played[state] if ev else played, standings[state],
+                            spent[state], sweep % n, grids[start:stop])
+            sweeps, walks, rows = sweeps + sweep.size, walks + 1, rows + gains.size + sweep.size
+            over = np.flatnonzero(gains > plan.tolerance)
+            if over.size:
+                k, j = divmod(int(over[0]), gains.shape[1])
+                state, player = divmod(start + k, n)
+                history = history_of(state)
+                delta, gain = float(grids[start + k, j]), float(gains[k, j])
+                closed = _closed_forms(spec.truncate_shocks(len(history) + 1), history, player,
+                                       [delta])[0]
+                report = DeviationReport(history, player, delta, gain, closed)
+                verdict = ProportionalityVerdict(False, checked + int(first[state]) + 1, gain,
+                                                 report)
+            elif gains.max() > max_gain:
+                max_gain = float(gains.max())
+            size, start = 2 * size if start else size, stop
+        # the tallies of the states walked: a win-probability depth has one, for all its states
+        for depth, count, kinds in tallies[:-(-stop // n)]:
+            states[depth] += count
+            distinct[depth] += kinds
+        if verdict is not None:
+            break
+        checked += sum(count for _, count, _ in tallies)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("proportionality check: states per depth %s, distinct per depth %s, "
+                   "%d sweeps, %d walks, %d rows, refuted at depth %s", states, distinct,
+                   sweeps, walks, rows,
+                   None if verdict is None else len(verdict.counterexample.history))
+    if verdict is None:
+        verdict = ProportionalityVerdict(True, checked, 0.0 if max_gain == -math.inf else max_gain)
+    return verdict
 
 
 def deviation_gain(spec: ContestSpec, history: History, player: int, delta: float) -> DeviationReport:

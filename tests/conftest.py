@@ -207,7 +207,7 @@ def history_bfs_histories(spec, plan):
     """Reference for the histories `check_proportionality` sweeps: a History BFS.
 
     A breadth-first walk over Histories, built from the public per-battle
-    operations only, where `equilibrium._swept_states` walks arrays: the plan's
+    operations only, where `evaluation._swept_states` walks arrays: the plan's
     own histories, then the root and every nonterminal history reachable
     under proportional play through battle m - 1, depth by depth.  A depth
     of more than `plan.max_per_depth` histories is cut to a sorted sample

@@ -351,6 +351,23 @@ class TestHistoriesThePublicRulesRefuse:
         with pytest.raises(InfeasibleHistoryError, match=r"^battle 1: player 0 spent 3\.33"):
             terminal_status(smaller, parent.extend((0.0, 0.0), 0))
 
+    def test_a_contest_below_unit_scale_takes_its_scale_times_the_slack(self):
+        # the slack is core.BUDGET_TOLERANCE times the scale, the largest
+        # budget plus that player's positive shocks, when that is below 1:
+        # here 3e-21, so a spend of 500 times player 0's budget is refused
+        spec = ContestSpec([1, 2, 1], [1e-12, 3e-12])
+        with pytest.raises(InfeasibleHistoryError,
+                           match=r"^battle 1: player 0 spent 5e-10, over the budget 1e-12$"):
+            check_history(spec, History().extend((5e-10, 1e-12), 0))
+        check_history(spec, History().extend((1e-12 + 2e-21, 3e-12), 0))
+        with pytest.raises(InputError, match=r"^opponents_allocation 1\.1e-11 lies outside"):
+            best_response(ContestSpec([1, 2, 1], [1e-12, 3e-12], objective=WP), History(), 0,
+                          1.1e-11)
+        shocked = ContestSpec([1, 1], [1e-12, 3e-12], shocks={(0, 2): 0.25, (1, 2): -1.0})
+        assert shocked._slack == core.BUDGET_TOLERANCE * (1e-12 + 0.25)
+        assert ContestSpec([1, 1], [0.5, 1.0])._slack == core.BUDGET_TOLERANCE == 1e-9
+        assert ContestSpec([1, 1], [0.0, 0.0])._slack == 0.0
+
     @pytest.mark.parametrize("objective", list(Objective), ids=["ev", "wp"])
     def test_an_extended_history_has_the_state_of_a_fresh_walk(self, objective):
         rng = random.Random(3)

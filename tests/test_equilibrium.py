@@ -1419,7 +1419,7 @@ class TestSampledHistories:
                 plan = SamplingPlan(max_per_depth=max_per_depth, histories=given, seed=k)
                 expected = history_bfs_histories(spec, plan)
                 swept = []
-                for played, standings, spent, sources in equilibrium._swept_states(spec, plan):
+                for played, standings, spent, sources in evaluation._swept_states(spec, plan):
                     for row, source in enumerate(sources):
                         if not isinstance(source, History):
                             source = history_from_winners(spec, source.tolist())
@@ -1459,7 +1459,6 @@ class TestBatchedCheck:
                                 tolerance=rng.choice((1e-6, 1.0)), seed=k)
             with monkeypatch.context() as patch:
                 if k % 2:
-                    patch.setattr(equilibrium, "PART", 50)
                     patch.setattr(evaluation, "PART", 50)
                 verdict = check_proportionality(spec, plan)
                 assert verdict == per_history_check(spec, plan), (spec, plan)
@@ -1522,7 +1521,7 @@ class TestBatchedCheck:
                                 delta_points=rng.choice((2, 21)), seed=k)
             with monkeypatch.context() as patch:
                 if k % 2:
-                    patch.setattr(equilibrium, "PART", 50)
+                    patch.setattr(evaluation, "PART", 50)
                 verdict = check_proportionality(spec, plan)
                 assert verdict == per_history_check(spec, plan), (spec, plan)
                 for share in (0.999, 0.5) if verdict.holds and verdict.max_gain > 0.0 else ():
@@ -1536,10 +1535,10 @@ class TestBatchedCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("winner sequences enumerated")
 
-        monkeypatch.setattr(equilibrium, "_swept_states", refuse)
+        monkeypatch.setattr(evaluation, "_swept_states", refuse)
         monkeypatch.setattr(evaluation, "_levels", refuse)
         if part is not None:
-            monkeypatch.setattr(equilibrium, "PART", part)
+            monkeypatch.setattr(evaluation, "PART", part)
         spec = ContestSpec([1.0 + 0.1 * t for t in range(13)], [10, 20, 30, 40])
         tracemalloc.start()
         try:
@@ -1552,8 +1551,52 @@ class TestBatchedCheck:
         assert peak < 10 * 2**20
         ((states, distinct, sweeps, walks, rows, depth),) = check_records(caplog)
         assert states == [4**d for d in range(13)] and distinct == [1] * 13 and depth is None
-        fit = (part or equilibrium.PART) // 22  # whole sweeps of 22 rows in a walk
+        fit = (part or evaluation.PART) // 22  # whole sweeps of 22 rows in a walk
         assert (sweeps, rows, walks) == (4 * 13, 4 * 13 * 22, -(-4 * 13 // fit))
+
+    def test_a_win_probability_record_counts_the_whole_refuted_depth(self, caplog):
+        # refuted at the first of depth 1's two states: both are counted
+        spec = ContestSpec([1, 2, 3, 4], [40, 60], objective=WP)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            verdict = check_proportionality(spec)
+        assert (verdict.holds, verdict.histories_checked) == (False, 2)
+        assert verdict.counterexample.history.winner_schedule() == (0,)
+        assert check_records(caplog) == [([1, 2, 0, 0], [1, 2, 0, 0], 3, 3, 66, 1)]
+
+    def test_an_expected_value_record_counts_the_states_of_the_walked_batch(
+            self, monkeypatch, caplog):
+        # refuted at the root, in the one walk that sweeps every depth
+        spec = ContestSpec([1, 1, 1], [30, 70], CsfParams(2.0))
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            verdict = check_proportionality(spec)
+        assert (verdict.holds, verdict.histories_checked) == (False, 1)
+        assert verdict.counterexample.history == History()
+        assert check_records(caplog) == [([1, 2, 4], [1, 1, 1], 6, 1, 132, 0)]
+        # a plan history refutes first, and counts at its own depth
+        plan = SamplingPlan(histories=(history_from_winners(spec, (1,)),))
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            verdict = check_proportionality(spec, plan)
+        assert (verdict.holds, verdict.histories_checked) == (False, 1)
+        assert verdict.counterexample.history is plan.histories[0]
+        assert check_records(caplog)[1:] == [([1, 3, 4], [1, 2, 1], 8, 1, 176, 1)]
+        # walks of one sweep: refuted in the first, the root alone is counted
+        monkeypatch.setattr(evaluation, "PART", 22)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            verdict = check_proportionality(spec)
+        assert (verdict.holds, verdict.histories_checked) == (False, 1)
+        assert check_records(caplog)[2:] == [([1, 0, 0], [1, 0, 0], 1, 1, 22, 0)]
+
+    def test_plan_histories_are_swept_before_the_cap(self):
+        # 2**24 winner sequences: the plan's history refutes before the walk
+        # that the cap refuses
+        spec = ContestSpec([1.0] * 20 + [1, 1, 1, 3], [100, 100], objective=WP)
+        plan = SamplingPlan(histories=(history_from_winners(spec, (0, 1) * 10),))
+        verdict = check_proportionality(spec, plan)
+        assert (verdict.holds, verdict.histories_checked) == (False, 1)
+        assert verdict.counterexample.player == 0
+        assert verdict.counterexample.history is plan.histories[0]
+        with pytest.raises(EnumerationCapError):
+            check_proportionality(spec)
 
     def test_histories_checked_are_exact_beyond_int64(self):
         spec = ContestSpec([1.0 + 0.1 * t for t in range(40)], [10, 20, 30, 40])
