@@ -349,21 +349,22 @@ def _csf_row(allocations: tuple, params: CsfParams) -> tuple:
 
 
 def _csf_distributions(spends, params):
-    """Win probability of every player of every state: `spends` has one state per row.
+    """Win probability of every player of every state: `spends` has one
+    state per row, or per cell of its leading axes.
 
     The scores are summed in player order, and a state where no score is
     positive (nobody spends, or every score underflows) splits evenly.
     """
     scores = spends if params.alpha == 1.0 else spends**params.alpha
-    total = scores[:, 0] + scores[:, 1]
-    for j in range(2, scores.shape[1]):
-        total += scores[:, j]
+    total = scores[..., 0] + scores[..., 1]
+    for j in range(2, scores.shape[-1]):
+        total += scores[..., j]
     nobody = total == 0.0
     if not np.count_nonzero(nobody):
-        return scores / total[:, None]
+        return scores / total[..., None]
     total[nobody] = 1.0
-    probs = scores / total[:, None]
-    probs[nobody] = 1.0 / scores.shape[1]
+    probs = scores / total[..., None]
+    probs[nobody] = 1.0 / scores.shape[-1]
     return probs
 
 
@@ -386,8 +387,9 @@ def _distinct_rows(*arrays):
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(29)
 
-# Fewer rows than this are grouped by the byte sort: the hash's fixed cost,
-# some twenty numpy calls, exceeds what the byte sort of so few rows costs.
+# Fewer rows than this are grouped by a dict of their bytes: the hash's
+# fixed cost, some twenty numpy calls, exceeds what a loop over so few
+# rows costs.
 HASH_MIN_ROWS = 128
 
 
@@ -395,11 +397,19 @@ def _hashed_rows(*arrays):
     """`_distinct_rows` of arrays of 8-byte items, in order of first occurrence.
 
     From HASH_MIN_ROWS rows on, rows are grouped by a 64-bit hash of their
-    words (`_hash_groups`); on a hash collision, and below that size, the
-    byte sort of `_distinct_rows` groups them.  Either way rows compare by
-    their bits, and the distinct rows come in the order they first occur.
+    words (`_hash_groups`), and on a hash collision by the byte sort of
+    `_distinct_rows`; below that size, by a dict of their bytes.  Either
+    way rows compare by their bits, and the distinct rows come in the order
+    they first occur.
     """
-    mine = _hash_groups(*arrays) if len(arrays[0]) >= HASH_MIN_ROWS else None
+    if len(arrays[0]) < HASH_MIN_ROWS:
+        rows = np.column_stack(arrays)
+        raw, width = rows.tobytes(), rows.itemsize * rows.shape[1]
+        seen = {}  # each distinct row's first position, in order of first occurrence
+        mine = [seen.setdefault(raw[i:i + width], i // width) for i in range(0, len(raw), width)]
+        first = np.fromiter(seen.values(), np.intp, len(seen))
+        return first, np.searchsorted(first, mine)
+    mine = _hash_groups(*arrays)
     if mine is None:
         first, inverse = _distinct_rows(*arrays)
         mine = first[inverse]

@@ -4,17 +4,22 @@ Payoffs are computed exactly, one row per way to play the root battle.
 Under expected value with proportional play below the root, spends never
 depend on who won, so a row follows one budget path and each battle adds
 its value times its success probabilities.  Every other walk plays the
-contest through the per-battle loop of `strategies` (`_levels`) over
-contest states (row, standings, spent, mass): each battle branches on
-every winner, weighted by the contest success function, in one set of
-array operations over the live states of every row; ended children bank
-their payoffs as they are born, and live children with equal (row,
-standings, spent) merge.  A one-shot deviation sweep is rows
-too, the proportional baseline and one per offset, and many sweeps
-share one walk: at states of one depth, or under expected value at
-states of any depths, each row from its own battle.  On top sit the
-Tullock closed form for the deviation gain and the per-battle marginal
-gain used to characterize proportional play.
+contest through the per-battle loop of `strategies` (`_levels`): each
+battle branches on every winner, weighted by the contest success
+function, in one set of array operations over the live states of every
+row; ended children bank their payoffs as they are born, and live
+children that play alike merge.  Under win probability with
+proportional play below the root a live player's spends still never read
+who won, and standings alone say who is a guaranteed loser and spends 0,
+so a row's spends come from its budget path and the walk carries
+(group, standings) nodes, with a mass for each row of the group: the
+rows that start at equal standings and branch on the same winners.
+Other walks carry (row, standings, spent, mass) states.  A one-shot
+deviation sweep is rows too, the proportional baseline and one per
+offset, and many sweeps share one walk: at states of one depth, or under
+expected value at states of any depths, each row from its own battle.
+On top sit the Tullock closed form for the deviation gain and the
+per-battle marginal gain used to characterize proportional play.
 
 For arbitrary contests, `check_proportionality` sweeps one-shot deviations
 from proportional play over sampled histories and reports the first
@@ -135,15 +140,23 @@ def _level_walk(spec: ContestSpec, played, standings, spent, root_spends, below)
     starts later than another is walked alongside from the first start and
     set to its own state at its own start.  Every other walk, capped
     at LEAF_CAP winner sequences, goes through `strategies._levels` with
-    the row as key, probability mass as weight and `_hash_merge`, and
-    ended states bank their payoffs unmerged: `np.add.at` adds up repeats.
-    Levels of more than PART states are finished in parts
-    that end where a row's states end, so every row pays bit for bit what
-    it pays alone.
+    probability mass as weight and `_hash_merge`, and ended states bank
+    their payoffs unmerged: `np.add.at` adds up repeats, each row's in the
+    order its states come.  Under win probability with proportional play
+    below, a live player's spends never read who won either, and the
+    standings alone say who is a guaranteed loser, the one player who
+    leaves the budget path to spend 0; so the walk carries standings only:
+    a level holds nodes, each for a group of rows (`_groups`) with a mass
+    per row, and its spends come from the rows' paths.  Otherwise a level
+    holds (row, standings, spent) states.
+    Levels of more than PART states or masses are finished in parts that
+    end where a row's states or a group's nodes end, or take a group's
+    rows a few at a time, so every row pays bit for bit what it pays alone.
     """
     win_prob = spec.objective is Objective.WIN_PROBABILITY
+    proportional = all(type(s) is Proportional for s in below)
     count, tally = len(root_spends), {"merged": 0, "parts": 0}
-    if not win_prob and all(type(s) is Proportional for s in below):
+    if not win_prob and proportional:
         if np.ndim(played):  # rows begun by each battle; a later one joins at its own start
             depth, ceilings = int(played.min()), spec._ceilings[played]
             joins = {t: np.flatnonzero(played == t) for t in set(played.tolist()) - {depth}}
@@ -164,17 +177,26 @@ def _level_walk(spec: ContestSpec, played, standings, spent, root_spends, below)
     else:
         depth = played
         _check_cap(spec, depth, LEAF_CAP)
-        out, states = np.zeros((count, spec.n)), [0] * (spec.m - depth + 1)
-        root = (standings, spent, np.ones(count), np.arange(count))
-        for played, live, ended in _levels(spec, below, depth, root, _every_winner, root_spends,
+        out, states = np.zeros((count + 1, spec.n)), [0] * (spec.m - depth + 1)
+        if proportional:  # under win probability
+            root, paths = _groups(spec, depth, standings, spent, root_spends)
+        else:
+            root, paths = (standings, spent, np.ones(count), np.arange(count)), root_spends
+        for played, live, ended in _levels(spec, below, depth, root, _every_winner, paths,
                                            merge=_hash_merge, part=PART, tally=tally):
             states[played - depth] += len(live[0]) + (0 if ended is None else len(ended[0]))
             if ended is not None:
                 totals, _, mass, rows, won = ended
-                if win_prob:  # the leaders split the prize
-                    np.add.at(out, rows, won * (mass / _winner_counts(won))[:, None])
+                if win_prob:  # the leaders split the prize; a loser's 0 would add nothing
+                    state, player = np.nonzero(won)
+                    paid = (mass.T / _winner_counts(won)).T.take(state, 0)  # each mass of a state
+                    rows = rows.take(state, 0)
+                    cells = rows * spec.n + (player if rows.ndim == 1 else player[:, None])
                 else:
-                    np.add.at(out, rows, totals * mass[:, None])
+                    paid, cells = totals * mass[:, None], rows[:, None] * spec.n + np.arange(spec.n)
+                # each row's payoffs add up in the order its states come
+                np.add.at(out.reshape(-1), cells.ravel(), paid.ravel())
+        out = out[:count]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "exact walk: %d rows, states per battle %s, %d states merged, "
@@ -182,6 +204,39 @@ def _level_walk(spec: ContestSpec, played, standings, spent, root_spends, below)
             count, states, tally["merged"], tally["parts"],
         )
     return out
+
+
+def _groups(spec: ContestSpec, played: int, standings, spent, root_spends) -> tuple:
+    """The root nodes and row paths of a win-probability walk under proportional play.
+
+    Row r's spends at every battle left come from one pass over its budget
+    path, as `_levels` would give them to a player who is no guaranteed
+    loser: `root_spends[r]`, then the proportional share of the formal
+    budget.  Rows that start at equal standings and whose success scores
+    are zero at the same (battle, player) cells branch on the same winners
+    everywhere, so they form a group and share its nodes, each row's in the
+    order they have when it is walked alone.  Returns the node level of
+    `strategies._levels`, one node per group in order of first occurrence,
+    its key the group's rows (the row itself when no group has two), and
+    the paths, battles x rows x n with a padding row of ones.
+    """
+    count, n = root_spends.shape
+    paths = np.ones((spec.m - played, count + 1, n))
+    paths[0, :count] = spends = root_spends
+    for t in range(1, spec.m - played):
+        spent = spent + spends
+        paths[t, :count] = spends = _proportional_spend(
+            spec, played + t, _formal_budgets(spec, played + t, spent))
+    scores = paths[:, :count] if spec.csf.alpha == 1.0 else paths[:, :count] ** spec.csf.alpha
+    positive = (scores > 0.0).transpose(1, 0, 2).reshape(count, -1).astype(np.int64)
+    first, group = _hashed_rows(standings, positive)
+    sizes = np.bincount(group)
+    if sizes.max() == 1:  # a node per row, keyed by its row: `first` is every row
+        return (standings.take(first, 0), None, np.ones(count), first), paths
+    rows = np.argsort(group, kind="stable")
+    members = np.full((first.size, sizes.max()), count)
+    members[group[rows], np.arange(count) - (np.cumsum(sizes) - sizes)[group[rows]]] = rows
+    return (standings.take(first, 0), None, (members < count).astype(float), members), paths
 
 
 def _path_depths(spec: ContestSpec, cap: Optional[int], seed: int):
@@ -248,12 +303,13 @@ def deviation_grid(spec: ContestSpec, history: History, player: int, points: int
     return tuple(grid.tolist()) if budget > 0.0 else (0.0,)
 
 
-def _spend_slack(budget):
+def _spend_slack(budget, tolerance):
     """How far outside [0, budget] a deviated spend may lie and still be
-    feasible: BUDGET_TOLERANCE plus 8 ulps of the budget.  A grid's top
-    point and the spend it gives round by up to about 3 ulps, more than
-    BUDGET_TOLERANCE once budgets run into the millions."""
-    return BUDGET_TOLERANCE + 8 * np.spacing(budget)
+    feasible: the contest's `tolerance` (`ContestSpec._slack`, below 1e-9
+    for a contest below unit scale) plus 8 ulps of the budget.  A grid's
+    top point and the spend it gives round by up to about 3 ulps, more
+    than BUDGET_TOLERANCE once budgets run into the millions."""
+    return tolerance + 8 * np.spacing(budget)
 
 
 def _offset_grids(budgets, spends, points: int) -> np.ndarray:
@@ -330,7 +386,7 @@ def _sweeps(spec: ContestSpec, played, standings, spent, players, deltas) -> np.
     sweep = np.arange(count)
     budget = budgets[sweep, players][:, None]
     deviated = baseline[sweep, players][:, None] + deltas
-    slack = _spend_slack(budget)
+    slack = _spend_slack(budget, spec._slack)
     outside = ~((deviated >= -slack) & (deviated <= budget + slack))
     if outside.any():
         k, j = divmod(int(np.argmax(outside)), width)
@@ -568,13 +624,17 @@ def closed_form_gain(a: float, b: float, k: float, delta: float, x_next: float) 
         x_next * b * delta**2 * k**3
         / ((a+b) * (a*(k-1) + b*(k-1) - delta*k) * (a+b+delta*k))
 
-    which is nonnegative on the whole feasible range.
+    which is nonnegative on the whole feasible range.  A deviated spend
+    outside [0, a] by more than BUDGET_TOLERANCE times min(1, max(a, b)),
+    the slack of a contest of that scale, plus 8 ulps of a raises
+    InputError.
     """
     if a < 0 or b < 0:
         raise InputError("budgets must be nonnegative")
     if k < 1.0 - 1e-12:
         raise InputError(f"value ratio k must be at least 1, got {k}")
-    spend, slack = (a / k if a else 0.0) + delta, float(_spend_slack(a))
+    spend = (a / k if a else 0.0) + delta
+    slack = float(_spend_slack(a, BUDGET_TOLERANCE * min(1.0, max(a, b))))
     if not -slack <= spend <= a + slack:
         raise InputError(f"deviated spend {spend} outside [0, {a}]")
     if delta == 0.0 or b == 0.0:

@@ -27,6 +27,7 @@ from .core import (
     _distinct_rows,
     _finite,
     _hashed_rows,
+    _hopeless,
     _proportional_spend,
     _remaining_budgets,
     _state,
@@ -154,9 +155,17 @@ def allocations_at(profile: StrategyProfile, spec: ContestSpec, history: History
 
 
 def _every_winner(played, probs, weight, key):
-    """Branch rule: every winner of positive probability, the weight times it."""
+    """Branch rule: every winner of positive probability, the weight times it.
+
+    At a node level (`_levels`) the probabilities and weights have a column
+    per row of the node's group, whose first row branches for all of them.
+    """
+    if probs.ndim == 3:
+        parent, winner = np.nonzero(probs[:, 0] > 0.0)
+        weight = weight.take(parent, 0) * probs[parent, :, winner]
+        return parent, winner, weight, key.take(parent, 0)
     parent, winner = np.nonzero(probs > 0.0)
-    key = None if key is None else key[parent]
+    key = None if key is None else key.take(parent, 0)
     return parent, winner, weight[parent] * probs[parent, winner], key
 
 
@@ -197,21 +206,47 @@ def _levels(spec, below, played, state, branch, spends=None, merge=None, part=No
     `merge(spec, played, children, tally)` status-tests the children and
     merges equal ones in (key, standings, spent), returning the next
     level's (live, ended): `_byte_merge` merges first, `_hash_merge` tests
-    first; with no rule, nothing merges.  Levels go depth first; with
-    `part`, larger levels are played in parts cut where the key changes,
-    the level's ended states coming with the first.  `tally`, a dict,
-    counts "merged" states and "parts" added.
+    first; with no rule, nothing merges.
+
+    A node level, given with spent None, is for proportional play, where a
+    live player's spends never read who won: row k of its key lists the
+    walk's rows of node k's group, padded with the row R past the last, and
+    its weight has a mass for each (a node is a state for every row of its
+    group at once; with groups of one row, the key is the row and the
+    weight a mass).  Then `spends` are the rows' spends at every battle
+    from the first, battles left x R + 1 x n, and a node spends them, but 0
+    for a player who is a guaranteed loser there: such a player stays one,
+    whoever wins.  The given nodes are live, and merges go by the group
+    (its first row) and the standings.
+
+    Levels go depth first; with `part`, a level of more than `part` states
+    or masses is played in parts: cut where the key changes, a key of more
+    than `part` states itself in parts of `part`, and a node level of at
+    most `part` nodes in parts of its key's columns, each part without the
+    nodes that have none of its rows.  A level's ended states come with its
+    first part.  `tally`, a dict, counts "merged" states and "parts" added.
     """
     live, ended = (state, None) if spends is not None else _split(spec, played, state)
+    nodes = state[1] is None
+    if nodes:  # the rows' paths
+        paths, first, pad, spends = spends, played, spends.shape[1] - 1, None
     stack = [(played, live, ended, spends)]
     tally = {"merged": 0, "parts": 0} if tally is None else tally
     proportional = all(type(s) is Proportional for s in below)
+    wins = np.eye(spec.n) * np.array(spec.values)[:, None, None]  # what a winner adds, by battle
     while stack:
         played, state, ended, spends = stack.pop()
-        if part is not None and len(state[0]) > part:
-            cuts = _cuts(state[3], part)
-            tally["parts"] += len(cuts) - 1
-            pieces = [_take(state + (spends,), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+        if part is not None and state[2].size > part:
+            keys = state[3] if state[3].ndim == 1 else state[3][:, 0]
+            if keys.size > part:
+                cuts = _cuts(keys, part)
+                pieces = [_take(state + (spends,), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+            else:  # a node level: parts of its groups' rows
+                width = part // keys.size
+                pieces = [_columns(state, slice(a, a + width), pad) + (None,)
+                          for a in range(0, state[2].shape[1], width)]
+                pieces = [piece for piece in pieces if len(piece[0])]
+            tally["parts"] += len(pieces) - 1
             stack.extend((played, piece[:4], None, piece[4]) for piece in reversed(pieces[1:]))
             stack.append((played, pieces[0][:4], ended, pieces[0][4]))
             continue
@@ -221,21 +256,27 @@ def _levels(spec, below, played, state, branch, spends=None, merge=None, part=No
         standings, spent, weight, key = state
         if not len(standings):
             continue
-        if spends is None:
-            budgets = _remaining_budgets(spec, played, standings, spent)
-            if proportional:
-                spends = _proportional_spend(spec, played, budgets)
-            else:  # each strategy answers for its column, clamped into [0, budget]
-                spends = np.column_stack([
-                    np.minimum(np.maximum(s.spends(spec, played, standings, budgets, i), 0.0),
-                               budgets[:, i])
-                    for i, s in enumerate(below)
-                ])
+        if nodes:
+            spends = paths[played - first].take(key, 0)
+            if spec.n > 2 and played > first:  # with two, no live node has a guaranteed loser
+                lost = _hopeless(spec, played, standings)
+                spends = np.where(lost if key.ndim == 1 else lost[:, None], 0.0, spends)
+        else:
+            if spends is None:
+                budgets = _remaining_budgets(spec, played, standings, spent)
+                if proportional:
+                    spends = _proportional_spend(spec, played, budgets)
+                else:  # each strategy answers for its column, clamped into [0, budget]
+                    spends = np.column_stack([
+                        np.minimum(np.maximum(s.spends(spec, played, standings, budgets, i),
+                                              0.0), budgets[:, i])
+                        for i, s in enumerate(below)
+                    ])
         probs = _csf_distributions(spends, spec.csf)
         parent, winner, weight, key = branch(played, probs, weight, key)
-        standings = standings[parent]
-        standings[np.arange(parent.size), winner] += spec.values[played]
-        children = (standings, spent[parent] + spends[parent], weight, key)
+        standings = standings.take(parent, 0) + wins[played].take(winner, 0)
+        children = (standings, None if nodes else spent.take(parent, 0) + spends.take(parent, 0),
+                    weight, key)
         live, ended = (_split(spec, played + 1, children) if merge is None
                        else merge(spec, played + 1, children, tally))
         stack.append((played + 1, live, ended, None))
@@ -251,20 +292,26 @@ def _split(spec, played, level) -> tuple:
     if over.all():  # every state ended: no copies
         return _take(level, slice(0)), level + (winners,)
     live, over = np.flatnonzero(~over), np.flatnonzero(over)
-    return _take(level, live), _take(level, over) + (winners[over],)
+    return _take(level, live), _take(level, over) + (winners.take(over, 0),)
 
 
 def _merged(level, rows, tally) -> tuple:
     """The level with states equal in (key, standings, spent) merged and
     their weights added up, grouped by `rows` (`core._distinct_rows` or
-    `core._hashed_rows`)."""
+    `core._hashed_rows`).  A node level merges on its key's first row and
+    its standings, and each row's masses add up in node order."""
     standings, spent, weight, key = level
-    columns = (standings, spent) if key is None else (key, standings, spent)
-    first, group = rows(*columns)
+    group = key if key is None or key.ndim == 1 else key[:, 0]
+    first, merged = rows(*[a for a in (group, standings, spent) if a is not None])
     tally["merged"] += standings.shape[0] - first.size
-    # integer counts come back from float sums, exact below 2^53
-    weight = np.bincount(group, weights=weight).astype(weight.dtype, copy=False)
-    return standings[first], spent[first], weight, None if key is None else key[first]
+    # one sum per (merged state, column); integer counts come back from
+    # float sums, exact below 2^53
+    width = weight.size // merged.size
+    index = merged if width == 1 else (merged[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(index, weights=weight.ravel(), minlength=first.size * width)
+    weight = sums.astype(weight.dtype, copy=False).reshape((first.size,) + weight.shape[1:])
+    return (standings.take(first, 0), None if spent is None else spent.take(first, 0), weight,
+            None if key is None else key.take(first, 0))
 
 
 def _byte_merge(spec, played, children, tally) -> tuple:
@@ -279,8 +326,8 @@ def _hash_merge(spec, played, children, tally) -> tuple:
     """Merge rule of exact walks: the status test first, so ended children
     go to the walk unmerged (its `np.add.at` adds up repeats) and only live
     ones merge, by `core._hashed_rows`.  Its order of first occurrence keeps
-    a row's states together, as the part cuts need, and in the order they
-    have when the row is walked alone.  Every child of the last battle
+    a row's states, or a group's nodes, together, as the part cuts need,
+    and in the order they have when the row is walked alone.  Every child of the last battle
     ends, so a walk's largest level is never merged."""
     live, ended = _split(spec, played, children)
     return (_merged(live, _hashed_rows, tally) if len(live[0]) else live), ended
@@ -297,8 +344,19 @@ def _cuts(keys, part: int) -> list:
 
 
 def _take(arrays, index) -> tuple:
-    """Index every array of a state tuple alike, passing over missing ones."""
-    return tuple([None if a is None else a[index] for a in arrays])
+    """Index every array of a state tuple alike along its first axis, by a
+    slice or by positions, passing over missing ones."""
+    if isinstance(index, slice):
+        return tuple([None if a is None else a[index] for a in arrays])
+    return tuple([None if a is None else a.take(index, 0) for a in arrays])
+
+
+def _columns(level, columns: slice, pad: int) -> tuple:
+    """A node level's masses of the rows in `columns` of each key, without
+    the nodes whose key has only the padding row `pad` there."""
+    standings, spent, weight, key = level
+    key = key[:, columns]
+    return _take((standings, spent, weight[:, columns], key), np.flatnonzero(key[:, 0] != pad))
 
 
 def one_shot_deviation(

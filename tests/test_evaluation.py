@@ -530,6 +530,57 @@ class TestLevelWalk:
             deviation_gains(spec, history_from_winners(spec, [1]), 0, (0.0, 1.0))
         assert walk_records(caplog) == [(1, [1, 1, 1, 1], 0, 0), (3, [3, 3, 3], 0, 0)]
 
+    def test_a_sweep_walks_the_nodes_of_its_groups(self, caplog):
+        # 22 rows from one state: the baseline and the offsets that leave every
+        # spend positive share one group, and the offsets that spend nothing at
+        # the root, or everything there and so nothing after, have one each;
+        # the states per battle are the nodes of the three groups
+        spec = ContestSpec([1.0, 1.5, 1.2, 1.7, 1.1], [40, 50, 60], objective=WP)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            expected_payoffs(proportional_profile(3), spec)
+            deviation_gains(spec, History(), 0, deviation_grid(spec, History(), 0))
+        (one, sweep) = walk_records(caplog)
+        assert one == (1, [1, 3, 9, 27, 69, 72], 3, 0)
+        assert sweep == (22, [3, 8, 21, 57, 135, 136], 5, 0)  # 22 rows alone: 22 times `one`'s
+
+    def test_a_guaranteed_losers_spent_does_not_keep_states_apart(self, caplog):
+        # after four battles (3, 2, 0) comes from (3, 1, 0), where player 2 is
+        # already a guaranteed loser and spends nothing on battle 4, and from
+        # (2, 2, 0), where it still spends: one node, where states with spent
+        # kept them apart (12 merged, states per battle [1, 3, 6, 15, 24, 33])
+        spec = ContestSpec([1, 1, 2, 1, 1], [30, 20, 10], objective=WP)
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            payoffs = expected_payoffs(proportional_profile(3), spec)
+        assert walk_records(caplog) == [(1, [1, 3, 6, 15, 18, 21], 18, 0)]
+        assert payoffs == pytest.approx(brute_force_payoffs(proportional_profile(3), spec),
+                                        abs=1e-12)
+
+    @pytest.mark.parametrize("part", [None, 7], ids=["whole", "parts-of-7"])
+    def test_rows_that_go_all_in_or_spend_nothing_walk_as_alone(self, monkeypatch, caplog, part):
+        # rows of two states; at each, the deviator spends nothing, everything
+        # or something between, so the rows fall into groups of several sizes,
+        # and with parts of 7 the wider groups are walked a few rows at a time
+        if part is not None:
+            monkeypatch.setattr(evaluation, "PART", part)
+        rng = random.Random("all-in-rows")
+        spec = ContestSpec([1.0, 1.5, 1.2, 1.7, 1.1], [40, 50, 60], objective=WP)
+        roots = [history_from_winners(spec, winners) for winners in ((1,), (2,))]
+        states, batch = [], []
+        for root in roots:
+            budgets = [remaining_budget(spec, root, i) for i in range(3)]
+            for spend in (0.0, budgets[1], *(rng.uniform(0.0, budgets[1]) for _ in range(7))):
+                states.append(evaluation._state(spec, root)[:2])
+                batch.append([budgets[0] / 4.3, spend, budgets[2] / 4.3])
+        batch = np.array(batch)
+        standings, spent = (np.concatenate(arrays) for arrays in zip(*states))
+        below = (PROPORTIONAL,) * 3
+        with caplog.at_level(logging.DEBUG, logger="dynblotto"):
+            together = _level_walk(spec, 1, standings, spent, batch, below)
+        assert (walk_records(caplog)[0][3] > 0) == (part is not None)
+        for row, (one, spend), payoffs in zip(batch, states, together):
+            alone = _level_walk(spec, 1, one, spend, row[None, :], below)
+            assert np.array_equal(payoffs, alone[0]), row
+
 
 class TestWinnerTreeThroughTheOracle:
     """Properties of the tree of winner sequences, read through the evaluators."""
@@ -643,6 +694,18 @@ class TestDeviationGain:
                 for a, b in zip(got, want):
                     assert a.gain == pytest.approx(b.gain, abs=1e-12)
                     assert a.closed_form == pytest.approx(b.closed_form, abs=1e-12)
+
+    def test_a_spend_far_over_a_tiny_budget_is_refused(self):
+        # budgets of 1e-12 take 1e-9 times their scale as slack: a spend of
+        # 5e-10 was accepted and clamped, and the closed form read it unclamped
+        spec = ContestSpec([1, 2, 1], [1e-12, 3e-12])
+        with pytest.raises(InputError, match="outside"):
+            deviation_gains(spec, History(), 0, [5e-10])
+        with pytest.raises(InputError, match="outside"):
+            closed_form_gain(1e-12, 3e-12, 4.0, 5e-10, 1.0)
+        top = deviation_grid(spec, History(), 0)[-1]  # spends the whole budget
+        (report,) = deviation_gains(spec, History(), 0, [top])
+        assert report.closed_form == closed_form_gain(1e-12, 3e-12, 4.0, top, 1.0)
 
     def test_broke_player_has_no_deviations(self):
         spec = ContestSpec([1, 1], [0.0, 10.0])
